@@ -75,27 +75,12 @@ class CharacterTable:
     chars: tuple  # per irrep, tuple of Cyc values per class
     dims: tuple
 
-    def value(self, irrep, element):
-        cls = _class_of(self.group)[element]
-        return self.chars[irrep][cls]
-
-
-@lru_cache(maxsize=None)
-def _class_of(g: FiniteGroup):
-    data = conjugacy_data(g)
-    cls = [0] * g.order
-    for i, c in enumerate(data.classes):
-        for x in c:
-            cls[x] = i
-    return tuple(cls)
-
 
 @lru_cache(maxsize=None)
 def character_table(g: FiniteGroup) -> CharacterTable:
     data = conjugacy_data(g)
-    classes, reps = data.classes, data.reps
+    classes, reps, cls = data.classes, data.reps, data.class_of
     r = len(classes)
-    cls = _class_of(g)
     m = g.exponent
     p = _dixon_prime(g.order, m)
     zgen = pow(_primitive_root(p), (p - 1) // m, p)
@@ -308,11 +293,12 @@ def projective_irrep_data(h: FiniteGroup, alpha, n=None):
     red, n_red = _reduce_cocycle(values, n)
     if n_red == 1:
         tab = character_table(h)
-        return [(tab.dims[i], tuple(tab.chars[i][_class_of(h)[x]] for x in h.elements()))
+        cls = conjugacy_data(h).class_of
+        return [(tab.dims[i], tuple(tab.chars[i][cls[x]] for x in h.elements()))
                 for i in range(len(tab.dims))], 1
     ext = central_extension(h, red, n_red)
     tab = character_table(ext)
-    cls = _class_of(ext)
+    cls = conjugacy_data(ext).class_of
     zeta = Cyc.root(n_red, 1)
     out = []
     for i, d in enumerate(tab.dims):

@@ -22,6 +22,7 @@ from .cohomology import (
     transgress,
     u1_cohomology,
 )
+from .exact import scalar_json
 from .fusion import (
     FusionError,
     global_dim,
@@ -142,10 +143,6 @@ def _as_text(payload, indent=0):
     return f"{pad}{payload}"
 
 
-def _scalar_json(x):
-    return x.to_json() if hasattr(x, "to_json") else x
-
-
 fmt_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 out_option = click.option("--out", type=click.Path(), default=None)
 
@@ -247,8 +244,8 @@ def dims(ctx, path, fmt, out):
     ring, _ = load_ring(_read_json(path))
     d = pf_dims(ring)
     payload = {
-        "dims": {ring.label(i): _scalar_json(v) for i, v in enumerate(d)},
-        "global_dim": _scalar_json(global_dim(ring)),
+        "dims": {ring.label(i): scalar_json(v) for i, v in enumerate(d)},
+        "global_dim": scalar_json(global_dim(ring)),
     }
     _emit(ctx, payload, fmt, out)
 

@@ -72,7 +72,7 @@ class TorsionCocycle:
                 if v % n:
                     raise ValueError(f"not normalized: nonzero value on {key}")
                 continue
-            v %= n
+            v = int(v) % n
             if v:
                 vals[key] = v
         return TorsionCocycle(group, degree, n, tuple(sorted(vals.items())))
@@ -219,17 +219,11 @@ class CohomologyGroup:
 
 
 @lru_cache(maxsize=None)
-def _snf_plain(g: FiniteGroup, k: int):
-    return snf.snf_z(bar_matrix(g, k))
-
-
-@lru_cache(maxsize=None)
 def _snf_transforms(g: FiniteGroup, k: int):
-    diag, u_inv, v = snf.snf_z_transforms(bar_matrix(g, k))
-    return diag, u_inv, v
+    return snf.snf_z_transforms(bar_matrix(g, k))
 
 
-def cohomology_group(g: FiniteGroup, k: int, n: int, representatives=True) -> CohomologyGroup:
+def cohomology_group(g: FiniteGroup, k: int, n: int) -> CohomologyGroup:
     """H^k(G, mu_n) with cocycle representatives.
 
     Via universal coefficients: the (H^k(G,Z) tensor Z/n) part contributes
@@ -243,12 +237,6 @@ def cohomology_group(g: FiniteGroup, k: int, n: int, representatives=True) -> Co
     _guard_cells(g, k, "cohomology_group")
     reps = []
     orders = []
-    if not representatives:
-        low = [d for d in _snf_plain(g, k - 1) if math.gcd(d, n) > 1]
-        high = [d for d in _snf_plain(g, k) if math.gcd(d, n) > 1]
-        factors = snf.invariant_factor_chain(low + high, modulus=n)
-        return CohomologyGroup(tuple(f for f in factors if f > 1), (), ())
-
     # tensor part: torsion classes of coker(D_{k-1}), pulled back via U^{-1}
     diag_low, u_inv_low, _ = _snf_transforms(g, k - 1)
     for i, d in enumerate(diag_low):
@@ -288,13 +276,15 @@ def u1_cohomology(g: FiniteGroup, k: int) -> CohomologyGroup:
     """H^k(G, U(1)) reported through the shift H^k(G, U(1)) = H^{k+1}(G, Z).
 
     For finite G and k >= 1 the right-hand side is pure torsion: the
-    invariant factors of the integer k-differential.
+    invariant factors of the integer k-differential, read off the same
+    diagonal that cohomology_group(g, k, n) uses.
     """
     if k not in (2, 3):
         raise GroupError("u1_cohomology supports k in {2, 3}")
     _guard_cells(g, k, "u1_cohomology")
-    factors = tuple(d for d in _snf_plain(g, k) if d > 1)
-    return CohomologyGroup(tuple(snf.invariant_factor_chain(factors)), (), ())
+    diag, _, _ = _snf_transforms(g, k)
+    factors = snf.invariant_factor_chain(diag)
+    return CohomologyGroup(tuple(f for f in factors if f > 1), (), ())
 
 
 def transgress(omega: TorsionCocycle, g_elem: int):

@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .snf import rref
+
 __all__ = ["Cyc", "cyclotomic_poly"]
 
 
@@ -138,7 +140,8 @@ class Cyc:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(other)
+            red = self.reduced()
+            return red[0] == other and not any(red[1:])
         if not isinstance(other, Cyc):
             return NotImplemented
         a, b = self._pair(other)
@@ -168,27 +171,17 @@ class Cyc:
 
     def inv(self):
         """Multiplicative inverse via exact linear algebra over Q."""
-        phi = cyclotomic_poly(self.n)
-        deg = len(phi) - 1
-        # multiplication-by-self matrix in the reduced basis
-        cols = []
-        for k in range(deg):
-            col = (self * Cyc(self.n, {k: 1})).reduced()
-            cols.append(list(col))
-        # solve M x = e_0 with M[i][j] = cols[j][i]
-        m = [[cols[j][i] for j in range(deg)] + [Fraction(1 if i == 0 else 0)] for i in range(deg)]
-        for col in range(deg):
-            piv = next((r for r in range(col, deg) if m[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("not invertible")
-            m[col], m[piv] = m[piv], m[col]
-            pv = m[col][col]
-            m[col] = [x / pv for x in m[col]]
-            for r in range(deg):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return Cyc(self.n, {k: m[k][deg] for k in range(deg)})
+        deg = len(cyclotomic_poly(self.n)) - 1
+        # solve M x = e_0, where column k of M is self * zeta^k in the reduced basis
+        cols = [(self * Cyc(self.n, {k: 1})).reduced() for k in range(deg)]
+        aug = [[cols[j][i] for j in range(deg)] + [Fraction(int(i == 0))] for i in range(deg)]
+        red, pivots = rref(aug)
+        if pivots != list(range(deg)):
+            raise ZeroDivisionError("not invertible")
+        return Cyc(self.n, {k: red[k][deg] for k in range(deg)})
+
+    def __rtruediv__(self, other):
+        return self.inv() * other
 
     def to_json(self):
         red = self.reduced()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["QuadReal", "CertReal", "as_scalar", "scalar_eq", "EQ_TOL"]
+__all__ = ["QuadReal", "CertReal", "as_scalar", "scalar_eq", "scalar_json", "EQ_TOL"]
 
 # tolerance used for certified-float equality tests
 EQ_TOL = 1e-9
@@ -262,3 +262,8 @@ def as_scalar(x):
 def scalar_eq(x, y):
     """Equality across the QuadReal/CertReal mix (exact where possible)."""
     return as_scalar(x) == as_scalar(y)
+
+
+def scalar_json(x):
+    """JSON form of a scalar: its to_json() if it has one, else x itself."""
+    return x.to_json() if hasattr(x, "to_json") else x

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import CertReal, QuadReal, as_scalar, scalar_eq
+from .exact import CertReal, QuadReal, as_scalar, scalar_eq, scalar_json
 from .groups import FiniteGroup, cyclic, validate_table
 
 __all__ = [
@@ -271,12 +271,11 @@ class SectorReport:
     global_dim: object
 
     def to_json(self):
-        enc = lambda s: s.to_json() if hasattr(s, "to_json") else s
         return {
-            "sectors": {k: enc(v) for k, v in self.sectors.items()},
+            "sectors": {k: scalar_json(v) for k, v in self.sectors.items()},
             "full_spectrum": self.full_spectrum,
             "m3_homogeneous": self.m3_homogeneous,
-            "global_dim": enc(self.global_dim),
+            "global_dim": scalar_json(self.global_dim),
         }
 
 

@@ -22,9 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import chartab
+from . import chartab, snf
 from .cohomology import TorsionCocycle, is_cocycle
-from .exact import QuadReal, as_scalar, scalar_eq
+from .exact import QuadReal, as_scalar, scalar_eq, scalar_json
 from .fusion import (
     FusionError,
     GradedFusionRing,
@@ -85,7 +85,6 @@ class EquivariantizationResult:
         return scalar_eq(self.global_dim, as_scalar(self.group_order) * self.input_global_dim)
 
     def to_json(self):
-        enc = lambda s: s.to_json() if hasattr(s, "to_json") else s
         return {
             "simples": [
                 {
@@ -94,12 +93,12 @@ class EquivariantizationResult:
                     "stabilizer_order": s["stabilizer_order"],
                     "cocycle_class": s["cocycle_class"],
                     "irrep_dim": s["irrep_dim"],
-                    "dim": enc(s["dim"]),
+                    "dim": scalar_json(s["dim"]),
                 }
                 for s in self.simples
             ],
-            "global_dim": enc(self.global_dim),
-            "input_global_dim": enc(self.input_global_dim),
+            "global_dim": scalar_json(self.global_dim),
+            "input_global_dim": scalar_json(self.input_global_dim),
             "group_order": self.group_order,
         }
 
@@ -208,7 +207,6 @@ def _gram_decompositions(h, member_dims):
                     solutions.append(canon)
             return
         target_sq = h[i][i]
-        max_new = target_sq
         # multiplicities over existing columns + up to target new columns
         def rec(j, row, remaining):
             if j == ncols:
@@ -230,7 +228,6 @@ def _gram_decompositions(h, member_dims):
                 ok = True
                 for j2 in range(i):
                     dot = sum(row[c] * rows[j2][c] for c in range(len(row)))
-                    rest = remaining - m * m
                     if dot > h[i][j2]:
                         ok = False
                         break
@@ -240,7 +237,6 @@ def _gram_decompositions(h, member_dims):
                 m += 1
 
         rec(0, [], target_sq)
-        del max_new
 
     extend([], 0)
     return solutions
@@ -293,20 +289,14 @@ def _solve_dims(mat, member_dims):
                     changed = True
     open_cols = [j for j in range(t) if dims[j] is None]
     if open_cols:
+        w = len(open_cols)
         sub = [[Fraction(mat[i][j]) for j in open_cols] for i in range(s)]
-        chosen, basis = [], []
-        for i, row in enumerate(sub):
-            cand = basis + [row]
-            if _rank(cand) == len(cand):
-                basis = cand
-                chosen.append(i)
-            if len(chosen) == len(open_cols):
-                break
-        if len(chosen) < len(open_cols):
+        # the first w linearly independent rows are the pivot columns of sub^T
+        _, chosen = snf.rref(list(zip(*sub)))
+        if len(chosen) < w:
             return None
-        inv = _invert([sub[i] for i in chosen])
-        if inv is None:
-            return None
+        red, _ = snf.rref([sub[i] + [Fraction(int(c == r)) for c in range(w)] for r, i in enumerate(chosen)])
+        inv = [row[w:] for row in red]
         for pos, j in enumerate(open_cols):
             val = as_scalar(0)
             for c, i in enumerate(chosen):
@@ -324,42 +314,6 @@ def _solve_dims(mat, member_dims):
         elif float(d) < 1 - 1e-6:
             return None
     return dims
-
-
-def _rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _invert(mat):
-    t = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(t)] for i, row in enumerate(mat)]
-    for c in range(t):
-        piv = next((i for i in range(c, t) if aug[i][c] != 0), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(t):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[t:] for row in aug]
 
 
 def _canonical_cols(mat, dims):
@@ -391,20 +345,19 @@ class CrossedProductResult:
         return out
 
     def to_json(self):
-        enc = lambda s: s.to_json() if hasattr(s, "to_json") else s
         return {
             "blocks": [
                 {
                     "members": list(b["members"]),
                     "end_dims": b["end_dims"],
                     "resolved": b["resolved"],
-                    "budget": enc(b["budget"]),
-                    "simples": [{"dim": enc(s["dim"]), "pattern": list(s["pattern"])} for s in b["simples"]],
+                    "budget": scalar_json(b["budget"]),
+                    "simples": [{"dim": scalar_json(s["dim"]), "pattern": list(s["pattern"])} for s in b["simples"]],
                 }
                 for b in self.blocks
             ],
-            "global_dim": enc(self.global_dim),
-            "input_global_dim": enc(self.input_global_dim),
+            "global_dim": scalar_json(self.global_dim),
+            "input_global_dim": scalar_json(self.input_global_dim),
             "group_order": self.group_order,
             "has_output_ring": self.output_ring is not None,
         }
@@ -539,11 +492,10 @@ class RoundTripReport:
     simple_counts: tuple  # (input rank, regauged count) when available
 
     def to_json(self):
-        enc = lambda s: s.to_json() if hasattr(s, "to_json") else s
         return {
-            "input_global_dim": enc(self.input_global_dim),
-            "crossed_global_dim": enc(self.crossed_global_dim),
-            "regauged_global_dim": enc(self.regauged_global_dim),
+            "input_global_dim": scalar_json(self.input_global_dim),
+            "crossed_global_dim": scalar_json(self.crossed_global_dim),
+            "regauged_global_dim": scalar_json(self.regauged_global_dim),
             "dims_match": self.dims_match,
             "simple_counts": list(self.simple_counts) if self.simple_counts else None,
         }

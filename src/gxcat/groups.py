@@ -52,15 +52,9 @@ class FiniteGroup:
     def id(self):
         return 0
 
-    def op(self, x, y):
-        return self.mul[x][y]
-
     @property
     def inv(self):
         return _inverse_table(self)
-
-    def inverse(self, x):
-        return self.inv[x]
 
     def conj(self, g, x):
         """g x g^{-1}"""
@@ -254,6 +248,7 @@ class ConjugacyData:
     classes: tuple  # tuple of sorted tuples of element indices
     reps: tuple  # least-index member of each class
     centralizers: tuple  # per class, sorted tuple of elements commuting with the rep
+    class_of: tuple  # element index -> index of its class
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +269,11 @@ def conjugacy_data(g: FiniteGroup) -> ConjugacyData:
         if not _is_subgroup(g, cent):
             raise GroupError("centralizer failed subgroup check")  # pragma: no cover
         cents.append(cent)
-    data = ConjugacyData(tuple(classes), reps, tuple(cents))
+    class_of = [0] * g.order
+    for i, c in enumerate(classes):
+        for x in c:
+            class_of[x] = i
+    data = ConjugacyData(tuple(classes), reps, tuple(cents), tuple(class_of))
     assert sum(len(c) for c in classes) == g.order
     assert all(len(c) * len(z) == g.order for c, z in zip(classes, cents))
     return data

@@ -785,19 +785,10 @@ def _name_to_index(g, name):
     return g.element_names.index(name)
 
 
-def _class_of_group(g):
-    data = conjugacy_data(g)
-    cls = [0] * g.order
-    for i, c in enumerate(data.classes):
-        for x in c:
-            cls[x] = i
-    return cls
-
-
 def _untwisted_double_fusion(g, data, simples):
     """Fusion ring of D(G) from characters on commuting pairs."""
     pairs = [(a, x) for a in g.elements() for x in g.elements() if g.mul[a][x] == g.mul[x][a]]
-    cls = _class_of_group(g)
+    cls = data.class_of
     # transporter: for each element, a group element conjugating the class rep to it
     transport = {}
     for ci, rep in enumerate(data.reps):
@@ -805,7 +796,6 @@ def _untwisted_double_fusion(g, data, simples):
             transport.setdefault(g.conj(t, rep), t)
 
     def theta(simple, a, x):
-        rep = _name_to_index(g, simple["class_rep"])
         if cls[a] != simple["class_index"]:
             return Cyc.rational(0)
         k = transport[a]
@@ -919,11 +909,6 @@ class KirillovMatrix:
     basis: list  # (object name, group element name)
     entries: list  # Cyc matrix
     invertible: bool
-    det: Cyc
-
-    def degree_zero_block(self):
-        idx = [i for i, (_, gname) in enumerate(self._raw) if gname == 0]
-        return [[self.entries[i][j] for j in idx] for i in idx]
 
     def to_json(self):
         return {
@@ -944,8 +929,8 @@ def kirillov_S(d: PointedGXData) -> KirillovMatrix:
         S[(x,k),(y,l)] = zeta ^ ( braid(x, y) + braid(action_{deg x}(y), x) ).
 
     With trivial G this is the double-braiding matrix of the underlying
-    braided pointed category.  The verdict is an exact nonzero test of the
-    determinant over the cyclotomic field.
+    braided pointed category.  The verdict is an exact full-rank test over
+    the cyclotomic field.
     """
     gam, g = d.gamma, d.group
     basis = [(x, k) for x in gam.elements() for k in g.elements() if d.act(k, x) == x]
@@ -955,36 +940,12 @@ def kirillov_S(d: PointedGXData) -> KirillovMatrix:
         for j, (y, l) in enumerate(basis):
             if k == d.deg[y] and l == d.deg[x]:
                 entries[i][j] = Cyc.root(d.n, d.monodromy(x, y))
-    det = _cyc_det([row[:] for row in entries])
-    inv = not det.is_zero()
-    km = KirillovMatrix(
+    _, pivots = snf.rref(entries)
+    return KirillovMatrix(
         [(gam.element_names[x], g.element_names[k]) for x, k in basis],
         entries,
-        inv,
-        det,
+        len(pivots) == size,
     )
-    km._raw = [(x, k) for x, k in basis]
-    return km
-
-
-def _cyc_det(mat):
-    size = len(mat)
-    det = Cyc.rational(1)
-    for c in range(size):
-        piv = next((r for r in range(c, size) if not mat[r][c].is_zero()), None)
-        if piv is None:
-            return Cyc.rational(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = det * Fraction(-1)
-        pval = mat[c][c]
-        det = det * pval
-        pinv = pval.inv()
-        for r in range(c + 1, size):
-            if not mat[r][c].is_zero():
-                f = mat[r][c] * pinv
-                mat[r] = [mat[r][j] - f * mat[c][j] for j in range(size)]
-    return det
 
 
 # ---------------------------------------------------------------------------

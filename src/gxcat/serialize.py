@@ -10,7 +10,7 @@ import json
 
 from .cohomology import TorsionCocycle
 from .fusion import GradedFusionRing, RingGAction
-from .groups import FiniteGroup, GroupError, build_group
+from .groups import _PRESETS, FiniteGroup, GroupError, build_group
 from .pointed import PointedGXData
 
 __all__ = [
@@ -77,7 +77,7 @@ def load_cocycle(obj):
 
 def _group_ref(g: FiniteGroup, inline=False):
     """Preset name when the preset reproduces this exact table, else inline."""
-    if not inline and g.name in _PRESET_NAMES:
+    if not inline and g.name in _PRESETS:
         if build_group(g.name).mul == g.mul:
             return g.name
     return dump_group(g)
@@ -174,10 +174,3 @@ def load_pointed(obj):
 def dump_pointed(d: PointedGXData):
     return d.to_json()
 
-
-_PRESET_NAMES = {
-    *(f"Z{i}" for i in range(1, 13)),
-    "Z2xZ2", "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3",
-    "S3", "S4", "Q8",
-    *(f"D{i}" for i in range(2, 7)),
-}

@@ -1,9 +1,11 @@
-"""Integer and Z/N linear algebra: Smith normal form, solvers, kernels.
+"""Integer, Z/N and field linear algebra: Smith normal form, solvers, kernels.
 
-snf_z works over Z with exact integer arithmetic (numpy int64, escalating to
-Python ints on overflow risk).  snf_mod works over Z/N: all elementary
-operations are integer-unimodular, so the tracked transforms stay invertible
-mod N while every entry is kept reduced -- no coefficient explosion.
+snf_z_transforms diagonalizes over Z with Python ints and returns the
+change-of-basis matrices.  snf_mod works over Z/N: all elementary operations
+are integer-unimodular, so the tracked transforms stay invertible mod N while
+every entry is kept reduced -- no coefficient explosion.  rref_fp and rref
+are Gauss-Jordan over F_p (int64 arrays) and over an exact field (lists of
+Fraction or Cyc entries).
 """
 
 from __future__ import annotations
@@ -13,17 +15,15 @@ import math
 import numpy as np
 
 __all__ = [
-    "snf_z",
     "snf_z_transforms",
     "snf_mod",
     "solve_mod",
     "kernel_mod",
     "invariant_factor_chain",
+    "rref",
     "rref_fp",
     "nullspace_fp",
 ]
-
-_OVERFLOW_LIMIT = 1 << 56
 
 
 def _as_int_matrix(a):
@@ -31,61 +31,6 @@ def _as_int_matrix(a):
     if arr.ndim != 2:
         raise ValueError("matrix expected")
     return arr
-
-
-def _maybe_escalate(a):
-    if a.dtype == object:
-        return a
-    if a.size and np.abs(a).max() > _OVERFLOW_LIMIT:
-        return a.astype(object)
-    return a
-
-
-def snf_z(a):
-    """Invariant factors (> 0, divisibility chain) of an integer matrix."""
-    a = _as_int_matrix(a).copy()
-    rows, cols = a.shape
-    diag = []
-    t = 0
-    while t < min(rows, cols):
-        sub = a[t:, t:]
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
-            break
-        # pick the nonzero entry of least magnitude as pivot
-        vals = np.abs(sub[nz]).astype(object) if sub.dtype == object else np.abs(sub[nz])
-        k = int(np.argmin(vals))
-        pi, pj = int(nz[0][k]) + t, int(nz[1][k]) + t
-        a[[t, pi]] = a[[pi, t]]
-        a[:, [t, pj]] = a[:, [pj, t]]
-        while True:
-            col = a[t + 1 :, t]
-            if np.any(col != 0):
-                q = col // a[t, t]
-                a[t + 1 :] -= np.outer(q, a[t])
-                col = a[t + 1 :, t]
-                if np.any(col != 0):
-                    # remainder smaller than pivot: swap it up and continue
-                    i = int(np.nonzero(col)[0][0]) + t + 1
-                    a[[t, i]] = a[[i, t]]
-                    a = _maybe_escalate(a)
-                    continue
-            row = a[t, t + 1 :]
-            if np.any(row != 0):
-                q = row // a[t, t]
-                a[:, t + 1 :] -= np.outer(a[:, t], q)
-                if np.any(a[t, t + 1 :] != 0):
-                    j = int(np.nonzero(a[t, t + 1 :])[0][0]) + t + 1
-                    a[:, [t, j]] = a[:, [j, t]]
-                    a = _maybe_escalate(a)
-                    continue
-            if np.any(a[t + 1 :, t] != 0):
-                continue
-            break
-        a = _maybe_escalate(a)
-        diag.append(abs(int(a[t, t])))
-        t += 1
-    return invariant_factor_chain(diag)
 
 
 def invariant_factor_chain(values, modulus=None):
@@ -305,6 +250,37 @@ def kernel_mod(a, n):
     if gens:
         return np.stack(gens, axis=1), orders
     return np.zeros((cols, 0), dtype=np.int64), []
+
+
+def rref(rows):
+    """Row-reduced echelon form over an exact field; returns (rows, pivot columns).
+
+    Entries are Fraction, Cyc or anything with exact +, -, * and 1 / x.  Each
+    pivot is inverted once; only the nonzero rows are returned.
+    """
+    a = [list(row) for row in rows]
+    cols = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        support = [j for j in range(c, cols) if a[r][j] != 0]
+        inv = 1 / a[r][c]
+        for j in support:
+            a[r][j] = a[r][j] * inv
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                for j in support:
+                    a[i][j] = a[i][j] - f * a[r][j]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a[:r], pivots
 
 
 def rref_fp(a, p):

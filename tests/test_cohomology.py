@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from gxcat.cohomology import (
     u1_cohomology,
 )
 from gxcat.groups import GroupError, build_group, cyclic, product, symmetric
+from gxcat.serialize import dump_cocycle
+
+FROZEN = json.loads((pathlib.Path(__file__).parent / "data" / "cohomology_frozen.json").read_text())["cases"]
 
 
 def random_cochain(g, k, n, rng):
@@ -156,11 +161,22 @@ class TestU1Cohomology:
     @pytest.mark.parametrize("g, n", [(cyclic(2), 2), (cyclic(3), 3), (cyclic(4), 4), (cyclic(6), 6)])
     def test_mu_n_order_matches_u1_for_small_cyclics(self, g, n):
         # for Z_n with N = |G| the inflation mu_N -> U(1) is injective on H^3
-        assert cohomology_group(g, 3, n, representatives=False).order == u1_cohomology(g, 3).order
+        assert cohomology_group(g, 3, n).order == u1_cohomology(g, 3).order
 
     def test_bad_degree(self):
         with pytest.raises(GroupError):
             u1_cohomology(cyclic(2), 4)
+
+
+@pytest.mark.parametrize("case", FROZEN, ids=lambda c: f"{c['group']}-k{c['k']}")
+def test_matches_frozen_outputs(case):
+    """Invariant factors and generator orders recorded before the SNF kernels were merged."""
+    g = build_group(case["group"])
+    h = cohomology_group(g, case["k"], case["n"])
+    assert list(h.invariant_factors) == case["invariant_factors"]
+    assert list(h.generator_orders) == case["generator_orders"]
+    if "u1_invariant_factors" in case:
+        assert list(u1_cohomology(g, case["k"]).invariant_factors) == case["u1_invariant_factors"]
 
 
 class TestTransgression:
@@ -208,6 +224,11 @@ class TestCocycleType:
         g = cyclic(2)
         with pytest.raises(ValueError, match="normalized"):
             TorsionCocycle.make(g, 2, 2, {(0, 1): 1})
+
+    def test_numpy_values_stored_as_int(self):
+        c = TorsionCocycle.make(cyclic(2), 3, 2, {(1, 1, 1): np.int64(1)})
+        assert type(c(1, 1, 1)) is int
+        json.dumps(dump_cocycle(c))
 
     def test_inflation(self):
         g = cyclic(2)

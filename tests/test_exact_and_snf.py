@@ -11,8 +11,8 @@ from gxcat.exact import CertReal, QuadReal, scalar_eq
 from gxcat.snf import (
     invariant_factor_chain,
     kernel_mod,
+    rref,
     snf_mod,
-    snf_z,
     snf_z_transforms,
     solve_mod,
 )
@@ -106,7 +106,7 @@ class TestSnf:
     @settings(max_examples=60, deadline=None)
     def test_snf_z_matches_minor_gcds(self, rows):
         mat = [row[:] for row in rows]
-        got = snf_z(mat)
+        got = invariant_factor_chain(snf_z_transforms(mat)[0])
         want = brute_coker_invariants(mat, 3, 3)
         assert got == invariant_factor_chain(want)
 
@@ -158,3 +158,53 @@ class TestSnf:
         assert sorted(orders) == [2, 3]
         for col in gens.T:
             assert np.array_equal((mat @ col) % 6, np.zeros(2, dtype=np.int64))
+
+
+def small_int_matrices(max_side=4):
+    return st.integers(1, max_side).flatmap(
+        lambda r: st.integers(1, max_side).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(-5, 5), min_size=c, max_size=c), min_size=r, max_size=r
+            )
+        )
+    )
+
+
+class TestRref:
+    @given(small_int_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_matches_snf_diagonal(self, rows):
+        red, pivots = rref([[Fraction(x) for x in row] for row in rows])
+        diag, _, _ = snf_z_transforms(rows)
+        assert len(pivots) == len(red) == sum(1 for d in diag if d != 0)
+        for r, c in enumerate(pivots):
+            assert [red[i][c] for i in range(len(red))] == [int(i == r) for i in range(len(red))]
+
+    @given(st.integers(1, 4).flatmap(
+        lambda t: st.lists(st.lists(st.integers(-5, 5), min_size=t, max_size=t), min_size=t, max_size=t)
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_from_augmented_identity(self, rows):
+        t = len(rows)
+        a = [[Fraction(x) for x in row] for row in rows]
+        red, pivots = rref([row + [Fraction(int(i == j)) for j in range(t)] for i, row in enumerate(a)])
+        if pivots[:t] != list(range(t)):
+            assert round(np.linalg.det(np.array(rows, dtype=float))) == 0
+            return
+        inv = [row[t:] for row in red]
+        for i in range(t):
+            for j in range(t):
+                assert sum(a[i][k] * inv[k][j] for k in range(t)) == int(i == j)
+
+    @given(
+        st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cyc_reciprocal(self, n, coeffs):
+        c = Cyc(n, coeffs)
+        if c.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                1 / c
+            return
+        assert c * (1 / c) == 1
