@@ -18,9 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cohomology import TorsionCocycle, is_cocycle
 from .cyclo import Cyc
 from .groups import FiniteGroup, GroupError, conjugacy_data, validate_table
-from .snf import nullspace_fp, rref_fp, _modinv
+from .snf import modinv, nullspace_fp, rref_fp
 
 __all__ = [
     "CharacterTable",
@@ -123,11 +124,11 @@ def character_table(g: FiniteGroup) -> CharacterTable:
     dims = []
     for s in spaces:
         w = s[:, 0] % p
-        w = w * _modinv(int(w[0]), p) % p  # normalize omega(K_0) = 1
-        denom = sum(int(w[k]) * int(w[inv_class[k]]) * _modinv(sizes[k], p) for k in range(r)) % p
-        d2 = g.order * _modinv(denom, p) % p
+        w = w * modinv(int(w[0]), p) % p  # normalize omega(K_0) = 1
+        denom = sum(int(w[k]) * int(w[inv_class[k]]) * modinv(sizes[k], p) for k in range(r)) % p
+        d2 = g.order * modinv(denom, p) % p
         d = next(t for t in range(1, int(math.isqrt(g.order)) + 1) if t * t % p == d2)
-        chi_p = [d * int(w[k]) * _modinv(sizes[k], p) % p for k in range(r)]
+        chi_p = [d * int(w[k]) * modinv(sizes[k], p) % p for k in range(r)]
         chars.append(tuple(_lift_char(g, reps, cls, chi_p, d, m, p, zgen)))
         dims.append(d)
     assert sum(d * d for d in dims) == g.order
@@ -165,7 +166,7 @@ def _lift_char(g, reps, cls, chi_p, d, m, p, zgen):
             chis.append(chi_p[cls[x]])
             x = g.mul[x][rep]
         zeta_o = pow(zgen, m // o, p)
-        inv_o = _modinv(o, p)
+        inv_o = modinv(o, p)
         coeffs = {}
         for t in range(o):
             s = 0
@@ -244,42 +245,21 @@ def central_extension(h: FiniteGroup, values, n, name=None):
     return grp
 
 
-def _reduce_cocycle(values, n):
+def _reduce_cocycle(alpha):
     """Divide out the common gcd so the trivial cocycle needs no extension."""
-    nonzero = [v % n for v in values.values() if v % n]
-    if not nonzero:
-        return {}, 1
-    g = math.gcd(n, math.gcd(*nonzero))
-    if g == 1:
-        return {k: v % n for k, v in values.items()}, n
-    return {k: (v % n) // g for k, v in values.items()}, n // g
-
-
-def _check_2cocycle(h, values, n):
-    def alpha(x, y):
-        if x == 0 or y == 0:
-            return 0
-        return values.get((x, y), 0)
-
-    for x in h.elements():
-        for y in h.elements():
-            for z in h.elements():
-                d = alpha(y, z) - alpha(h.mul[x][y], z) + alpha(x, h.mul[y][z]) - alpha(x, y)
-                if d % n:
-                    raise ValueError(
-                        f"alpha is not a 2-cocycle: coboundary nonzero at triple ({x}, {y}, {z})"
-                    )
+    g = math.gcd(alpha.n, int(np.gcd.reduce(alpha.table, axis=None)))
+    return {k: v // g for k, v in alpha.values}, alpha.n // g
 
 
 def _coerce_cocycle(h, alpha, n):
-    """Accept a degree-2 TorsionCocycle or a raw (values, n) pair."""
-    if hasattr(alpha, "value_map"):
-        if alpha.degree != 2:
-            raise ValueError("projective representations need a degree-2 cocycle")
-        if alpha.group.mul != h.mul:
-            raise ValueError("cocycle lives on a different group")
-        return alpha.value_map(), alpha.n
-    return dict(alpha), n
+    """Accept a degree-2 TorsionCocycle or raw values with their N."""
+    if not isinstance(alpha, TorsionCocycle):
+        return TorsionCocycle.make(h, 2, n, alpha)
+    if alpha.degree != 2:
+        raise ValueError("projective representations need a degree-2 cocycle")
+    if alpha.group.mul != h.mul:
+        raise ValueError("cocycle lives on a different group")
+    return alpha
 
 
 def projective_irrep_data(h: FiniteGroup, alpha, n=None):
@@ -288,9 +268,11 @@ def projective_irrep_data(h: FiniteGroup, alpha, n=None):
     The section character is chi((x, 0)) on the central extension; its
     values depend on alpha itself, not just the cohomology class.
     """
-    values, n = _coerce_cocycle(h, alpha, n)
-    _check_2cocycle(h, values, n)
-    red, n_red = _reduce_cocycle(values, n)
+    alpha = _coerce_cocycle(h, alpha, n)
+    ok, wit = is_cocycle(alpha)
+    if not ok:
+        raise ValueError("alpha is not a 2-cocycle: coboundary nonzero at triple ({}, {}, {})".format(*wit))
+    red, n_red = _reduce_cocycle(alpha)
     if n_red == 1:
         tab = character_table(h)
         cls = conjugacy_data(h).class_of

@@ -1,13 +1,21 @@
 """Group cohomology with roots-of-unity coefficients.
 
-Cochains live on the normalized bar complex: a degree-n cochain assigns an
-element of Z/N (the angle numerator of exp(2*pi*i*v/N)) to each n-tuple of
-non-identity group elements; tuples containing the identity are 0 by
-convention.  The simplicial coboundary is
+Cochains live on the normalized bar complex.  A degree-k cochain is one
+dense int64 array of shape (|G|,)*k over all of G^k, holding angle
+numerators mod N (the value exp(2*pi*i*v/N)); every slot whose tuple
+contains the identity holds 0.  Evaluation is one index lookup, and C order
+on the array is lexicographic order on tuples, so the first hit of
+argwhere is the lexicographically least witness.  The simplicial coboundary
 
-    (dc)(g1,...,g_{n+1}) = c(g2,...,g_{n+1})
-        + sum_i (-1)^i c(g1,...,g_i g_{i+1},...,g_{n+1})
-        + (-1)^{n+1} c(g1,...,g_n)
+    (dc)(g1,...,g_{k+1}) = c(g2,...,g_{k+1})
+        + sum_i (-1)^i c(g1,...,g_i g_{i+1},...,g_{k+1})
+        + (-1)^{k+1} c(g1,...,g_k)
+
+is evaluated on every (k+1)-tuple at once through the flat indices of its
+k+2 faces into G^k (`_faces`); the same face indices build the integer bar
+matrices.  Matrices and linear solves act on the vector of values over the
+non-identity tuples in lexicographic order; TorsionCocycle.to_vector and
+TorsionCocycle.from_vector are the only conversions between the two layouts.
 
 Cohomology groups are read off integer Smith normal forms of the lifted
 differentials: with C* free, H^k(G, Z/N) decomposes as
@@ -22,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,6 +48,8 @@ __all__ = [
     "u1_cohomology",
     "transgress",
     "brute_force_order",
+    "first_witness",
+    "invariance_rows",
 ]
 
 CELL_CAP = 1 << 25
@@ -50,18 +60,35 @@ class ResourceLimit(RuntimeError):
     """Raised when a computation would exceed the desk-scale guards."""
 
 
-@dataclass(frozen=True)
+def _inner(k):
+    """Index of the non-identity block of a G^k array."""
+    return (slice(1, None),) * k
+
+
+@dataclass(frozen=True, eq=False)
 class TorsionCocycle:
     """Normalized cochain G^degree -> Z/n (additive angle numerators)."""
 
     group: FiniteGroup
     degree: int
     n: int
-    values: tuple  # sorted tuple of ((g1,...,gk), v) with v != 0, no identity slots
+    table: np.ndarray  # read-only int64, shape (|G|,)*degree, values in [0, n), 0 on identity slots
+
+    @staticmethod
+    def _guard(group, degree):
+        """Checking a degree-k cochain touches every (k+1)-tuple; refuse before allocating."""
+        cells = group.order ** (degree + 1)
+        if cells > CELL_CAP:
+            raise ResourceLimit(
+                f"degree-{degree} cochain on a group of order {group.order}: "
+                f"{cells} cells to check exceed the cell cap {CELL_CAP}"
+            )
 
     @staticmethod
     def make(group, degree, n, values):
-        vals = {}
+        """From a dict or (tuple, value) pairs; tuples may not hold the identity with a nonzero value."""
+        TorsionCocycle._guard(group, degree)
+        table = np.zeros((group.order,) * degree, dtype=np.int64)
         for key, v in (values.items() if isinstance(values, dict) else values):
             key = tuple(int(g) for g in key)
             if len(key) != degree:
@@ -74,86 +101,111 @@ class TorsionCocycle:
                 continue
             v = int(v) % n
             if v:
-                vals[key] = v
-        return TorsionCocycle(group, degree, n, tuple(sorted(vals.items())))
+                table[key] = v
+        table.setflags(write=False)
+        return TorsionCocycle(group, degree, n, table)
+
+    @staticmethod
+    def from_table(group, degree, n, table):
+        """From a dense array over G^degree, reduced mod n."""
+        TorsionCocycle._guard(group, degree)
+        table = np.asarray(table, dtype=np.int64) % n
+        if table.shape != (group.order,) * degree:
+            raise ValueError(f"table of shape {table.shape} does not fit degree {degree} on order {group.order}")
+        if any(table.take(0, axis=i).any() for i in range(degree)):
+            raise ValueError("not normalized: nonzero value on an identity slot")
+        table.setflags(write=False)
+        return TorsionCocycle(group, degree, n, table)
+
+    @staticmethod
+    def from_vector(group, degree, n, vec):
+        """From values over the non-identity tuples in lexicographic order."""
+        TorsionCocycle._guard(group, degree)
+        table = np.zeros((group.order,) * degree, dtype=np.int64)
+        table[_inner(degree)] = np.reshape(np.asarray(vec, dtype=np.int64) % n, (group.order - 1,) * degree)
+        table.setflags(write=False)
+        return TorsionCocycle(group, degree, n, table)
+
+    def to_vector(self):
+        """Values over the non-identity tuples in lexicographic order (the bar_matrix columns)."""
+        return self.table[_inner(self.degree)].ravel()
+
+    @cached_property
+    def values(self):
+        """Sorted tuple of ((g1,...,gk), v) over the nonzero values."""
+        cells = np.argwhere(self.table)
+        vals = self.table[tuple(cells.T)]
+        return tuple((tuple(t), v) for t, v in zip(cells.tolist(), vals.tolist()))
 
     def __call__(self, *args):
         if len(args) != self.degree:
             raise ValueError("arity mismatch")
-        if 0 in args:
-            return 0
-        return dict(self.values).get(tuple(args), 0)
+        return int(self.table[args])
 
-    def value_map(self):
-        return dict(self.values)
+    def __eq__(self, other):
+        if not isinstance(other, TorsionCocycle):
+            return NotImplemented
+        return (self.group, self.degree, self.n) == (other.group, other.degree, other.n) and np.array_equal(
+            self.table, other.table
+        )
+
+    def __hash__(self):
+        return hash((self.group, self.degree, self.n, self.table.tobytes()))
 
     def is_zero(self):
-        return not self.values
+        return not self.table.any()
 
     def __add__(self, other):
         assert (self.group, self.degree, self.n) == (other.group, other.degree, other.n)
-        vals = dict(self.values)
-        for k, v in other.values:
-            vals[k] = (vals.get(k, 0) + v) % self.n
-        return TorsionCocycle.make(self.group, self.degree, self.n, vals)
+        return TorsionCocycle.from_table(self.group, self.degree, self.n, self.table + other.table)
 
     def scaled(self, factor):
-        return TorsionCocycle.make(
-            self.group, self.degree, self.n, {k: v * factor for k, v in self.values}
-        )
+        return TorsionCocycle.from_table(self.group, self.degree, self.n, self.table * (factor % self.n))
 
     def inflated(self, new_n):
         """Push values along Z/n -> Z/new_n (n | new_n)."""
         if new_n % self.n:
             raise ValueError("inflation target must be a multiple of n")
-        f = new_n // self.n
-        return TorsionCocycle.make(
-            self.group, self.degree, new_n, {k: v * f for k, v in self.values}
-        )
+        return TorsionCocycle.from_table(self.group, self.degree, new_n, self.table * (new_n // self.n))
 
 
-def _tuples(g, k):
-    """Non-identity k-tuples in lexicographic order."""
-    return itertools.product(range(1, g.order), repeat=k)
+def _faces(g: FiniteGroup, k: int):
+    """Yield (sign, index) for the k+2 faces of the (k+1)-tuples of g.
+
+    index[T] is the flat position in G^k of the face of the tuple at flat
+    position T of G^(k+1); (dc)[T] = sum over faces of sign * c[index[T]].
+    """
+    m = g.order
+    t = np.arange(m ** (k + 1))
+    yield 1, t % m**k
+    for i in range(1, k + 1):
+        # merge slots i-1 and i: (high, a, b, low) -> (high, ab, low)
+        low = m ** (k - i)
+        a, b = t // (low * m) % m, t // low % m
+        yield (-1) ** i, (t // (low * m * m) * m + g.mul_array[a, b]) * low + t % low
+    yield (-1) ** (k + 1), t // m
 
 
-def _tuple_index(g, t):
-    idx = 0
-    for x in t:
-        idx = idx * (g.order - 1) + (x - 1)
-    return idx
+def _coboundary_table(c):
+    flat = c.table.ravel()
+    total = sum(sign * flat[idx] for sign, idx in _faces(c.group, c.degree))
+    return (total % c.n).reshape((c.group.order,) * (c.degree + 1))
 
 
-def coboundary_value(c, t):
-    """Evaluate (dc) on a (degree+1)-tuple."""
-    g, n = c.group, c.n
-    k = c.degree
-    total = c(*t[1:])
-    sign = -1
-    for i in range(k):
-        merged = t[:i] + (g.mul[t[i]][t[i + 1]],) + t[i + 2 :]
-        total += sign * c(*merged)
-        sign = -sign
-    total += sign * c(*t[:k])
-    return total % n
+def first_witness(mask):
+    """Lexicographically least index where mask is nonzero, as a tuple of ints, or None."""
+    hits = np.argwhere(mask)
+    return tuple(hits[0].tolist()) if len(hits) else None
 
 
 def coboundary(c: TorsionCocycle) -> TorsionCocycle:
-    g = c.group
-    vals = {}
-    for t in _tuples(g, c.degree + 1):
-        v = coboundary_value(c, t)
-        if v:
-            vals[t] = v
-    return TorsionCocycle.make(g, c.degree + 1, c.n, vals)
+    return TorsionCocycle.from_table(c.group, c.degree + 1, c.n, _coboundary_table(c))
 
 
 def is_cocycle(c: TorsionCocycle):
     """(True, None) if dc = 0, else (False, lexicographically least witness)."""
-    for t in _tuples(c.group, c.degree + 1):
-        if coboundary_value(c, t):
-            return False, t
-    return True, None
+    wit = first_witness(_coboundary_table(c))
+    return wit is None, wit
 
 
 def _guard_cells(g, k, what):
@@ -172,35 +224,39 @@ def bar_matrix(g: FiniteGroup, k: int):
     if k == 0:
         return np.zeros(((g.order - 1), 1), dtype=np.int64)
     rows, cols = _guard_cells(g, k, "bar_matrix")
+    m = g.order
+    column = np.full((m,) * k, -1, dtype=np.int64)
+    column[_inner(k)] = np.arange(cols).reshape((m - 1,) * k)
+    column = column.ravel()
     mat = np.zeros((rows, cols), dtype=np.int64)
-    for r, t in enumerate(_tuples(g, k + 1)):
-        if 0 not in t[1:]:
-            mat[r, _tuple_index(g, t[1:])] += 1
-        sign = -1
-        for i in range(k):
-            merged = t[:i] + (g.mul[t[i]][t[i + 1]],) + t[i + 2 :]
-            if 0 not in merged:
-                mat[r, _tuple_index(g, merged)] += sign
-            sign = -sign
-        if 0 not in t[:k]:
-            mat[r, _tuple_index(g, t[:k])] += sign
+    r = np.arange(rows)
+    for sign, idx in _faces(g, k):
+        col = column[idx.reshape((m,) * (k + 1))[_inner(k + 1)].ravel()]
+        keep = col >= 0
+        np.add.at(mat, (r[keep], col[keep]), sign)
     return mat
 
 
-def _vectorize(c: TorsionCocycle):
-    g = c.group
-    v = np.zeros((g.order - 1) ** c.degree, dtype=np.int64)
-    for t, val in c.values:
-        v[_tuple_index(g, t)] = val
-    return v
+def invariance_rows(g: FiniteGroup, k: int, perms):
+    """Rows c(p(t)) - c(t) over the bar_matrix columns of degree k.
 
-
-def _from_vector(g, k, n, vec):
-    vals = {}
-    for i, t in enumerate(_tuples(g, k)):
-        if vec[i] % n:
-            vals[t] = int(vec[i]) % n
-    return TorsionCocycle.make(g, k, n, vals)
+    perms are automorphisms of g (so they fix the identity), taken in
+    order; within each, one row per non-identity tuple t with p(t) != t, in
+    lexicographic order.  Their kernel is the cochains every p leaves fixed.
+    """
+    m = g.order
+    cols = (m - 1) ** k
+    position = np.arange(cols).reshape((m - 1,) * k)
+    blocks = [np.zeros((0, cols), dtype=np.int64)]
+    for p in perms:
+        q = np.asarray(p)[1:] - 1
+        image = position[np.ix_(*[q] * k)].ravel()
+        moved = np.flatnonzero(image != np.arange(cols))
+        block = np.zeros((len(moved), cols), dtype=np.int64)
+        block[np.arange(len(moved)), image[moved]] += 1
+        block[np.arange(len(moved)), moved] -= 1
+        blocks.append(block)
+    return np.vstack(blocks)
 
 
 @dataclass(frozen=True)
@@ -242,8 +298,7 @@ def cohomology_group(g: FiniteGroup, k: int, n: int) -> CohomologyGroup:
     for i, d in enumerate(diag_low):
         od = math.gcd(d, n)
         if od > 1:
-            vec = np.array([int(x) % n for x in u_inv_low[:, i]], dtype=np.int64)
-            reps.append(_from_vector(g, k, n, vec))
+            reps.append(TorsionCocycle.from_vector(g, k, n, [int(x) % n for x in u_inv_low[:, i]]))
             orders.append(od)
     # Tor part: for d' = diag of D_k with gcd(d', n) > 1, the class of
     # (n/gcd) * V' e_i is a cocycle mod n of order gcd(d', n)
@@ -251,8 +306,7 @@ def cohomology_group(g: FiniteGroup, k: int, n: int) -> CohomologyGroup:
     for i, d in enumerate(diag_high):
         od = math.gcd(d, n)
         if od > 1:
-            vec = np.array([int(x) * (n // od) % n for x in v_high[:, i]], dtype=np.int64)
-            reps.append(_from_vector(g, k, n, vec))
+            reps.append(TorsionCocycle.from_vector(g, k, n, [int(x) * (n // od) % n for x in v_high[:, i]]))
             orders.append(od)
     factors = snf.invariant_factor_chain(orders, modulus=n)
     group = CohomologyGroup(tuple(f for f in factors if f > 1), tuple(reps), tuple(orders))
@@ -269,7 +323,7 @@ def is_coboundary(c: TorsionCocycle):
     if c.degree == 1:
         return c.is_zero()
     mat = bar_matrix(g, c.degree - 1)
-    return snf.solve_mod(mat, c.n, _vectorize(c)) is not None
+    return snf.solve_mod(mat, c.n, c.to_vector()) is not None
 
 
 def u1_cohomology(g: FiniteGroup, k: int) -> CohomologyGroup:
@@ -300,22 +354,15 @@ def transgress(omega: TorsionCocycle, g_elem: int):
     ok, wit = is_cocycle(omega)
     if not ok:
         raise ValueError(f"omega is not closed (witness {wit})")
-    g = omega.group
-    cent_elems = [t for t in g.elements() if g.mul[t][g_elem] == g.mul[g_elem][t]]
-    cent, embed = subgroup(g, cent_elems, name=f"Z({g.element_names[g_elem]})")
-    vals = {}
-    a = g_elem
-    for hi in range(1, cent.order):
-        for ki in range(1, cent.order):
-            h, k2 = embed[hi], embed[ki]
-            hk = g.mul[h][k2]
-            t1 = omega(a, h, k2)
-            t2 = omega(h, g.conj(g.inv[h], a), k2)
-            t3 = omega(h, k2, g.conj(g.inv[hk], a))
-            v = (t1 - t2 + t3) % omega.n
-            if v:
-                vals[(hi, ki)] = v
-    tau = TorsionCocycle.make(cent, 2, omega.n, vals)
+    g, a, w = omega.group, g_elem, omega.table
+    cent_elems = [t for t in g.elements() if g.mul[t][a] == g.mul[a][t]]
+    cent, embed = subgroup(g, cent_elems, name=f"Z({g.element_names[a]})")
+    mul, inv = g.mul_array, np.asarray(g.inv)
+    conj_a = mul[mul[:, a], inv]  # x -> x a x^-1
+    h, k = np.ix_(embed, embed)
+    hk = mul[h, k]
+    table = w[a, h, k] - w[h, conj_a[inv[h]], k] + w[h, k, conj_a[inv[hk]]]
+    tau = TorsionCocycle.from_table(cent, 2, omega.n, table)
     ok, wit = is_cocycle(tau)
     assert ok, f"transgression output not closed at {wit}"
     return tau, cent, embed
@@ -331,15 +378,12 @@ def brute_force_order(g: FiniteGroup, k: int, n: int, limit=1 << 20):
     size_km1 = n ** ((g.order - 1) ** (k - 1)) if k >= 1 else 1
     if size_k > limit or size_km1 > limit:
         raise ResourceLimit("cochain space too large for brute force")
-    tuples_k = list(_tuples(g, k))
-    closed = 0
-    for assignment in itertools.product(range(n), repeat=len(tuples_k)):
-        c = TorsionCocycle.make(g, k, n, dict(zip(tuples_k, assignment)))
-        if is_cocycle(c)[0]:
-            closed += 1
-    tuples_km1 = list(_tuples(g, k - 1))
-    images = set()
-    for assignment in itertools.product(range(n), repeat=len(tuples_km1)):
-        c = TorsionCocycle.make(g, k - 1, n, dict(zip(tuples_km1, assignment)))
-        images.add(coboundary(c).values)
+    closed = sum(
+        is_cocycle(TorsionCocycle.from_vector(g, k, n, a))[0]
+        for a in itertools.product(range(n), repeat=(g.order - 1) ** k)
+    )
+    images = {
+        coboundary(TorsionCocycle.from_vector(g, k - 1, n, a)).table.tobytes()
+        for a in itertools.product(range(n), repeat=(g.order - 1) ** (k - 1))
+    }
     return closed // len(images)

@@ -49,6 +49,22 @@ def cyclotomic_poly(n):
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _root_trace(d):
+    """Normalized trace mu(d)/phi(d) of a primitive d-th root of unity."""
+    mu, phi, rest, p = 1, 1, d, 2
+    while rest > 1:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e:
+            mu = 0 if e > 1 else -mu
+            phi *= (p - 1) * p ** (e - 1)
+        p += 1
+    return Fraction(mu, phi)
+
+
 class Cyc:
     """Element of Q(zeta_n): sum of c_k * zeta_n^k."""
 
@@ -148,12 +164,11 @@ class Cyc:
         return a.reduced() == b.reduced()
 
     def __hash__(self):
-        a = self.reduced()
-        # strip trailing zeros so equal values in different conductors can
-        # at least collide when both are rational
-        if all(v == 0 for v in a[1:]):
-            return hash(a[0])
-        return hash((self.n, a))
+        # The normalized trace sum_k c_k mu(d_k)/phi(d_k), d_k = n/gcd(n, k),
+        # is the same in every field holding the value, so equal values of
+        # different conductors hash alike; on rationals it is the value.
+        n = self.n
+        return hash(sum((v * _root_trace(n // math.gcd(n, k)) for k, v in enumerate(self.c) if v), Fraction(0)))
 
     def __complex__(self):
         return sum(

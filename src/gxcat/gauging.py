@@ -133,14 +133,12 @@ def equivariantize(ring: GradedFusionRing, action: RingGAction, stabilizer_cocyc
             ok, wit = is_cocycle(coc)
             if not ok:
                 raise FusionError(f"stabilizer cochain for {key} is not closed (witness {wit})")
-            values = coc.value_map()
-            n_coc = coc.n
             tag = "supplied"
         else:
-            values, n_coc, tag = {}, 1, "assumed-trivial"
+            coc, tag = TorsionCocycle.make(stab, 2, 1, {}), "assumed-trivial"
         orbit_dim = sum((dims[i] for i in orbit), start=as_scalar(0))
         stab_names = tuple(action.group.element_names[g] for g in _stab_elements(ring, action, orbit))
-        for d in chartab.projective_irrep_dims(stab, values, n_coc):
+        for d in chartab.projective_irrep_dims(stab, coc):
             dim = orbit_dim * d
             simples.append(
                 {

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "product",
     "conjugacy_data",
     "abelian_characters",
+    "PRESETS",
 ]
 
 PRESET_ORDER_CAP = 24
@@ -52,9 +53,19 @@ class FiniteGroup:
     def id(self):
         return 0
 
-    @property
+    @cached_property
     def inv(self):
-        return _inverse_table(self)
+        for x, row in enumerate(self.mul):
+            if 0 not in row:
+                raise GroupError(f"element {x} has no inverse")
+        return tuple(row.index(0) for row in self.mul)
+
+    @cached_property
+    def mul_array(self):
+        """Read-only int64 view of the multiplication table."""
+        arr = np.array(self.mul, dtype=np.int64).reshape(self.order, self.order)
+        arr.setflags(write=False)
+        return arr
 
     def conj(self, g, x):
         """g x g^{-1}"""
@@ -81,19 +92,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
-
-
-@lru_cache(maxsize=None)
-def _inverse_table(g: FiniteGroup):
-    inv = [None] * g.order
-    for x in g.elements():
-        for y in g.elements():
-            if g.mul[x][y] == 0:
-                inv[x] = y
-                break
-        if inv[x] is None:
-            raise GroupError(f"element {x} has no inverse")
-    return tuple(inv)
 
 
 def validate_table(mul, name="table"):
@@ -197,21 +195,21 @@ def quaternion8():
     return _mk("Q8", mul, names)
 
 
-_PRESETS = {}
+PRESETS = {}
 
 
 def _register_presets():
     for n in range(1, 13):
-        _PRESETS[f"Z{n}"] = lambda n=n: cyclic(n)
-    _PRESETS["Z2xZ2"] = lambda: product(cyclic(2), cyclic(2))
-    _PRESETS["Z2xZ4"] = lambda: product(cyclic(2), cyclic(4))
-    _PRESETS["Z2xZ2xZ2"] = lambda: product(product(cyclic(2), cyclic(2)), cyclic(2), name="Z2xZ2xZ2")
-    _PRESETS["Z3xZ3"] = lambda: product(cyclic(3), cyclic(3))
-    _PRESETS["S3"] = lambda: symmetric(3)
-    _PRESETS["S4"] = lambda: symmetric(4)
+        PRESETS[f"Z{n}"] = lambda n=n: cyclic(n)
+    PRESETS["Z2xZ2"] = lambda: product(cyclic(2), cyclic(2))
+    PRESETS["Z2xZ4"] = lambda: product(cyclic(2), cyclic(4))
+    PRESETS["Z2xZ2xZ2"] = lambda: product(product(cyclic(2), cyclic(2)), cyclic(2), name="Z2xZ2xZ2")
+    PRESETS["Z3xZ3"] = lambda: product(cyclic(3), cyclic(3))
+    PRESETS["S3"] = lambda: symmetric(3)
+    PRESETS["S4"] = lambda: symmetric(4)
     for n in range(2, 7):
-        _PRESETS[f"D{n}"] = lambda n=n: dihedral(n)
-    _PRESETS["Q8"] = quaternion8
+        PRESETS[f"D{n}"] = lambda n=n: dihedral(n)
+    PRESETS["Q8"] = quaternion8
 
 
 _register_presets()
@@ -226,9 +224,9 @@ def build_group(spec):
     if isinstance(spec, FiniteGroup):
         return spec
     if isinstance(spec, str):
-        if spec not in _PRESETS:
+        if spec not in PRESETS:
             raise GroupError(f"unknown group preset {spec!r}")
-        g = _PRESETS[spec]()
+        g = PRESETS[spec]()
         if g.order > PRESET_ORDER_CAP:
             raise GroupError(f"preset {spec} exceeds order cap {PRESET_ORDER_CAP}")
         return g

@@ -29,6 +29,7 @@ as the four quadratic forms, which is the expected classification.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,11 +41,12 @@ from .cohomology import (
     ResourceLimit,
     TorsionCocycle,
     bar_matrix,
+    coboundary,
+    first_witness,
+    invariance_rows,
     is_coboundary,
     is_cocycle,
     transgress,
-    _tuples,
-    _tuple_index,
 )
 from .cyclo import Cyc
 from .fusion import GradedFusionRing, ValidationReport
@@ -93,9 +95,6 @@ class PointedGXData:
         braid = tuple(tuple(int(v) % n for v in row) for row in braid_table)
         return PointedGXData(gamma, group, tuple(deg), tuple(tuple(p) for p in action), n, assoc, braid)
 
-    def a(self, x, y, z):
-        return self.assoc(x, y, z)
-
     def b(self, x, y):
         return self.braid[x][y]
 
@@ -121,34 +120,15 @@ class PointedGXData:
         }
 
 
-def _hexagon1_defect(d: PointedGXData, x, z, t):
-    g = d.gamma
-    zt = g.mul[z][t]
-    az = d.act(d.deg[x], z)
-    at = d.act(d.deg[x], t)
-    want = (
-        d.b(x, z)
-        + d.b(x, t)
-        - d.a(x, z, t)
-        + d.a(az, x, t)
-        - d.a(az, at, x)
-    ) % d.n
-    return (d.b(x, zt) - want) % d.n
+def _invariance_witness(table, action):
+    """Least (k, cell...) with table[action_k(cell)] != table[cell], or None.
 
-
-def _hexagon2_defect(d: PointedGXData, x, y, z):
-    g = d.gamma
-    xy = g.mul[x][y]
-    yz = d.act(d.deg[y], z)
-    xyz = d.act(d.deg[xy], z)
-    want = (
-        d.b(x, yz)
-        + d.b(y, z)
-        + d.a(x, y, z)
-        - d.a(x, yz, y)
-        + d.a(xyz, x, y)
-    ) % d.n
-    return (d.b(xy, z) - want) % d.n
+    action is the |G| x |Gamma| array of automorphisms; every axis of table
+    runs over Gamma.
+    """
+    d = table.ndim
+    moved = table[tuple(action.reshape((len(action),) + (1,) * i + (-1,) + (1,) * (d - 1 - i)) for i in range(d))]
+    return first_witness(moved != table)
 
 
 def validate_pointed(d: PointedGXData) -> ValidationReport:
@@ -195,45 +175,32 @@ def validate_pointed(d: PointedGXData) -> ValidationReport:
     ok, wit = is_cocycle(d.assoc)
     if not ok:
         rep.add("pentagon", f"associator not closed at {tuple(names[i] for i in wit)}", wit)
-    for k in g.elements():
-        p = d.action[k]
-        bad = next(
-            (
-                (x, y, z)
-                for x, y, z in itertools.product(gam.elements(), repeat=3)
-                if d.a(p[x], p[y], p[z]) != d.a(x, y, z)
-            ),
-            None,
-        )
-        if bad:
-            rep.add("assoc-action", f"action of {g.element_names[k]} does not preserve the associator at {tuple(names[i] for i in bad)}", (g.element_names[k],) + bad)
-            break
+    act, a, b = np.asarray(d.action), d.assoc.table, np.asarray(d.braid)
+    bad = _invariance_witness(a, act)
+    if bad:
+        k, *cell = bad
+        rep.add("assoc-action", f"action of {g.element_names[k]} does not preserve the associator at {tuple(names[i] for i in cell)}", (g.element_names[k], *cell))
     # braiding normalization
-    if any(d.b(0, y) for y in gam.elements()) or any(d.b(x, 0) for x in gam.elements()):
+    if b[0].any() or b[:, 0].any():
         rep.add("braid-unit", "braiding with the unit must be trivial")
-    # hexagons
-    for x, z, t in itertools.product(gam.elements(), repeat=3):
-        if _hexagon1_defect(d, x, z, t):
-            rep.add("hexagon-1", f"first hexagon fails at ({names[x]},{names[z]},{names[t]})", (names[x], names[z], names[t]))
-            break
-    for x, y, z in itertools.product(gam.elements(), repeat=3):
-        if _hexagon2_defect(d, x, y, z):
-            rep.add("hexagon-2", f"second hexagon fails at ({names[x]},{names[y]},{names[z]})", (names[x], names[y], names[z]))
-            break
+    # hexagons, every instance at once; act[deg] holds the action of deg(x) in row x
+    x, y, z = np.ix_(*[range(gam.order)] * 3)
+    mul, by = gam.mul_array, act[np.asarray(d.deg)]
+    az, at = by[x, y], by[x, z]
+    hex1 = b[x, mul[y, z]] - (b[x, y] + b[x, z] - a[x, y, z] + a[az, x, z] - a[az, at, x])
+    wit = first_witness(hex1 % d.n)
+    if wit:
+        rep.add("hexagon-1", "first hexagon fails at ({},{},{})".format(*(names[i] for i in wit)), tuple(names[i] for i in wit))
+    xy, yz = mul[x, y], by[y, z]
+    hex2 = b[xy, z] - (b[x, yz] + b[y, z] + a[x, y, z] - a[x, yz, y] + a[by[xy, z], x, y])
+    wit = first_witness(hex2 % d.n)
+    if wit:
+        rep.add("hexagon-2", "second hexagon fails at ({},{},{})".format(*(names[i] for i in wit)), tuple(names[i] for i in wit))
     # covariance
-    for k in g.elements():
-        p = d.action[k]
-        bad = next(
-            (
-                (x, y)
-                for x, y in itertools.product(gam.elements(), repeat=2)
-                if d.b(p[x], p[y]) != d.b(x, y)
-            ),
-            None,
-        )
-        if bad:
-            rep.add("covariance", f"braiding not covariant under {g.element_names[k]} at ({names[bad[0]]},{names[bad[1]]})", (g.element_names[k],) + bad)
-            break
+    bad = _invariance_witness(b, act)
+    if bad:
+        k, x, y = bad
+        rep.add("covariance", f"braiding not covariant under {g.element_names[k]} at ({names[x]},{names[y]})", (g.element_names[k], x, y))
     return rep
 
 
@@ -241,87 +208,74 @@ def validate_pointed(d: PointedGXData) -> ValidationReport:
 # braid solving: the hexagons and covariance are linear in the braid table
 
 
-def _braid_cells(gamma):
-    return [(x, y) for x in range(1, gamma.order) for y in range(1, gamma.order)]
+def _braid_system(gamma, group, deg, action):
+    """Integer matrices (A, R) such that the hexagons and covariance read
+    A b = R a (mod N).
+
+    b runs over the non-unit braid cells (x, y), x, y != e, in lexicographic
+    order; a is the flat associator table over Gamma^3.  Rows: the first
+    hexagon at every (x, z, t), the second at every (x, y, z), both in
+    lexicographic order, then covariance for each k in G and each non-unit
+    cell that action_k moves.
+    """
+    o = gamma.order
+    mul, act = gamma.mul_array, np.asarray(action)
+    by = act[np.asarray(deg)]
+    x, y, z = np.indices((o, o, o)).reshape(3, -1)
+    az, at, xy, yz = by[x, y], by[x, z], mul[x, y], by[y, z]
+    k, cx, cy = np.indices((group.order, o - 1, o - 1)).reshape(3, -1)
+    cx, cy = cx + 1, cy + 1
+    moved = (act[k, cx] != cx) | (act[k, cy] != cy)
+    k, cx, cy = k[moved], cx[moved], cy[moved]
+    blocks = [  # (braid terms (x, y, coef), associator terms ((x, y, z), coef))
+        ([(x, mul[y, z], 1), (x, y, -1), (x, z, -1)], [((x, y, z), -1), ((az, x, z), 1), ((az, at, x), -1)]),
+        ([(xy, z, 1), (x, yz, -1), (y, z, -1)], [((x, y, z), 1), ((x, yz, y), -1), ((by[xy, z], x, y), 1)]),
+        ([(act[k, cx], act[k, cy], 1), (cx, cy, -1)], []),
+    ]
+    amats, rmats = [], []
+    for braid_terms, assoc_terms in blocks:
+        size = len(braid_terms[0][0])
+        amat = np.zeros((size, o * o), dtype=np.int64)
+        # entries are sums of at most three +-1 terms; int8 keeps the |Gamma|^3 columns small
+        rmat = np.zeros((size, o**3), dtype=np.int8)
+        for p, q, coef in braid_terms:
+            np.add.at(amat, (np.arange(size), p * o + q), coef)
+        for cell, coef in assoc_terms:
+            np.add.at(rmat, (np.arange(size), np.ravel_multi_index(cell, (o, o, o))), coef)
+        amats.append(amat.reshape(size, o, o)[:, 1:, 1:].reshape(size, (o - 1) ** 2))
+        rmats.append(rmat)
+    return np.vstack(amats), np.vstack(rmats)
 
 
-def _braid_system(gamma, group, deg, action, n, assoc):
-    """Linear system A b = rhs (mod n) over the non-unit braid cells."""
-    cells = _braid_cells(gamma)
-    cell_index = {c: i for i, c in enumerate(cells)}
-
-    def var(x, y):
-        if x == 0 or y == 0:
-            return None
-        return cell_index[(x, y)]
-
-    rows, rhs = [], []
-
-    def add_row(terms, const):
-        # terms . braid = const (mod n)
-        row = [0] * len(cells)
-        for v, coef in terms:
-            if v is not None:
-                row[v] += coef
-        rows.append(row)
-        rhs.append(const % n)
-
-    a = assoc
-    for x, z, t in itertools.product(gamma.elements(), repeat=3):
-        zt = gamma.mul[z][t]
-        az = action[deg[x]][z]
-        at = action[deg[x]][t]
-        const = (-a(x, z, t) + a(az, x, t) - a(az, at, x)) % n
-        add_row(
-            [(var(x, zt), 1), (var(x, z), -1), (var(x, t), -1)],
-            const,
-        )
-    for x, y, z in itertools.product(gamma.elements(), repeat=3):
-        xy = gamma.mul[x][y]
-        yz = action[deg[y]][z]
-        xyz = action[deg[xy]][z]
-        const = (a(x, y, z) - a(x, yz, y) + a(xyz, x, y)) % n
-        add_row(
-            [(var(xy, z), 1), (var(x, yz), -1), (var(y, z), -1)],
-            const,
-        )
-    for k in group.elements():
-        p = action[k]
-        for x, y in itertools.product(range(1, gamma.order), repeat=2):
-            if (p[x], p[y]) != (x, y):
-                add_row([(var(p[x], p[y]), 1), (var(x, y), -1)], 0)
-    return np.array(rows, dtype=np.int64), np.array(rhs, dtype=np.int64), cells
+def _solutions(mat, n, rhss, cap=ENUM_STATE_CAP):
+    """Yield, for each column of rhss in turn, all solutions of mat x = rhs
+    (mod n), sorted lexicographically, as tuples of ints."""
+    parts, gens, orders = snf.solution_lattice(mat, n, rhss)
+    total = math.prod(orders)
+    offsets = None
+    for part in parts:
+        if part is None:
+            yield []
+            continue
+        if total > cap:
+            raise ResourceLimit(f"solution lattice has {total} points, over the enumeration cap")
+        if offsets is None:
+            offsets = gens @ np.indices(orders).reshape(len(orders), total)
+        yield sorted(set(map(tuple, ((part[:, None] + offsets) % n).T.tolist())))
 
 
-def _enumerate_solutions(mat, n, rhs, cap=ENUM_STATE_CAP):
-    """All solutions of mat x = rhs mod n, sorted lexicographically."""
-    part = snf.solve_mod(mat, n, rhs)
-    if part is None:
-        return []
-    gens, orders = snf.kernel_mod(mat, n)
-    total = 1
-    for o in orders:
-        total *= o
-    if total > cap:
-        raise ResourceLimit(f"solution lattice has {total} points, over the enumeration cap")
-    sols = set()
-    for combo in itertools.product(*(range(o) for o in orders)):
-        v = part.copy()
-        for c, gcol in zip(combo, gens.T):
-            v = (v + c * gcol) % n
-        sols.add(tuple(int(t) for t in v))
-    return sorted(sols)
-
-
-def _braid_tables(gamma, group, deg, action, n, assoc, cap=ENUM_STATE_CAP):
-    mat, rhs, cells = _braid_system(gamma, group, deg, action, n, assoc)
-    tables = []
-    for sol in _enumerate_solutions(mat, n, rhs, cap):
-        table = [[0] * gamma.order for _ in range(gamma.order)]
-        for (x, y), v in zip(cells, sol):
-            table[x][y] = v
-        tables.append(tuple(tuple(r) for r in table))
-    return tables
+def _braid_tables(gamma, system, n, assocs, cap=ENUM_STATE_CAP):
+    """Yield, for each associator in turn, the sorted braid tables that solve the system with it."""
+    amat, rmat = system
+    o = gamma.order
+    assoc_tables = np.array([assoc.table.ravel() for assoc in assocs], dtype=np.int64).reshape(len(assocs), o**3)
+    for sols in _solutions(amat, n, rmat @ assoc_tables.T % n, cap):
+        tables = []
+        for sol in sols:
+            table = np.zeros((o, o), dtype=np.int64)
+            table[1:, 1:] = np.reshape(sol, (o - 1, o - 1))
+            tables.append(tuple(map(tuple, table.tolist())))
+        yield tables
 
 
 def _conjugation_action(g: FiniteGroup):
@@ -343,26 +297,17 @@ def holomorphic_crossed(group: FiniteGroup, omega: TorsionCocycle):
         raise ValueError("omega must be a 3-cocycle on the group itself")
     action = _conjugation_action(group)
     deg = tuple(group.elements())
-    for k in group.elements():
-        p = action[k]
-        bad = next(
-            (
-                (x, y, z)
-                for x, y, z in itertools.product(group.elements(), repeat=3)
-                if omega(p[x], p[y], p[z]) != omega(x, y, z)
-            ),
-            None,
+    if _invariance_witness(omega.table, np.asarray(action)) is not None:
+        raise ValueError(
+            "associator representative is not conjugation-invariant; "
+            "pick an invariant representative of its class"
         )
-        if bad:
-            raise ValueError(
-                "associator representative is not conjugation-invariant; "
-                "pick an invariant representative of its class"
-            )
+    system = _braid_system(group, group, deg, action)
     mult = 1
     while mult * omega.n <= N_CAP:
         n = mult * omega.n
         infl = omega.inflated(n)
-        tables = _braid_tables(group, group, deg, action, n, infl)
+        (tables,) = _braid_tables(group, system, n, [infl])
         if tables:
             data = PointedGXData.make(group, group, deg, action, n, infl, tables[0])
             rep = validate_pointed(data)
@@ -399,108 +344,73 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
         raise ResourceLimit(f"enumeration guarded to |G| <= {ENUM_GROUP_CAP}, N <= {ENUM_N_CAP}")
     action = _conjugation_action(group)
     deg = tuple(group.elements())
-    order = group.order
-    cells3 = list(_tuples(group, 3))
+    o = group.order
 
     # closed, conjugation-invariant 3-cochains mod n
-    d3 = bar_matrix(group, 3)
-    extra = []
-    for k in group.elements():
-        p = action[k]
-        for t in cells3:
-            # automorphisms fix the identity, so images stay identity-free
-            image = (p[t[0]], p[t[1]], p[t[2]])
-            if image != t:
-                row = [0] * len(cells3)
-                row[_tuple_index(group, image)] += 1
-                row[_tuple_index(group, t)] -= 1
-                extra.append(row)
-    mat = np.vstack([d3] + ([np.array(extra, dtype=np.int64)] if extra else []))
-    assoc_vectors = _enumerate_solutions(mat, n, np.zeros(mat.shape[0], dtype=np.int64))
+    invariance = invariance_rows(group, 3, action)
+    mat = np.vstack([bar_matrix(group, 3), invariance])
+    (assoc_vectors,) = _solutions(mat, n, np.zeros((mat.shape[0], 1), dtype=np.int64))
+    assocs = [TorsionCocycle.from_vector(group, 3, n, avec) for avec in assoc_vectors]
+    system = _braid_system(group, group, deg, action)
 
-    states = []
-    for avec in assoc_vectors:
-        assoc = TorsionCocycle.make(group, 3, n, {t: v for t, v in zip(cells3, avec) if v})
-        for table in _braid_tables(group, group, deg, action, n, assoc):
-            states.append((tuple(avec), table))
+    # A state is flattened to its dense associator table followed by its
+    # braid table.  Identity slots of the associator are 0 in every state,
+    # so the order of these tuples is the order of (associator vector, braid).
+    states, keys = [], []
+    for avec, assoc, tables in zip(assoc_vectors, assocs, _braid_tables(group, system, n, assocs)):
+        for table in tables:
+            states.append((avec, table))
+            keys.append(tuple(np.concatenate([assoc.table.ravel(), np.ravel(table)]).tolist()))
     if shuffle_seed is not None:
         rng = np.random.default_rng(shuffle_seed)
-        states = [states[i] for i in rng.permutation(len(states))]
-    state_set = set(states)
+        keys = [keys[i] for i in rng.permutation(len(keys))]
+    key_set = set(keys)
 
     # gauge moves: a 2-cochain lambda (tensorator scalars) shifts the
-    # associator by +d(lambda) and the braid by lambda(^x y, x) - lambda(x, y).
-    # Only lambdas whose coboundary stays conjugation-invariant act on the
-    # state set, so the generators are a basis of that subgroup (for abelian
-    # G this is every 2-cochain).
-    cells2 = list(_tuples(group, 2))
+    # associator by +d(lambda) and the braid by lambda(^x y, x) - lambda(x, y),
+    # a translation of the flat state.  Only lambdas whose coboundary stays
+    # conjugation-invariant act on the state set, so the generators are a
+    # basis of that subgroup (for abelian G this is every 2-cochain).
     d2 = bar_matrix(group, 2)
-
-    def apply_lambda(state, lam):
-        avec, table = state
-        shift = (d2 @ lam) % n
-        new_avec = tuple((a + s) % n for a, s in zip(avec, shift))
-        lam_map = {c: v for c, v in zip(cells2, lam) if v}
-
-        def lam_val(x, y):
-            if x == 0 or y == 0:
-                return 0
-            return lam_map.get((x, y), 0)
-
-        new_table = tuple(
-            tuple(
-                (table[x][y] + lam_val(action[deg[x]][y], x) - lam_val(x, y)) % n if x and y else 0
-                for y in group.elements()
-            )
-            for x in group.elements()
-        )
-        return (new_avec, new_table)
-
-    def apply_aut(state, psi):
-        avec, table = state
-        inv = [0] * order
-        for i, v in enumerate(psi):
-            inv[v] = i
-        amap = {t: v for t, v in zip(cells3, avec) if v}
-        new_avec = tuple(amap.get((inv[t[0]], inv[t[1]], inv[t[2]]), 0) for t in cells3)
-        new_table = tuple(
-            tuple(table[inv[x]][inv[y]] for y in group.elements()) for x in group.elements()
-        )
-        return (new_avec, new_table)
-
-    if extra:
-        inv_constraint = np.array(extra, dtype=np.int64) @ d2
-        gen_mat, _ = snf.kernel_mod(inv_constraint % n, n)
-        lam_gens = [gen_mat[:, i] for i in range(gen_mat.shape[1])]
+    if len(invariance):
+        lam_gens, _ = snf.kernel_mod(invariance @ d2 % n, n)
     else:
-        lam_gens = []
-        for ci in range(len(cells2)):
-            lam = np.zeros(len(cells2), dtype=np.int64)
-            lam[ci] = 1
-            lam_gens.append(lam)
-    auts = _automorphisms(group)
+        lam_gens = np.eye(d2.shape[1], dtype=np.int64)
+    by = np.asarray(action)[np.asarray(deg)]
+    shifts = []
+    for vec in lam_gens.T:
+        lam = TorsionCocycle.from_vector(group, 2, n, vec)
+        braid_shift = lam.table[by, np.arange(o)[:, None]] - lam.table
+        shifts.append(np.concatenate([coboundary(lam).table.ravel(), braid_shift.ravel()]))
+    shifts = np.array(shifts, dtype=np.int64).reshape(-1, o**3 + o**2)
+    # relabeling by psi moves the value at cell t to cell psi(t)
+    perms = []
+    for psi in _automorphisms(group):
+        inv = np.argsort(psi)
+        perms.append(np.concatenate([
+            np.arange(o**3).reshape(o, o, o)[np.ix_(inv, inv, inv)].ravel(),
+            o**3 + np.arange(o**2).reshape(o, o)[np.ix_(inv, inv)].ravel(),
+        ]))
+    perms = np.array(perms)
 
-    seen = {}
+    seen = set()
     orbits = []
-    for st in states:
+    for st in keys:
         if st in seen:
             continue
         frontier = [st]
         members = {st}
-        seen[st] = len(orbits)
+        seen.add(st)
         while frontier:
-            cur = frontier.pop()
-            nbrs = [apply_lambda(cur, lam) for lam in lam_gens]
-            nbrs += [apply_aut(cur, psi) for psi in auts]
-            for nb in nbrs:
-                if nb in state_set and nb not in members:
+            cur = np.array(frontier.pop(), dtype=np.int64)
+            for nb in map(tuple, np.vstack([(cur + shifts) % n, cur[perms]]).tolist()):
+                if nb in key_set and nb not in members:
                     members.add(nb)
-                    seen[nb] = len(orbits)
+                    seen.add(nb)
                     frontier.append(nb)
-        rep_state = min(members)
-        avec, table = rep_state
-        assoc = TorsionCocycle.make(group, 3, n, {t: v for t, v in zip(cells3, avec) if v})
-        data = PointedGXData.make(group, group, deg, action, n, assoc, table)
+        rep = np.array(min(members), dtype=np.int64)
+        assoc = TorsionCocycle.from_table(group, 3, n, rep[: o**3].reshape(o, o, o))
+        data = PointedGXData.make(group, group, deg, action, n, assoc, rep[o**3 :].reshape(o, o))
         check = validate_pointed(data)
         assert check.passed, f"enumerated representative failed validation: {check.issues[:1]}"
         orbits.append({"representative": data, "size": len(members)})
@@ -544,15 +454,7 @@ def pointed_deequivariantize(data: PointedGXData, subgroup_elems):
         x = h_embed[hi]
         if data.twist(x) % n:
             raise ValueError(f"H carries a nontrivial twist at {gam.element_names[x]}")
-    h_assoc = TorsionCocycle.make(
-        h_grp,
-        3,
-        n,
-        {
-            (i, j, k): data.a(h_embed[i], h_embed[j], h_embed[k])
-            for i, j, k in itertools.product(range(1, h_grp.order), repeat=3)
-        },
-    )
+    h_assoc = TorsionCocycle.from_table(h_grp, 3, n, data.assoc.table[np.ix_(h_embed, h_embed, h_embed)])
     if not is_coboundary(h_assoc):
         raise ValueError("associator restricted to H is not a coboundary")
 
@@ -595,13 +497,12 @@ def pointed_deequivariantize(data: PointedGXData, subgroup_elems):
         if deg2[c1] == 0 or deg2[c2] == 0:
             pins_mono[(c1, c2)] = data.monodromy(section[c1], section[c2]) % n
 
-    cells3 = list(_tuples(gamma2, 3))
     d3 = bar_matrix(gamma2, 3)
-    assoc_vectors = _enumerate_solutions(d3, n, np.zeros(d3.shape[0], dtype=np.int64))
-    deg_id = tuple(deg2)
-    for avec in assoc_vectors:
-        assoc2 = TorsionCocycle.make(gamma2, 3, n, {t: v for t, v in zip(cells3, avec) if v})
-        for table in _braid_tables(gamma2, g2, deg_id, action2, n, assoc2):
+    (assoc_vectors,) = _solutions(d3, n, np.zeros((d3.shape[0], 1), dtype=np.int64))
+    assocs = [TorsionCocycle.from_vector(gamma2, 3, n, avec) for avec in assoc_vectors]
+    system = _braid_system(gamma2, g2, deg2, action2)
+    for assoc2, tables in zip(assocs, _braid_tables(gamma2, system, n, assocs)):
+        for table in tables:
             cand = PointedGXData.make(gamma2, g2, deg2, action2, n, assoc2, table)
             if any(cand.twist(c) != v for c, v in pins_twist.items()):
                 continue
@@ -680,7 +581,7 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
     per_class = []
     for ci, rep in enumerate(data.reps):
         tau, cent, embed = transgress(omega, rep)
-        irreps, nred = projective_irrep_data(cent, tau.value_map(), n)
+        irreps, nred = projective_irrep_data(cent, tau)
         rep_pos = embed.index(rep)
         entries = []
         for ii, (dim, section) in enumerate(irreps):
@@ -851,28 +752,18 @@ def _abelian_twisted_double_fusion(g, omega, simples):
     for i, s in enumerate(simples):
         by_class.setdefault(_name_to_index(g, s["class_rep"]), []).append((i, s))
 
-    def tau(a):
-        return {
-            (h, k): (omega(a, h, k) - omega(h, a, k) + omega(h, k, a)) % n
-            for h in g.elements()
-            for k in g.elements()
-        }
-
-    def kappa(a, b):
-        return {x: (omega(a, b, x) - omega(a, x, b) + omega(x, a, b)) % n for x in g.elements()}
-
-    taus = {a: tau(a) for a in g.elements()}
-    # verify tau_ab = tau_a + tau_b + d(kappa_{a,b}) as normalized cochains
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul[a][b]
-            kap = kappa(a, b)
-            for h in g.elements():
-                for k in g.elements():
-                    lhs = (taus[ab][(h, k)] - taus[a][(h, k)] - taus[b][(h, k)]) % n
-                    rhs = (kap[k] - kap[g.mul[h][k]] + kap[h]) % n
-                    if lhs != rhs:
-                        return None
+    # tau[a] is the slant of omega at a (transgress on the whole abelian
+    # group) and kappa[a, b] compensates tau[ab] - tau[a] - tau[b]
+    w, mul = omega.table, g.mul_array
+    a, b, c = np.ix_(*[range(g.order)] * 3)
+    tau = w[a, b, c] - w[b, a, c] + w[b, c, a]
+    kappa = w[a, b, c] - w[a, c, b] + w[c, a, b]
+    # verify tau[ab] = tau[a] + tau[b] + d(kappa[a, b]) as normalized cochains
+    a, b, h, k = np.ix_(*[range(g.order)] * 4)
+    lhs = tau[mul[a, b], h, k] - tau[a, h, k] - tau[b, h, k]
+    rhs = kappa[a, b, k] - kappa[a, b, mul[h, k]] + kappa[a, b, h]
+    if ((lhs - rhs) % n).any():
+        return None
     labels = [f"({s['class_rep']};{s['irrep']})" for s in simples]
     coeffs = {}
     for i, si in enumerate(simples):
@@ -880,9 +771,9 @@ def _abelian_twisted_double_fusion(g, omega, simples):
         for j, sj in enumerate(simples):
             b = _name_to_index(g, sj["class_rep"])
             ab = g.mul[a][b]
-            kap = kappa(a, b)
+            kap = kappa[a, b] % n
             target = [
-                si["section"][x] * sj["section"][x] * Cyc.root(n, kap[x] % n)
+                si["section"][x] * sj["section"][x] * Cyc.root(n, int(kap[x]))
                 for x in g.elements()
             ]
             matches = [

@@ -10,7 +10,7 @@ import json
 
 from .cohomology import TorsionCocycle
 from .fusion import GradedFusionRing, RingGAction
-from .groups import _PRESETS, FiniteGroup, GroupError, build_group
+from .groups import PRESETS, FiniteGroup, GroupError, build_group
 from .pointed import PointedGXData
 
 __all__ = [
@@ -77,7 +77,7 @@ def load_cocycle(obj):
 
 def _group_ref(g: FiniteGroup, inline=False):
     """Preset name when the preset reproduces this exact table, else inline."""
-    if not inline and g.name in _PRESETS:
+    if not inline and g.name in PRESETS:
         if build_group(g.name).mul == g.mul:
             return g.name
     return dump_group(g)

@@ -18,8 +18,10 @@ __all__ = [
     "snf_z_transforms",
     "snf_mod",
     "solve_mod",
+    "solution_lattice",
     "kernel_mod",
     "invariant_factor_chain",
+    "modinv",
     "rref",
     "rref_fp",
     "nullspace_fp",
@@ -131,7 +133,7 @@ def _unit_for(d, g, n):
     raise ArithmeticError("unit search failed")  # unreachable
 
 
-def _modinv(u, n):
+def modinv(u, n):
     g, x, _ = _xgcd(u % n, n)
     if g != 1:
         raise ArithmeticError("not a unit")
@@ -204,7 +206,7 @@ def snf_mod(a, n, transforms=False):
         g = math.gcd(d, n)
         if d != g:
             u = _unit_for(d, g, n)
-            ui = _modinv(u, n)
+            ui = modinv(u, n)
             a[t] = (a[t] * ui) % n
             if transforms:
                 p[t] = (p[t] * ui) % n
@@ -213,43 +215,42 @@ def snf_mod(a, n, transforms=False):
     return diag, p, q
 
 
-def solve_mod(a, n, b):
-    """One solution x of a @ x == b (mod n), or None."""
+def solution_lattice(a, n, b):
+    """Solutions of a @ x == b[:, j] (mod n) for every column j of b, from
+    one diagonalization of a.
+
+    Returns (parts, gens, orders): parts[j] is one solution or None, and the
+    solutions of column j are parts[j] plus the span of the columns of gens,
+    column i of order orders[i].
+    """
     a = _as_int_matrix(a)
     diag, p, q = snf_mod(a, n, transforms=True)
+    k = len(diag)
+    d = np.array(diag, dtype=np.int64).reshape(k, 1)
     c = (p @ (np.asarray(b, dtype=np.int64) % n)) % n
-    rows, cols = a.shape
-    y = np.zeros(cols, dtype=np.int64)
-    for i in range(rows):
-        d = diag[i] if i < len(diag) else 0
-        ci = int(c[i])
-        if d == 0:
-            if ci % n != 0:
-                return None
-        else:
-            if ci % d != 0:
-                return None
-            # d * y == ci (mod n) with d | n and d | ci
-            y[i] = (ci // d) % (n // d)
-    return (q @ y) % n
+    # rows past the diagonal must vanish; on it, d y == c (mod n) needs d | c
+    ok = ~c[k:].any(axis=0) & ~(c[:k] % d).any(axis=0)
+    y = np.zeros((a.shape[1], c.shape[1]), dtype=np.int64)
+    y[:k] = (c[:k] // d) % (n // d)
+    x = (q @ y) % n
+    parts = [x[:, j] if ok[j] else None for j in range(c.shape[1])]
+    # column i of q spans a cyclic kernel summand of order diag[i], or n past the diagonal
+    full = list(diag) + [n] * (a.shape[1] - k)
+    keep = [i for i, o in enumerate(full) if o > 1]
+    orders = [full[i] for i in keep]
+    gens = (q[:, keep] * (n // np.array(orders, dtype=np.int64))) % n
+    return parts, gens, orders
+
+
+def solve_mod(a, n, b):
+    """One solution x of a @ x == b (mod n), or None."""
+    return solution_lattice(a, n, np.reshape(b, (-1, 1)))[0][0]
 
 
 def kernel_mod(a, n):
     """Generators of {x : a @ x == 0 mod n} as columns, with their orders."""
-    a = _as_int_matrix(a)
-    diag, _, q = snf_mod(a, n, transforms=True)
-    cols = a.shape[1]
-    gens = []
-    orders = []
-    for i in range(cols):
-        d = diag[i] if i < len(diag) else 0
-        t = n // math.gcd(d, n) if d else 1
-        if t != n:  # order n//t > 1
-            gens.append((q[:, i] * t) % n)
-            orders.append(n // t)
-    if gens:
-        return np.stack(gens, axis=1), orders
-    return np.zeros((cols, 0), dtype=np.int64), []
+    _, gens, orders = solution_lattice(a, n, np.zeros((np.shape(a)[0], 0), dtype=np.int64))
+    return gens, orders
 
 
 def rref(rows):
@@ -294,7 +295,7 @@ def rref_fp(a, p):
         if piv is None:
             continue
         a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * _modinv(int(a[r, c]), p)) % p
+        a[r] = (a[r] * modinv(int(a[r, c]), p)) % p
         for i in range(rows):
             if i != r and a[i, c]:
                 a[i] = (a[i] - a[i, c] * a[r]) % p

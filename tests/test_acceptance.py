@@ -243,7 +243,7 @@ def test_criterion_10_mutation_suite():
             bent = PointedGXData.make(data.gamma, data.group, data.deg, data.action, n, data.assoc, braid)
             total += 1
             rejected += not validate_pointed(bent).passed
-        vals = data.assoc.value_map()
+        vals = dict(data.assoc.values)
         for t in itertools.product(range(1, data.gamma.order), repeat=3):
             mutated = dict(vals)
             mutated[t] = (mutated.get(t, 0) + 1) % n

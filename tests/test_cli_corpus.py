@@ -127,8 +127,9 @@ class TestCliContracts:
         res = run_cli(["validate", str(bad), "--format", "json"])
         assert res.exit_code == 1
         payload = json.loads(res.output)
-        assert payload["issues"][0]["code"] == "cocycle"
-        assert payload["issues"][0]["witness"] is not None
+        first = payload["issues"][0]
+        assert (first["code"], first["witness"]) == ("cocycle", [1, 1, 1, 1])
+        assert all(type(v) is int for v in first["witness"])
 
     def test_validate_invalid_pointed_exits_1(self, tmp_path):
         from gxcat.pointed import toric_code_pointed
@@ -141,6 +142,15 @@ class TestCliContracts:
         bad.write_text(json.dumps(obj))
         res = run_cli(["validate", str(bad), "--format", "json"])
         assert res.exit_code == 1
+        first = json.loads(res.output)["issues"][0]
+        assert (first["code"], first["witness"]) == ("hexagon-1", ["x2", "x1", "x2"])
+
+    def test_validate_cochain_over_cell_cap_exits_3(self, tmp_path):
+        # S4 at degree 5: 24^6 cells to check, over CELL_CAP; refused before allocating
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"group": "S4", "degree": 5, "N": 2, "values": []}))
+        res = run_cli(["validate", str(big), "--format", "json"])
+        assert res.exit_code == 3
 
     def test_text_format_renders(self):
         res = run_cli(["dims", str(CORPUS / "ring_ising.json")])
@@ -208,6 +218,15 @@ class TestCliContracts:
         res = run_cli(["enumerate", "--group", "Z2", "--N", "4", "--format", "json"])
         assert res.exit_code == 0
         assert json.loads(res.output)["orbit_count"] == 4
+
+    def test_enumerate_seed_leaves_output_unchanged(self):
+        args = ["enumerate", "--group", "S3", "--N", "2", "--format", "json"]
+        base = run_cli(args)
+        assert base.exit_code == 0
+        for seed in ("1", "2", "7"):
+            res = run_cli(args + ["--seed", seed])
+            assert res.exit_code == 0, res.output
+            assert res.stdout == base.stdout
 
     def test_perm_picard_command(self):
         res = run_cli([

@@ -65,6 +65,24 @@ class TestCyc:
         assert Cyc.root(2) == Cyc.root(4, 2)
         assert Cyc.root(3) + Cyc.root(3, 2) == Cyc.rational(-1)
 
+    def test_equal_across_conductors_collide_in_a_set(self):
+        assert len({Cyc.root(4, 1), Cyc.root(8, 2)}) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.dictionaries(st.integers(0, 11), st.fractions(max_denominator=6), max_size=4),
+        st.sampled_from([1, 2, 3, 4, 5, 6, 12]),
+        st.integers(1, 4),
+        st.sampled_from([2, 3, 5]),
+        st.integers(-2, 2),
+    )
+    def test_hash_agrees_with_eq_across_conductors(self, coeffs, n, step, p, r):
+        a = Cyc(n, coeffs)
+        # lift to another conductor, then add r * (1 + zeta_p + ... + zeta_p^(p-1)) = 0
+        b = a.lift(n * step) + sum((Cyc.root(p, j) for j in range(p)), Cyc.rational(0)) * r
+        assert a == b
+        assert hash(a) == hash(b)
+
     def test_inverse(self):
         z = Cyc.root(5) + Cyc.rational(2)
         assert z * z.inv() == 1

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -15,3 +17,13 @@ def test_all_lists_only_defined_names(name):
     assert len(set(exported)) == len(exported), f"{name}.__all__ has duplicates"
     missing = [n for n in exported if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """Each module's underscore names are its own layout decisions."""
+    found = []
+    for path in sorted(pathlib.Path(gxcat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gxcat")):
+                found += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert not found, f"private names imported across modules: {found}"

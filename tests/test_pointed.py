@@ -74,7 +74,7 @@ class TestValidatePointed:
     def test_all_assoc_mutations_rejected(self, maker):
         data = maker()
         n = data.n
-        vals = data.assoc.value_map()
+        vals = dict(data.assoc.values)
         for t in itertools.product(range(1, data.gamma.order), repeat=3):
             mutated = dict(vals)
             mutated[t] = (mutated.get(t, 0) + 1) % n
@@ -298,14 +298,15 @@ class TestEnumerate:
         import numpy as np
 
         from gxcat.cohomology import coboundary
-        from gxcat.pointed import _braid_tables
+        from gxcat.pointed import _braid_system, _braid_tables
 
         z3 = cyclic(3)
+        system = _braid_system(z3, cyclic(1), (0, 0, 0), (tuple(range(3)),))
         for v1 in range(3):
             for v2 in range(3):
                 lam = TorsionCocycle.make(z3, 2, 3, {(1, 1): v1, (2, 2): v2})
                 assoc = coboundary(lam)
-                for tab in _braid_tables(z3, cyclic(1), (0, 0, 0), (tuple(range(3)),), 3, assoc):
+                for tab in next(_braid_tables(z3, system, 3, [assoc])):
                     d = PointedGXData.make(z3, cyclic(1), (0, 0, 0), (tuple(range(3)),), 3, assoc, tab)
                     assert validate_pointed(d).passed
 
