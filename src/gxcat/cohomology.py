@@ -17,12 +17,16 @@ matrices.  Matrices and linear solves act on the vector of values over the
 non-identity tuples in lexicographic order; TorsionCocycle.to_vector and
 TorsionCocycle.from_vector are the only conversions between the two layouts.
 
-Cohomology groups are read off integer Smith normal forms of the lifted
-differentials: with C* free, H^k(G, Z/N) decomposes as
+Cohomology groups are read off Smith forms of the lifted differentials:
+with C* free, H^k(G, Z/N) decomposes as
 H^k(G,Z) (x) Z/N  (+)  Tor(H^{k+1}(G,Z), Z/N), and for k >= 1 the torsion
 of H^k(G,Z) is exactly the invariant-factor list of the (k-1)-st
-differential.  Representatives are pulled back through the SNF
-change-of-basis matrices.
+differential.  Each differential D is diagonalized once over Z/m by
+snf.snf_mod, with m the largest multiple of N*|G| below 2**31: every
+nonzero integer invariant factor divides |G|, so it survives mod m.  The
+elimination gives p D q = diag(d) with only q formed.  Tor classes are
+(N/gcd(d_i, N)) q e_i; tensor classes are p^-1 e_i = D q e_i / d_i, an exact
+division mod m/d_i, which N divides.
 """
 
 from __future__ import annotations
@@ -274,9 +278,17 @@ class CohomologyGroup:
         return not self.invariant_factors
 
 
+def _modulus(g: FiniteGroup, n: int):
+    """The largest multiple of n*|G| below 2**31: the Z/m elimination of a
+    bar differential keeps every diagonal entry (all divide |G|) and leaves
+    room to pull tensor classes back mod n."""
+    return (2**31 - 1) // (n * g.order) * (n * g.order)
+
+
 @lru_cache(maxsize=None)
-def _snf_transforms(g: FiniteGroup, k: int):
-    return snf.snf_z_transforms(bar_matrix(g, k))
+def _elimination(g: FiniteGroup, k: int, m: int):
+    diag, q, _ = snf.snf_mod(bar_matrix(g, k), m)
+    return diag, q
 
 
 def cohomology_group(g: FiniteGroup, k: int, n: int) -> CohomologyGroup:
@@ -291,39 +303,45 @@ def cohomology_group(g: FiniteGroup, k: int, n: int) -> CohomologyGroup:
     if n < 1 or n > MAX_N:
         raise GroupError(f"N must be in 1..{MAX_N}")
     _guard_cells(g, k, "cohomology_group")
+    m = _modulus(g, n)
     reps = []
     orders = []
-    # tensor part: torsion classes of coker(D_{k-1}), pulled back via U^{-1}
-    diag_low, u_inv_low, _ = _snf_transforms(g, k - 1)
+    # tensor part: torsion classes of coker(D_{k-1}).  With p D q = diag,
+    # D q e_i = d_i p^-1 e_i, and p^-1 e_i mod n is the class: d_i divides m/n
+    lower = bar_matrix(g, k - 1)
+    diag_low, q_low = _elimination(g, k - 1, m)
     for i, d in enumerate(diag_low):
         od = math.gcd(d, n)
         if od > 1:
-            reps.append(TorsionCocycle.from_vector(g, k, n, [int(x) % n for x in u_inv_low[:, i]]))
+            # |entries of D| <= k + 1 and q < 2**31: the sum stays far inside int64
+            image = lower @ q_low[:, i] % m
+            if (image % d).any():
+                raise ArithmeticError(f"pullback of tensor class {i} is not divisible by {d}")
+            reps.append(TorsionCocycle.from_vector(g, k, n, image // d))
             orders.append(od)
     # Tor part: for d' = diag of D_k with gcd(d', n) > 1, the class of
-    # (n/gcd) * V' e_i is a cocycle mod n of order gcd(d', n)
-    diag_high, _, v_high = _snf_transforms(g, k)
+    # (n/gcd) * q' e_i is a cocycle mod n of order gcd(d', n)
+    diag_high, q_high = _elimination(g, k, m)
     for i, d in enumerate(diag_high):
         od = math.gcd(d, n)
         if od > 1:
-            reps.append(TorsionCocycle.from_vector(g, k, n, [int(x) * (n // od) % n for x in v_high[:, i]]))
+            reps.append(TorsionCocycle.from_vector(g, k, n, q_high[:, i] % n * (n // od)))
             orders.append(od)
     factors = snf.invariant_factor_chain(orders, modulus=n)
     group = CohomologyGroup(tuple(f for f in factors if f > 1), tuple(reps), tuple(orders))
     for rep in reps:
         ok, wit = is_cocycle(rep)
         assert ok, f"representative failed closedness at {wit}"
-        assert not is_coboundary(rep), "representative is exact"
+    if reps:
+        # a representative is exact exactly when its column has a particular solution
+        parts, _, _ = snf.solution_lattice(lower, n, np.array([rep.to_vector() for rep in reps]).T)
+        assert all(part is None for part in parts), "representative is exact"
     return group
 
 
 def is_coboundary(c: TorsionCocycle):
     """Membership of a closed cochain in the image of the lower differential."""
-    g = c.group
-    if c.degree == 1:
-        return c.is_zero()
-    mat = bar_matrix(g, c.degree - 1)
-    return snf.solve_mod(mat, c.n, c.to_vector()) is not None
+    return snf.solve_mod(bar_matrix(c.group, c.degree - 1), c.n, c.to_vector()) is not None
 
 
 def u1_cohomology(g: FiniteGroup, k: int) -> CohomologyGroup:
@@ -331,12 +349,12 @@ def u1_cohomology(g: FiniteGroup, k: int) -> CohomologyGroup:
 
     For finite G and k >= 1 the right-hand side is pure torsion: the
     invariant factors of the integer k-differential, read off the same
-    diagonal that cohomology_group(g, k, n) uses.
+    diagonal that cohomology_group(g, k, |G|) uses.
     """
     if k not in (2, 3):
         raise GroupError("u1_cohomology supports k in {2, 3}")
     _guard_cells(g, k, "u1_cohomology")
-    diag, _, _ = _snf_transforms(g, k)
+    diag, _ = _elimination(g, k, _modulus(g, g.order))
     factors = snf.invariant_factor_chain(diag)
     return CohomologyGroup(tuple(f for f in factors if f > 1), (), ())
 

@@ -93,7 +93,17 @@ class PointedGXData:
         if assoc.n != n or assoc.group.mul != gamma.mul:
             raise ValueError("associator must live on Gamma with matching N")
         braid = tuple(tuple(int(v) % n for v in row) for row in braid_table)
-        return PointedGXData(gamma, group, tuple(deg), tuple(tuple(p) for p in action), n, assoc, braid)
+        deg, action = tuple(deg), tuple(tuple(p) for p in action)
+        o = gamma.order
+        if len(deg) != o:
+            raise ValueError(f"deg has length {len(deg)}, expected |Gamma| = {o}")
+        for what, table, rows in [("action", action, group.order), ("braid", braid, o)]:
+            lengths = sorted({len(row) for row in table})
+            if len(table) != rows or lengths != [o]:
+                raise ValueError(
+                    f"{what} has {len(table)} rows of lengths {lengths}, expected {rows} rows of length |Gamma| = {o}"
+                )
+        return PointedGXData(gamma, group, deg, action, n, assoc, braid)
 
     def b(self, x, y):
         return self.braid[x][y]

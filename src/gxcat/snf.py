@@ -1,11 +1,13 @@
-"""Integer, Z/N and field linear algebra: Smith normal form, solvers, kernels.
+"""Integer, Z/m and field linear algebra: Smith normal form, solvers, kernels.
 
-snf_z_transforms diagonalizes over Z with Python ints and returns the
-change-of-basis matrices.  snf_mod works over Z/N: all elementary operations
-are integer-unimodular, so the tracked transforms stay invertible mod N while
-every entry is kept reduced -- no coefficient explosion.  rref_fp and rref
-are Gauss-Jordan over F_p (int64 arrays) and over an exact field (lists of
-Fraction or Cyc entries).
+snf_mod is the one integer elimination: it diagonalizes over Z/m (m < 2**31,
+so products of two residues fit in int64) with the Euclidean steps of the
+Smith form over Z on balanced residues, returns the column transform and
+applies its row steps to any right-hand sides it is given.  Cohomology
+reads integer invariants off it with m a large multiple of |G|; the braid
+solver and the enumerator call it through solution_lattice with m = N.
+rref_fp and rref are Gauss-Jordan over F_p (int64 arrays) and over an exact
+field (lists of Fraction or Cyc entries).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "snf_z_transforms",
     "snf_mod",
     "solve_mod",
     "solution_lattice",
@@ -59,59 +60,6 @@ def invariant_factor_chain(values, modulus=None):
     return sorted(vals)
 
 
-def snf_z_transforms(a):
-    """SNF over Z with transforms: returns (diag, u_inv, v) where
-    u @ a @ v = diag(diag) and u_inv is the inverse of the row transform.
-
-    Entries are Python ints (object dtype) to avoid overflow; intended for
-    small matrices (representative pullback).
-    """
-    a = np.array(a, dtype=object)
-    rows, cols = a.shape
-    u_inv = np.eye(rows, dtype=object)
-    v = np.eye(cols, dtype=object)
-    t = 0
-    diag = []
-    while t < min(rows, cols):
-        sub = a[t:, t:]
-        nz = [(i + t, j + t) for i, j in zip(*np.nonzero(sub))]
-        if not nz:
-            break
-        pi, pj = min(nz, key=lambda ij: abs(a[ij]))
-        a[[t, pi]] = a[[pi, t]]
-        u_inv[:, [t, pi]] = u_inv[:, [pi, t]]
-        a[:, [t, pj]] = a[:, [pj, t]]
-        v[:, [t, pj]] = v[:, [pj, t]]
-        while True:
-            done = True
-            for i in range(t + 1, rows):
-                if a[i, t]:
-                    q = a[i, t] // a[t, t]
-                    a[i] -= q * a[t]
-                    u_inv[:, t] += q * u_inv[:, i]
-                    if a[i, t]:
-                        a[[t, i]] = a[[i, t]]
-                        u_inv[:, [t, i]] = u_inv[:, [i, t]]
-                        done = False
-            for j in range(t + 1, cols):
-                if a[t, j]:
-                    q = a[t, j] // a[t, t]
-                    a[:, j] -= q * a[:, t]
-                    v[:, j] -= q * v[:, t]
-                    if a[t, j]:
-                        a[:, [t, j]] = a[:, [j, t]]
-                        v[:, [t, j]] = v[:, [j, t]]
-                        done = False
-            if done and not any(a[i, t] for i in range(t + 1, rows)):
-                break
-        if a[t, t] < 0:
-            a[t] = -a[t]
-            u_inv[:, t] = -u_inv[:, t]
-        diag.append(int(a[t, t]))
-        t += 1
-    return diag, u_inv, v
-
-
 def _xgcd(a, b):
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
@@ -140,79 +88,104 @@ def modinv(u, n):
     return x % n
 
 
-def snf_mod(a, n, transforms=False):
-    """Diagonalize an integer matrix over Z/n.
+def _balanced(x, m):
+    """Residues of x mod m in (-m/2, m/2]."""
+    return m // 2 - (m // 2 - x) % m
 
-    Returns (diag, p, q) with p @ a @ q == diag(diag) mod n, p and q
-    invertible mod n, and each diagonal entry a divisor of n.  There is no
-    global divisibility chain (use invariant_factor_chain for that); the
-    diagonal is enough for solving and kernel computations.
+
+def snf_mod(a, m, rhs=None):
+    """Diagonalize an integer matrix over Z/m, carrying right-hand sides.
+
+    Returns (diag, q, c): p @ a @ q == diag(diag) (mod m) for some p
+    invertible mod m, and c == p @ rhs (mod m) (rhs is a matrix with one
+    column per right-hand side, default none).  Each diagonal entry divides
+    m; there is no global divisibility chain (invariant_factor_chain gives
+    it).  q and c hold residues in [0, m).
+
+    The steps are those of the Euclidean Smith form over Z, on balanced
+    residues: the pivot is the nonzero entry of least absolute value (the
+    first in C order on ties), the pivot column and row are cleared by
+    floor-division steps, a remainder swaps in as the new pivot, and a
+    negative pivot is negated.  While no entry wraps around m the entries
+    are exactly those of the elimination over Z.  Each finished pivot is
+    scaled by a unit so that it divides m.  Rows are combined only with
+    rows, so p is never formed.
     """
-    a = (_as_int_matrix(a) % n).astype(np.int64)
+    if not 1 <= m < 1 << 31:
+        raise ValueError(f"modulus {m} outside 1..2**31-1: products of residues must fit in int64")
+    a = _balanced(_as_int_matrix(a), m)
     rows, cols = a.shape
-    p = np.eye(rows, dtype=np.int64) if transforms else None
-    q = np.eye(cols, dtype=np.int64) if transforms else None
-
-    def rowcomb(i1, i2, x, y, z, w):
-        # (r_i1, r_i2) <- (x r_i1 + y r_i2, z r_i1 + w r_i2), det = 1
-        a[i1], a[i2] = (x * a[i1] + y * a[i2]) % n, (z * a[i1] + w * a[i2]) % n
-        if transforms:
-            p[i1], p[i2] = (x * p[i1] + y * p[i2]) % n, (z * p[i1] + w * p[i2]) % n
-
-    def colcomb(j1, j2, x, y, z, w):
-        a[:, j1], a[:, j2] = (x * a[:, j1] + y * a[:, j2]) % n, (z * a[:, j1] + w * a[:, j2]) % n
-        if transforms:
-            q[:, j1], q[:, j2] = (x * q[:, j1] + y * q[:, j2]) % n, (z * q[:, j1] + w * q[:, j2]) % n
-
+    c = _balanced(np.zeros((rows, 0), dtype=np.int64) if rhs is None else _as_int_matrix(rhs), m)
+    q = np.eye(cols, dtype=np.int64)
     diag = []
-    t = 0
-    while t < min(rows, cols):
-        sub = a[t:, t:]
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
+    for t in range(min(rows, cols)):
+        # |x| - 1 read as unsigned puts the zeros last: argmin is the least
+        # nonzero |x|, the first in C order on ties
+        size = np.abs(a[t:, t:])
+        size -= 1
+        at = np.argmin(size.view(np.uint64))
+        if size.flat[at] < 0:
             break
-        gcds = np.gcd(sub[nz], n)
-        k = int(np.argmin(gcds))
-        pi, pj = int(nz[0][k]) + t, int(nz[1][k]) + t
-        if pi != t:
-            rowcomb(t, pi, 0, 1, -1, 0)
-        if pj != t:
-            colcomb(t, pj, 0, 1, -1, 0)
-        while True:
-            changed = False
-            for i in range(t + 1, rows):
-                b = int(a[i, t])
-                if b:
-                    pv = int(a[t, t])
-                    if b % pv == 0:
-                        rowcomb(t, i, 1, 0, -(b // pv), 1)
-                    else:
-                        g, x, y = _xgcd(pv, b)
-                        rowcomb(t, i, x, y, -(b // g), pv // g)
-                    changed = True
-            for j in range(t + 1, cols):
-                b = int(a[t, j])
-                if b:
-                    pv = int(a[t, t])
-                    if b % pv == 0:
-                        colcomb(t, j, 1, 0, -(b // pv), 1)
-                    else:
-                        g, x, y = _xgcd(pv, b)
-                        colcomb(t, j, x, y, -(b // g), pv // g)
-                    changed = True
-            if not changed:
-                break
+        pi, pj = np.unravel_index(at, size.shape)
+        _swap(a, c, t, t + pi)
+        _swap(a.T, q.T, t, t + pj)
+        # clear column t with row steps, then row t with column steps (the
+        # same code on the transposes); repeat until neither swaps a pivot in
+        while _clear(a, c, t, m) | _clear(a.T, q.T, t, m):
+            pass
+        if a[t, t] < 0:
+            a[t], c[t] = -a[t], _balanced(-c[t], m)
         d = int(a[t, t])
-        g = math.gcd(d, n)
+        g = math.gcd(d, m)
         if d != g:
-            u = _unit_for(d, g, n)
-            ui = modinv(u, n)
-            a[t] = (a[t] * ui) % n
-            if transforms:
-                p[t] = (p[t] * ui) % n
+            ui = modinv(_unit_for(d, g, m), m)
+            a[t], c[t] = _balanced(a[t] * ui, m), _balanced(c[t] * ui, m)
         diag.append(g)
-        t += 1
-    return diag, p, q
+    return diag, q % m, c % m
+
+
+def _swap(a, c, i, j):
+    """Exchange rows i and j of a and of its companion c."""
+    if i != j:
+        a[[i, j]] = a[[j, i]]
+        c[[i, j]] = c[[j, i]]
+
+
+def _clear(a, c, t, m):
+    """Clear a[t+1:, t] against the pivot a[t, t], applying each row step to c too.
+
+    Rows are taken in order.  A run of rows whose entry the pivot divides
+    is cleared in one update; any other row is reduced by floor division
+    and its nonzero remainder becomes the pivot.  Returns whether any did.
+    """
+    swapped = False
+    i = t + 1
+    while i < len(a):
+        col = a[i:, t]
+        bad = np.flatnonzero(col % a[t, t])
+        end = i + int(bad[0]) if len(bad) else len(a)
+        hit = i + np.flatnonzero(col[: end - i])
+        if len(hit):
+            f = (a[hit, t] // a[t, t])[:, None]
+            a[hit, t:] = _balanced(a[hit, t:] - f * a[t, t:], m)
+            c[hit] = _balanced(c[hit] - f * c[t], m)
+        if end == len(a):
+            break
+        f = a[end, t] // a[t, t]
+        a[end, t:] = _balanced(a[end, t:] - f * a[t, t:], m)
+        c[end] = _balanced(c[end] - f * c[t], m)
+        _swap(a, c, t, end)
+        swapped = True
+        i = end + 1
+    return swapped
+
+
+def _dot_mod(a, b, m):
+    """a @ b mod m for residues in [0, m), m < 2**31 and fewer than 2**16
+    inner terms: b is split into 16-bit halves so no sum leaves int64."""
+    lo = a @ (b & 0xFFFF) % m
+    hi = a @ (b >> 16) % m
+    return (hi * 0x10000 + lo) % m
 
 
 def solution_lattice(a, n, b):
@@ -223,19 +196,17 @@ def solution_lattice(a, n, b):
     solutions of column j are parts[j] plus the span of the columns of gens,
     column i of order orders[i].
     """
-    a = _as_int_matrix(a)
-    diag, p, q = snf_mod(a, n, transforms=True)
+    diag, q, c = snf_mod(a, n, b)
     k = len(diag)
     d = np.array(diag, dtype=np.int64).reshape(k, 1)
-    c = (p @ (np.asarray(b, dtype=np.int64) % n)) % n
     # rows past the diagonal must vanish; on it, d y == c (mod n) needs d | c
     ok = ~c[k:].any(axis=0) & ~(c[:k] % d).any(axis=0)
-    y = np.zeros((a.shape[1], c.shape[1]), dtype=np.int64)
+    y = np.zeros((len(q), c.shape[1]), dtype=np.int64)
     y[:k] = (c[:k] // d) % (n // d)
-    x = (q @ y) % n
+    x = _dot_mod(q, y, n)
     parts = [x[:, j] if ok[j] else None for j in range(c.shape[1])]
     # column i of q spans a cyclic kernel summand of order diag[i], or n past the diagonal
-    full = list(diag) + [n] * (a.shape[1] - k)
+    full = list(diag) + [n] * (len(q) - k)
     keep = [i for i, o in enumerate(full) if o > 1]
     orders = [full[i] for i in keep]
     gens = (q[:, keep] * (n // np.array(orders, dtype=np.int64))) % n
@@ -249,7 +220,7 @@ def solve_mod(a, n, b):
 
 def kernel_mod(a, n):
     """Generators of {x : a @ x == 0 mod n} as columns, with their orders."""
-    _, gens, orders = solution_lattice(a, n, np.zeros((np.shape(a)[0], 0), dtype=np.int64))
+    _, gens, orders = solution_lattice(a, n, None)
     return gens, orders
 
 

@@ -145,6 +145,21 @@ class TestCliContracts:
         first = json.loads(res.output)["issues"][0]
         assert (first["code"], first["witness"]) == ("hexagon-1", ["x2", "x1", "x2"])
 
+    @pytest.mark.parametrize("field, value", [
+        ("braid", [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]]),  # 3 rows, |Gamma| = 4
+        ("deg", [0, 0, 0]),
+        ("action", [[0, 1, 2]]),
+    ])
+    def test_validate_misshapen_pointed_exits_1(self, tmp_path, field, value):
+        obj = json.loads((CORPUS / "pointed_toric_code.json").read_text())
+        obj[field] = value
+        bad = tmp_path / "misshapen.json"
+        bad.write_text(json.dumps(obj))
+        res = _subprocess_cli(["validate", str(bad), "--format", "json"], 1)
+        stderr = res.stderr.decode()
+        assert res.returncode == 1, stderr
+        assert stderr.startswith(f"error: {field} has ") and "Traceback" not in stderr
+
     def test_validate_cochain_over_cell_cap_exits_3(self, tmp_path):
         # S4 at degree 5: 24^6 cells to check, over CELL_CAP; refused before allocating
         big = tmp_path / "big.json"

@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 from gxcat.cyclo import Cyc, cyclotomic_poly
 from gxcat.exact import CertReal, QuadReal, scalar_eq
 from gxcat.snf import (
+    _dot_mod,
     invariant_factor_chain,
     kernel_mod,
     rref,
+    rref_fp,
     snf_mod,
-    snf_z_transforms,
+    solution_lattice,
     solve_mod,
 )
+
+# near 2**31 and divisible by 1..16, so the small invariant factors of the
+# tests survive reduction mod M
+NEAR_2_31 = (2**31 - 1) // 720720 * 720720
 
 
 class TestQuadReal:
@@ -124,37 +130,59 @@ class TestSnf:
     @settings(max_examples=60, deadline=None)
     def test_snf_z_matches_minor_gcds(self, rows):
         mat = [row[:] for row in rows]
-        got = invariant_factor_chain(snf_z_transforms(mat)[0])
+        got = invariant_factor_chain(snf_mod(mat, NEAR_2_31)[0])
         want = brute_coker_invariants(mat, 3, 3)
-        assert got == invariant_factor_chain(want)
-
-    def test_snf_z_transforms_consistency(self):
-        mat = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-        diag, u_inv, v = snf_z_transforms(mat)
-        a = np.array(mat, dtype=object)
-        # u a v = d  =>  a v = u_inv d
-        av = a @ np.array(v, dtype=object)
-        d = np.zeros_like(a)
-        for i, val in enumerate(diag):
-            d[i, i] = val
-        assert np.array_equal(av, np.array(u_inv, dtype=object) @ d)
+        assert got == invariant_factor_chain(want, modulus=NEAR_2_31)
 
     @given(
-        st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=3, max_size=3),
-        st.sampled_from([2, 3, 4, 6, 12]),
+        st.integers(1, 3).flatmap(lambda r: st.integers(1, 3).flatmap(
+            lambda c: st.lists(st.lists(st.integers(-6, 6), min_size=c, max_size=c), min_size=r, max_size=r))),
+        st.sampled_from([2, 3, 4, 6, 12, 36, 2**31 - 1]),
+        st.lists(st.integers(0, 2**31), min_size=6, max_size=6),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_snf_mod_transform_identity(self, rows, n):
+    @settings(max_examples=80, deadline=None)
+    def test_solution_lattice_against_brute_force(self, rows, m, seeds):
         mat = np.array(rows, dtype=np.int64)
-        diag, p, q = snf_mod(mat, n, transforms=True)
-        lhs = (p @ mat @ q) % n
-        want = np.zeros_like(lhs)
-        for i, v in enumerate(diag):
-            want[i, i] = v % n
-        assert np.array_equal(lhs, want)
-        # transforms invertible mod n
-        assert math.gcd(int(round(np.linalg.det(p.astype(float)))) % n, n) == 1
-        assert math.gcd(int(round(np.linalg.det(q.astype(float)))) % n, n) == 1
+        r, c = mat.shape
+        # one solvable right-hand side and one arbitrary one
+        rhs = np.stack([mat @ np.array(seeds[:c]) % m, np.array(seeds[3:3 + r]) % m], axis=1)
+        diag, q, _ = snf_mod(mat, m)
+        assert all(m % d == 0 for d in diag)
+        aq = [[sum(int(mat[i, k]) * int(q[k, j]) for k in range(c)) for j in range(c)] for i in range(r)]
+        for i, d in enumerate(diag):
+            assert all(aq[row][i] % d == 0 for row in range(r))
+        parts, gens, orders = solution_lattice(mat, m, rhs)
+
+        def image(x):  # with Python ints: residues near 2**31 overflow int64 products
+            return [sum(int(a) * int(b) for a, b in zip(row, x)) % m for row in rows]
+
+        for part, b in zip(parts, rhs.T):
+            assert part is None or image(part) == b.tolist()
+        for col, order in zip(gens.T, orders):
+            assert image(col) == [0] * r and not (order * col % m).any()
+        if m < 2**31 - 1:
+            xs = np.indices((m,) * c).reshape(c, -1)
+            images = mat @ xs % m
+            assert math.prod(orders) == int((~images.any(axis=0)).sum())
+            solvable = [bool((images == b[:, None]).all(axis=0).any()) for b in rhs.T]
+        else:
+            # m is prime: sizes and solvability follow from ranks over F_m
+            rank = len(rref_fp(mat, m)[1])
+            assert math.prod(orders) == m ** (c - rank)
+            solvable = [len(rref_fp(np.column_stack([mat, b]), m)[1]) == rank for b in rhs.T]
+        assert [part is not None for part in parts] == solvable
+
+    def test_dot_mod_near_2_31_matches_python_ints(self):
+        m = 2**31 - 1
+        rng = np.random.default_rng(5)
+        a, b = rng.integers(0, m, (4, 50)), rng.integers(0, m, (50, 3))
+        want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % m for col in b.T] for row in a]
+        assert _dot_mod(a, b, m).tolist() == want
+
+    def test_modulus_must_leave_products_in_int64(self):
+        with pytest.raises(ValueError):
+            snf_mod([[1]], 2**31)
+        assert snf_mod([[1]], 2**31 - 1)[0] == [1]
 
     @given(
         st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3),
@@ -193,7 +221,7 @@ class TestRref:
     @settings(max_examples=60, deadline=None)
     def test_rank_matches_snf_diagonal(self, rows):
         red, pivots = rref([[Fraction(x) for x in row] for row in rows])
-        diag, _, _ = snf_z_transforms(rows)
+        diag = snf_mod(rows, NEAR_2_31)[0]
         assert len(pivots) == len(red) == sum(1 for d in diag if d != 0)
         for r, c in enumerate(pivots):
             assert [red[i][c] for i in range(len(red))] == [int(i == r) for i in range(len(red))]

@@ -27,3 +27,17 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gxcat")):
                 found += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert not found, f"private names imported across modules: {found}"
+
+
+def test_no_module_builds_object_arrays():
+    """Integer work stays in int64: no numpy array of Python objects in src."""
+    found = []
+    for path in sorted(pathlib.Path(gxcat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.keyword) and node.arg == "dtype":
+                v = node.value
+                if (isinstance(v, ast.Name) and v.id == "object") or (
+                    isinstance(v, ast.Constant) and v.value in ("object", "O")
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"dtype=object passed at {found}"
