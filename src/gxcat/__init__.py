@@ -6,6 +6,7 @@ from .groups import (
     ConjugacyData,
     FiniteGroup,
     GroupError,
+    InvariantError,
     LinearCharacter,
     abelian_characters,
     build_group,

@@ -1,4 +1,4 @@
-"""Exact character tables of small finite groups.
+"""Exact character tables of small finite groups, and exact character sums.
 
 Characters are computed Dixon-style: joint eigenvectors of the class
 multiplication matrices over a prime field F_p with p = 1 mod exp(G),
@@ -8,6 +8,10 @@ representation data: the dimensions (and section characters) of the
 alpha-projective irreps of a group are read off the ordinary irreps of
 its central extension by Z/N on which the centre acts by the standard
 injective character.
+
+Sums of products of character values (fusion multiplicities, unitarity)
+are evaluated the same way, in F_p with p = 1 mod M under every embedding
+zeta_M -> z^k, and made exact by a certificate (see character_sums).
 """
 
 from __future__ import annotations
@@ -18,14 +22,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cohomology import TorsionCocycle, is_cocycle
-from .cyclo import Cyc
-from .groups import FiniteGroup, GroupError, conjugacy_data, validate_table
-from .snf import modinv, nullspace_fp, rref_fp
+from .cohomology import ResourceLimit, TorsionCocycle, is_cocycle
+from .cyclo import Cyc, cyclotomic_poly
+from .groups import FiniteGroup, GroupError, InvariantError, conjugacy_data, validate_table
+from .snf import dot_mod, modinv, nullspace_fp, rref_fp
 
 __all__ = [
     "CharacterTable",
     "character_table",
+    "character_sums",
+    "cyc_coefficients",
     "irrep_dims",
     "rep_fusion_data",
     "central_extension",
@@ -34,38 +40,119 @@ __all__ = [
 ]
 
 EXTENSION_ORDER_CAP = 192
+PRIME_CAP = 1 << 31  # F_p products of two residues stay inside int64
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
+def _prime_factors(n):
+    out, d = [], 2
+    while d * d <= n:
         if n % d == 0:
-            return False
-    return True
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
 
 
-def _dixon_prime(order, exponent):
-    p = max(int(2 * math.isqrt(order)) + 1, 2)
-    while True:
-        if (p - 1) % exponent == 0 and _is_prime(p):
+def _prime_1_mod(m, lower):
+    """The least prime p >= lower with p = 1 (mod m); p < 2**31 or ResourceLimit."""
+    p = max(lower, 2)
+    p += (1 - p) % m
+    while p < PRIME_CAP:
+        if _prime_factors(p) == [p]:
             return p
-        p += 1
+        p += m
+    raise ResourceLimit(f"no prime p = 1 mod {m} with {lower} <= p < 2**31")
 
 
 def _primitive_root(p):
+    """The least generator of F_p^*: w with w^((p-1)/q) != 1 for each prime q | p - 1."""
+    factors = _prime_factors(p - 1)
     for w in range(2, p):
-        seen, x = set(), 1
-        ok = True
-        for _ in range(p - 1):
-            x = x * w % p
-            if x in seen:
-                ok = False
-                break
-            seen.add(x)
-        if ok and x == 1:
+        if all(pow(w, (p - 1) // q, p) != 1 for q in factors):
             return w
     raise ArithmeticError("no primitive root")  # pragma: no cover
+
+
+@lru_cache(maxsize=None)
+def _reduction_bound(m):
+    """max |coefficient| of x^e mod Phi_m over 0 <= e < m."""
+    phi = cyclotomic_poly(m)
+    r, best = [1] + [0] * (len(phi) - 2), 1
+    for _ in range(m - 1):
+        top, r = r[-1], [0] + r[:-1]
+        r = [c - top * f for c, f in zip(r, phi)]
+        best = max(best, max(map(abs, r)))
+    return best
+
+
+def cyc_coefficients(values, m, scale=1):
+    """int64 array (len(values), m): the coefficients of scale * v on 1, zeta_m,
+    ..., zeta_m^(m-1) for each Cyc v whose conductor divides m.
+
+    Raises InvariantError unless every coefficient is an integer.
+    """
+    out = np.zeros((len(values), m), dtype=np.int64)
+    for i, v in enumerate(values):
+        step = m // v.n
+        for e, c in enumerate(v.c):
+            if c:
+                c = c * scale
+                if c.denominator != 1:
+                    raise InvariantError(f"{c} * zeta_{v.n}^{e} is not a cyclotomic integer")
+                out[i, e * step] = c.numerator
+    return out
+
+
+def character_sums(a, b, c, terms):
+    """Exact V[i, j, k] = sum_t w_t a[i, u_t] b[j, v_t] conj(c[k, x_t]).
+
+    a, b and c are int64 coefficient arrays (rows, columns, M) of cyclotomic
+    integers over one zeta_M, and terms = (u, v, x, w) are int arrays of
+    column indices and weights.  Returns (values, rational): where rational
+    is True the sum is the integer in values; where it is False the sum is
+    not rational.
+
+    Each sum is evaluated in F_p, p = 1 mod M, under all phi(M) embeddings
+    zeta_M -> z^k, gcd(k, M) = 1.  If they all agree on the balanced residue
+    r, the sum is = r mod p Z[zeta_M], since p splits completely.  Its
+    coefficients on the basis 1, ..., zeta^(phi(M) - 1) are bounded by
+    B = (sum of |coefficients| over the terms) * (max |coefficient| of x^e
+    mod Phi_M), so p > 2B makes it equal to r.  p is the least such prime;
+    ResourceLimit if none lies below 2**31.  If the embeddings disagree, the
+    sum is not a rational integer.
+    """
+    m = a.shape[-1]
+    u, v, x, w = (np.asarray(t, dtype=np.int64) for t in terms)
+    norm = [int(np.abs(t).sum(axis=-1).max(initial=0)) for t in (a, b, c)]
+    bound = int(np.abs(w).sum()) * math.prod(norm) * _reduction_bound(m)
+    p = _prime_1_mod(m, 2 * bound + 1)
+    units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
+    z = pow(_primitive_root(p), (p - 1) // m, p)
+    # powers[e, i] = z^(e * units[i]): row e maps zeta^e under every embedding
+    powers = np.array([[pow(z, e * k, p) for k in units] for e in range(m)], dtype=np.int64)
+
+    def images(t):
+        return dot_mod(t.reshape(-1, m) % p, p, powers).reshape(t.shape[:2] + (len(units),))
+
+    # sum the terms sharing an x first: sort by x and reduce the runs
+    order = np.argsort(x, kind="stable")
+    u, v, x, w = u[order], v[order], x[order], w[order] % p
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    if len(starts) >= 1 << 16:
+        raise ResourceLimit(f"{len(starts)} distinct character columns in one sum")
+    ia, ib, ic = images(a), images(b), images(c[..., -np.arange(m) % m])
+    out = []
+    for i in range(len(units)):
+        ab = ia[:, u, i] * w % p
+        ab = ab[:, None, :] * ib[:, v, i][None] % p
+        part = np.add.reduceat(ab, starts, axis=2) % p
+        out.append(dot_mod(part.reshape(-1, len(starts)), p, ic[:, x[starts], i].T))
+    vals = np.stack(out)
+    rational = (vals == vals[0]).all(axis=0)
+    vals = np.where(vals[0] > p // 2, vals[0] - p, vals[0])
+    shape = (a.shape[0], b.shape[0], c.shape[0])
+    return vals.reshape(shape), rational.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -83,7 +170,7 @@ def character_table(g: FiniteGroup) -> CharacterTable:
     classes, reps, cls = data.classes, data.reps, data.class_of
     r = len(classes)
     m = g.exponent
-    p = _dixon_prime(g.order, m)
+    p = _prime_1_mod(m, 2 * math.isqrt(g.order) + 1)
     zgen = pow(_primitive_root(p), (p - 1) // m, p)
 
     # class multiplication constants a[i][j][k]: K_i K_j = sum_k a_ijk K_k
@@ -187,30 +274,27 @@ def irrep_dims(g):
 def rep_fusion_data(g):
     """Fusion data of Rep(G): labels, integer dims, sparse coefficients.
 
-    N_{ab}^c = <chi_a chi_b, chi_c>, computed exactly from the character
-    table.  Labels are pi0 (trivial), pi1, ... in table order.
+    N_{ab}^c = <chi_a chi_b, chi_c> = sum_k |K_k| chi_a chi_b conj(chi_c) / |G|
+    over the classes K_k, one certified character sum.  Labels are pi0
+    (trivial), pi1, ... in table order.
     """
     tab = character_table(g)
     r = len(tab.class_reps)
     labels = [f"pi{i}" for i in range(len(tab.dims))]
-    coeffs = {}
-    for ia in range(len(labels)):
-        for ib in range(len(labels)):
-            prod = [tab.chars[ia][k] * tab.chars[ib][k] for k in range(r)]
-            for ic in range(len(labels)):
-                s = Cyc.rational(0)
-                for k in range(r):
-                    s = s + prod[k] * tab.chars[ic][k].conj() * tab.class_sizes[k]
-                val = s.as_rational()
-                assert val is not None, "character inner product must be rational"
-                nv = val / g.order
-                assert nv.denominator == 1 and nv >= 0, "non-integral fusion multiplicity"
-                if nv:
-                    coeffs[(ia, ib, ic)] = int(nv)
+    chars = [v for row in tab.chars for v in row]
+    m = math.lcm(*(v.n for v in chars))
+    table = cyc_coefficients(chars, m).reshape(r, r, m)
+    k = np.arange(r)
+    vals, rational = character_sums(table, table, table, (k, k, k, tab.class_sizes))
+    if not rational.all() or (vals % g.order).any() or (vals < 0).any():
+        raise InvariantError("Rep(G) fusion multiplicities must be non-negative integers")
+    coeffs = {key: int(nv) for key, nv in np.ndenumerate(vals // g.order) if nv}
     duals = []
     for ia in range(len(labels)):
-        dual = next(ic for ic in range(len(labels)) if coeffs.get((ia, ic, 0), 0) == 1)
-        duals.append(dual)
+        partners = [ic for ic in range(len(labels)) if coeffs.get((ia, ic, 0), 0) == 1]
+        if len(partners) != 1:
+            raise InvariantError(f"{labels[ia]} must have exactly one dual, found {len(partners)}")
+        duals.append(partners[0])
     return labels, list(tab.dims), coeffs, duals
 
 

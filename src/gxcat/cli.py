@@ -2,7 +2,8 @@
 
 One binary, subcommand style.  Exit codes: 0 success / checks passed,
 1 validation failure (a report is still emitted), 2 usage or parse error,
-3 resource guard exceeded.  JSON reports have sorted keys and exact number
+3 resource guard exceeded, 4 internal invariant violated (a mathematical
+self-check of gxcat failed: a defect of the program, not of the input).  JSON reports have sorted keys and exact number
 encodings and are byte-identical across runs on identical inputs.
 """
 
@@ -34,7 +35,7 @@ from .fusion import (
     validate_ring,
 )
 from .gauging import crossed_product, equivariantize, perm_orbifold_picard, roundtrip_check
-from .groups import GroupError, build_group
+from .groups import GroupError, InvariantError, build_group
 from .pointed import (
     enumerate_holomorphic,
     holomorphic_crossed,
@@ -58,6 +59,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INVARIANT = 4
 
 
 class CliError(click.ClickException):
@@ -161,6 +163,9 @@ def _wrap(fn):
         except ResourceLimit as exc:
             click.echo(f"resource guard: {exc}", err=True)
             sys.exit(EXIT_RESOURCE)
+        except InvariantError as exc:
+            click.echo(f"invariant violated: {exc}", err=True)
+            sys.exit(EXIT_INVARIANT)
         except (FusionError, GroupError, ValueError, AssertionError, corpus_mod.CorpusError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "FiniteGroup",
     "GroupError",
+    "InvariantError",
     "ConjugacyData",
     "LinearCharacter",
     "build_group",
@@ -37,6 +38,13 @@ TABLE_ORDER_CAP = 64
 
 class GroupError(ValueError):
     pass
+
+
+class InvariantError(RuntimeError):
+    """A mathematical self-check failed: a defect of the computation, not of its input.
+
+    Raised instead of ``assert`` so that the check survives ``python -O``.
+    """
 
 
 @dataclass(frozen=True)

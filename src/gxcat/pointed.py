@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import snf
-from .chartab import projective_irrep_data
+from .chartab import character_sums, cyc_coefficients, projective_irrep_data
 from .cohomology import (
     ResourceLimit,
     TorsionCocycle,
@@ -50,7 +50,7 @@ from .cohomology import (
 )
 from .cyclo import Cyc
 from .fusion import GradedFusionRing, ValidationReport
-from .groups import FiniteGroup, abelian_characters, conjugacy_data, subgroup
+from .groups import FiniteGroup, InvariantError, abelian_characters, conjugacy_data, subgroup
 
 __all__ = [
     "PointedGXData",
@@ -579,7 +579,8 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
 
     S is computed exactly when the group is abelian (any omega) or omega is
     zero; otherwise the double stays in dims+T mode.  T entries are the
-    normalized character values at the class representative.
+    normalized character values at the class representative.  Every
+    self-check raises InvariantError.
     """
     ok, wit = is_cocycle(omega)
     if not ok:
@@ -588,17 +589,17 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
     data = conjugacy_data(g)
     n = omega.n
     simples = []
-    per_class = []
     for ci, rep in enumerate(data.reps):
         tau, cent, embed = transgress(omega, rep)
         irreps, nred = projective_irrep_data(cent, tau)
         rep_pos = embed.index(rep)
-        entries = []
         for ii, (dim, section) in enumerate(irreps):
             tval = section[rep_pos] * Fraction(1, dim)
-            assert (tval * tval.conj()) == 1, "T entry must be a root of unity"
-            simple = {
+            if tval * tval.conj() != 1:
+                raise InvariantError(f"T entry of ({g.element_names[rep]};{ii}) is not a root of unity")
+            simples.append({
                 "class_rep": g.element_names[rep],
+                "rep": rep,
                 "class_index": ci,
                 "class_size": len(data.classes[ci]),
                 "irrep": ii,
@@ -606,27 +607,22 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
                 "dim": len(data.classes[ci]) * dim,
                 "t": tval,
                 "section": section,
-                "centralizer": cent,
                 "embed": embed,
-            }
-            simples.append(simple)
-            entries.append(simple)
-        per_class.append(entries)
-    assert sum(s["dim"] ** 2 for s in simples) == g.order**2, "double dimension identity failed"
+            })
+    total = sum(s["dim"] ** 2 for s in simples)
+    if total != g.order**2:
+        raise InvariantError(f"double dimension identity failed: sum of dim^2 is {total}, not |G|^2 = {g.order**2}")
 
-    fusion = None
+    fusion = s_matrix = None
     if omega.is_zero():
         fusion = _untwisted_double_fusion(g, data, simples)
+        s_matrix = _untwisted_s_matrix(g, data, simples)
     elif g.is_abelian and all(s["irrep_dim"] == 1 for s in simples):
         fusion = _abelian_twisted_double_fusion(g, omega, simples)
-
-    s_matrix = None
-    if omega.is_zero():
-        s_matrix = _untwisted_s_matrix(g, data, simples)
-    elif g.is_abelian and fusion is not None and all(s["irrep_dim"] == 1 for s in simples):
-        s_matrix = _pointed_s_matrix(g, simples, fusion)
+        if fusion is not None:
+            s_matrix = _pointed_s_matrix(g, simples, fusion)
     if s_matrix is not None:
-        _assert_unitary(s_matrix)
+        _check_unitary(s_matrix)
     public = [
         {k: s[k] for k in ("class_rep", "class_size", "irrep", "irrep_dim", "dim", "t")}
         for s in simples
@@ -634,25 +630,41 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
     return DoubleData(g, n, public, s_matrix, fusion)
 
 
-def _assert_unitary(s):
+def _root_exponents(values, m):
+    """e mod m with v = zeta_m^e, for each Cyc v written as one root of unity."""
+    coef = cyc_coefficients(values, m)
+    ok = ((coef != 0).sum(axis=1) == 1) & (coef.sum(axis=1) == 1)
+    if not ok.all():
+        raise InvariantError(f"{values[int(np.argmin(ok))]} is not a root of unity")
+    return np.argmax(coef, axis=1)
+
+
+def _check_unitary(s):
+    """S S^dagger = I, checked as (D S)(D S)^dagger = D^2 I with D the least
+    common denominator of the coefficients, one certified character sum."""
     size = len(s)
-    for i in range(size):
-        for j in range(size):
-            acc = Cyc.rational(0)
-            for k in range(size):
-                acc = acc + s[i][k] * s[j][k].conj()
-            want = Cyc.rational(1 if i == j else 0)
-            assert acc == want, f"S not unitary at ({i},{j})"
+    values = [v for row in s for v in row]
+    m = math.lcm(*(v.n for v in values))
+    den = math.lcm(*(c.denominator for v in values for c in v.c if c))
+    ds = cyc_coefficients(values, m, den).reshape(size, size, m)
+    one = np.zeros((1, 1, m), dtype=np.int64)
+    one[0, 0, 0] = 1
+    cols = np.arange(size)
+    vals, rational = character_sums(ds, one, ds, (cols, np.zeros(size), cols, np.ones(size)))
+    bad = ~rational[:, 0] | (vals[:, 0] != den * den * np.eye(size, dtype=np.int64))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise InvariantError(f"S not unitary at ({i},{j})")
 
 
 def _untwisted_s_matrix(g, data, simples):
     mat = []
     for sa in simples:
         row = []
-        a = _name_to_index(g, sa["class_rep"])
+        a = sa["rep"]
         za = sa["embed"]
         for sb in simples:
-            b = _name_to_index(g, sb["class_rep"])
+            b = sb["rep"]
             zb = sb["embed"]
             acc = Cyc.rational(0)
             for t in g.elements():
@@ -669,85 +681,82 @@ def _untwisted_s_matrix(g, data, simples):
 def _pointed_s_matrix(g, simples, fusion):
     """S of a pointed double from its twists: S_{uv} = conj(b(u,v))/|G| with
     b(u,v) = theta(u v) / (theta(u) theta(v)), which must be a bicharacter.
+
+    The twists are roots of unity, so b is the int table
+    theta[uv] - theta[u] - theta[v] of exponents mod M, M the lcm of the T
+    conductors; each entry is emitted in the lcm of its three conductors.
     """
-    n_s = len(simples)
-    prod = {}
-    for (i, j, k), v in fusion.coeffs:
-        if v:
-            prod[(i, j)] = k
-    theta = [s["t"] for s in simples]
-    # twists are roots of unity, so theta^{-1} = conj(theta)
-    theta_c = [t.conj() for t in theta]
-    btab = [
-        [theta[prod[(i, j)]] * theta_c[i] * theta_c[j] for j in range(n_s)]
-        for i in range(n_s)
-    ]
-    for i, j in itertools.product(range(n_s), repeat=2):
-        assert btab[i][j] == btab[j][i], "monodromy form must be symmetric"
-    for i, j, k in itertools.product(range(n_s), repeat=3):
-        assert btab[prod[(i, j)]][k] == btab[i][k] * btab[j][k], "monodromy form must be a bicharacter"
-    return [
-        [btab[i][j].conj() * Fraction(1, g.order) for j in range(n_s)]
-        for i in range(n_s)
-    ]
+    size = len(simples)
+    prod = np.zeros((size, size), dtype=np.int64)
+    for (i, j, k), _ in fusion.coeffs:
+        prod[i, j] = k
+    cond = np.array([s["t"].n for s in simples], dtype=np.int64)
+    m = math.lcm(*cond.tolist())
+    theta = _root_exponents([s["t"] for s in simples], m)
+    b = (theta[prod] - theta[:, None] - theta[None, :]) % m
+    if (b != b.T).any():
+        raise InvariantError("monodromy form must be symmetric")
+    if ((b[prod] - b[:, None, :] - b[None, :, :]) % m).any():
+        raise InvariantError("monodromy form must be a bicharacter")
+    lcm = np.lcm(np.lcm(cond[prod], cond[:, None]), cond[None, :])
+    exps = (-b * lcm // m) % lcm
+    scale = Fraction(1, g.order)
+    return [[Cyc(int(l), {int(e): scale}) for l, e in zip(lrow, erow)] for lrow, erow in zip(lcm, exps)]
 
 
-def _name_to_index(g, name):
-    return g.element_names.index(name)
-
-
-def _untwisted_double_fusion(g, data, simples):
-    """Fusion ring of D(G) from characters on commuting pairs."""
-    pairs = [(a, x) for a in g.elements() for x in g.elements() if g.mul[a][x] == g.mul[x][a]]
-    cls = data.class_of
-    # transporter: for each element, a group element conjugating the class rep to it
-    transport = {}
-    for ci, rep in enumerate(data.reps):
-        for t in g.elements():
-            transport.setdefault(g.conj(t, rep), t)
-
-    def theta(simple, a, x):
-        if cls[a] != simple["class_index"]:
-            return Cyc.rational(0)
-        k = transport[a]
-        y = g.conj(g.inv[k], x)
-        return simple["section"][simple["embed"].index(y)]
-
-    theta_tab = [
-        [theta(s, a, x) for (a, x) in pairs]
-        for s in simples
-    ]
+def _fusion_ring(name, simples, coeffs):
+    """The fusion ring with these coefficients; each simple must have exactly one dual."""
     labels = [f"({s['class_rep']};{s['irrep']})" for s in simples]
-    coeffs = {}
-    for i, si in enumerate(simples):
-        for j, sj in enumerate(simples):
-            prod = []
-            for a, x in pairs:
-                acc = Cyc.rational(0)
-                for a1 in g.elements():
-                    if g.mul[a1][x] != g.mul[x][a1]:
-                        continue
-                    a2 = g.mul[g.inv[a1]][a]
-                    if g.mul[a2][x] != g.mul[x][a2]:
-                        continue
-                    acc = acc + theta(si, a1, x) * theta(sj, a2, x)
-                prod.append(acc)
-            for k, sk in enumerate(simples):
-                acc = Cyc.rational(0)
-                for pi, (a, x) in enumerate(pairs):
-                    acc = acc + prod[pi] * theta_tab[k][pi].conj()
-                val = acc.as_rational()
-                assert val is not None
-                nv = val / g.order
-                assert nv.denominator == 1 and nv >= 0, "double fusion must be a non-negative integer"
-                if nv:
-                    coeffs[(i, j, k)] = int(nv)
     dual = []
     for i in range(len(simples)):
         partners = [k for k in range(len(simples)) if coeffs.get((i, k, 0), 0) == 1]
-        assert len(partners) == 1
+        if len(partners) != 1:
+            raise InvariantError(f"{labels[i]} must have exactly one dual, found {len(partners)}")
         dual.append(partners[0])
-    return GradedFusionRing.make(f"D({g.name})", labels, 0, tuple(dual), coeffs)
+    return GradedFusionRing.make(name, labels, 0, tuple(dual), coeffs)
+
+
+def _untwisted_double_fusion(g, data, simples):
+    """Fusion ring of D(G) from characters on commuting pairs:
+
+        |G| N_ij^k = sum over commuting (a, x) and a1 in C(x) of
+                     theta_i(a1, x) theta_j(a1^-1 a, x) conj(theta_k(a, x)),
+
+    where theta_s(a, x) = section_s(t^-1 x t) for a = t rep_s t^-1 (least
+    such t) and 0 off the class of s.  One certified character sum.
+    """
+    mul, inv = g.mul_array, np.asarray(g.inv)
+    comm = mul == mul.T
+    pa, px = np.nonzero(comm)  # commuting pairs (a, x), a-major
+    pair = np.full(mul.shape, -1, dtype=np.int64)
+    pair[pa, px] = np.arange(len(pa))
+    cls = np.asarray(data.class_of)
+    conj = mul[mul, inv[:, None]]  # conj[t, x] = t x t^-1
+    transport = np.argmax(conj[:, np.asarray(data.reps)[cls]] == np.arange(g.order), axis=0)
+    y = conj[inv[transport[pa]], px]
+
+    # theta as indices into the section values of all simples, with a zero row last
+    values = [v for s in simples for v in s["section"]]
+    index = np.full((len(simples), len(pa)), len(values), dtype=np.int64)
+    offset = 0
+    for si, s in enumerate(simples):
+        position = np.full(g.order, -1, dtype=np.int64)
+        position[list(s["embed"])] = np.arange(len(s["embed"]))
+        on = cls[pa] == s["class_index"]
+        index[si, on] = offset + position[y[on]]
+        offset += len(s["section"])
+    m = math.lcm(*(v.n for v in values))
+    coef = np.vstack([cyc_coefficients(values, m), np.zeros((1, m), dtype=np.int64)])
+    theta = coef[index]
+
+    a1, pi = np.nonzero(comm[:, px])
+    a2 = mul[inv[a1], pa[pi]]
+    terms = (pair[a1, px[pi]], pair[a2, px[pi]], pi, np.ones(len(pi)))
+    vals, rational = character_sums(theta, theta, theta, terms)
+    if not rational.all() or (vals % g.order).any() or (vals < 0).any():
+        raise InvariantError("double fusion must be a non-negative integer")
+    coeffs = {key: int(v) for key, v in np.ndenumerate(vals // g.order) if v}
+    return _fusion_ring(f"D({g.name})", simples, coeffs)
 
 
 def _abelian_twisted_double_fusion(g, omega, simples):
@@ -755,13 +764,11 @@ def _abelian_twisted_double_fusion(g, omega, simples):
 
     (a, chi)(b, psi) = (ab, chi psi zeta^{-kappa_{a,b}}) where kappa
     compensates the multiplier mismatch tau_a + tau_b - tau_{ab}; the
-    candidate kappa is verified cochain-level before use.
+    candidate kappa is verified cochain-level before use.  Sections are
+    roots of unity, kept as exponents mod M, and the product is found by
+    looking up (class, exponent vector).
     """
     n = omega.n
-    by_class = {}
-    for i, s in enumerate(simples):
-        by_class.setdefault(_name_to_index(g, s["class_rep"]), []).append((i, s))
-
     # tau[a] is the slant of omega at a (transgress on the whole abelian
     # group) and kappa[a, b] compensates tau[ab] - tau[a] - tau[b]
     w, mul = omega.table, g.mul_array
@@ -774,31 +781,22 @@ def _abelian_twisted_double_fusion(g, omega, simples):
     rhs = kappa[a, b, k] - kappa[a, b, mul[h, k]] + kappa[a, b, h]
     if ((lhs - rhs) % n).any():
         return None
-    labels = [f"({s['class_rep']};{s['irrep']})" for s in simples]
+    values = [v for s in simples for v in s["section"]]
+    m = math.lcm(n, *(v.n for v in values))
+    sec = _root_exponents(values, m).reshape(len(simples), g.order)
+    reps = np.array([s["rep"] for s in simples], dtype=np.int64)
+    index = {}
+    for i, (rep, row) in enumerate(zip(reps.tolist(), sec)):
+        if index.setdefault((rep, row.tobytes()), i) != i:
+            raise InvariantError("two simples of the twisted double have the same class and section")
+    target = (sec[:, None, :] + sec[None, :, :] + kappa[reps[:, None], reps[None, :]] * (m // n)) % m
     coeffs = {}
-    for i, si in enumerate(simples):
-        a = _name_to_index(g, si["class_rep"])
-        for j, sj in enumerate(simples):
-            b = _name_to_index(g, sj["class_rep"])
-            ab = g.mul[a][b]
-            kap = kappa[a, b] % n
-            target = [
-                si["section"][x] * sj["section"][x] * Cyc.root(n, int(kap[x]))
-                for x in g.elements()
-            ]
-            matches = [
-                k
-                for k, sk in by_class.get(ab, [])
-                if all(sk["section"][x] == target[x] for x in g.elements())
-            ]
-            assert len(matches) == 1, "twisted abelian fusion must match exactly one simple"
-            coeffs[(i, j, matches[0])] = 1
-    dual = []
-    for i in range(len(simples)):
-        partners = [k for k in range(len(simples)) if coeffs.get((i, k, 0), 0) == 1]
-        assert len(partners) == 1
-        dual.append(partners[0])
-    return GradedFusionRing.make(f"D^w({g.name})", labels, 0, tuple(dual), coeffs)
+    for (i, j), ab in np.ndenumerate(mul[reps[:, None], reps[None, :]]):
+        k = index.get((int(ab), target[i, j].tobytes()))
+        if k is None:
+            raise InvariantError(f"twisted abelian fusion of simples {i} and {j} matches no simple")
+        coeffs[(i, j, k)] = 1
+    return _fusion_ring(f"D^w({g.name})", simples, coeffs)
 
 
 # ---------------------------------------------------------------------------

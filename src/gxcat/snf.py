@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "snf_mod",
+    "dot_mod",
     "solve_mod",
     "solution_lattice",
     "kernel_mod",
@@ -180,9 +181,10 @@ def _clear(a, c, t, m):
     return swapped
 
 
-def _dot_mod(a, b, m):
+def dot_mod(a, m, b):
     """a @ b mod m for residues in [0, m), m < 2**31 and fewer than 2**16
-    inner terms: b is split into 16-bit halves so no sum leaves int64."""
+    inner terms: b is split into 16-bit halves so no sum leaves int64.
+    The modulus comes second, as in snf_mod(a, m, rhs)."""
     lo = a @ (b & 0xFFFF) % m
     hi = a @ (b >> 16) % m
     return (hi * 0x10000 + lo) % m
@@ -203,7 +205,7 @@ def solution_lattice(a, n, b):
     ok = ~c[k:].any(axis=0) & ~(c[:k] % d).any(axis=0)
     y = np.zeros((len(q), c.shape[1]), dtype=np.int64)
     y[:k] = (c[:k] // d) % (n // d)
-    x = _dot_mod(q, y, n)
+    x = dot_mod(q, n, y)
     parts = [x[:, j] if ok[j] else None for j in range(c.shape[1])]
     # column i of q spans a cyclic kernel summand of order diag[i], or n past the diagonal
     full = list(diag) + [n] * (len(q) - k)

@@ -1,0 +1,132 @@
+"""The certified F_p character-sum kernel and the invariant checks built on it."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+import gxcat.pointed as pointed
+from gxcat.chartab import _prime_1_mod, _primitive_root, _reduction_bound, character_sums
+from gxcat.cohomology import ResourceLimit, TorsionCocycle
+from gxcat.corpus import load_entry
+from gxcat.cyclo import Cyc, cyclotomic_poly
+from gxcat.groups import InvariantError, symmetric
+
+CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 24]
+
+
+def _one(m):
+    t = np.zeros((1, 1, m), dtype=np.int64)
+    t[0, 0, 0] = 1
+    return t
+
+
+def _rational_combination(rng, m, value, spread, rounds):
+    """Coefficients over zeta_m of `value` plus random multiples of zeta_m^j times
+    the sum of all d-th roots of unity (d | m, d > 1), each of which is 0."""
+    coef = np.zeros(m, dtype=np.int64)
+    coef[0] = value
+    for d in [d for d in range(2, m + 1) if m % d == 0]:
+        for _ in range(rounds):
+            c, j = rng.randint(-spread, spread), rng.randrange(m)
+            for i in range(d):
+                coef[(j + i * (m // d)) % m] += c
+    return coef
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_rational_combinations_come_back_exact(m):
+    rng = random.Random(m)
+    values = [rng.randint(-50, 50) for _ in range(4)]
+    table = np.stack([_rational_combination(rng, m, v, 20, 3) for v in values]).reshape(4, 1, m)
+    got, rational = character_sums(table, _one(m), _one(m), ([0], [0], [0], [1]))
+    assert rational.all() and got[:, 0, 0].tolist() == values
+    # weighted products of three values, the last conjugated; smaller
+    # coefficients keep the cubed bound below 2**31
+    values = [rng.randint(-5, 5) for _ in range(4)]
+    flat = np.stack([_rational_combination(rng, m, v, 1, 1) for v in values]).reshape(1, 4, m)
+    u = [rng.randrange(4) for _ in range(6)]
+    v = [rng.randrange(4) for _ in range(6)]
+    x = [rng.randrange(4) for _ in range(6)]
+    w = [rng.randint(1, 5) for _ in range(6)]
+    got, rational = character_sums(flat, flat, flat, (u, v, x, w))
+    want = sum(wt * values[i] * values[j] * values[k] for i, j, k, wt in zip(u, v, x, w))
+    assert rational.all() and int(got[0, 0, 0]) == want
+
+
+def test_a_root_of_unity_alone_is_not_rational():
+    zeta3 = np.zeros((1, 1, 3), dtype=np.int64)
+    zeta3[0, 0, 1] = 1
+    _, rational = character_sums(zeta3, _one(3), _one(3), ([0], [0], [0], [1]))
+    assert not rational.any()
+    # zeta_3 conj(zeta_3) = 1 is rational
+    got, rational = character_sums(zeta3, _one(3), zeta3, ([0], [0], [0], [1]))
+    assert rational.all() and got.item() == 1
+
+
+def test_bound_beyond_2_31_is_refused():
+    big = np.zeros((1, 1, 4), dtype=np.int64)
+    big[0, 0, 0] = 1 << 30
+    with pytest.raises(ResourceLimit, match="2\\*\\*31"):
+        character_sums(big, _one(4), _one(4), ([0], [0], [0], [1]))
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_reduction_bound_matches_polynomial_division(m):
+    phi = list(cyclotomic_poly(m))
+    best = 0
+    for e in range(m):
+        red = Cyc.root(m, e).reduced()
+        best = max(best, max(abs(c) for c in red))
+        assert len(red) == len(phi) - 1
+    assert _reduction_bound(m) == best
+
+
+def test_primitive_root_matches_brute_force_below_500():
+    for p in range(3, 500):
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            continue
+        brute = next(w for w in range(2, p) if len({pow(w, k, p) for k in range(1, p)}) == p - 1)
+        assert _primitive_root(p) == brute, p
+
+
+def test_prime_search_takes_a_lower_bound():
+    assert _prime_1_mod(4, 1) == 5
+    assert _prime_1_mod(8, 18) == 41
+    assert _prime_1_mod(1, 3) == 3
+    with pytest.raises(ResourceLimit):
+        _prime_1_mod(16, 1 << 31)
+
+
+def _corrupt_section(monkeypatch, call, change):
+    """Make the double's call number `call` to projective_irrep_data return its
+    last irrep with the section value at the identity changed (never the class
+    representative of a nontrivial class, so T stays a root of unity)."""
+    real = pointed.projective_irrep_data
+    calls = []
+
+    def corrupted(cent, tau):
+        irreps, n = real(cent, tau)
+        calls.append(cent)
+        if len(calls) == call:
+            dim, section = irreps[-1]
+            irreps[-1] = (dim, (change(section[0]),) + tuple(section[1:]))
+        return irreps, n
+
+    monkeypatch.setattr(pointed, "projective_irrep_data", corrupted)
+
+
+@pytest.mark.parametrize("change", [lambda v: v + 1, lambda v: v * Cyc.root(3)])
+def test_corrupt_section_raises_on_untwisted_double(monkeypatch, change):
+    s3 = symmetric(3)
+    _corrupt_section(monkeypatch, 3, change)  # the class of 3-cycles
+    with pytest.raises(InvariantError, match="fusion"):
+        pointed.twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))
+
+
+def test_corrupt_section_raises_on_pointed_double(monkeypatch):
+    omega = load_entry("cocycle_Z4_h3_0")
+    _corrupt_section(monkeypatch, 4, lambda v: v * Cyc.root(4))
+    with pytest.raises(InvariantError, match="matches no simple|same class"):
+        pointed.twisted_double(omega.group, omega)

@@ -308,3 +308,42 @@ class TestDeterminism:
         b = _subprocess_cli(full, 2)
         assert a.returncode == 0 and b.returncode == 0, (a.stderr, b.stderr)
         assert a.stdout == b.stdout
+
+
+# Replaces one section value handed to twisted_double (the identity entry of
+# the last irrep of the last class) by itself plus one, then runs the CLI.
+_CORRUPT_SECTION_CLI = """
+import sys
+import gxcat.pointed as pointed
+real = pointed.projective_irrep_data
+def corrupted(cent, tau):
+    irreps, n = real(cent, tau)
+    if cent.order == 3:
+        dim, section = irreps[-1]
+        irreps[-1] = (dim, (section[0] + 1,) + tuple(section[1:]))
+    return irreps, n
+pointed.projective_irrep_data = corrupted
+from gxcat.cli import main
+main(sys.argv[1:])
+"""
+
+
+class TestInvariantChecks:
+    ARGS = ["double", "--group", "S3", "--trivial", "--format", "json"]
+
+    def test_optimized_run_is_byte_identical(self):
+        plain = _subprocess_cli(self.ARGS, 1)
+        optimized = subprocess.run(
+            [sys.executable, "-O", "-m", "gxcat.cli", *self.ARGS], capture_output=True, env=_child_env(1), cwd="/"
+        )
+        assert plain.returncode == optimized.returncode == 0, optimized.stderr
+        assert plain.stdout == optimized.stdout
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_corrupt_section_exits_4(self, flags):
+        res = subprocess.run(
+            [sys.executable, *flags, "-c", _CORRUPT_SECTION_CLI, *self.ARGS],
+            capture_output=True, env=_child_env(1), cwd="/",
+        )
+        assert res.returncode == 4, res.stderr
+        assert res.stderr.startswith(b"invariant violated: ") and b"Traceback" not in res.stderr

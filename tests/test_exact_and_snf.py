@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gxcat.cyclo import Cyc, cyclotomic_poly
 from gxcat.exact import CertReal, QuadReal, scalar_eq
 from gxcat.snf import (
-    _dot_mod,
+    dot_mod,
     invariant_factor_chain,
     kernel_mod,
     rref,
@@ -177,7 +177,7 @@ class TestSnf:
         rng = np.random.default_rng(5)
         a, b = rng.integers(0, m, (4, 50)), rng.integers(0, m, (50, 3))
         want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % m for col in b.T] for row in a]
-        assert _dot_mod(a, b, m).tolist() == want
+        assert dot_mod(a, m, b).tolist() == want
 
     def test_modulus_must_leave_products_in_int64(self):
         with pytest.raises(ValueError):
