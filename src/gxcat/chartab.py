@@ -118,9 +118,10 @@ def character_sums(a, b, c, terms):
     r, the sum is = r mod p Z[zeta_M], since p splits completely.  Its
     coefficients on the basis 1, ..., zeta^(phi(M) - 1) are bounded by
     B = (sum of |coefficients| over the terms) * (max |coefficient| of x^e
-    mod Phi_M), so p > 2B makes it equal to r.  p is the least such prime;
-    ResourceLimit if none lies below 2**31.  If the embeddings disagree, the
-    sum is not a rational integer.
+    mod Phi_M), so p > 2B makes it equal to r.  The first factor is taken
+    as sum |w_t| times the largest coefficient sum of an entry of a, of b
+    and of c.  p is the least such prime; ResourceLimit if none lies below
+    2**31.  If the embeddings disagree, the sum is not a rational integer.
     """
     m = a.shape[-1]
     u, v, x, w = (np.asarray(t, dtype=np.int64) for t in terms)
