@@ -2,8 +2,9 @@
 
 Characters are computed Dixon-style: joint eigenvectors of the class
 multiplication matrices over a prime field F_p with p = 1 mod exp(G),
-then lifted to exact cyclotomic values through eigenvalue-multiplicity
-recovery.  On top of that sit central extensions and projective
+with the eigenvalues read off as the roots of a characteristic
+polynomial, then lifted to exact cyclotomic values through
+eigenvalue-multiplicity recovery, one F_p DFT per class.  On top of that sit central extensions and projective
 representation data: the dimensions (and section characters) of the
 alpha-projective irreps of a group are read off the ordinary irreps of
 its central extension by Z/N on which the centre acts by the standard
@@ -25,7 +26,7 @@ import numpy as np
 from .cohomology import ResourceLimit, TorsionCocycle, is_cocycle
 from .cyclo import Cyc, cyclotomic_poly
 from .groups import FiniteGroup, GroupError, InvariantError, conjugacy_data, validate_table
-from .snf import dot_mod, modinv, nullspace_fp, rref_fp
+from .snf import dot_mod, modinv, nullspace_fp
 
 __all__ = [
     "CharacterTable",
@@ -75,15 +76,23 @@ def _primitive_root(p):
 
 
 @lru_cache(maxsize=None)
-def _reduction_bound(m):
-    """max |coefficient| of x^e mod Phi_m over 0 <= e < m."""
+def _reduction_matrix(m):
+    """Read-only int64 array (m, phi(m)): row e holds the coefficients of x^e mod Phi_m."""
     phi = cyclotomic_poly(m)
-    r, best = [1] + [0] * (len(phi) - 2), 1
-    for _ in range(m - 1):
+    deg = len(phi) - 1
+    rows, r = [], [1] + [0] * (deg - 1)
+    for _ in range(m):
+        rows.append(r)
         top, r = r[-1], [0] + r[:-1]
         r = [c - top * f for c, f in zip(r, phi)]
-        best = max(best, max(map(abs, r)))
-    return best
+    out = np.array(rows, dtype=np.int64).reshape(m, deg)
+    out.setflags(write=False)
+    return out
+
+
+def _reduction_bound(m):
+    """max |coefficient| of x^e mod Phi_m over 0 <= e < m."""
+    return int(np.abs(_reduction_matrix(m)).max())
 
 
 def cyc_coefficients(values, m, scale=1):
@@ -167,105 +176,154 @@ class CharacterTable:
 
 @lru_cache(maxsize=None)
 def character_table(g: FiniteGroup) -> CharacterTable:
+    """The irreducible characters of g, computed over F_p (Dixon; Schneider,
+    J. Symb. Comput. 9, 1990) and lifted to Cyc values of conductor exp(g).
+
+    Order: the trivial character first, then by degree, then by the
+    coefficients of the values mod Phi_exp(g).  Every self-check raises
+    InvariantError.
+    """
     data = conjugacy_data(g)
-    classes, reps, cls = data.classes, data.reps, data.class_of
-    r = len(classes)
+    reps = data.reps
+    cls = np.asarray(data.class_of)
+    r = len(reps)
     m = g.exponent
     p = _prime_1_mod(m, 2 * math.isqrt(g.order) + 1)
     zgen = pow(_primitive_root(p), (p - 1) // m, p)
 
-    # class multiplication constants a[i][j][k]: K_i K_j = sum_k a_ijk K_k
+    # class multiplication constants a[i, j, k]: K_i K_j = sum_k a_ijk K_k,
+    # counting x in K_i with x^-1 z_k in K_j for the representative z_k
     a = np.zeros((r, r, r), dtype=np.int64)
-    for i, ci in enumerate(classes):
-        for x in ci:
-            xi = g.inv[x]
-            for k, zk in enumerate(reps):
-                a[i][cls[g.mul[xi][zk]]][k] += 1
+    j = cls[g.mul_array[np.asarray(g.inv)][:, list(reps)]]
+    np.add.at(a, (cls[:, None], j, np.arange(r)), 1)
 
-    mats = [a[i] for i in range(r)]  # (M_i)_{jk} acting on column vectors
-
-    # split the full space into joint eigenspaces over F_p
-    spaces = [np.eye(r, dtype=np.int64)]  # columns span each subspace
-    for mi in mats:
-        if all(s.shape[1] == 1 for s in spaces):
+    # split the full space into joint eigenspaces over F_p; (a_i)_{jk} acts
+    # on columns.  Each space s is kept with rows where s[rows] = I, so the
+    # restriction b of a_i (a_i s = s b) is (a_i s)[rows]: a nullspace_fp
+    # basis is 1 at its free columns, and row j is 0 past its free column.
+    spaces = [(np.eye(r, dtype=np.int64), np.arange(r))]
+    for mi in a:
+        if all(len(rows) == 1 for _, rows in spaces):
             break
         nxt = []
-        for s in spaces:
-            if s.shape[1] == 1:
-                nxt.append(s)
+        for s, rows in spaces:
+            if len(rows) == 1:
+                nxt.append((s, rows))
                 continue
-            # restriction b of mi to the column space of s: mi s = s b
-            _, piv = rref_fp(s.T, p)
-            s_rows = s[piv, :] % p
-            inv_rows = _inv_fp(s_rows, p)
-            b = inv_rows @ ((mi @ s)[piv, :] % p) % p
-            for lam in range(p):
-                ns = nullspace_fp((b - lam * np.eye(b.shape[0], dtype=np.int64)) % p, p)
-                if ns.shape[0]:
-                    nxt.append((s @ ns.T) % p)
+            for _, ns in _eigenspaces_fp((mi @ s)[rows] % p, p):
+                free = ns.shape[1] - 1 - np.argmax(ns[:, ::-1] != 0, axis=1)  # last nonzero
+                nxt.append(((s @ ns.T) % p, rows[free]))
         spaces = nxt
-    assert all(s.shape[1] == 1 for s in spaces) and len(spaces) == r
+    if len(spaces) != r or any((s[rows] != np.eye(len(rows), dtype=np.int64)).any() for s, rows in spaces):
+        raise InvariantError(f"{g.name}: the class algebra did not split into {r} joint eigenlines mod {p}")
 
-    inv_class = [cls[g.inv[rep]] for rep in reps]
-    sizes = [len(c) for c in classes]
-    chars = []
+    # omega_s(K_k) normalized to omega_s(K_0) = 1; chi_s = d_s omega_s(K_k) / |K_k|
+    w = np.stack([s[:, 0] for s, _ in spaces])
+    w = w * np.array([modinv(int(v), p) for v in w[:, 0]], dtype=np.int64)[:, None] % p
+    sizes = [len(c) for c in data.classes]
+    inv_sizes = np.array([modinv(k, p) for k in sizes], dtype=np.int64)
+    inv_class = cls[np.asarray(g.inv)[list(reps)]]
+    denom = (w * w[:, inv_class] % p * inv_sizes % p).sum(axis=1) % p
     dims = []
-    for s in spaces:
-        w = s[:, 0] % p
-        w = w * modinv(int(w[0]), p) % p  # normalize omega(K_0) = 1
-        denom = sum(int(w[k]) * int(w[inv_class[k]]) * modinv(sizes[k], p) for k in range(r)) % p
-        d2 = g.order * modinv(denom, p) % p
-        d = next(t for t in range(1, int(math.isqrt(g.order)) + 1) if t * t % p == d2)
-        chi_p = [d * int(w[k]) * modinv(sizes[k], p) % p for k in range(r)]
-        chars.append(tuple(_lift_char(g, reps, cls, chi_p, d, m, p, zgen)))
-        dims.append(d)
-    assert sum(d * d for d in dims) == g.order
+    for den in denom.tolist():
+        d2 = g.order * modinv(den, p) % p
+        dims.append(next(t for t in range(1, math.isqrt(g.order) + 1) if t * t % p == d2))
+    if sum(d * d for d in dims) != g.order:
+        raise InvariantError(f"{g.name}: the squared character degrees do not sum to |G|")
+    chi = np.array(dims, dtype=np.int64)[:, None] * w % p * inv_sizes % p
+    coef = _lift(g, reps, cls, chi, dims, m, p, zgen)
 
-    # canonical order: trivial character first, then by dimension and values
-    def key(i):
-        vals = tuple(v.reduced() for v in chars[i])
-        trivial = all(c == Cyc.rational(1) for c in chars[i])
-        return (not trivial, dims[i], vals)
-
-    order = sorted(range(r), key=key)
-    chars = tuple(chars[i] for i in order)
-    dims = tuple(dims[i] for i in order)
-    return CharacterTable(g, reps, tuple(sizes), chars, dims)
+    # canonical order: trivial character first, then by dimension and the
+    # values' coefficients mod Phi_m (each class's phi(m) in turn, as Cyc.reduced)
+    red = coef @ _reduction_matrix(m)
+    trivial = (red[:, :, 0] == 1).all(axis=1) & ~red[:, :, 1:].any(axis=(1, 2))
+    order = sorted(range(r), key=lambda i: (not trivial[i], dims[i], red[i].ravel().tolist()))
+    chars = tuple(tuple(Cyc.from_ints(m, c) for c in coef[i].tolist()) for i in order)
+    return CharacterTable(g, reps, tuple(sizes), chars, tuple(dims[i] for i in order))
 
 
-def _inv_fp(mat, p):
-    n = mat.shape[0]
-    aug = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
-    red, piv = rref_fp(aug, p)
-    if piv[:n] != list(range(n)):
-        raise ArithmeticError("singular matrix mod p")
-    return red[:, n:]
+def _charpoly_fp(b, p):
+    """det(x I - b) over F_p, coefficients low -> high (monic).
+
+    b is first brought to upper Hessenberg form h by similarity (pivot row
+    swap, then row j -= u_j row c+1 and column c+1 += u_j column j), then
+    p_k = (x - h_kk) p_(k-1) - sum_(i<k) h_ik (h_(i+1,i) ... h_(k,k-1)) p_(i-1)
+    on the leading k x k blocks; Cohen, A Course in Computational Algebraic
+    Number Theory, Algorithm 2.2.9.  O(k^3) and independent of p.
+    """
+    h = np.array(b, dtype=np.int64) % p
+    n = h.shape[0]
+    for c in range(n - 2):
+        nz = np.flatnonzero(h[c + 1:, c])
+        if not len(nz):
+            continue
+        i = c + 1 + int(nz[0])
+        if i != c + 1:
+            h[[i, c + 1]] = h[[c + 1, i]]
+            h[:, [i, c + 1]] = h[:, [c + 1, i]]
+        u = h[c + 2:, c] * modinv(int(h[c + 1, c]), p) % p
+        h[c + 2:] = (h[c + 2:] - u[:, None] * h[c + 1]) % p
+        h[:, c + 1] = (h[:, c + 1] + dot_mod(h[:, c + 2:], p, u)) % p
+    polys = [np.ones(1, dtype=np.int64)]
+    for k in range(n):
+        nxt = np.zeros(k + 2, dtype=np.int64)
+        nxt[1:] = polys[k]
+        nxt[:-1] -= h[k, k] * polys[k] % p
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * int(h[i + 1, i]) % p
+            if not t:
+                break
+            nxt[:i + 1] -= int(h[i, k]) * t % p * polys[i] % p
+        polys.append(nxt % p)
+    return polys[n]
 
 
-def _lift_char(g, reps, cls, chi_p, d, m, p, zgen):
-    """Exact cyclotomic character values from mod-p data."""
+def _eigenspaces_fp(b, p):
+    """[(lambda, nullspace_fp(b - lambda I, p))] over the roots lambda in F_p of
+    det(x I - b), ascending.  The polynomial is evaluated at all of F_p in one
+    Horner pass; InvariantError if a root has no eigenvector."""
+    xs = np.arange(p, dtype=np.int64)
+    vals = np.zeros(p, dtype=np.int64)
+    for c in _charpoly_fp(b, p)[::-1].tolist():
+        vals = (vals * xs + c) % p
     out = []
-    for k, rep in enumerate(reps):
-        o = g.element_order(rep)
-        # chi on the powers of rep
-        chis = []
-        x = 0
-        for _ in range(o):
-            chis.append(chi_p[cls[x]])
-            x = g.mul[x][rep]
-        zeta_o = pow(zgen, m // o, p)
-        inv_o = modinv(o, p)
-        coeffs = {}
-        for t in range(o):
-            s = 0
-            for j in range(o):
-                s += chis[j] * pow(zeta_o, (-j * t) % o, p)
-            mt = s % p * inv_o % p
-            assert mt <= d, "multiplicity lift out of range"
-            if mt:
-                coeffs[t * (m // o)] = mt
-        out.append(Cyc(m, coeffs))
+    eye = np.eye(len(b), dtype=np.int64)
+    for lam in np.flatnonzero(vals == 0).tolist():
+        ns = nullspace_fp((b - lam * eye) % p, p)
+        if not ns.shape[0]:
+            raise InvariantError(f"root {lam} of the characteristic polynomial mod {p} has no eigenvector")
+        out.append((lam, ns))
     return out
+
+
+def _lift(g, reps, cls, chi, dims, m, p, zgen):
+    """Exact character values from their images chi (characters, classes) in F_p.
+
+    On the powers of a class representative of order o, chi_s restricts to a
+    sum of o-th roots of unity; their multiplicities are one F_p DFT of the
+    values on those powers, for all characters at once.  Returns the int
+    coefficients (characters, classes, m) of each value on 1, zeta_m, ...,
+    zeta_m^(m-1); InvariantError if a multiplicity is above the degree.
+    """
+    coef = np.zeros(chi.shape + (m,), dtype=np.int64)
+    mul, orders = g.mul_array, g.element_orders
+    dims = np.asarray(dims, dtype=np.int64)[:, None]
+    for k, rep in enumerate(reps):
+        o = int(orders[rep])
+        powers = [0]
+        for _ in range(o - 1):
+            powers.append(int(mul[powers[-1], rep]))
+        # dft[j, t] = zeta_o^(-j t) / o, so mult[s, t] = sum_j chi_s(rep^j) dft[j, t]
+        zeta_o = pow(zgen, m // o, p)
+        roots = np.array([pow(zeta_o, e, p) for e in range(o)], dtype=np.int64)
+        t = np.arange(o)
+        dft = roots[np.outer(t, -t) % o] * modinv(o, p) % p
+        mult = dot_mod(chi[:, cls[powers]], p, dft)
+        if (mult > dims).any():
+            raise InvariantError(f"{g.name}: multiplicity lift out of range at class {k}")
+        coef[:, k, t * (m // o)] = mult
+    return coef
 
 
 def irrep_dims(g):
@@ -366,14 +424,14 @@ def projective_irrep_data(h: FiniteGroup, alpha, n=None):
     ext = central_extension(h, red, n_red)
     tab = character_table(ext)
     cls = conjugacy_data(ext).class_of
-    zeta = Cyc.root(n_red, 1)
+    centre = {d: Cyc.root(n_red, 1) * d for d in set(tab.dims)}
     out = []
     for i, d in enumerate(tab.dims):
-        centre_val = tab.chars[i][cls[1]]  # element (e, 1) has index 1
-        if centre_val == zeta * d:
+        if tab.chars[i][cls[1]] == centre[d]:  # element (e, 1) has index 1
             section = tuple(tab.chars[i][cls[x * n_red]] for x in h.elements())
             out.append((d, section))
-    assert sum(d * d for d, _ in out) == h.order, "twisted algebra dimension check"
+    if sum(d * d for d, _ in out) != h.order:
+        raise InvariantError(f"{h.name}: twisted algebra dimension check failed")
     return out, n_red
 
 
@@ -381,5 +439,6 @@ def projective_irrep_dims(h: FiniteGroup, alpha, n=None):
     """Multiset (sorted list) of alpha-projective irreducible dimensions."""
     data, _ = projective_irrep_data(h, alpha, n)
     dims = sorted(d for d, _ in data)
-    assert sum(d * d for d in dims) == h.order
+    if sum(d * d for d in dims) != h.order:
+        raise InvariantError(f"{h.name}: projective irreducible dimensions do not square-sum to |H|")
     return dims

@@ -65,6 +65,9 @@ def _root_trace(d):
     return Fraction(mu, phi)
 
 
+_ZERO = Fraction(0)
+
+
 class Cyc:
     """Element of Q(zeta_n): sum of c_k * zeta_n^k."""
 
@@ -80,6 +83,18 @@ class Cyc:
         self._red = None
 
     @staticmethod
+    def _of(n, c):
+        """The element with coefficient list c, n Fractions, taken as it is."""
+        out = Cyc.__new__(Cyc)
+        out.n, out.c, out._red = n, c, None
+        return out
+
+    @staticmethod
+    def from_ints(n, coeffs, den=1):
+        """Cyc(n, coeffs) / den for a sequence of n ints, without Fraction additions."""
+        return Cyc._of(n, [Fraction(v, den) if v else _ZERO for v in coeffs])
+
+    @staticmethod
     def root(n, k=1):
         return Cyc(n, {k % n: 1})
 
@@ -93,8 +108,9 @@ class Cyc:
             return self
         if m % self.n != 0:
             raise ValueError("conductor lift must be a multiple")
-        step = m // self.n
-        return Cyc(m, {k * step: v for k, v in enumerate(self.c) if v})
+        c = [_ZERO] * m
+        c[::m // self.n] = self.c
+        return Cyc._of(m, c)
 
     def _pair(self, other):
         if not isinstance(other, Cyc):
@@ -104,23 +120,23 @@ class Cyc:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return Cyc(a.n, [x + y for x, y in zip(a.c, b.c)])
+        return Cyc._of(a.n, [x + y if x and y else x or y for x, y in zip(a.c, b.c)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.n, [-x for x in self.c])
+        return Cyc._of(self.n, [-x for x in self.c])
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return Cyc(a.n, [x - y for x, y in zip(a.c, b.c)])
+        return Cyc._of(a.n, [x - y if y else x for x, y in zip(a.c, b.c)])
 
     def __rsub__(self, other):
         return Cyc.rational(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyc(self.n, [x * other for x in self.c])
+            return Cyc._of(self.n, [x * other for x in self.c])
         a, b = self._pair(other)
         out = [Fraction(0)] * a.n
         for i, x in enumerate(a.c):
@@ -128,12 +144,12 @@ class Cyc:
                 for j, y in enumerate(b.c):
                     if y:
                         out[(i + j) % a.n] += x * y
-        return Cyc(a.n, out)
+        return Cyc._of(a.n, out)
 
     __rmul__ = __mul__
 
     def conj(self):
-        return Cyc(self.n, {(-k) % self.n: v for k, v in enumerate(self.c) if v})
+        return Cyc._of(self.n, self.c[:1] + self.c[:0:-1])
 
     def reduced(self):
         """Canonical coefficients modulo Phi_n (degree < phi(n)), as a tuple."""

@@ -75,23 +75,42 @@ class FiniteGroup:
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def conj_array(self):
+        """Read-only int64 table conj_array[t, x] = t x t^{-1}."""
+        arr = self.mul_array[self.mul_array, np.asarray(self.inv)[:, None]]
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def element_orders(self):
+        """Read-only int64 array of the order of each element."""
+        mul, idx = self.mul_array, np.arange(self.order)
+        orders = np.zeros(self.order, dtype=np.int64)
+        power = idx
+        for k in range(1, self.order + 1):
+            orders[(power == 0) & (orders == 0)] = k
+            if orders.all():
+                break
+            power = mul[power, idx]
+        else:
+            raise GroupError("some element has no finite order")
+        orders.setflags(write=False)
+        return orders
+
     def conj(self, g, x):
         """g x g^{-1}"""
-        return self.mul[self.mul[g][x]][self.inv[g]]
+        return self.conj_array.item(g, x)
 
     def elements(self):
         return range(self.order)
 
     def element_order(self, x):
-        k, y = 1, x
-        while y != 0:
-            y = self.mul[y][x]
-            k += 1
-        return k
+        return self.element_orders.item(x)
 
     @property
     def exponent(self):
-        return math.lcm(*(self.element_order(x) for x in self.elements()))
+        return math.lcm(*self.element_orders.tolist())
 
     @property
     def is_abelian(self):
@@ -264,14 +283,15 @@ def conjugacy_data(g: FiniteGroup) -> ConjugacyData:
     for x in g.elements():
         if x in seen:
             continue
-        orbit = sorted({g.conj(t, x) for t in g.elements()})
+        orbit = sorted(set(g.conj_array[:, x].tolist()))
         seen.update(orbit)
         classes.append(tuple(orbit))
     classes.sort(key=lambda c: c[0])
     reps = tuple(c[0] for c in classes)
     cents = []
+    mul = g.mul_array
     for r in reps:
-        cent = tuple(t for t in g.elements() if g.mul[t][r] == g.mul[r][t])
+        cent = tuple(np.flatnonzero(mul[:, r] == mul[r]).tolist())
         if not _is_subgroup(g, cent):
             raise GroupError("centralizer failed subgroup check")  # pragma: no cover
         cents.append(cent)
@@ -286,8 +306,11 @@ def conjugacy_data(g: FiniteGroup) -> ConjugacyData:
 
 
 def _is_subgroup(g, elems):
-    s = set(elems)
-    return 0 in s and all(g.mul[a][g.inv[b]] in s for a in s for b in s)
+    idx = np.asarray(elems, dtype=np.int64)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[idx] = True
+    quotients = g.mul_array[np.ix_(idx, np.asarray(g.inv)[idx])]  # a b^-1
+    return bool(inside[0] and inside[quotients].all())
 
 
 def subgroup_closure(g, gens):

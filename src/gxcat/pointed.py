@@ -289,7 +289,7 @@ def _braid_tables(gamma, system, n, assocs, cap=ENUM_STATE_CAP):
 
 
 def _conjugation_action(g: FiniteGroup):
-    return tuple(tuple(g.conj(k, x) for x in g.elements()) for k in g.elements())
+    return tuple(map(tuple, g.conj_array.tolist()))
 
 
 def holomorphic_crossed(group: FiniteGroup, omega: TorsionCocycle):
@@ -615,8 +615,9 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
 
     fusion = s_matrix = None
     if omega.is_zero():
-        fusion = _untwisted_double_fusion(g, data, simples)
-        s_matrix = _untwisted_s_matrix(g, data, simples)
+        sections = _section_table(g, simples)
+        fusion = _untwisted_double_fusion(g, data, simples, sections)
+        s_matrix = _untwisted_s_matrix(g, data, simples, sections)
     elif g.is_abelian and all(s["irrep_dim"] == 1 for s in simples):
         fusion = _abelian_twisted_double_fusion(g, omega, simples)
         if fusion is not None:
@@ -657,24 +658,61 @@ def _check_unitary(s):
         raise InvariantError(f"S not unitary at ({i},{j})")
 
 
-def _untwisted_s_matrix(g, data, simples):
-    mat = []
-    for sa in simples:
-        row = []
-        a = sa["rep"]
-        za = sa["embed"]
-        for sb in simples:
-            b = sb["rep"]
-            zb = sb["embed"]
-            acc = Cyc.rational(0)
-            for t in g.elements():
-                x = g.conj(t, b)
-                if g.mul[a][x] != g.mul[x][a]:
-                    continue
-                y = g.conj(g.inv[t], a)
-                acc = acc + sa["section"][za.index(x)].conj() * sb["section"][zb.index(y)].conj()
-            row.append(acc * Fraction(1, len(za) * len(zb)))
-        mat.append(row)
+def _section_table(g, simples):
+    """The section values of all simples as one int coefficient table.
+
+    Returns (coef, pos, m): coef (values + 1, m) holds every section value on
+    1, zeta_m, ..., zeta_m^(m-1), with a zero row last; pos[s, x] is the row
+    of section_s(x) for x in the centralizer of simple s, the zero row for
+    any other x.
+    """
+    values = [v for s in simples for v in s["section"]]
+    m = math.lcm(*(v.n for v in values))
+    coef = np.vstack([cyc_coefficients(values, m), np.zeros((1, m), dtype=np.int64)])
+    pos = np.full((len(simples), g.order), len(values), dtype=np.int64)
+    offset = 0
+    for si, s in enumerate(simples):
+        pos[si, list(s["embed"])] = offset + np.arange(len(s["embed"]))
+        offset += len(s["embed"])
+    return coef, pos, m
+
+
+def _untwisted_s_matrix(g, data, simples, sections):
+    """S of D(G) from the sections (Coste-Gannon-Ruelle):
+
+        S_AB = sum over t in G with x = t b t^-1 in C(a) of
+               conj(theta_A(x)) conj(theta_B(t^-1 a t)) / (|C(a)| |C(b)|)
+
+    for the class representatives a of A and b of B.  For each pair of
+    classes the sum is one integer matrix product of the conjugated
+    coefficient vectors, a cyclic convolution over zeta_m.  An entry is
+    emitted in Q(zeta_n), n = lcm(exp C(a), exp C(b)) (the conductor of its
+    sections) when some x commutes with a, and n = 1 when none does.
+    """
+    coef, pos, m = sections
+    conj, inv = g.conj_array, np.asarray(g.inv)
+    reps = data.reps
+    klass = np.array([s["class_index"] for s in simples])
+    cond = [math.lcm(*(v.n for v in s["section"])) for s in simples]
+    size = [len(s["embed"]) for s in simples]
+    bar = coef[:, -np.arange(m) % m]
+    shift = (np.arange(m) - np.arange(m)[:, None]) % m  # shift[i, e] = e - i
+    mat = [[None] * len(simples) for _ in simples]
+    for ca, a in enumerate(reps):
+        rows = np.flatnonzero(klass == ca)
+        for cb, b in enumerate(reps):
+            cols = np.flatnonzero(klass == cb)
+            x = conj[:, b]
+            ts = np.flatnonzero(pos[rows[0], x] < len(coef) - 1)  # t b t^-1 in C(a)
+            u = bar[pos[np.ix_(rows, x[ts])]]  # (rows, terms, m)
+            v = bar[pos[np.ix_(cols, conj[inv[ts], a])]][:, :, shift]  # (cols, terms, m, m)
+            terms = len(ts) * m
+            num = u.reshape(len(rows), terms) @ v.transpose(1, 2, 0, 3).reshape(terms, len(cols) * m)
+            num = num.reshape(len(rows), len(cols), m).tolist()
+            for i, sa in enumerate(rows.tolist()):
+                for j, sb in enumerate(cols.tolist()):
+                    n = math.lcm(cond[sa], cond[sb]) if len(ts) else 1
+                    mat[sa][sb] = Cyc.from_ints(n, num[i][j][::m // n], size[sa] * size[sb])
     return mat
 
 
@@ -700,8 +738,8 @@ def _pointed_s_matrix(g, simples, fusion):
         raise InvariantError("monodromy form must be a bicharacter")
     lcm = np.lcm(np.lcm(cond[prod], cond[:, None]), cond[None, :])
     exps = (-b * lcm // m) % lcm
-    scale = Fraction(1, g.order)
-    return [[Cyc(int(l), {int(e): scale}) for l, e in zip(lrow, erow)] for lrow, erow in zip(lcm, exps)]
+    return [[Cyc.from_ints(l, [int(k == e) for k in range(l)], g.order) for l, e in zip(lrow, erow)]
+            for lrow, erow in zip(lcm.tolist(), exps.tolist())]
 
 
 def _fusion_ring(name, simples, coeffs):
@@ -716,7 +754,7 @@ def _fusion_ring(name, simples, coeffs):
     return GradedFusionRing.make(name, labels, 0, tuple(dual), coeffs)
 
 
-def _untwisted_double_fusion(g, data, simples):
+def _untwisted_double_fusion(g, data, simples, sections):
     """Fusion ring of D(G) from characters on commuting pairs:
 
         |G| N_ij^k = sum over commuting (a, x) and a1 in C(x) of
@@ -725,29 +763,17 @@ def _untwisted_double_fusion(g, data, simples):
     where theta_s(a, x) = section_s(t^-1 x t) for a = t rep_s t^-1 (least
     such t) and 0 off the class of s.  One certified character sum.
     """
-    mul, inv = g.mul_array, np.asarray(g.inv)
+    coef, pos, _ = sections
+    mul, inv, conj = g.mul_array, np.asarray(g.inv), g.conj_array
     comm = mul == mul.T
     pa, px = np.nonzero(comm)  # commuting pairs (a, x), a-major
     pair = np.full(mul.shape, -1, dtype=np.int64)
     pair[pa, px] = np.arange(len(pa))
     cls = np.asarray(data.class_of)
-    conj = mul[mul, inv[:, None]]  # conj[t, x] = t x t^-1
     transport = np.argmax(conj[:, np.asarray(data.reps)[cls]] == np.arange(g.order), axis=0)
     y = conj[inv[transport[pa]], px]
-
-    # theta as indices into the section values of all simples, with a zero row last
-    values = [v for s in simples for v in s["section"]]
-    index = np.full((len(simples), len(pa)), len(values), dtype=np.int64)
-    offset = 0
-    for si, s in enumerate(simples):
-        position = np.full(g.order, -1, dtype=np.int64)
-        position[list(s["embed"])] = np.arange(len(s["embed"]))
-        on = cls[pa] == s["class_index"]
-        index[si, on] = offset + position[y[on]]
-        offset += len(s["section"])
-    m = math.lcm(*(v.n for v in values))
-    coef = np.vstack([cyc_coefficients(values, m), np.zeros((1, m), dtype=np.int64)])
-    theta = coef[index]
+    klass = np.array([s["class_index"] for s in simples])
+    theta = coef[np.where(cls[pa] == klass[:, None], pos[:, y], len(coef) - 1)]
 
     a1, pi = np.nonzero(comm[:, px])
     a2 = mul[inv[a1], pa[pi]]
@@ -755,7 +781,9 @@ def _untwisted_double_fusion(g, data, simples):
     vals, rational = character_sums(theta, theta, theta, terms)
     if not rational.all() or (vals % g.order).any() or (vals < 0).any():
         raise InvariantError("double fusion must be a non-negative integer")
-    coeffs = {key: int(v) for key, v in np.ndenumerate(vals // g.order) if v}
+    mult = vals // g.order
+    nz = np.nonzero(mult)  # in C order
+    coeffs = dict(zip(zip(*(i.tolist() for i in nz)), mult[nz].tolist()))
     return _fusion_ring(f"D({g.name})", simples, coeffs)
 
 

@@ -280,7 +280,11 @@ def rref_fp(a, p):
 
 
 def nullspace_fp(a, p):
-    """Basis (rows) of the right nullspace of a over F_p."""
+    """Basis (rows) of the right nullspace of a over F_p.
+
+    Row i is 1 at the i-th non-pivot column f, 0 at the other non-pivot
+    columns and past f; so f is its last nonzero entry.
+    """
     red, pivots = rref_fp(a, p)
     cols = np.asarray(a).shape[1]
     free = [c for c in range(cols) if c not in pivots]

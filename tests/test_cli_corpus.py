@@ -331,13 +331,22 @@ main(sys.argv[1:])
 class TestInvariantChecks:
     ARGS = ["double", "--group", "S3", "--trivial", "--format", "json"]
 
-    def test_optimized_run_is_byte_identical(self):
-        plain = _subprocess_cli(self.ARGS, 1)
+    @staticmethod
+    def _check_optimized_run(args):
+        plain = _subprocess_cli(args, 1)
         optimized = subprocess.run(
-            [sys.executable, "-O", "-m", "gxcat.cli", *self.ARGS], capture_output=True, env=_child_env(1), cwd="/"
+            [sys.executable, "-O", "-m", "gxcat.cli", *args], capture_output=True, env=_child_env(1), cwd="/"
         )
         assert plain.returncode == optimized.returncode == 0, optimized.stderr
         assert plain.stdout == optimized.stdout
+
+    def test_optimized_run_is_byte_identical(self):
+        self._check_optimized_run(self.ARGS)
+
+    def test_optimized_twisted_run_is_byte_identical(self):
+        # character tables of central extensions: the path of the chartab checks
+        cocycle = str(CORPUS / "cocycle_Z4_h3_0.json")
+        self._check_optimized_run(["double", "--group", "Z4", "--cocycle", cocycle, "--format", "json"])
 
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_corrupt_section_exits_4(self, flags):

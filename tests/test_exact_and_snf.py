@@ -89,6 +89,33 @@ class TestCyc:
         assert a == b
         assert hash(a) == hash(b)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 4, 6, 8, 12]).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.fractions(max_denominator=6), min_size=n, max_size=n),
+            st.lists(st.fractions(max_denominator=6), min_size=n, max_size=n),
+        )),
+        st.integers(-3, 3),
+    )
+    def test_arithmetic_matches_the_general_constructor(self, case, k):
+        # Cyc(n, seq) adds seq[i] into coefficient i mod n: every result below
+        # is spelled as one such sequence
+        n, ca, cb = case
+        a, b = Cyc(n, ca), Cyc(n, cb)
+        assert (a + b).c == Cyc(n, ca + cb).c
+        assert (a - b).c == Cyc(n, ca + [-v for v in cb]).c
+        assert (-a).c == Cyc(n, [-v for v in ca]).c
+        assert (a * k).c == Cyc(n, [v * k for v in ca]).c
+        assert a.conj().c == Cyc(n, {-i: v for i, v in enumerate(ca)}).c
+        assert a.lift(2 * n).c == Cyc(2 * n, {2 * i: v for i, v in enumerate(ca)}).c
+        prod = [0] * (n * n)
+        for i in range(n):
+            for j in range(n):
+                prod[n * i + (i + j) % n] = ca[i] * cb[j]  # distinct slots, = i + j mod n
+        assert (a * b).c == Cyc(n, prod).c
+        assert Cyc.from_ints(n, [int(v * 6) for v in ca], 6).c == Cyc(n, [Fraction(int(v * 6), 6) for v in ca]).c
+
     def test_inverse(self):
         z = Cyc.root(5) + Cyc.rational(2)
         assert z * z.inv() == 1

@@ -9,6 +9,8 @@ from gxcat.chartab import (
     rep_fusion_data,
 )
 from gxcat.groups import (
+    PRESETS,
+    FiniteGroup,
     GroupError,
     abelian_characters,
     build_group,
@@ -73,6 +75,31 @@ class TestBuildGroup:
     def test_unknown_preset(self):
         with pytest.raises(GroupError, match="unknown group preset"):
             build_group("M24")
+
+
+class TestGroupTables:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_tables_match_the_definitions(self, name):
+        g = build_group(name)
+        for t in g.elements():
+            for x in g.elements():
+                assert g.conj_array[t, x] == g.mul[g.mul[t][x]][g.inv[t]] == g.conj(t, x)
+        for x in g.elements():
+            k, y = 1, x
+            while y != 0:
+                y, k = g.mul[y][x], k + 1
+            assert g.element_orders[x] == k == g.element_order(x)
+
+    def test_tables_are_read_only(self):
+        g = symmetric(3)
+        for table in (g.conj_array, g.element_orders):
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+    def test_non_group_table_has_no_orders(self):
+        g = FiniteGroup("bad", ((0, 1), (1, 1)), ("e", "x"))  # x x = x never reaches e
+        with pytest.raises(GroupError, match="no finite order"):
+            g.element_orders
 
 
 class TestConjugacy:

@@ -219,6 +219,45 @@ class TestTwistedDouble:
         dd = twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))
         assert self._verlinde_consistent(dd)
 
+    @staticmethod
+    def _untwisted_s_reference(g, simples):
+        """The Cyc loop the untwisted S was computed with before it became
+        integer convolutions: the reference for values and conductors."""
+        mat = []
+        for sa in simples:
+            row = []
+            a, za = sa["rep"], sa["embed"]
+            for sb in simples:
+                b, zb = sb["rep"], sb["embed"]
+                acc = Cyc.rational(0)
+                for t in g.elements():
+                    x = g.mul[g.mul[t][b]][g.inv[t]]
+                    if g.mul[a][x] != g.mul[x][a]:
+                        continue
+                    y = g.mul[g.mul[g.inv[t]][a]][t]
+                    acc = acc + sa["section"][za.index(x)].conj() * sb["section"][zb.index(y)].conj()
+                row.append(acc * Fraction(1, len(za) * len(zb)))
+            mat.append(row)
+        return mat
+
+    @pytest.mark.parametrize("preset", ["S3", "Q8", "D5", "D6", "Z6"])
+    def test_untwisted_s_matches_cyc_loop(self, preset, monkeypatch):
+        import gxcat.pointed as pointed
+        from gxcat.groups import build_group
+
+        g = build_group(preset)
+        seen = {}
+        real = pointed._untwisted_s_matrix
+
+        def spy(g, data, simples, sections):
+            seen["simples"] = simples
+            return real(g, data, simples, sections)
+
+        monkeypatch.setattr(pointed, "_untwisted_s_matrix", spy)
+        got = twisted_double(g, TorsionCocycle.make(g, 3, g.order, {})).s_matrix
+        want = self._untwisted_s_reference(g, seen["simples"])
+        assert [[(v.n, v.c) for v in row] for row in got] == [[(v.n, v.c) for v in row] for row in want]
+
 
 class TestHolomorphicCrossed:
     def test_trivial_group(self):
