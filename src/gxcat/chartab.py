@@ -95,9 +95,9 @@ def _reduction_bound(m):
     return int(np.abs(_reduction_matrix(m)).max())
 
 
-def cyc_coefficients(values, m, scale=1):
-    """int64 array (len(values), m): the coefficients of scale * v on 1, zeta_m,
-    ..., zeta_m^(m-1) for each Cyc v whose conductor divides m.
+def cyc_coefficients(values, m):
+    """int64 array (len(values), m): the coefficients of v on 1, zeta_m, ...,
+    zeta_m^(m-1) for each Cyc v whose conductor divides m.
 
     Raises InvariantError unless every coefficient is an integer.
     """
@@ -106,7 +106,6 @@ def cyc_coefficients(values, m, scale=1):
         step = m // v.n
         for e, c in enumerate(v.c):
             if c:
-                c = c * scale
                 if c.denominator != 1:
                     raise InvariantError(f"{c} * zeta_{v.n}^{e} is not a cyclotomic integer")
                 out[i, e * step] = c.numerator

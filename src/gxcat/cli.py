@@ -5,6 +5,11 @@ One binary, subcommand style.  Exit codes: 0 success / checks passed,
 3 resource guard exceeded, 4 internal invariant violated (a mathematical
 self-check of gxcat failed: a defect of the program, not of the input).  JSON reports have sorted keys and exact number
 encodings and are byte-identical across runs on identical inputs.
+
+Each command imports the layers it uses inside its own body, so a process
+pays only for the command it runs: ``--help`` and usage errors load no
+numpy, and ``validate`` on a group file loads no fusion, cohomology,
+character-table, gauging or pointed code.
 """
 
 from __future__ import annotations
@@ -14,35 +19,7 @@ import sys
 
 import click
 
-from . import corpus as corpus_mod
-from .cohomology import (
-    ResourceLimit,
-    cohomology_group,
-    is_coboundary,
-    is_cocycle,
-    transgress,
-    u1_cohomology,
-)
-from .exact import scalar_json
-from .fusion import (
-    FusionError,
-    global_dim,
-    invertible_sector_obstruction,
-    pf_dims,
-    picard,
-    sector_dims,
-    validate_action,
-    validate_ring,
-)
-from .gauging import crossed_product, equivariantize, perm_orbifold_picard, roundtrip_check
-from .groups import GroupError, InvariantError, build_group
-from .pointed import (
-    enumerate_holomorphic,
-    holomorphic_crossed,
-    kirillov_S,
-    twisted_double,
-    validate_pointed,
-)
+from .errors import CorpusError, FusionError, GroupError, InvariantError, ResourceLimit
 from .serialize import (
     canonical_json,
     detect_kind,
@@ -53,7 +30,6 @@ from .serialize import (
     load_pointed,
     load_ring,
 )
-from .cohomology import TorsionCocycle
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -166,7 +142,7 @@ def _wrap(fn):
         except InvariantError as exc:
             click.echo(f"invariant violated: {exc}", err=True)
             sys.exit(EXIT_INVARIANT)
-        except (FusionError, GroupError, ValueError, AssertionError, corpus_mod.CorpusError) as exc:
+        except (FusionError, GroupError, ValueError, AssertionError, CorpusError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
 
@@ -179,12 +155,14 @@ def _load_group_opt(spec):
     if spec.endswith(".json"):
         return load_group(_read_json(spec))
     try:
-        return build_group(spec)
+        return load_group(spec)
     except GroupError as exc:
         raise click.UsageError(str(exc))
 
 
 def _load_cocycle_opt(group, cocycle_path, trivial, n):
+    from .cohomology import TorsionCocycle
+
     if trivial or cocycle_path is None:
         return TorsionCocycle.make(group, 3, n or group.order, {})
     c = load_cocycle(_read_json(cocycle_path))
@@ -212,17 +190,23 @@ def validate(ctx, path, fmt, out):
             load_group(obj)
             payload = {"kind": kind, "passed": True, "issues": []}
         elif kind == "cocycle":
+            from .cohomology import is_cocycle
+
             c = load_cocycle(obj)
             ok, wit = is_cocycle(c)
             issues = [] if ok else [{"code": "cocycle", "message": "coboundary does not vanish", "witness": list(wit)}]
             payload = {"kind": kind, "passed": ok, "issues": issues}
         elif kind == "ring":
+            from .fusion import validate_action, validate_ring
+
             ring, action = load_ring(obj)
             rep = validate_ring(ring)
             if action is not None and rep.passed:
                 rep = validate_action(ring, action)
             payload = {"kind": kind, "passed": rep.passed, "issues": rep.issues}
         else:
+            from .pointed import validate_pointed
+
             data = load_pointed(obj)
             rep = validate_pointed(data)
             payload = {"kind": kind, "passed": rep.passed, "issues": rep.issues}
@@ -246,11 +230,14 @@ def validate(ctx, path, fmt, out):
 @_wrap
 def dims(ctx, path, fmt, out):
     """Quantum dimensions and global dimension of a fusion ring."""
+    from .exact import scalar_json
+    from .fusion import global_dim, pf_dims
+
     ring, _ = load_ring(_read_json(path))
     d = pf_dims(ring)
     payload = {
         "dims": {ring.label(i): scalar_json(v) for i, v in enumerate(d)},
-        "global_dim": scalar_json(global_dim(ring)),
+        "global_dim": scalar_json(global_dim(ring, d)),
     }
     _emit(ctx, payload, fmt, out)
 
@@ -263,6 +250,8 @@ def dims(ctx, path, fmt, out):
 @_wrap
 def sectors(ctx, path, fmt, out):
     """Per-degree squared-dimension sums and the full-spectrum flag."""
+    from .fusion import sector_dims
+
     ring, _ = load_ring(_read_json(path))
     _emit(ctx, sector_dims(ring).to_json(), fmt, out)
 
@@ -275,6 +264,8 @@ def sectors(ctx, path, fmt, out):
 @_wrap
 def picard_cmd(ctx, path, fmt, out):
     """Invertible simples and their group table."""
+    from .fusion import picard
+
     ring, _ = load_ring(_read_json(path))
     labels, grp = picard(ring)
     payload = {"labels": labels, "group_order": grp.order, "table": [list(r) for r in grp.mul]}
@@ -290,6 +281,8 @@ def picard_cmd(ctx, path, fmt, out):
 @_wrap
 def obstruct(ctx, path, g_name, fmt, out):
     """Invertibility obstruction for degree g (Picard-emptiness witness)."""
+    from .fusion import invertible_sector_obstruction
+
     ring, action = load_ring(_read_json(path))
     if action is None:
         raise CliError("ring file carries no action")
@@ -308,6 +301,8 @@ def obstruct(ctx, path, g_name, fmt, out):
 @_wrap
 def gauge(ctx, path, fmt, out):
     """Equivariantize a ring with its bundled action (orbit/stabilizer model)."""
+    from .gauging import equivariantize
+
     ring, action = load_ring(_read_json(path))
     if action is None:
         raise CliError("ring file carries no action")
@@ -334,6 +329,8 @@ def _parse_embedding(embed):
 @_wrap
 def ungauge(ctx, path, embed, group_spec, fmt, out):
     """Crossed product by an embedded Rep(G) (ring-level de-equivariantization)."""
+    from .gauging import crossed_product
+
     ring, action = load_ring(_read_json(path))
     group = _load_group_opt(group_spec) if group_spec else None
     result = crossed_product(ring, _parse_embedding(embed), action=action if group is None else None, group=group)
@@ -350,6 +347,8 @@ def ungauge(ctx, path, embed, group_spec, fmt, out):
 @_wrap
 def roundtrip(ctx, path, embed, group_spec, fmt, out):
     """Crossed product followed by re-equivariantization; dimension audit."""
+    from .gauging import roundtrip_check
+
     ring, action = load_ring(_read_json(path))
     group = _load_group_opt(group_spec) if group_spec else None
     rep = roundtrip_check(ring, _parse_embedding(embed), action=action if group is None else None, group=group)
@@ -368,6 +367,8 @@ def roundtrip(ctx, path, embed, group_spec, fmt, out):
 @_wrap
 def cohomology(ctx, group_spec, k, n, fmt, out):
     """H^k(G, mu_N) as invariant factors (N defaults to |G|)."""
+    from .cohomology import cohomology_group, u1_cohomology
+
     g = _load_group_opt(group_spec)
     n = n or g.order
     h = cohomology_group(g, k, n)
@@ -402,6 +403,8 @@ def cohomology(ctx, group_spec, k, n, fmt, out):
 @_wrap
 def transgress_cmd(ctx, path, g_name, fmt, out):
     """Transgress a 3-cocycle to a 2-cocycle on a centralizer."""
+    from .cohomology import is_coboundary, transgress
+
     omega = load_cocycle(_read_json(path))
     if g_name not in omega.group.element_names:
         raise click.UsageError(f"unknown group element {g_name}")
@@ -425,6 +428,8 @@ def transgress_cmd(ctx, path, g_name, fmt, out):
 @_wrap
 def double(ctx, group_spec, cocycle_path, trivial, n, fmt, out):
     """Twisted quantum double data: simples, dims, T, and S when exact."""
+    from .pointed import twisted_double
+
     g = _load_group_opt(group_spec)
     omega = _load_cocycle_opt(g, cocycle_path, trivial or cocycle_path is None, n)
     _emit(ctx, twisted_double(g, omega).to_json(), fmt, out)
@@ -441,6 +446,8 @@ def double(ctx, group_spec, cocycle_path, trivial, n, fmt, out):
 @_wrap
 def holo_crossed(ctx, group_spec, cocycle_path, trivial, n, fmt, out):
     """One-invertible-per-degree crossed data with solved braiding."""
+    from .pointed import holomorphic_crossed
+
     g = _load_group_opt(group_spec)
     omega = _load_cocycle_opt(g, cocycle_path, trivial or cocycle_path is None, n)
     data, count = holomorphic_crossed(g, omega)
@@ -457,6 +464,8 @@ def holo_crossed(ctx, group_spec, cocycle_path, trivial, n, fmt, out):
 @_wrap
 def enumerate_cmd(ctx, group_spec, n, seed, fmt, out):
     """Exhaustive holomorphic enumeration with orbit partition."""
+    from .pointed import enumerate_holomorphic
+
     g = _load_group_opt(group_spec)
     orbits, sols = enumerate_holomorphic(g, n, shuffle_seed=seed)
     payload = {
@@ -477,6 +486,8 @@ def enumerate_cmd(ctx, group_spec, n, seed, fmt, out):
 @_wrap
 def smatrix(ctx, path, fmt, out):
     """Kirillov pairing matrix of pointed crossed data, with verdict."""
+    from .pointed import kirillov_S, validate_pointed
+
     data = load_pointed(_read_json(path))
     rep = validate_pointed(data)
     if not rep.passed:
@@ -495,6 +506,8 @@ def smatrix(ctx, path, fmt, out):
 @_wrap
 def perm_picard(ctx, base_path, n, group_spec, fmt, out):
     """Invertibles of a permutation orbifold, with brute-force cross-check."""
+    from .gauging import perm_orbifold_picard
+
     ring, _ = load_ring(_read_json(base_path))
     g = _load_group_opt(group_spec)
     emb = natural_embedding(g, n)
@@ -525,7 +538,9 @@ def natural_embedding(group, n):
 @_wrap
 def corpus_cmd(ctx, fmt, out):
     """List the bundled corpus entries (with integrity check)."""
-    entries = corpus_mod.corpus_list()
+    from .corpus import corpus_list
+
+    entries = corpus_list()
     payload = [
         {"name": e.name, "kind": e.kind, "path": e.path, "golden": e.golden}
         for e in entries

@@ -38,6 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .errors import ResourceLimit
 from .groups import FiniteGroup, GroupError, subgroup
 from . import snf
 
@@ -58,10 +59,6 @@ __all__ = [
 
 CELL_CAP = 1 << 25
 MAX_N = 360
-
-
-class ResourceLimit(RuntimeError):
-    """Raised when a computation would exceed the desk-scale guards."""
 
 
 def _inner(k):

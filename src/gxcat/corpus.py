@@ -13,11 +13,9 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
+from .errors import CorpusError
+
 __all__ = ["CorpusEntry", "CorpusError", "corpus_list", "corpus_dir", "load_entry"]
-
-
-class CorpusError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["QuadReal", "CertReal", "as_scalar", "scalar_eq", "scalar_json", "EQ_TOL"]
+__all__ = ["QuadReal", "CertReal", "as_scalar", "scalar_eq", "scalar_json", "quad_numerators", "EQ_TOL"]
 
 # tolerance used for certified-float equality tests
 EQ_TOL = 1e-9
@@ -27,6 +27,35 @@ def squarefree_split(n):
             f *= d
         d += 1
     return f, m
+
+
+def _surd_sign(r, w, k):
+    """Sign of r + w*sqrt(k) for rationals r, w and an integer k >= 0."""
+    sr, sw = (r > 0) - (r < 0), (w > 0) - (w < 0)
+    if sr == 0 or sw == 0 or sr == sw:
+        return sr or sw
+    lhs, rhs = r * r, w * w * k
+    return sr * ((lhs > rhs) - (lhs < rhs))
+
+
+def _sum_sign(p, b, m, d, n):
+    """Sign of p + b*sqrt(m) + d*sqrt(n) for rationals p, b, d and integers
+    m, n >= 1, exactly.
+
+    s = b*sqrt(m) + d*sqrt(n) has the sign of its larger square term.  When
+    p and s differ in sign, squaring compares p^2 with
+    s^2 = b^2 m + d^2 n + 2 b d sqrt(m n), a sign in one quadratic field.
+    """
+    sb, sd, sp = (b > 0) - (b < 0), (d > 0) - (d < 0), (p > 0) - (p < 0)
+    if sb * sd < 0:
+        lhs, rhs = b * b * m, d * d * n
+        s = sb * ((lhs > rhs) - (lhs < rhs))
+    else:
+        s = sb or sd
+    if sp == 0 or s == 0 or sp == s:
+        return sp or s
+    big = _surd_sign(p * p - b * b * m - d * d * n, -2 * b * d, m * n)
+    return sp if big > 0 else (s if big < 0 else 0)
 
 
 class QuadReal:
@@ -119,19 +148,7 @@ class QuadReal:
         return self.to_cert() / other
 
     def sign(self):
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 m
-        lhs, rhs = a * a, b * b * self.m
-        big = (lhs > rhs) - (lhs < rhs)
-        return big if a > 0 else -big
+        return _surd_sign(self.a, self.b, self.m)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -150,8 +167,8 @@ class QuadReal:
     def __lt__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QuadReal(other)
-        if isinstance(other, QuadReal) and self._compat(other) is not None:
-            return (self - other).sign() < 0
+        if isinstance(other, QuadReal):
+            return _sum_sign(self.a - other.a, self.b, self.m, -other.b, other.m) < 0
         return float(self) < float(other)
 
     def __le__(self, other):
@@ -262,6 +279,25 @@ def as_scalar(x):
 def scalar_eq(x, y):
     """Equality across the QuadReal/CertReal mix (exact where possible)."""
     return as_scalar(x) == as_scalar(y)
+
+
+def quad_numerators(values):
+    """Integer numerators over one denominator for QuadReals of one field.
+
+    Returns (a, b, m, den): lists a, b of Python ints, the squarefree m of
+    the common field (1 when all values are rational) and den >= 1 with
+    values[k] = (a[k] + b[k] * sqrt(m)) / den.  None when a value is not a
+    QuadReal or two values lie in different fields.
+    """
+    if not all(isinstance(v, QuadReal) for v in values):
+        return None
+    fields = {v.m for v in values} - {1}
+    if len(fields) > 1:
+        return None
+    den = math.lcm(*(c.denominator for v in values for c in (v.a, v.b)))
+    a = [v.a.numerator * (den // v.a.denominator) for v in values]
+    b = [v.b.numerator * (den // v.b.denominator) for v in values]
+    return a, b, fields.pop() if fields else 1, den
 
 
 def scalar_json(x):

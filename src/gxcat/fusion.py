@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import CertReal, QuadReal, as_scalar, scalar_eq, scalar_json
+from .errors import FusionError
+from .exact import CertReal, QuadReal, as_scalar, quad_numerators, scalar_eq, scalar_json
 from .groups import FiniteGroup, cyclic, validate_table
 
 __all__ = [
@@ -38,10 +39,6 @@ __all__ = [
 ]
 
 TENSOR_POWER_CAP = 4
-
-
-class FusionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -179,13 +176,44 @@ def validate_ring(ring: GradedFusionRing, check_dims=True) -> ValidationReport:
         except FusionError as exc:
             rep.add("dims", str(exc))
             return rep
-        for i, j in itertools.product(range(r), repeat=2):
-            lhs = dims[i] * dims[j]
-            rhs = sum((dims[k] * int(n[i, j, k]) for k in range(r)), start=QuadReal(0))
-            if not scalar_eq(lhs, rhs):
-                rep.add("dims", f"d_i d_j mismatch at ({ring.label(i)},{ring.label(j)})", (ring.label(i), ring.label(j)))
-                break
+        bad = _dims_mismatch(ring, n, dims)
+        if bad is not None:
+            i, j = bad
+            rep.add("dims", f"d_i d_j mismatch at ({ring.label(i)},{ring.label(j)})", (ring.label(i), ring.label(j)))
     return rep
+
+
+def _dims_mismatch(ring, n, dims):
+    """The first (i, j) in row-major order with d_i d_j != sum_k N_ij^k d_k,
+    or None when every product rule holds.
+
+    Dims in one quadratic field are written (a_k + b_k sqrt(m)) / D with
+    Python ints, and the rule is the pair of integer identities
+
+        D sum_k N_ij^k a_k = a_i a_j + m b_i b_j,
+        D sum_k N_ij^k b_k = a_i b_j + b_i a_j.
+
+    Other dims (certified floats) are compared with scalar_eq on the dense
+    tensor n.
+    """
+    r = ring.rank
+    quad = quad_numerators(dims)
+    if quad is None:
+        for i, j in itertools.product(range(r), repeat=2):
+            rhs = sum((dims[k] * int(n[i, j, k]) for k in range(r)), start=QuadReal(0))
+            if not scalar_eq(dims[i] * dims[j], rhs):
+                return i, j
+        return None
+    a, b, m, den = quad
+    sum_a, sum_b = {}, {}
+    for (i, j, k), v in ring.coeffs:
+        sum_a[i, j] = sum_a.get((i, j), 0) + v * a[k]
+        sum_b[i, j] = sum_b.get((i, j), 0) + v * b[k]
+    for i, j in itertools.product(range(r), repeat=2):
+        if (den * sum_a.get((i, j), 0) != a[i] * a[j] + m * b[i] * b[j]
+                or den * sum_b.get((i, j), 0) != a[i] * b[j] + b[i] * a[j]):
+            return i, j
+    return None
 
 
 def _strongly_connected(total):
@@ -245,21 +273,20 @@ def _try_exact_dims(ring, n, v):
     fields = {c.m for c in cands if c.m != 1}
     if len(fields) > 1:
         return None
-    r = ring.rank
     if not cands[ring.unit] == QuadReal(1):
         return None
-    for i, j in itertools.product(range(r), repeat=2):
-        lhs = cands[i] * cands[j]
-        rhs = sum((cands[k] * int(n[i, j, k]) for k in range(r)), start=QuadReal(0))
-        if lhs != rhs:
-            return None
+    if _dims_mismatch(ring, n, cands) is not None:
+        return None
     if any(c.sign() <= 0 for c in cands):
         return None
     return cands
 
 
-def global_dim(ring: GradedFusionRing):
-    dims = pf_dims(ring)
+def global_dim(ring: GradedFusionRing, dims=None):
+    """Sum of d_i^2 over the Perron-Frobenius dims of ring; pass dims when
+    they are already at hand, so that pf_dims runs once."""
+    if dims is None:
+        dims = pf_dims(ring)
     return sum((d * d for d in dims), start=as_scalar(0))
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import chartab, snf
 from .cohomology import TorsionCocycle, is_cocycle
+from .errors import InvariantError
 from .exact import QuadReal, as_scalar, scalar_eq, scalar_json
 from .fusion import (
     FusionError,
@@ -151,13 +152,13 @@ def equivariantize(ring: GradedFusionRing, action: RingGAction, stabilizer_cocyc
                 }
             )
             total = total + dim * dim
-    result = EquivariantizationResult(simples, total, global_dim(ring), action.group.order)
-    assert result.dim_identity_holds(), "equivariantization dimension identity failed"
+    result = EquivariantizationResult(simples, total, global_dim(ring, dims), action.group.order)
+    if not result.dim_identity_holds():
+        raise InvariantError("equivariantization dimension identity failed")
     return result
 
 
-def _rep_g_embedding_check(ring, emb_idx, labels, rep_coeffs, rep_dims):
-    dims = pf_dims(ring)
+def _rep_g_embedding_check(ring, dims, emb_idx, labels, rep_coeffs, rep_dims):
     for a, la in enumerate(labels):
         img = emb_idx[a]
         if ring.grading[img] != 0:
@@ -382,15 +383,18 @@ def crossed_product(ring: GradedFusionRing, s_embedding, action: RingGAction = N
     emb_idx = [index[s_embedding[la]] for la in labels]
     if len(set(emb_idx)) != len(emb_idx):
         raise FusionError("embedding must be injective")
-    _rep_g_embedding_check(ring, emb_idx, labels, rep_coeffs, rep_dims)
+    dims = pf_dims(ring)
+    _rep_g_embedding_check(ring, dims, emb_idx, labels, rep_coeffs, rep_dims)
 
     n = ring.tensor()
     r = ring.rank
     hom = np.zeros((r, r), dtype=np.int64)
     for a, d_a in enumerate(rep_dims):
         hom += d_a * n[emb_idx[a], :, :]
-    # hom[rho, sigma] = sum_alpha d_alpha N_{s(alpha) rho}^sigma
-    assert np.array_equal(hom, hom.T), "hom pairing must be symmetric"
+    # hom[rho, sigma] = sum_alpha d_alpha N_{s(alpha) rho}^sigma, symmetric
+    # by Frobenius reciprocity of the (unvalidated) input ring
+    if not np.array_equal(hom, hom.T):
+        raise FusionError("hom pairing must be symmetric")
 
     # connected components
     comp = [-1] * r
@@ -409,7 +413,6 @@ def crossed_product(ring: GradedFusionRing, s_embedding, action: RingGAction = N
                     stack.append(y)
         blocks.append(sorted(members))
 
-    dims = pf_dims(ring)
     order = group.order
     out_blocks = []
     total = as_scalar(0)
@@ -425,7 +428,8 @@ def crossed_product(ring: GradedFusionRing, s_embedding, action: RingGAction = N
             for pattern, d in sols[0]:
                 simples.append({"pattern": pattern, "dim": d})
             block_dim = sum((s["dim"] * s["dim"] for s in simples), start=as_scalar(0))
-            assert scalar_eq(block_dim, budget), "resolved block dimension mismatch"
+            if not scalar_eq(block_dim, budget):
+                raise InvariantError("resolved block dimension mismatch")
             if any(e != 1 for e in np.diag(np.array(h))):
                 all_simple = False
         else:
@@ -441,8 +445,9 @@ def crossed_product(ring: GradedFusionRing, s_embedding, action: RingGAction = N
                 "budget": budget,
             }
         )
-    input_dim = global_dim(ring)
-    assert scalar_eq(total * order, input_dim), "crossed product dimension identity failed"
+    input_dim = global_dim(ring, dims)
+    if not scalar_eq(total * order, input_dim):
+        raise InvariantError("crossed product dimension identity failed")
 
     output_ring = None
     if all_simple and all(b["resolved"] for b in out_blocks):
@@ -510,8 +515,8 @@ def roundtrip_check(ring, s_embedding, action=None, group=None):
     else:
         regauged = crossed.global_dim * grp.order
         counts = None
-    match = scalar_eq(regauged, global_dim(ring))
-    return RoundTripReport(global_dim(ring), crossed.global_dim, regauged, match, counts)
+    match = scalar_eq(regauged, crossed.input_global_dim)
+    return RoundTripReport(crossed.input_global_dim, crossed.global_dim, regauged, match, counts)
 
 
 def perm_orbifold_picard(base: GradedFusionRing, n: int, group: FiniteGroup, embedding):

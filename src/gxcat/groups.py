@@ -15,6 +15,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .errors import GroupError, InvariantError
+
 __all__ = [
     "FiniteGroup",
     "GroupError",
@@ -34,17 +36,6 @@ __all__ = [
 
 PRESET_ORDER_CAP = 24
 TABLE_ORDER_CAP = 64
-
-
-class GroupError(ValueError):
-    pass
-
-
-class InvariantError(RuntimeError):
-    """A mathematical self-check failed: a defect of the computation, not of its input.
-
-    Raised instead of ``assert`` so that the check survives ``python -O``.
-    """
 
 
 @dataclass(frozen=True)
@@ -300,8 +291,10 @@ def conjugacy_data(g: FiniteGroup) -> ConjugacyData:
         for x in c:
             class_of[x] = i
     data = ConjugacyData(tuple(classes), reps, tuple(cents), tuple(class_of))
-    assert sum(len(c) for c in classes) == g.order
-    assert all(len(c) * len(z) == g.order for c, z in zip(classes, cents))
+    if sum(len(c) for c in classes) != g.order:
+        raise InvariantError("conjugacy classes do not partition the group")
+    if any(len(c) * len(z) != g.order for c, z in zip(classes, cents)):
+        raise InvariantError("a class size times its centralizer order is not |G|")
     return data
 
 
@@ -388,7 +381,8 @@ class LinearCharacter:
         return self.values[x]
 
     def add(self, other):
-        assert self.n == other.n
+        if self.n != other.n:
+            raise GroupError(f"characters into Z/{self.n} and Z/{other.n} cannot be added")
         return LinearCharacter(tuple((a + b) % self.n for a, b in zip(self.values, other.values)), self.n)
 
 
@@ -441,5 +435,6 @@ def abelian_characters(g, n):
         if ok and len(val) == q.order:
             chars.append(LinearCharacter(tuple(val[cmap[x]] for x in g.elements()), n))
     chars = sorted(set(chars), key=lambda ch: ch.values)
-    assert len(chars) == q.order, "character count must equal |G_ab|"
+    if len(chars) != q.order:
+        raise InvariantError("character count must equal |G_ab|")
     return chars

@@ -613,17 +613,22 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
     if total != g.order**2:
         raise InvariantError(f"double dimension identity failed: sum of dim^2 is {total}, not |G|^2 = {g.order**2}")
 
-    fusion = s_matrix = None
+    fusion = s_ints = s_matrix = None
     if omega.is_zero():
         sections = _section_table(g, simples)
         fusion = _untwisted_double_fusion(g, data, simples, sections)
-        s_matrix = _untwisted_s_matrix(g, data, simples, sections)
+        s_ints = _untwisted_s_matrix(g, data, simples, sections)
     elif g.is_abelian and all(s["irrep_dim"] == 1 for s in simples):
         fusion = _abelian_twisted_double_fusion(g, omega, simples)
         if fusion is not None:
-            s_matrix = _pointed_s_matrix(g, simples, fusion)
-    if s_matrix is not None:
-        _check_unitary(s_matrix)
+            s_ints = _pointed_s_matrix(g, simples, fusion)
+    if s_ints is not None:
+        cond, coef, den = s_ints
+        _check_unitary(coef, den)
+        rows = coef.tolist()
+        m = coef.shape[-1]
+        s_matrix = [[Cyc.from_ints(n, row[j][::m // n], den) for j, n in enumerate(nrow)]
+                    for row, nrow in zip(rows, cond.tolist())]
     public = [
         {k: s[k] for k in ("class_rep", "class_size", "irrep", "irrep_dim", "dim", "t")}
         for s in simples
@@ -640,18 +645,15 @@ def _root_exponents(values, m):
     return np.argmax(coef, axis=1)
 
 
-def _check_unitary(s):
-    """S S^dagger = I, checked as (D S)(D S)^dagger = D^2 I with D the least
-    common denominator of the coefficients, one certified character sum."""
-    size = len(s)
-    values = [v for row in s for v in row]
-    m = math.lcm(*(v.n for v in values))
-    den = math.lcm(*(c.denominator for v in values for c in v.c if c))
-    ds = cyc_coefficients(values, m, den).reshape(size, size, m)
+def _check_unitary(coef, den):
+    """S S^dagger = I for S = coef / den, with coef (size, size, m) the int
+    coefficients of den * S on 1, zeta_m, ..., zeta_m^(m-1): checked as
+    (den S)(den S)^dagger = den^2 I, one certified character sum."""
+    size, _, m = coef.shape
     one = np.zeros((1, 1, m), dtype=np.int64)
     one[0, 0, 0] = 1
     cols = np.arange(size)
-    vals, rational = character_sums(ds, one, ds, (cols, np.zeros(size), cols, np.ones(size)))
+    vals, rational = character_sums(coef, one, coef, (cols, np.zeros(size), cols, np.ones(size)))
     bad = ~rational[:, 0] | (vals[:, 0] != den * den * np.eye(size, dtype=np.int64))
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -688,16 +690,21 @@ def _untwisted_s_matrix(g, data, simples, sections):
     coefficient vectors, a cyclic convolution over zeta_m.  An entry is
     emitted in Q(zeta_n), n = lcm(exp C(a), exp C(b)) (the conductor of its
     sections) when some x commutes with a, and n = 1 when none does.
+
+    Returns (cond, coef, den): the conductor of every entry, and den * S as
+    int coefficients on the powers of zeta_M, M = lcm of the conductors, with
+    den the least common denominator of all coefficients.
     """
     coef, pos, m = sections
     conj, inv = g.conj_array, np.asarray(g.inv)
     reps = data.reps
     klass = np.array([s["class_index"] for s in simples])
-    cond = [math.lcm(*(v.n for v in s["section"])) for s in simples]
-    size = [len(s["embed"]) for s in simples]
+    cond = np.array([math.lcm(*(v.n for v in s["section"])) for s in simples], dtype=np.int64)
+    size = np.array([len(s["embed"]) for s in simples], dtype=np.int64)
     bar = coef[:, -np.arange(m) % m]
     shift = (np.arange(m) - np.arange(m)[:, None]) % m  # shift[i, e] = e - i
-    mat = [[None] * len(simples) for _ in simples]
+    raw = np.zeros((len(simples), len(simples), m), dtype=np.int64)
+    entry_cond = np.ones((len(simples), len(simples)), dtype=np.int64)
     for ca, a in enumerate(reps):
         rows = np.flatnonzero(klass == ca)
         for cb, b in enumerate(reps):
@@ -708,12 +715,17 @@ def _untwisted_s_matrix(g, data, simples, sections):
             v = bar[pos[np.ix_(cols, conj[inv[ts], a])]][:, :, shift]  # (cols, terms, m, m)
             terms = len(ts) * m
             num = u.reshape(len(rows), terms) @ v.transpose(1, 2, 0, 3).reshape(terms, len(cols) * m)
-            num = num.reshape(len(rows), len(cols), m).tolist()
-            for i, sa in enumerate(rows.tolist()):
-                for j, sb in enumerate(cols.tolist()):
-                    n = math.lcm(cond[sa], cond[sb]) if len(ts) else 1
-                    mat[sa][sb] = Cyc.from_ints(n, num[i][j][::m // n], size[sa] * size[sb])
-    return mat
+            raw[np.ix_(rows, cols)] = num.reshape(len(rows), len(cols), m)
+            if len(ts):
+                entry_cond[np.ix_(rows, cols)] = np.lcm.outer(cond[rows], cond[cols])
+    raw[np.arange(m) % (m // entry_cond)[..., None] != 0] = 0  # not emitted in Q(zeta_n)
+    den = np.multiply.outer(size, size)
+    common = np.gcd(np.gcd.reduce(raw, axis=2), den)
+    reduced = den // common
+    lcd = math.lcm(*reduced.ravel().tolist())
+    big_m = math.lcm(*entry_cond.ravel().tolist())
+    scaled = raw // common[..., None] * (lcd // reduced)[..., None]
+    return entry_cond, scaled[:, :, ::m // big_m], lcd
 
 
 def _pointed_s_matrix(g, simples, fusion):
@@ -723,6 +735,8 @@ def _pointed_s_matrix(g, simples, fusion):
     The twists are roots of unity, so b is the int table
     theta[uv] - theta[u] - theta[v] of exponents mod M, M the lcm of the T
     conductors; each entry is emitted in the lcm of its three conductors.
+    Returns (cond, coef, |G|) as _untwisted_s_matrix does: coef holds one 1
+    per entry, at its root of unity among the powers of zeta_M.
     """
     size = len(simples)
     prod = np.zeros((size, size), dtype=np.int64)
@@ -738,8 +752,11 @@ def _pointed_s_matrix(g, simples, fusion):
         raise InvariantError("monodromy form must be a bicharacter")
     lcm = np.lcm(np.lcm(cond[prod], cond[:, None]), cond[None, :])
     exps = (-b * lcm // m) % lcm
-    return [[Cyc.from_ints(l, [int(k == e) for k in range(l)], g.order) for l, e in zip(lrow, erow)]
-            for lrow, erow in zip(lcm.tolist(), exps.tolist())]
+    big_m = math.lcm(*lcm.ravel().tolist())
+    coef = np.zeros((size, size, big_m), dtype=np.int64)
+    i, j = np.indices((size, size))
+    coef[i, j, exps * (big_m // lcm)] = 1
+    return lcm, coef, g.order
 
 
 def _fusion_ring(name, simples, coeffs):

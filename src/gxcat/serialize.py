@@ -1,17 +1,23 @@
 """JSON file formats for groups, cocycles, rings and pointed data.
 
 All emitters produce sorted-key, canonically ordered structures so that
-reports and corpus files are byte-stable across runs.
+reports and corpus files are byte-stable across runs.  Each loader imports
+the layer of its kind when it runs, so reading a group file loads no ring,
+cocycle or pointed-data code.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .cohomology import TorsionCocycle
-from .fusion import GradedFusionRing, RingGAction
-from .groups import PRESETS, FiniteGroup, GroupError, build_group
-from .pointed import PointedGXData
+from .errors import GroupError
+
+if TYPE_CHECKING:
+    from .cohomology import TorsionCocycle
+    from .fusion import GradedFusionRing, RingGAction
+    from .groups import FiniteGroup
+    from .pointed import PointedGXData
 
 __all__ = [
     "load_group",
@@ -44,6 +50,8 @@ def detect_kind(obj):
 
 
 def load_group(obj):
+    from .groups import build_group
+
     if isinstance(obj, str):
         return build_group(obj)
     if "mul" in obj:
@@ -65,6 +73,8 @@ def _element_index(g, x):
 
 
 def load_cocycle(obj):
+    from .cohomology import TorsionCocycle
+
     g = load_group(obj["group"])
     degree = int(obj["degree"])
     n = int(obj["N"])
@@ -77,6 +87,8 @@ def load_cocycle(obj):
 
 def _group_ref(g: FiniteGroup, inline=False):
     """Preset name when the preset reproduces this exact table, else inline."""
+    from .groups import PRESETS, build_group
+
     if not inline and g.name in PRESETS:
         if build_group(g.name).mul == g.mul:
             return g.name
@@ -93,6 +105,8 @@ def dump_cocycle(c: TorsionCocycle, inline_group=False):
 
 
 def load_ring(obj):
+    from .fusion import GradedFusionRing, RingGAction
+
     grading_obj = obj.get("grading")
     group = None
     grading = None
@@ -151,6 +165,8 @@ def dump_ring(ring: GradedFusionRing, action: RingGAction = None):
 
 
 def load_pointed(obj):
+    from .pointed import PointedGXData
+
     gamma = load_group(obj["Gamma"])
     group = load_group(obj["G"])
     n = int(obj["N"])

@@ -348,6 +348,10 @@ class TestInvariantChecks:
         cocycle = str(CORPUS / "cocycle_Z4_h3_0.json")
         self._check_optimized_run(["double", "--group", "Z4", "--cocycle", cocycle, "--format", "json"])
 
+    def test_optimized_gauge_run_is_byte_identical(self):
+        # the gauging dimension identities and the groups class checks
+        self._check_optimized_run(["gauge", str(CORPUS / "ring_ising_ising_swap.json"), "--format", "json"])
+
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_corrupt_section_exits_4(self, flags):
         res = subprocess.run(

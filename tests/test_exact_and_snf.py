@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -45,6 +46,42 @@ class TestQuadReal:
         assert QuadReal(1, -1, 2).sign() < 0  # 1 - sqrt(2) < 0
         assert QuadReal(3, -2, 2).sign() > 0  # 3 - 2 sqrt(2) > 0
         assert QuadReal(0).sign() == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=50), min_size=4, max_size=4),
+        st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11]),
+        st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11]),
+    )
+    def test_order_across_fields_matches_high_precision(self, coefs, m, n):
+        a, b, c, d = coefs
+        x, y = QuadReal(a, b, m), QuadReal(c, d, n)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+
+            def dec(q, r):
+                return decimal.Decimal(q.a.numerator) / q.a.denominator + \
+                    decimal.Decimal(q.b.numerator) / q.b.denominator * decimal.Decimal(r).sqrt()
+
+            diff = dec(x, x.m) - dec(y, y.m)
+        # an exact tie shows as |diff| < 1e-70 at 80 digits
+        want = 0 if abs(diff) < decimal.Decimal("1e-70") else (1 if diff > 0 else -1)
+        assert (x < y) == (want < 0)
+        assert (y < x) == (want > 0)
+        assert (x <= y) == (want <= 0)
+
+    def test_order_across_fields_where_floats_tie(self):
+        # p^2 - 2 q^2 = 1 makes q sqrt(2) = p - 1/(2p) + ..., within float
+        # rounding of p once p ~ 1e12, so the float path calls the two equal
+        p, q = 3, 2
+        while p < 10**12:
+            p, q = 3 * p + 4 * q, 2 * p + 3 * q
+        x = QuadReal(0, q, 2)
+        y = QuadReal(p, Fraction(1, 10**30), 3)
+        assert float(x) == float(y)
+        assert x < y and not y < x
+        below = QuadReal(p, Fraction(-1, 10**12), 3)  # p - 1.7e-12 < p - 1/(2p)
+        assert float(below) == float(x) and below < x and not x < below
 
     def test_mixed_fields_demote(self):
         c = QuadReal(0, 1, 2) * QuadReal(0, 1, 5)

@@ -1,7 +1,16 @@
 import itertools
+import json
+from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gxcat.fusion as fusion_mod
+import gxcat.gauging as gauging_mod
+from gxcat.cli import main
+from gxcat.corpus import corpus_dir
 from gxcat.exact import QuadReal, scalar_eq
 from gxcat.fusion import (
     FusionError,
@@ -110,6 +119,80 @@ class TestPfDims:
             rhs = sum((dims[k] * int(n[i, j, k]) for k in range(ring.rank)), start=QuadReal(0))
             assert scalar_eq(dims[i] * dims[j], rhs)  # 1e-9 certified comparison
         assert scalar_eq(global_dim(ring), QuadReal(4) * (QuadReal(1) + PHI * PHI))
+
+
+def _product_rule_reference(ring, dims):
+    """The QuadReal loop the integer check replaced: first failing (i, j)."""
+    n = ring.tensor()
+    for i, j in itertools.product(range(ring.rank), repeat=2):
+        rhs = sum((dims[k] * int(n[i, j, k]) for k in range(ring.rank)), start=QuadReal(0))
+        if not scalar_eq(dims[i] * dims[j], rhs):
+            return i, j
+    return None
+
+
+def _corpus_ring(name):
+    from gxcat.serialize import load_ring
+
+    return load_ring(json.loads(corpus_dir().joinpath(name).read_text()))[0]
+
+
+class TestIntegerProductRule:
+    @pytest.mark.parametrize("name", [
+        "ring_vect.json", "ring_fibonacci.json", "ring_ising.json", "ring_rep_s3.json",
+        "ring_fib_fib_swap.json", "ring_ising_ising_swap.json", "ising_z2graded.json",
+    ])
+    def test_corpus_dims_pass(self, name):
+        ring = _corpus_ring(name)
+        dims = pf_dims(ring)
+        assert all(isinstance(d, QuadReal) for d in dims)
+        assert fusion_mod._dims_mismatch(ring, ring.tensor(), dims) is None
+        assert _product_rule_reference(ring, dims) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["ring_fibonacci.json", "ring_ising.json", "ring_fib_fib_swap.json",
+                         "ring_ising_ising_swap.json", "ring_rep_s3.json"]),
+        st.integers(0, 8),
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    )
+    def test_perturbed_dims_fail_at_the_reference_pair(self, name, index, da, db):
+        ring = _corpus_ring(name)
+        dims = list(pf_dims(ring))
+        k = index % ring.rank
+        m = max(d.m for d in dims)
+        dims[k] = dims[k] + QuadReal(da, db, m)
+        got = fusion_mod._dims_mismatch(ring, ring.tensor(), dims)
+        assert got == _product_rule_reference(ring, dims)
+
+    def test_rational_dims_over_a_common_denominator(self, fibonacci):
+        # (1, 1/2): no ring has these dims, and the check must say where
+        dims = [QuadReal(1), QuadReal(Fraction(1, 2))]
+        assert fusion_mod._dims_mismatch(fibonacci, fibonacci.tensor(), dims) == (1, 1)
+
+    @pytest.mark.parametrize("args", [
+        ["dims", "ring_ising_ising_swap.json"],
+        ["sectors", "ising_z2graded.json"],
+        ["validate", "ring_fib_fib_swap.json"],
+        ["gauge", "ring_ising_ising_swap.json"],
+        ["ungauge", "ring_toric_code.json", "--embed", "pi0=e,pi1=e.g", "--group", "Z2"],
+        ["perm-picard", "--base", "ring_ising.json", "--n", "2", "--group", "Z2"],
+    ])
+    def test_pf_dims_runs_once_per_ring(self, monkeypatch, args):
+        calls = []
+        real = fusion_mod.pf_dims
+
+        def counted(ring):
+            calls.append(ring)
+            return real(ring)
+
+        monkeypatch.setattr(fusion_mod, "pf_dims", counted)
+        monkeypatch.setattr(gauging_mod, "pf_dims", counted)
+        args = [str(corpus_dir().joinpath(a)) if a.endswith(".json") else a for a in args]
+        res = CliRunner().invoke(main, [*args, "--format", "json"])
+        assert res.exit_code == 0, res.output
+        assert calls and len(calls) == len({id(r) for r in calls})
 
 
 class TestSectors:

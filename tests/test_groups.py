@@ -144,6 +144,12 @@ class TestAbelianCharacters:
         with pytest.raises(GroupError, match="multiple of the abelianization exponent 3"):
             abelian_characters(cyclic(3), 2)
 
+    def test_adding_characters_of_different_moduli_is_refused(self):
+        # a GroupError (exit 1), also under python -O
+        a, b = abelian_characters(cyclic(2), 2)[1], abelian_characters(cyclic(2), 4)[1]
+        with pytest.raises(GroupError, match="Z/2 and Z/4"):
+            a.add(b)
+
     @pytest.mark.parametrize("g, n", [(cyclic(4), 4), (product(cyclic(2), cyclic(4)), 4), (symmetric(3), 6)])
     def test_group_closure(self, g, n):
         chars = abelian_characters(g, n)

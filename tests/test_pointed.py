@@ -259,6 +259,37 @@ class TestTwistedDouble:
         assert [[(v.n, v.c) for v in row] for row in got] == [[(v.n, v.c) for v in row] for row in want]
 
 
+    @pytest.mark.parametrize("builder, preset, twisted", [
+        ("_untwisted_s_matrix", "S3", False),
+        ("_untwisted_s_matrix", "Z6", False),
+        ("_pointed_s_matrix", "Z2", True),
+        ("_pointed_s_matrix", "Z4", True),
+    ])
+    def test_unitarity_is_checked_on_the_emitted_integers(self, builder, preset, twisted, monkeypatch):
+        import gxcat.pointed as pointed
+        from gxcat.errors import InvariantError
+        from gxcat.groups import build_group
+
+        g = build_group(preset)
+        omega = cohomology_group(g, 3, g.order).representatives[0] if twisted else \
+            TorsionCocycle.make(g, 3, g.order, {})
+        assert not omega.is_zero() or not twisted
+        real = getattr(pointed, builder)
+        calls = []
+
+        def corrupted(*args):
+            cond, coef, den = real(*args)
+            calls.append(builder)
+            coef = coef.copy()
+            coef[1, 1, 0] += 1  # one more den-th in an emitted coefficient
+            return cond, coef, den
+
+        monkeypatch.setattr(pointed, builder, corrupted)
+        with pytest.raises(InvariantError, match="S not unitary"):
+            twisted_double(g, omega)
+        assert calls == [builder]
+
+
 class TestHolomorphicCrossed:
     def test_trivial_group(self):
         data, count = holomorphic_crossed(cyclic(1), TorsionCocycle.make(cyclic(1), 3, 2, {}))

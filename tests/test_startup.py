@@ -1,0 +1,105 @@
+"""Cold start: a gxcat process imports only the layers its command uses.
+
+Each case runs in a fresh interpreter from cwd="/" and reports which of
+numpy and the gxcat modules it loaded.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import gxcat
+from test_cli_corpus import CORPUS, _child_env
+
+# Runs `python -m gxcat.cli ARGS` in this interpreter (as runpy does for -m),
+# then writes the exit code and the loaded module names to the file argv[1].
+_RUN_CLI = """
+import json, runpy, sys
+out, sys.argv = sys.argv[1], ["gxcat"] + sys.argv[2:]
+code = 0
+try:
+    runpy.run_module("gxcat.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+with open(out, "w") as fh:
+    json.dump({"exit": code, "modules": sorted(sys.modules)}, fh)
+"""
+
+# the package, its exception types and the JSON formats: no numpy
+_BASE = {"gxcat", "gxcat.errors", "gxcat.serialize"}
+
+_IMPORT = """
+import json, sys
+import {module}
+json.dump(sorted(sys.modules), sys.stdout)
+"""
+
+
+def _loaded(modules):
+    return {m for m in modules if m == "numpy" or m.startswith("gxcat")}
+
+
+def _run_cli(tmp_path, args):
+    out = tmp_path / "modules.json"
+    res = subprocess.run([sys.executable, "-c", _RUN_CLI, str(out), *args],
+                         capture_output=True, env=_child_env(1), cwd="/")
+    report = json.loads(out.read_text())
+    return report["exit"], _loaded(report["modules"]), res
+
+
+@pytest.mark.parametrize("module", ["gxcat", "gxcat.cli"])
+def test_import_loads_no_numpy(module):
+    res = subprocess.run([sys.executable, "-c", _IMPORT.format(module=module)],
+                         capture_output=True, env=_child_env(1), cwd="/")
+    assert res.returncode == 0, res.stderr
+    assert _loaded(json.loads(res.stdout)) <= {"gxcat", "gxcat.cli"} | _BASE
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--help"], 0),
+    (["dims", "--help"], 0),
+    (["dims"], 2),  # missing argument
+    (["no-such-command"], 2),
+    (["double", "--group", "S3", "--format", "xml"], 2),
+])
+def test_help_and_usage_errors_load_no_numpy(tmp_path, args, code):
+    exit_code, loaded, res = _run_cli(tmp_path, args)
+    assert exit_code == code, res.stderr
+    assert loaded <= _BASE, loaded
+
+
+_RING = _BASE | {"numpy", "gxcat.groups", "gxcat.exact", "gxcat.fusion"}
+_COHOMOLOGY = _BASE | {"numpy", "gxcat.groups", "gxcat.snf", "gxcat.cohomology"}
+_ALL = _RING | _COHOMOLOGY | {"gxcat.cyclo", "gxcat.chartab", "gxcat.gauging", "gxcat.pointed"}
+
+
+@pytest.mark.parametrize("args, allowed", [
+    (["validate", "group_S3.json"], _BASE | {"numpy", "gxcat.groups"}),
+    (["validate", "cocycle_Z2_h3_0.json"], _COHOMOLOGY),
+    (["validate", "ring_fibonacci.json"], _RING),
+    (["dims", "ring_ising_ising_swap.json"], _RING),
+    (["sectors", "ising_z2graded.json"], _RING),
+    (["picard", "ring_ising.json"], _RING),
+    (["cohomology", "--group", "Z2xZ2", "--k", "3"], _COHOMOLOGY),
+    (["corpus"], _BASE | {"gxcat.corpus"}),
+    (["smatrix", "pointed_toric_code.json"], _ALL - {"gxcat.gauging"}),
+    (["double", "--group", "S3", "--trivial"], _ALL - {"gxcat.gauging"}),
+    (["gauge", "ring_ising_ising_swap.json"], _ALL - {"gxcat.pointed"}),
+])
+def test_command_loads_only_its_layers(tmp_path, args, allowed):
+    args = [str(CORPUS / a) if a.endswith(".json") else a for a in args]
+    exit_code, loaded, res = _run_cli(tmp_path, [*args, "--format", "json"])
+    assert exit_code == 0, res.stderr
+    assert loaded <= allowed, sorted(loaded - allowed)
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    listed = dir(gxcat)
+    for name in gxcat.__all__:
+        assert getattr(gxcat, name) is not None
+        assert name in listed
+    assert gxcat.fusion.pf_dims is gxcat.pf_dims
+    with pytest.raises(AttributeError):
+        gxcat.no_such_name
