@@ -7,9 +7,13 @@ self-check of gxcat failed: a defect of the program, not of the input).  JSON re
 encodings and are byte-identical across runs on identical inputs.
 
 Each command imports the layers it uses inside its own body, so a process
-pays only for the command it runs: ``--help`` and usage errors load no
-numpy, and ``validate`` on a group file loads no fusion, cohomology,
-character-table, gauging or pointed code.
+pays only for the command it runs.  ``--help``, usage errors, ``corpus``
+and the input commands load no numpy: ``validate`` on a group file or on
+a ring file (with or without an action), ``dims``, ``sectors``, ``picard``
+and ``obstruct`` check groups and rings on their tuple and sparse forms.
+numpy is loaded only by the commands that run an array kernel: cochains
+(``validate`` on a cocycle, ``cohomology``, ``transgress``), pointed data
+and doubles, and gauging.
 """
 
 from __future__ import annotations

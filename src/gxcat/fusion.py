@@ -6,19 +6,23 @@ Quantum dimensions are the Perron-Frobenius data of the total fusion
 matrix: exact quadratic surds whenever the whole dimension vector fits in
 one real quadratic field, certified floats otherwise.  Invertibility is
 always decided on the integer fusion data, never on the dims.
+
+Every check here reads the sparse coefficients ``ring.coeffs`` directly.
+numpy is imported only by ``GradedFusionRing.tensor()``, which hands the
+dense array to the gauging kernels.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
+from itertools import compress
+from operator import mul, sub
 
 from .errors import FusionError
 from .exact import CertReal, QuadReal, as_scalar, quad_numerators, scalar_eq, scalar_json
-from .groups import FiniteGroup, cyclic, validate_table
+from .groups import FiniteGroup, cyclic, is_index, validate_table
 
 __all__ = [
     "GradedFusionRing",
@@ -39,6 +43,8 @@ __all__ = [
 ]
 
 TENSOR_POWER_CAP = 4
+# power-iteration steps allowed to the float Perron-Frobenius vector
+PF_ITERATION_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -53,30 +59,46 @@ class GradedFusionRing:
 
     @staticmethod
     def make(name, simples, unit, dual, coeffs, group=None, grading=None):
+        """Ring from labels or label indices.
+
+        Multiplicities and indices must be integers: bools, floats and
+        numeric strings are refused with a FusionError, and so are indices
+        outside the label set and degrees outside the group.
+        """
         simples = tuple(simples)
         index = {s: i for i, s in enumerate(simples)}
         if len(index) != len(simples):
             raise FusionError("duplicate labels")
-        unit_i = index[unit] if isinstance(unit, str) else int(unit)
-        if isinstance(dual, dict):
-            dual_t = tuple(index[dual[s]] for s in simples)
-        else:
-            dual_t = tuple(int(x) for x in dual)
+
+        def label(x):
+            if isinstance(x, str) and x in index:
+                return index[x]
+            if not is_index(x) or not 0 <= x < len(simples):
+                raise FusionError(f"{x!r} is not a label of {name}")
+            return int(x)
+
+        unit_i = label(unit)
+        dual_t = tuple(label(dual[s]) for s in simples) if isinstance(dual, dict) else tuple(map(label, dual))
+        if len(dual_t) != len(simples):
+            raise FusionError("the dual map needs one entry per label")
         cmap = {}
         for key, v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-            key = tuple(index[x] if isinstance(x, str) else int(x) for x in key)
-            if int(v) < 0:
+            key = tuple(map(label, key))
+            if not is_index(v):
+                raise FusionError(f"multiplicity at {key} is not an integer: {v!r}")
+            if v < 0:
                 raise FusionError(f"negative multiplicity at {key}")
-            if int(v):
+            if v:
                 cmap[key] = int(v)
         if group is None:
             group = cyclic(1)
         if grading is None:
             grading_t = (0,) * len(simples)
-        elif isinstance(grading, dict):
-            grading_t = tuple(int(grading[s]) for s in simples)
         else:
-            grading_t = tuple(int(x) for x in grading)
+            grading_t = tuple(grading[s] for s in simples) if isinstance(grading, dict) else tuple(grading)
+            if len(grading_t) != len(simples) or not all(is_index(x) and 0 <= x < group.order for x in grading_t):
+                raise FusionError(f"the grading must send each label to an element of {group.name}")
+            grading_t = tuple(map(int, grading_t))
         return GradedFusionRing(name, simples, unit_i, dual_t, tuple(sorted(cmap.items())), group, grading_t)
 
     @property
@@ -84,7 +106,9 @@ class GradedFusionRing:
         return len(self.simples)
 
     def tensor(self):
-        """Dense N[i, j, k] array."""
+        """Dense int64 array N[i, j, k], for the numpy kernels of gauging."""
+        import numpy as np
+
         n = np.zeros((self.rank,) * 3, dtype=np.int64)
         for (i, j, k), v in self.coeffs:
             n[i, j, k] = v
@@ -118,6 +142,7 @@ def trivial_action(ring: GradedFusionRing, group=None):
 @dataclass
 class ValidationReport:
     issues: list
+    dims: list = None  # the Perron-Frobenius dims, when validate_ring checked them
 
     @property
     def passed(self):
@@ -132,29 +157,28 @@ class ValidationReport:
 
 def validate_ring(ring: GradedFusionRing, check_dims=True) -> ValidationReport:
     rep = ValidationReport([])
-    n = ring.tensor()
+    coeff = dict(ring.coeffs)
     r = ring.rank
     u = ring.unit
     # unit axiom
-    eye = np.eye(r, dtype=np.int64)
-    if not np.array_equal(n[u], eye):
-        j, k = (int(x[0]) for x in np.nonzero(n[u] != eye))
+    eye = {(j, j) for j in range(r)}
+    bad = _slice_mismatch(coeff, 0, u, eye)
+    if bad is not None:
+        j, k = bad
         rep.add("unit", f"N[1,{ring.label(j)}]^{ring.label(k)} violates the unit axiom", (ring.label(j), ring.label(k)))
-    if not np.array_equal(n[:, u, :], eye):
-        i, k = (int(x[0]) for x in np.nonzero(n[:, u, :] != eye))
+    bad = _slice_mismatch(coeff, 1, u, eye)
+    if bad is not None:
+        i, k = bad
         rep.add("unit", f"N[{ring.label(i)},1]^{ring.label(k)} violates the unit axiom", (ring.label(i), ring.label(k)))
     # duality: N_{ij}^1 = delta_{j, dual(i)}
-    want = np.zeros((r, r), dtype=np.int64)
-    for i in range(r):
-        want[i, ring.dual[i]] = 1
-    if not np.array_equal(n[:, :, u], want):
-        i, j = (int(x[0]) for x in np.nonzero(n[:, :, u] != want))
+    bad = _slice_mismatch(coeff, 2, u, {(i, ring.dual[i]) for i in range(r)})
+    if bad is not None:
+        i, j = bad
         rep.add("duality", f"N[{ring.label(i)},{ring.label(j)}]^1 incompatible with duals", (ring.label(i), ring.label(j)))
     # associativity
-    left = np.einsum("ijm,mkl->ijkl", n, n)
-    right = np.einsum("jkm,iml->ijkl", n, n)
-    if not np.array_equal(left, right):
-        i, j, k, l = (int(x[0]) for x in np.nonzero(left != right))
+    bad = _first_assoc_violation(ring)
+    if bad is not None:
+        i, j, k, l = bad
         rep.add(
             "associativity",
             f"sum rules differ on ({ring.label(i)},{ring.label(j)},{ring.label(k)}) -> {ring.label(l)}",
@@ -172,18 +196,82 @@ def validate_ring(ring: GradedFusionRing, check_dims=True) -> ValidationReport:
             break
     if check_dims and rep.passed:
         try:
-            dims = pf_dims(ring)
+            rep.dims = pf_dims(ring)
         except FusionError as exc:
             rep.add("dims", str(exc))
             return rep
-        bad = _dims_mismatch(ring, n, dims)
+        bad = _dims_mismatch(ring, rep.dims)
         if bad is not None:
             i, j = bad
             rep.add("dims", f"d_i d_j mismatch at ({ring.label(i)},{ring.label(j)})", (ring.label(i), ring.label(j)))
     return rep
 
 
-def _dims_mismatch(ring, n, dims):
+def _slice_mismatch(coeff, axis, fixed, want):
+    """First (a, b) in row-major order where the slice of N with index number
+    axis held at fixed differs from the 0/1 matrix with support want, or None."""
+    got = {key[:axis] + key[axis + 1:]: v for key, v in coeff.items() if key[axis] == fixed}
+    bad = [ab for ab, v in got.items() if v != (ab in want)] + [ab for ab in want if ab not in got]
+    return min(bad, default=None)
+
+
+def _first_assoc_violation(ring):
+    """First (i, j, k, l) in row-major order with
+    sum_m N_ij^m N_mk^l != sum_m N_jk^m N_im^l, or None.
+
+    Both sides are built one i at a time from big integers that pack the
+    sparse coefficients into unsigned fields of `width` bytes: kl[m] holds
+    N_mk^l at field k*r + l and jk[m] holds N_jk^m at field j*r + k.  Then
+    left[j] = sum_m N_ij^m kl[m] holds the left side at (k, l), and
+    right[l] = sum_m N_im^l jk[m] holds the right side at (j, k): one integer
+    multiply-add per coefficient.  No entry exceeds r * max(N)^2, so no field
+    carries into the next.  The byte strings are compared one (l, byte)
+    plane at a time, read with strides in the (j, k, l) layout of the left.
+    """
+    r = ring.rank
+    top = max((v for _, v in ring.coeffs), default=0)
+    width = (r * top * top).bit_length() // 8 + 1
+    size = r * r * width
+    kl = [bytearray(size) for _ in range(r)]
+    jk = [bytearray(size) for _ in range(r)]
+    by_first = [[] for _ in range(r)]
+    for (a, b, c), v in ring.coeffs:
+        field = v.to_bytes(width, "little")
+        kl[a][(b * r + c) * width:(b * r + c + 1) * width] = field
+        jk[c][(a * r + b) * width:(a * r + b + 1) * width] = field
+        by_first[a].append((b, c, v))
+    kl = [int.from_bytes(x, "little") for x in kl]
+    jk = [int.from_bytes(x, "little") for x in jk]
+    step = r * width
+    for i in range(r):
+        left, right = [0] * r, [0] * r
+        for a, b, v in by_first[i]:
+            left[a] += v * kl[b]
+            right[b] += v * jk[a]
+        lb = b"".join(x.to_bytes(size, "little") for x in left)  # fields (j, k, l)
+        rb = b"".join(x.to_bytes(size, "little") for x in right)  # fields (l, j, k)
+        if any(lb[l * width + t::step] != rb[l * size + t:(l + 1) * size:width]
+               for l in range(r) for t in range(width)):
+            return _assoc_violation_in_row(ring, by_first, i)
+    return None
+
+
+def _assoc_violation_in_row(ring, by_first, i):
+    """First (i, j, k, l) with differing sides for this i, from plain sparse sums."""
+    by_last = [[] for _ in range(ring.rank)]
+    for (a, b, c), v in ring.coeffs:
+        by_last[c].append((a, b, v))
+    left, right = {}, {}
+    for j, m, x in by_first[i]:  # N_ij^m N_mk^l
+        for k, l, y in by_first[m]:
+            left[j, k, l] = left.get((j, k, l), 0) + x * y
+    for m, l, y in by_first[i]:  # N_jk^m N_im^l
+        for j, k, x in by_last[m]:
+            right[j, k, l] = right.get((j, k, l), 0) + x * y
+    return (i,) + min(key for key in left.keys() | right.keys() if left.get(key, 0) != right.get(key, 0))
+
+
+def _dims_mismatch(ring, dims):
     """The first (i, j) in row-major order with d_i d_j != sum_k N_ij^k d_k,
     or None when every product rule holds.
 
@@ -193,36 +281,69 @@ def _dims_mismatch(ring, n, dims):
         D sum_k N_ij^k a_k = a_i a_j + m b_i b_j,
         D sum_k N_ij^k b_k = a_i b_j + b_i a_j.
 
-    Other dims (certified floats) are compared with scalar_eq on the dense
-    tensor n.
+    Other dims (certified floats) are compared with scalar_eq.
     """
     r = ring.rank
     quad = quad_numerators(dims)
     if quad is None:
+        terms = {}
+        for (i, j, k), v in ring.coeffs:
+            terms.setdefault((i, j), []).append(dims[k] * v)
         for i, j in itertools.product(range(r), repeat=2):
-            rhs = sum((dims[k] * int(n[i, j, k]) for k in range(r)), start=QuadReal(0))
+            rhs = sum(terms.get((i, j), ()), start=QuadReal(0))
             if not scalar_eq(dims[i] * dims[j], rhs):
                 return i, j
         return None
     a, b, m, den = quad
-    sum_a, sum_b = {}, {}
+    sum_a, sum_b = [0] * (r * r), [0] * (r * r)
     for (i, j, k), v in ring.coeffs:
-        sum_a[i, j] = sum_a.get((i, j), 0) + v * a[k]
-        sum_b[i, j] = sum_b.get((i, j), 0) + v * b[k]
-    for i, j in itertools.product(range(r), repeat=2):
-        if (den * sum_a.get((i, j), 0) != a[i] * a[j] + m * b[i] * b[j]
-                or den * sum_b.get((i, j), 0) != a[i] * b[j] + b[i] * a[j]):
+        t = i * r + j
+        sum_a[t] += v * a[k]
+        if b[k]:
+            sum_b[t] += v * b[k]
+    for (i, j), sa, sb in zip(itertools.product(range(r), repeat=2), sum_a, sum_b):
+        if den * sa != a[i] * a[j] + m * b[i] * b[j] or den * sb != a[i] * b[j] + b[i] * a[j]:
             return i, j
     return None
 
 
 def _strongly_connected(total):
-    r = total.shape[0]
-    adj = total > 0
-    reach = adj | np.eye(r, dtype=bool)
-    for _ in range(r):
-        reach = reach | (reach @ reach)
-    return bool(reach.all())
+    """Whether every label reaches every other along nonzero entries of total."""
+    r = len(total)
+    for rows in (total, list(zip(*total))):
+        adj = [list(compress(range(r), row)) for row in rows]
+        seen, stack = {0}, [0]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != r:
+            return False
+    return True
+
+
+def _perron_vector(total):
+    """Unit-norm Perron-Frobenius vector of a non-negative irreducible matrix.
+
+    Power iteration on total + I from the all-ones vector: the shift makes
+    the iteration converge when total is periodic.  It stops when a step
+    moves no entry by more than 1e-15, when the steps stop shrinking below
+    1e-12 (rounding noise), or after PF_ITERATION_CAP steps; the caller
+    bounds the error by the residual.
+    """
+    v = [1.0] * len(total)
+    last = math.inf
+    for _ in range(PF_ITERATION_CAP):
+        w = [sum(map(mul, row, v)) + x for row, x in zip(total, v)]
+        norm = math.hypot(*w)
+        w = [x / norm for x in w]
+        step = max(map(abs, map(sub, w, v)))
+        v = w
+        if step <= 1e-15 or last <= step < 1e-12:
+            break
+        last = step
+    return v
 
 
 def pf_dims(ring: GradedFusionRing):
@@ -231,27 +352,22 @@ def pf_dims(ring: GradedFusionRing):
     Returns QuadReal entries when the whole vector lies in one quadratic
     field (verified exactly), else CertReal entries with an error bound.
     """
-    n = ring.tensor()
     r = ring.rank
-    total = n.sum(axis=0)
+    total = [[0.0] * r for _ in range(r)]  # total[j][k] = sum_i N_ij^k
+    for (_, j, k), v in ring.coeffs:
+        total[j][k] += v
     if not _strongly_connected(total):
         raise FusionError("fusion graph is not strongly connected (reducible ring)")
-    mat = total.astype(float)
-    vals, vecs = np.linalg.eig(mat)
-    k = int(np.argmax(vals.real))
-    v = np.abs(vecs[:, k].real)
-    # power-iteration polish
-    for _ in range(60):
-        v = mat @ v
-        v /= np.linalg.norm(v)
-    lam = float(v @ mat @ v)
-    residual = float(np.max(np.abs(mat @ v - lam * v)))
-    v = v / v[ring.unit]
-    exact = _try_exact_dims(ring, n, v)
+    v = _perron_vector(total)
+    dims = [x / v[ring.unit] for x in v]
+    exact = _try_exact_dims(ring, dims)
     if exact is not None:
         return exact
+    tv = [math.fsum(map(mul, row, v)) for row in total]
+    lam = math.fsum(map(mul, v, tv))
+    residual = max(abs(x - lam * y) for x, y in zip(tv, v))
     err = max(residual * 10.0, 1e-13)
-    return [CertReal(float(x), err) for x in v]
+    return [CertReal(x, err) for x in dims]
 
 
 def _recognize_quadratic(x, tol=1e-7):
@@ -266,8 +382,9 @@ def _recognize_quadratic(x, tol=1e-7):
     return None
 
 
-def _try_exact_dims(ring, n, v):
-    cands = [_recognize_quadratic(float(x)) for x in v]
+def _try_exact_dims(ring, v):
+    recognized = {x: _recognize_quadratic(x) for x in set(v)}
+    cands = [recognized[x] for x in v]
     if any(c is None for c in cands):
         return None
     fields = {c.m for c in cands if c.m != 1}
@@ -275,7 +392,7 @@ def _try_exact_dims(ring, n, v):
         return None
     if not cands[ring.unit] == QuadReal(1):
         return None
-    if _dims_mismatch(ring, n, cands) is not None:
+    if _dims_mismatch(ring, cands) is not None:
         return None
     if any(c.sign() <= 0 for c in cands):
         return None
@@ -348,12 +465,11 @@ def validate_action(ring: GradedFusionRing, action: RingGAction) -> ValidationRe
                 (g.element_names[a], g.element_names[b]),
             )
             break
-    n = ring.tensor()
+    coeff = dict(ring.coeffs)
     for el, p in enumerate(perms):
-        pa = np.array(p)
-        permuted = n[np.ix_(pa, pa, pa)]
-        if not np.array_equal(permuted, n):
-            i, j, k = (int(x[0]) for x in np.nonzero(permuted != n))
+        bad = _permuted_mismatch(coeff, p)
+        if bad is not None:
+            i, j, k = bad
             rep.add(
                 "fusion",
                 f"pi_{g.element_names[el]} does not preserve fusion at ({ring.label(i)},{ring.label(j)},{ring.label(k)})",
@@ -376,6 +492,20 @@ def validate_action(ring: GradedFusionRing, action: RingGAction) -> ValidationRe
                 )
                 break
     return rep
+
+
+def _permuted_mismatch(coeff, p):
+    """First (i, j, k) in row-major order with N_{p(i) p(j)}^{p(k)} != N_ij^k, or None.
+
+    Such a triple has a nonzero side: it lies in the support of N, or it is
+    the preimage under p of a triple there.
+    """
+    inv = [0] * len(p)
+    for x, y in enumerate(p):
+        inv[y] = x
+    bad = [key for key, v in coeff.items() if coeff.get(tuple(map(p.__getitem__, key)), 0) != v]
+    bad += [pre for key, v in coeff.items() if coeff.get(pre := tuple(map(inv.__getitem__, key)), 0) != v]
+    return min(bad, default=None)
 
 
 def tensor_power(base: GradedFusionRing, n: int, group: FiniteGroup, embedding):
@@ -459,25 +589,23 @@ def picard(ring: GradedFusionRing):
     X is invertible iff X (x) dual(X) = 1 exactly: N_{X,Xbar}^1 = 1 and the
     product has a single summand.
     """
-    n = ring.tensor()
-    inv = []
-    for i in range(ring.rank):
-        row = n[i, ring.dual[i], :]
-        if row[ring.unit] == 1 and row.sum() == 1:
-            inv.append(i)
+    prods = {}  # (a, b) -> [(k, N_ab^k)] for nonzero N_ab^k, k increasing
+    for (a, b, k), v in ring.coeffs:
+        prods.setdefault((a, b), []).append((k, v))
+    inv = [i for i in range(ring.rank) if prods.get((i, ring.dual[i])) == [(ring.unit, 1)]]
     order = [ring.unit] + [i for i in inv if i != ring.unit]
     pos = {x: i for i, x in enumerate(order)}
-    mul = []
+    table = []
     for a in order:
         row = []
         for b in order:
-            prods = [k for k in range(ring.rank) if n[a, b, k]]
-            if len(prods) != 1 or prods[0] not in pos:
+            ks = [k for k, _ in prods.get((a, b), ())]
+            if len(ks) != 1 or ks[0] not in pos:
                 raise FusionError("invertibles do not close under fusion")
-            row.append(pos[prods[0]])
-        mul.append(row)
-    validate_table(mul, "picard")
-    grp = FiniteGroup(f"Pic({ring.name})", tuple(tuple(r) for r in mul), tuple(ring.label(i) for i in order))
+            row.append(pos[ks[0]])
+        table.append(row)
+    validate_table(table, "picard")
+    grp = FiniteGroup(f"Pic({ring.name})", tuple(tuple(r) for r in table), tuple(ring.label(i) for i in order))
     return [ring.label(i) for i in order], grp
 
 

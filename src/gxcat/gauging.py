@@ -104,13 +104,14 @@ class EquivariantizationResult:
         }
 
 
-def equivariantize(ring: GradedFusionRing, action: RingGAction, stabilizer_cocycles=None):
+def equivariantize(ring: GradedFusionRing, action: RingGAction, stabilizer_cocycles=None, dims=None):
     """Orbit/stabilizer model of the gauged ring C^G.
 
     stabilizer_cocycles maps the least label of an orbit to a degree-2
     TorsionCocycle on that orbit's stabilizer group (as produced by
     orbit_stabilizer); orbits without an entry use the trivial cocycle and
-    are flagged "assumed-trivial".
+    are flagged "assumed-trivial".  Pass the ring's pf_dims as dims when
+    they are already at hand, so that pf_dims runs once.
     """
     if any(el != 0 for el in ring.grading):
         raise FusionError("equivariantize expects a trivially graded ring")
@@ -118,7 +119,8 @@ def equivariantize(ring: GradedFusionRing, action: RingGAction, stabilizer_cocyc
     if not rep_action.passed:
         raise FusionError(f"invalid action: {rep_action.issues[0]['message']}")
     stabilizer_cocycles = stabilizer_cocycles or {}
-    dims = pf_dims(ring)
+    if dims is None:
+        dims = pf_dims(ring)
     simples = []
     total = as_scalar(0)
     for orbit in _orbits(ring, action):
@@ -331,6 +333,7 @@ class CrossedProductResult:
     input_global_dim: object
     group_order: int
     output_ring: object  # GradedFusionRing when every image stays simple, else None
+    output_dims: list = None  # pf_dims of output_ring, from its validation
 
     @property
     def fully_resolved(self):
@@ -449,14 +452,15 @@ def crossed_product(ring: GradedFusionRing, s_embedding, action: RingGAction = N
     if not scalar_eq(total * order, input_dim):
         raise InvariantError("crossed product dimension identity failed")
 
-    output_ring = None
+    output_ring = output_dims = None
     if all_simple and all(b["resolved"] for b in out_blocks):
-        output_ring = _multiplicity_free_output_ring(ring, hom, out_blocks, group)
-    return CrossedProductResult(out_blocks, total, input_dim, order, output_ring)
+        output_ring, output_dims = _multiplicity_free_output_ring(ring, hom, out_blocks, group)
+    return CrossedProductResult(out_blocks, total, input_dim, order, output_ring, output_dims)
 
 
 def _multiplicity_free_output_ring(ring, hom, blocks, group):
-    """Output fusion ring when every image is simple (end dims all 1).
+    """Output fusion ring when every image is simple (end dims all 1), with
+    the dims its validation computed.
 
     Output labels are the blocks; N_out([a][b])^[c] = sum_mu N_{a b}^mu
     hom(mu, c_rep), independent of chosen representatives.
@@ -483,7 +487,7 @@ def _multiplicity_free_output_ring(ring, hom, blocks, group):
     rep_check = validate_ring(out, check_dims=True)
     if not rep_check.passed:
         raise FusionError(f"derived output ring failed validation: {rep_check.issues[0]}")
-    return out
+    return out, rep_check.dims
 
 
 @dataclass
@@ -509,7 +513,7 @@ def roundtrip_check(ring, s_embedding, action=None, group=None):
     crossed = crossed_product(ring, s_embedding, action=action, group=group)
     grp = action.group if action is not None else group
     if crossed.output_ring is not None:
-        eq = equivariantize(crossed.output_ring, trivial_action(crossed.output_ring, grp))
+        eq = equivariantize(crossed.output_ring, trivial_action(crossed.output_ring, grp), dims=crossed.output_dims)
         regauged = eq.global_dim
         counts = (ring.rank, len(eq.simples))
     else:

@@ -12,8 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-import numpy as np
+from numbers import Integral
+from operator import itemgetter
 
 from .errors import GroupError, InvariantError
 
@@ -59,9 +59,13 @@ class FiniteGroup:
                 raise GroupError(f"element {x} has no inverse")
         return tuple(row.index(0) for row in self.mul)
 
+    # The array accessors below hand the table to the numpy kernels; they are
+    # the only places this module imports numpy.
     @cached_property
     def mul_array(self):
         """Read-only int64 view of the multiplication table."""
+        import numpy as np
+
         arr = np.array(self.mul, dtype=np.int64).reshape(self.order, self.order)
         arr.setflags(write=False)
         return arr
@@ -69,6 +73,8 @@ class FiniteGroup:
     @cached_property
     def conj_array(self):
         """Read-only int64 table conj_array[t, x] = t x t^{-1}."""
+        import numpy as np
+
         arr = self.mul_array[self.mul_array, np.asarray(self.inv)[:, None]]
         arr.setflags(write=False)
         return arr
@@ -76,6 +82,8 @@ class FiniteGroup:
     @cached_property
     def element_orders(self):
         """Read-only int64 array of the order of each element."""
+        import numpy as np
+
         mul, idx = self.mul_array, np.arange(self.order)
         orders = np.zeros(self.order, dtype=np.int64)
         power = idx
@@ -91,7 +99,7 @@ class FiniteGroup:
 
     def conj(self, g, x):
         """g x g^{-1}"""
-        return self.conj_array.item(g, x)
+        return self.mul[self.mul[g][x]][self.inv[g]]
 
     def elements(self):
         return range(self.order)
@@ -112,23 +120,39 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+def is_index(v):
+    """True for an integer that is not a bool (JSON true is not an element)."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
 def validate_table(mul, name="table"):
-    """Check the group axioms; raise GroupError naming the first violation."""
+    """Check the group axioms; raise GroupError naming the first violation.
+
+    Every entry must be an integer in 0..n-1: bools, floats and strings are
+    refused, and so are ragged or empty tables.  Associativity is checked
+    row by row: mul[mul[i][j]] must equal mul[i] read at the entries of
+    mul[j], the first failing triple in row-major order named.
+    """
     n = len(mul)
-    arr = np.array(mul, dtype=np.int64)
-    if arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
+    if not n or not all(
+        isinstance(row, (list, tuple)) and len(row) == n and all(is_index(v) and 0 <= v < n for v in row)
+        for row in mul
+    ):
         raise GroupError(f"{name}: not an {n}x{n} table over 0..{n - 1}")
-    if any(arr[0, j] != j for j in range(n)) or any(arr[i, 0] != i for i in range(n)):
-        bad = next(j for j in range(n) if arr[0, j] != j or arr[j, 0] != j)
+    mul = [tuple(int(v) for v in row) for row in mul]
+    if any(mul[0][j] != j for j in range(n)) or any(mul[i][0] != i for i in range(n)):
+        bad = next(j for j in range(n) if mul[0][j] != j or mul[j][0] != j)
         raise GroupError(f"{name}: element 0 is not a two-sided identity at {bad}")
-    # associativity: mul[mul[i,j],k] == mul[i,mul[j,k]]
-    left = arr[arr.reshape(-1), :].reshape(n, n, n)
-    right = arr[:, arr.reshape(-1)].reshape(n, n, n)
-    if not np.array_equal(left, right):
-        i, j, k = (int(v[0]) for v in np.nonzero(left != right))
-        raise GroupError(f"{name}: associativity fails on triple ({i}, {j}, {k})")
+    # associativity, one row of k at a time: mul[mul[i][j]] == mul[i] read at mul[j]
+    read = [itemgetter(*row) for row in mul]
+    for i, row in enumerate(mul if n > 1 else ()):  # Z1 is the table [[0]]
+        for j, ij in enumerate(row):
+            right = read[j](row)
+            if mul[ij] != right:
+                k = next(k for k in range(n) if mul[ij][k] != right[k])
+                raise GroupError(f"{name}: associativity fails on triple ({i}, {j}, {k})")
     for x in range(n):
-        if not any(arr[x, y] == 0 for y in range(n)):
+        if 0 not in mul[x]:
             raise GroupError(f"{name}: element {x} has no inverse")
 
 
@@ -253,6 +277,8 @@ def build_group(spec):
         mul = spec["mul"]
     else:
         name, mul = "G", spec
+    if not isinstance(mul, (list, tuple)):
+        raise GroupError(f"{name}: the table is not a list of rows")
     if len(mul) > TABLE_ORDER_CAP:
         raise GroupError(f"explicit tables capped at order {TABLE_ORDER_CAP}")
     validate_table(mul, name)
@@ -274,15 +300,15 @@ def conjugacy_data(g: FiniteGroup) -> ConjugacyData:
     for x in g.elements():
         if x in seen:
             continue
-        orbit = sorted(set(g.conj_array[:, x].tolist()))
+        orbit = sorted({g.conj(t, x) for t in g.elements()})
         seen.update(orbit)
         classes.append(tuple(orbit))
     classes.sort(key=lambda c: c[0])
     reps = tuple(c[0] for c in classes)
     cents = []
-    mul = g.mul_array
+    mul = g.mul
     for r in reps:
-        cent = tuple(np.flatnonzero(mul[:, r] == mul[r]).tolist())
+        cent = tuple(x for x in g.elements() if mul[x][r] == mul[r][x])
         if not _is_subgroup(g, cent):
             raise GroupError("centralizer failed subgroup check")  # pragma: no cover
         cents.append(cent)
@@ -299,11 +325,9 @@ def conjugacy_data(g: FiniteGroup) -> ConjugacyData:
 
 
 def _is_subgroup(g, elems):
-    idx = np.asarray(elems, dtype=np.int64)
-    inside = np.zeros(g.order, dtype=bool)
-    inside[idx] = True
-    quotients = g.mul_array[np.ix_(idx, np.asarray(g.inv)[idx])]  # a b^-1
-    return bool(inside[0] and inside[quotients].all())
+    inside = set(elems)
+    inv = [g.inv[b] for b in elems]
+    return 0 in inside and all(inside.issuperset(map(g.mul[a].__getitem__, inv)) for a in elems)  # a b^-1
 
 
 def subgroup_closure(g, gens):

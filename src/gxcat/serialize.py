@@ -115,7 +115,7 @@ def load_ring(obj):
         grading = {lab: _element_index(group, el) for lab, el in grading_obj["deg"].items()}
     coeffs = {}
     for i, j, k, mult in obj["N"]:
-        coeffs[(i, j, k)] = int(mult)
+        coeffs[(i, j, k)] = mult
     ring = GradedFusionRing.make(
         obj.get("name", "ring"),
         obj["simples"],

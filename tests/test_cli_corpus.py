@@ -167,6 +167,41 @@ class TestCliContracts:
         res = run_cli(["validate", str(big), "--format", "json"])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("mul", [
+        [[0, 1.5], [1, 0]],  # a float
+        [[0, "1"], [1, 0]],  # a numeric string
+        [[0, True], [1, 0]],  # a bool
+        [[0, 1], [1]],  # ragged
+        [],  # empty
+        [[0, 2], [1, 0]],  # out of range
+    ])
+    def test_validate_refuses_a_table_not_over_its_indices(self, tmp_path, mul):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"name": "bad", "mul": mul}))
+        res = run_cli(["validate", str(path), "--format", "json"])
+        n = len(mul)
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert res.stderr == f"error: bad: not an {n}x{n} table over 0..{n - 1}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "dims"])
+    @pytest.mark.parametrize("mult", [1.5, "1", True])
+    def test_ring_multiplicity_must_be_an_integer(self, tmp_path, command, mult):
+        obj = json.loads((CORPUS / "ring_fibonacci.json").read_text())
+        obj["N"][4][3] = mult  # N_tt^t
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(obj))
+        res = run_cli([command, str(path), "--format", "json"])
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert res.stderr == f"error: multiplicity at (1, 1, 1) is not an integer: {mult!r}\n"
+
+    def test_ring_label_index_must_be_a_label(self, tmp_path):
+        obj = json.loads((CORPUS / "ring_fibonacci.json").read_text())
+        obj["N"][4][0] = 7
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(obj))
+        res = run_cli(["validate", str(path), "--format", "json"])
+        assert (res.exit_code, res.stderr) == (1, "error: 7 is not a label of fibonacci\n")
+
     def test_text_format_renders(self):
         res = run_cli(["dims", str(CORPUS / "ring_ising.json")])
         assert res.exit_code == 0

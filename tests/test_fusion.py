@@ -2,6 +2,7 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -146,7 +147,7 @@ class TestIntegerProductRule:
         ring = _corpus_ring(name)
         dims = pf_dims(ring)
         assert all(isinstance(d, QuadReal) for d in dims)
-        assert fusion_mod._dims_mismatch(ring, ring.tensor(), dims) is None
+        assert fusion_mod._dims_mismatch(ring, dims) is None
         assert _product_rule_reference(ring, dims) is None
 
     @settings(max_examples=150, deadline=None)
@@ -163,13 +164,13 @@ class TestIntegerProductRule:
         k = index % ring.rank
         m = max(d.m for d in dims)
         dims[k] = dims[k] + QuadReal(da, db, m)
-        got = fusion_mod._dims_mismatch(ring, ring.tensor(), dims)
+        got = fusion_mod._dims_mismatch(ring, dims)
         assert got == _product_rule_reference(ring, dims)
 
     def test_rational_dims_over_a_common_denominator(self, fibonacci):
         # (1, 1/2): no ring has these dims, and the check must say where
         dims = [QuadReal(1), QuadReal(Fraction(1, 2))]
-        assert fusion_mod._dims_mismatch(fibonacci, fibonacci.tensor(), dims) == (1, 1)
+        assert fusion_mod._dims_mismatch(fibonacci, dims) == (1, 1)
 
     @pytest.mark.parametrize("args", [
         ["dims", "ring_ising_ising_swap.json"],
@@ -178,6 +179,7 @@ class TestIntegerProductRule:
         ["gauge", "ring_ising_ising_swap.json"],
         ["ungauge", "ring_toric_code.json", "--embed", "pi0=e,pi1=e.g", "--group", "Z2"],
         ["perm-picard", "--base", "ring_ising.json", "--n", "2", "--group", "Z2"],
+        ["roundtrip", "ring_rep_z2.json", "--embed", "pi0=e,pi1=g", "--group", "Z2"],
     ])
     def test_pf_dims_runs_once_per_ring(self, monkeypatch, args):
         calls = []
@@ -319,3 +321,65 @@ class TestPicard:
         ring, _ = ising2_swap
         labels, grp = picard(ring)
         assert len(labels) == 4 and grp.is_abelian
+
+
+def _first_true(mask):
+    """First True index in row-major order, as np.nonzero lists it, or None."""
+    return tuple(int(x[0]) for x in np.nonzero(mask)) if mask.any() else None
+
+
+def _assoc_diff(ring):
+    n = ring.tensor()
+    return np.einsum("ijm,mkl->ijkl", n, n) != np.einsum("jkm,iml->ijkl", n, n)
+
+
+@st.composite
+def sparse_rings(draw, max_rank=4, max_mult=300):
+    """Rings with arbitrary coefficients (up to max_mult, so that the packed
+    associativity fields can be wider than one byte), an arbitrary dual map
+    and a permutation of the labels."""
+    rank = draw(st.integers(1, max_rank))
+    labels = st.integers(0, rank - 1)
+    coeffs = draw(st.dictionaries(st.tuples(labels, labels, labels), st.integers(1, max_mult), max_size=rank ** 3))
+    dual = draw(st.lists(labels, min_size=rank, max_size=rank))
+    perm = tuple(draw(st.permutations(range(rank))))
+    return GradedFusionRing.make("r", [f"x{i}" for i in range(rank)], 0, dual, coeffs), perm
+
+
+class TestSparseChecks:
+    """The sparse witnesses are the first violations np.nonzero finds on the
+    dense tensor, which is what validate_ring and validate_action reported
+    before they left numpy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_rings())
+    def test_associativity_witness_matches_dense_reference(self, ring_perm):
+        ring, _ = ring_perm
+        assert fusion_mod._first_assoc_violation(ring) == _first_true(_assoc_diff(ring))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_rings(max_mult=3))
+    def test_fusion_preservation_witness_matches_dense_reference(self, ring_perm):
+        ring, p = ring_perm
+        n, pa = ring.tensor(), np.array(p)
+        want = _first_true(n[np.ix_(pa, pa, pa)] != n)
+        assert fusion_mod._permuted_mismatch(dict(ring.coeffs), p) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_rings(max_mult=2))
+    def test_unit_and_duality_witnesses_match_dense_reference(self, ring_perm):
+        ring, _ = ring_perm
+        n, eye = ring.tensor(), np.eye(ring.rank, dtype=np.int64)
+        coeff = dict(ring.coeffs)
+        for axis, want in ((0, eye), (1, eye), (2, eye[list(ring.dual)])):
+            support = set(zip(*(x.tolist() for x in np.nonzero(want))))
+            got = fusion_mod._slice_mismatch(coeff, axis, ring.unit, support)
+            assert got == _first_true(np.take(n, ring.unit, axis=axis) != want)
+
+    def test_rank_27_tensor_power_and_one_changed_multiplicity(self, rep_s3):
+        ring, _ = tensor_power(rep_s3, 3, cyclic(3), [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+        assert fusion_mod._first_assoc_violation(ring) is None
+        coeffs = dict(ring.coeffs)
+        coeffs[max(coeffs)] += 1
+        broken = GradedFusionRing.make("broken", ring.simples, ring.unit, ring.dual, coeffs)
+        assert fusion_mod._first_assoc_violation(broken) == _first_true(_assoc_diff(broken))

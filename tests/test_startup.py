@@ -1,7 +1,8 @@
 """Cold start: a gxcat process imports only the layers its command uses.
 
 Each case runs in a fresh interpreter from cwd="/" and reports which of
-numpy and the gxcat modules it loaded.
+numpy and the gxcat modules it loaded.  Only commands that run an array
+kernel (cochains, character tables, doubles, gauging) may load numpy.
 """
 
 import json
@@ -70,13 +71,15 @@ def test_help_and_usage_errors_load_no_numpy(tmp_path, args, code):
     assert loaded <= _BASE, loaded
 
 
-_RING = _BASE | {"numpy", "gxcat.groups", "gxcat.exact", "gxcat.fusion"}
-_COHOMOLOGY = _BASE | {"numpy", "gxcat.groups", "gxcat.snf", "gxcat.cohomology"}
+# the input layers check groups and rings on their tuple and sparse forms
+_GROUP = _BASE | {"gxcat.groups"}
+_RING = _GROUP | {"gxcat.exact", "gxcat.fusion"}
+_COHOMOLOGY = _GROUP | {"numpy", "gxcat.snf", "gxcat.cohomology"}
 _ALL = _RING | _COHOMOLOGY | {"gxcat.cyclo", "gxcat.chartab", "gxcat.gauging", "gxcat.pointed"}
 
 
 @pytest.mark.parametrize("args, allowed", [
-    (["validate", "group_S3.json"], _BASE | {"numpy", "gxcat.groups"}),
+    (["validate", "group_S3.json"], _GROUP),
     (["validate", "cocycle_Z2_h3_0.json"], _COHOMOLOGY),
     (["validate", "ring_fibonacci.json"], _RING),
     (["dims", "ring_ising_ising_swap.json"], _RING),
@@ -93,6 +96,18 @@ def test_command_loads_only_its_layers(tmp_path, args, allowed):
     exit_code, loaded, res = _run_cli(tmp_path, [*args, "--format", "json"])
     assert exit_code == 0, res.stderr
     assert loaded <= allowed, sorted(loaded - allowed)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["validate", "ring_ising_ising_swap.json"], 0),  # a ring with an action
+    (["validate", "broken_ring.json"], 1),
+    (["obstruct", "ring_ising_ising_swap.json", "--g", "g"], 0),
+])
+def test_ring_input_commands_load_no_numpy(tmp_path, args, code):
+    args = [str(CORPUS / a) if a.endswith(".json") else a for a in args]
+    exit_code, loaded, res = _run_cli(tmp_path, [*args, "--format", "json"])
+    assert exit_code == code, res.stderr
+    assert loaded <= _RING, sorted(loaded - _RING)
 
 
 def test_every_exported_name_resolves_and_is_listed():
