@@ -122,7 +122,7 @@ class FiniteGroup:
 
 def is_index(v):
     """True for an integer that is not a bool (JSON true is not an element)."""
-    return isinstance(v, Integral) and not isinstance(v, bool)
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
 
 
 def validate_table(mul, name="table"):

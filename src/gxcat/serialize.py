@@ -106,6 +106,7 @@ def dump_cocycle(c: TorsionCocycle, inline_group=False):
 
 def load_ring(obj):
     from .fusion import GradedFusionRing, RingGAction
+    from .groups import is_index
 
     grading_obj = obj.get("grading")
     group = None
@@ -134,6 +135,8 @@ def load_ring(obj):
             key = group.element_names[el]
             if key not in obj["action"]:
                 raise ValueError(f"action missing entry for group element {key}")
+            if not all(map(is_index, obj["action"][key])):
+                raise ValueError(f"action entry for group element {key} is not a list of label indices")
             perms.append(tuple(int(x) for x in obj["action"][key]))
         action = RingGAction(group, tuple(perms))
     return ring, action

@@ -194,6 +194,16 @@ class TestCliContracts:
         assert (res.exit_code, res.stdout) == (1, "")
         assert res.stderr == f"error: multiplicity at (1, 1, 1) is not an integer: {mult!r}\n"
 
+    @pytest.mark.parametrize("entry", [2.5, 2.0, "2", True])
+    def test_action_entries_must_be_label_indices(self, tmp_path, entry):
+        obj = json.loads((CORPUS / "ring_fib_fib_swap.json").read_text())
+        obj["action"]["g"][1] = entry
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(obj))
+        res = run_cli(["gauge", str(path), "--format", "json"])
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert res.stderr == "error: action entry for group element g is not a list of label indices\n"
+
     def test_ring_label_index_must_be_a_label(self, tmp_path):
         obj = json.loads((CORPUS / "ring_fibonacci.json").read_text())
         obj["N"][4][0] = 7
