@@ -3,8 +3,15 @@
 One binary, subcommand style.  Exit codes: 0 success / checks passed,
 1 validation failure (a report is still emitted), 2 usage or parse error,
 3 resource guard exceeded, 4 internal invariant violated (a mathematical
-self-check of gxcat failed: a defect of the program, not of the input).  JSON reports have sorted keys and exact number
-encodings and are byte-identical across runs on identical inputs.
+self-check of gxcat failed: a defect of the program, not of the input).
+JSON reports have sorted keys and exact number encodings and are
+byte-identical across runs on identical inputs.
+
+The front end is the standard library alone.  ``COMMANDS`` maps each
+command name to its function and its arguments, and the function's
+docstring is its one-line help.  ``main`` builds the ``argparse`` parser of
+the invoked command only; the top-level ``--help`` is rendered from the
+table without building any parser.
 
 Each command imports the layers it uses inside its own body, so a process
 pays only for the command it runs.  ``--help``, usage errors, ``corpus``
@@ -18,10 +25,9 @@ and doubles, and gauging.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
-
-import click
 
 from .errors import CorpusError, FusionError, GroupError, InvariantError, ResourceLimit
 from .serialize import (
@@ -42,8 +48,12 @@ EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 
 
-class CliError(click.ClickException):
-    exit_code = EXIT_VALIDATION
+class CliError(Exception):
+    """The input cannot be used by the command: ``Error: MESSAGE``, exit 1."""
+
+
+class UsageError(Exception):
+    """A usage error found after parsing: the command's usage and MESSAGE, exit 2."""
 
 
 def _read_json(path):
@@ -51,12 +61,12 @@ def _read_json(path):
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise click.UsageError(f"no such file: {path}")
+        raise UsageError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
-        raise click.UsageError(f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        raise UsageError(f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
-def _emit(ctx, payload, fmt, out):
+def _emit(payload, fmt, out):
     if fmt == "json":
         text = canonical_json(payload)
     else:
@@ -65,7 +75,7 @@ def _emit(ctx, payload, fmt, out):
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _prettify(payload):
@@ -125,34 +135,34 @@ def _as_text(payload, indent=0):
     return f"{pad}{payload}"
 
 
-fmt_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-out_option = click.option("--out", type=click.Path(), default=None)
+HELP = "Exact computations with graded fusion rings and crossed braided data."
+COMMANDS = {}  # name -> (function, its arguments as (flags, keywords) for add_argument)
 
 
-@click.group()
-def main():
-    """Exact computations with graded fusion rings and crossed braided data."""
+def command(name, *arguments):
+    """Enter the decorated function in ``COMMANDS`` under ``name``.  Its
+    docstring is its help; every command also takes ``--format`` and ``--out``."""
+
+    def enter(fn):
+        COMMANDS[name] = (fn, arguments)
+        return fn
+
+    return enter
 
 
-def _wrap(fn):
-    """Translate library errors into the documented exit codes."""
+def _arg(*flags, **keywords):
+    return flags, keywords
 
-    def runner(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ResourceLimit as exc:
-            click.echo(f"resource guard: {exc}", err=True)
-            sys.exit(EXIT_RESOURCE)
-        except InvariantError as exc:
-            click.echo(f"invariant violated: {exc}", err=True)
-            sys.exit(EXIT_INVARIANT)
-        except (FusionError, GroupError, ValueError, AssertionError, CorpusError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
 
-    runner.__name__ = fn.__name__
-    runner.__doc__ = fn.__doc__
-    return runner
+PATH = _arg("path")
+GROUP = _arg("--group", dest="group_spec", metavar="GROUP", required=True)
+ELEMENT = _arg("--g", dest="g_name", required=True, help="group element name")
+N_OPT = _arg("--N", dest="n", type=int, default=None)
+CROSSED = (GROUP, _arg("--cocycle", dest="cocycle_path", default=None),
+           _arg("--trivial", action="store_true", help="use the zero cocycle"), N_OPT)
+EMBEDDED = (_arg("--embed", required=True, help="pi0=label,pi1=label,..."),
+            _arg("--group", dest="group_spec", metavar="GROUP", default=None,
+                 help="symmetry group preset (if no action in file)"))
 
 
 def _load_group_opt(spec):
@@ -161,7 +171,7 @@ def _load_group_opt(spec):
     try:
         return load_group(spec)
     except GroupError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
 def _load_cocycle_opt(group, cocycle_path, trivial, n):
@@ -175,64 +185,46 @@ def _load_cocycle_opt(group, cocycle_path, trivial, n):
     return c
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-@fmt_option
-@out_option
-@click.pass_context
-def validate(ctx, path, fmt, out):
+@command("validate", PATH)
+def validate(path, fmt, out):
     """Validate a group, cocycle, ring or pointed-data file."""
     obj = _read_json(path)
     try:
         kind = detect_kind(obj)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
-    @_wrap
-    def run():
-        if kind == "group":
-            load_group(obj)
-            payload = {"kind": kind, "passed": True, "issues": []}
-        elif kind == "cocycle":
-            from .cohomology import is_cocycle
+    if kind == "group":
+        load_group(obj)
+        payload = {"kind": kind, "passed": True, "issues": []}
+    elif kind == "cocycle":
+        from .cohomology import is_cocycle
 
-            c = load_cocycle(obj)
-            ok, wit = is_cocycle(c)
-            issues = [] if ok else [{"code": "cocycle", "message": "coboundary does not vanish", "witness": list(wit)}]
-            payload = {"kind": kind, "passed": ok, "issues": issues}
-        elif kind == "ring":
-            from .fusion import validate_action, validate_ring
+        c = load_cocycle(obj)
+        ok, wit = is_cocycle(c)
+        issues = [] if ok else [{"code": "cocycle", "message": "coboundary does not vanish", "witness": list(wit)}]
+        payload = {"kind": kind, "passed": ok, "issues": issues}
+    elif kind == "ring":
+        from .fusion import validate_action, validate_ring
 
-            ring, action = load_ring(obj)
-            rep = validate_ring(ring)
-            if action is not None and rep.passed:
-                rep = validate_action(ring, action)
-            payload = {"kind": kind, "passed": rep.passed, "issues": rep.issues}
-        else:
-            from .pointed import validate_pointed
+        ring, action = load_ring(obj)
+        rep = validate_ring(ring)
+        if action is not None and rep.passed:
+            rep = validate_action(ring, action)
+        payload = {"kind": kind, "passed": rep.passed, "issues": rep.issues}
+    else:
+        from .pointed import validate_pointed
 
-            data = load_pointed(obj)
-            rep = validate_pointed(data)
-            payload = {"kind": kind, "passed": rep.passed, "issues": rep.issues}
-        _emit(ctx, payload, fmt, out)
-        if not payload["passed"]:
-            sys.exit(EXIT_VALIDATION)
-
-    try:
-        run()
-    except (GroupError, ValueError) as exc:
-        payload = {"kind": kind, "passed": False, "issues": [{"code": "load", "message": str(exc), "witness": None}]}
-        _emit(ctx, payload, fmt, out)
+        data = load_pointed(obj)
+        rep = validate_pointed(data)
+        payload = {"kind": kind, "passed": rep.passed, "issues": rep.issues}
+    _emit(payload, fmt, out)
+    if not payload["passed"]:
         sys.exit(EXIT_VALIDATION)
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def dims(ctx, path, fmt, out):
+@command("dims", PATH)
+def dims(path, fmt, out):
     """Quantum dimensions and global dimension of a fusion ring."""
     from .exact import scalar_json
     from .fusion import global_dim, pf_dims
@@ -243,47 +235,31 @@ def dims(ctx, path, fmt, out):
         "dims": {ring.label(i): scalar_json(v) for i, v in enumerate(d)},
         "global_dim": scalar_json(global_dim(ring, d)),
     }
-    _emit(ctx, payload, fmt, out)
+    _emit(payload, fmt, out)
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def sectors(ctx, path, fmt, out):
+@command("sectors", PATH)
+def sectors(path, fmt, out):
     """Per-degree squared-dimension sums and the full-spectrum flag."""
     from .fusion import sector_dims
 
     ring, _ = load_ring(_read_json(path))
-    _emit(ctx, sector_dims(ring).to_json(), fmt, out)
+    _emit(sector_dims(ring).to_json(), fmt, out)
 
 
-@main.command(name="picard")
-@click.argument("path", type=click.Path())
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def picard_cmd(ctx, path, fmt, out):
+@command("picard", PATH)
+def picard_cmd(path, fmt, out):
     """Invertible simples and their group table."""
     from .fusion import picard
 
     ring, _ = load_ring(_read_json(path))
     labels, grp = picard(ring)
     payload = {"labels": labels, "group_order": grp.order, "table": [list(r) for r in grp.mul]}
-    _emit(ctx, payload, fmt, out)
+    _emit(payload, fmt, out)
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-@click.option("--g", "g_name", required=True, help="group element name")
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def obstruct(ctx, path, g_name, fmt, out):
+@command("obstruct", PATH, ELEMENT)
+def obstruct(path, g_name, fmt, out):
     """Invertibility obstruction for degree g (Picard-emptiness witness)."""
     from .fusion import invertible_sector_obstruction
 
@@ -291,85 +267,59 @@ def obstruct(ctx, path, g_name, fmt, out):
     if action is None:
         raise CliError("ring file carries no action")
     if g_name not in action.group.element_names:
-        raise click.UsageError(f"unknown group element {g_name}")
+        raise UsageError(f"unknown group element {g_name}")
     g_el = action.group.element_names.index(g_name)
     witness = invertible_sector_obstruction(ring, action, g_el)
-    _emit(ctx, {"g": g_name, "witness": witness}, fmt, out)
+    _emit({"g": g_name, "witness": witness}, fmt, out)
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def gauge(ctx, path, fmt, out):
+@command("gauge", PATH)
+def gauge(path, fmt, out):
     """Equivariantize a ring with its bundled action (orbit/stabilizer model)."""
     from .gauging import equivariantize
 
     ring, action = load_ring(_read_json(path))
     if action is None:
         raise CliError("ring file carries no action")
-    _emit(ctx, equivariantize(ring, action).to_json(), fmt, out)
+    _emit(equivariantize(ring, action).to_json(), fmt, out)
 
 
 def _parse_embedding(embed):
     out = {}
     for part in embed.split(","):
         if "=" not in part:
-            raise click.UsageError("embedding must look like pi0=label,pi1=label,...")
+            raise UsageError("embedding must look like pi0=label,pi1=label,...")
         k, v = part.split("=", 1)
         out[k.strip()] = v.strip()
     return out
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-@click.option("--embed", required=True, help="pi0=label,pi1=label,...")
-@click.option("--group", "group_spec", default=None, help="symmetry group preset (if no action in file)")
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def ungauge(ctx, path, embed, group_spec, fmt, out):
+@command("ungauge", PATH, *EMBEDDED)
+def ungauge(path, embed, group_spec, fmt, out):
     """Crossed product by an embedded Rep(G) (ring-level de-equivariantization)."""
     from .gauging import crossed_product
 
     ring, action = load_ring(_read_json(path))
     group = _load_group_opt(group_spec) if group_spec else None
     result = crossed_product(ring, _parse_embedding(embed), action=action if group is None else None, group=group)
-    _emit(ctx, result.to_json(), fmt, out)
+    _emit(result.to_json(), fmt, out)
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-@click.option("--embed", required=True)
-@click.option("--group", "group_spec", default=None)
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def roundtrip(ctx, path, embed, group_spec, fmt, out):
+@command("roundtrip", PATH, *EMBEDDED)
+def roundtrip(path, embed, group_spec, fmt, out):
     """Crossed product followed by re-equivariantization; dimension audit."""
     from .gauging import roundtrip_check
 
     ring, action = load_ring(_read_json(path))
     group = _load_group_opt(group_spec) if group_spec else None
     rep = roundtrip_check(ring, _parse_embedding(embed), action=action if group is None else None, group=group)
-    _emit(ctx, rep.to_json(), fmt, out)
+    _emit(rep.to_json(), fmt, out)
     if not rep.dims_match:
         sys.exit(EXIT_VALIDATION)
 
 
-@main.command()
-@click.option("--group", "group_spec", required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--N", "n", type=int, default=None)
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def cohomology(ctx, group_spec, k, n, fmt, out):
+@command("cohomology", GROUP, _arg("--k", type=int, required=True), N_OPT)
+def cohomology(group_spec, k, n, fmt, out):
     """H^k(G, mu_N) as invariant factors (N defaults to |G|)."""
     from .cohomology import cohomology_group, u1_cohomology
 
@@ -389,84 +339,52 @@ def cohomology(ctx, group_spec, k, n, fmt, out):
             payload["u1_invariant_factors"] = list(u1.invariant_factors)
             exponent = max(u1.invariant_factors, default=1)
             if n % exponent:
-                click.echo(
-                    f"warning: H^{k}(G, U(1)) has exponent {exponent}, which does not divide N={n}",
-                    err=True,
-                )
+                sys.stderr.write(f"warning: H^{k}(G, U(1)) has exponent {exponent}, which does not divide N={n}\n")
         except ResourceLimit:
             pass
-    _emit(ctx, payload, fmt, out)
+    _emit(payload, fmt, out)
 
 
-@main.command(name="transgress")
-@click.argument("path", type=click.Path())
-@click.option("--g", "g_name", required=True)
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def transgress_cmd(ctx, path, g_name, fmt, out):
+@command("transgress", PATH, ELEMENT)
+def transgress_cmd(path, g_name, fmt, out):
     """Transgress a 3-cocycle to a 2-cocycle on a centralizer."""
     from .cohomology import is_coboundary, transgress
 
     omega = load_cocycle(_read_json(path))
     if g_name not in omega.group.element_names:
-        raise click.UsageError(f"unknown group element {g_name}")
+        raise UsageError(f"unknown group element {g_name}")
     tau, cent, _ = transgress(omega, omega.group.element_names.index(g_name))
     payload = {
         "centralizer_order": cent.order,
         "tau": dump_cocycle(tau, inline_group=True),
         "is_coboundary": is_coboundary(tau),
     }
-    _emit(ctx, payload, fmt, out)
+    _emit(payload, fmt, out)
 
 
-@main.command()
-@click.option("--group", "group_spec", required=True)
-@click.option("--cocycle", "cocycle_path", default=None)
-@click.option("--trivial", is_flag=True, help="use the zero cocycle")
-@click.option("--N", "n", type=int, default=None)
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def double(ctx, group_spec, cocycle_path, trivial, n, fmt, out):
+@command("double", *CROSSED)
+def double(group_spec, cocycle_path, trivial, n, fmt, out):
     """Twisted quantum double data: simples, dims, T, and S when exact."""
     from .pointed import twisted_double
 
     g = _load_group_opt(group_spec)
     omega = _load_cocycle_opt(g, cocycle_path, trivial or cocycle_path is None, n)
-    _emit(ctx, twisted_double(g, omega).to_json(), fmt, out)
+    _emit(twisted_double(g, omega).to_json(), fmt, out)
 
 
-@main.command(name="holo-crossed")
-@click.option("--group", "group_spec", required=True)
-@click.option("--cocycle", "cocycle_path", default=None)
-@click.option("--trivial", is_flag=True)
-@click.option("--N", "n", type=int, default=None)
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def holo_crossed(ctx, group_spec, cocycle_path, trivial, n, fmt, out):
+@command("holo-crossed", *CROSSED)
+def holo_crossed(group_spec, cocycle_path, trivial, n, fmt, out):
     """One-invertible-per-degree crossed data with solved braiding."""
     from .pointed import holomorphic_crossed
 
     g = _load_group_opt(group_spec)
     omega = _load_cocycle_opt(g, cocycle_path, trivial or cocycle_path is None, n)
     data, count = holomorphic_crossed(g, omega)
-    _emit(ctx, {"solutions": count, "data": dump_pointed(data)}, fmt, out)
+    _emit({"solutions": count, "data": dump_pointed(data)}, fmt, out)
 
 
-@main.command(name="enumerate")
-@click.option("--group", "group_spec", required=True)
-@click.option("--N", "n", type=int, required=True)
-@click.option("--seed", type=int, default=None)
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def enumerate_cmd(ctx, group_spec, n, seed, fmt, out):
+@command("enumerate", GROUP, _arg("--N", dest="n", type=int, required=True), _arg("--seed", type=int, default=None))
+def enumerate_cmd(group_spec, n, seed, fmt, out):
     """Exhaustive holomorphic enumeration with orbit partition."""
     from .pointed import enumerate_holomorphic
 
@@ -479,16 +397,11 @@ def enumerate_cmd(ctx, group_spec, n, seed, fmt, out):
             {"size": o["size"], "representative": dump_pointed(o["representative"])} for o in orbits
         ],
     }
-    _emit(ctx, payload, fmt, out)
+    _emit(payload, fmt, out)
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def smatrix(ctx, path, fmt, out):
+@command("smatrix", PATH)
+def smatrix(path, fmt, out):
     """Kirillov pairing matrix of pointed crossed data, with verdict."""
     from .pointed import kirillov_S, validate_pointed
 
@@ -497,18 +410,11 @@ def smatrix(ctx, path, fmt, out):
     if not rep.passed:
         raise CliError(f"input fails validation: {rep.issues[0]['message']}")
     km = kirillov_S(data)
-    _emit(ctx, km.to_json(), fmt, out)
+    _emit(km.to_json(), fmt, out)
 
 
-@main.command(name="perm-picard")
-@click.option("--base", "base_path", required=True, type=click.Path())
-@click.option("--n", type=int, required=True)
-@click.option("--group", "group_spec", required=True)
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def perm_picard(ctx, base_path, n, group_spec, fmt, out):
+@command("perm-picard", _arg("--base", dest="base_path", required=True), _arg("--n", type=int, required=True), GROUP)
+def perm_picard(base_path, n, group_spec, fmt, out):
     """Invertibles of a permutation orbifold, with brute-force cross-check."""
     from .gauging import perm_orbifold_picard
 
@@ -520,7 +426,7 @@ def perm_picard(ctx, base_path, n, group_spec, fmt, out):
         "count": len(pairs),
         "pairs": [{"picard": lab, "character": list(ch)} for lab, ch in pairs],
     }
-    _emit(ctx, payload, fmt, out)
+    _emit(payload, fmt, out)
 
 
 def natural_embedding(group, n):
@@ -532,15 +438,11 @@ def natural_embedding(group, n):
         return [perms[i] for i in group.elements()]
     if group.name == f"Z{n}":
         return [tuple((i + k) % n for i in range(n)) for k in group.elements()]
-    raise click.UsageError(f"no natural embedding of {group.name} into S_{n}")
+    raise UsageError(f"no natural embedding of {group.name} into S_{n}")
 
 
-@main.command(name="corpus")
-@fmt_option
-@out_option
-@click.pass_context
-@_wrap
-def corpus_cmd(ctx, fmt, out):
+@command("corpus")
+def corpus_cmd(fmt, out):
     """List the bundled corpus entries (with integrity check)."""
     from .corpus import corpus_list
 
@@ -549,8 +451,57 @@ def corpus_cmd(ctx, fmt, out):
         {"name": e.name, "kind": e.kind, "path": e.path, "golden": e.golden}
         for e in entries
     ]
-    _emit(ctx, payload, fmt, out)
+    _emit(payload, fmt, out)
 
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse help whose usage line starts ``Usage:``, as the top-level help does."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+def _fail(message, code):
+    sys.stderr.write(message + "\n")
+    sys.exit(code)
+
+
+def main(args=None, prog_name="gxcat"):
+    """Run the command named by ``args`` (default ``sys.argv[1:]``) and exit
+    with its code.  Only that command's argument parser is built."""
+    args = sys.argv[1:] if args is None else list(args)
+    usage = f"Usage: {prog_name} COMMAND [ARGS]...\n"
+    if args[:1] in (["--help"], ["-h"]):
+        width = max(map(len, COMMANDS))
+        lines = "".join(f"  {name:<{width}}  {fn.__doc__}\n" for name, (fn, _) in sorted(COMMANDS.items()))
+        sys.stdout.write(f"{usage}\n  {HELP}\n\nCommands:\n{lines}")
+        sys.exit(EXIT_OK)
+    if not args or args[0] not in COMMANDS:
+        problem = f"no such command {args[0]!r}" if args else "missing command"
+        _fail(f"{usage}{prog_name}: error: {problem} (see '{prog_name} --help')", EXIT_USAGE)
+    fn, arguments = COMMANDS[args[0]]
+    parser = argparse.ArgumentParser(prog=f"{prog_name} {args[0]}", description=fn.__doc__,
+                                     formatter_class=_Formatter, allow_abbrev=False)
+    for flags, keywords in arguments:
+        parser.add_argument(*flags, **keywords)
+    parser.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+    parser.add_argument("--out", default=None)
+    try:
+        fn(**vars(parser.parse_args(args[1:])))
+    except UsageError as exc:
+        parser.error(str(exc))
+    except CliError as exc:
+        _fail(f"Error: {exc}", EXIT_VALIDATION)
+    except ResourceLimit as exc:
+        _fail(f"resource guard: {exc}", EXIT_RESOURCE)
+    except InvariantError as exc:
+        _fail(f"invariant violated: {exc}", EXIT_INVARIANT)
+    except (FusionError, GroupError, ValueError, CorpusError) as exc:
+        _fail(f"error: {exc}", EXIT_VALIDATION)
+    sys.exit(EXIT_OK)
+
+
+main.main = main  # the in-process entry point of bench/child.py: main.main(args=..., prog_name=...)
 
 if __name__ == "__main__":
     main()

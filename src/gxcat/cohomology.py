@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ResourceLimit
+from .errors import InvariantError, ResourceLimit
 from .groups import FiniteGroup, GroupError, subgroup
 from . import snf
 
@@ -157,7 +157,8 @@ class TorsionCocycle:
         return not self.table.any()
 
     def __add__(self, other):
-        assert (self.group, self.degree, self.n) == (other.group, other.degree, other.n)
+        if (self.group, self.degree, self.n) != (other.group, other.degree, other.n):
+            raise ValueError("cochains to add must share group, degree and N")
         return TorsionCocycle.from_table(self.group, self.degree, self.n, self.table + other.table)
 
     def scaled(self, factor):
@@ -328,11 +329,13 @@ def cohomology_group(g: FiniteGroup, k: int, n: int) -> CohomologyGroup:
     group = CohomologyGroup(tuple(f for f in factors if f > 1), tuple(reps), tuple(orders))
     for rep in reps:
         ok, wit = is_cocycle(rep)
-        assert ok, f"representative failed closedness at {wit}"
+        if not ok:
+            raise InvariantError(f"representative failed closedness at {wit}")
     if reps:
         # a representative is exact exactly when its column has a particular solution
         parts, _, _ = snf.solution_lattice(lower, n, np.array([rep.to_vector() for rep in reps]).T)
-        assert all(part is None for part in parts), "representative is exact"
+        if any(part is not None for part in parts):
+            raise InvariantError("representative is exact")
     return group
 
 
@@ -379,7 +382,8 @@ def transgress(omega: TorsionCocycle, g_elem: int):
     table = w[a, h, k] - w[h, conj_a[inv[h]], k] + w[h, k, conj_a[inv[hk]]]
     tau = TorsionCocycle.from_table(cent, 2, omega.n, table)
     ok, wit = is_cocycle(tau)
-    assert ok, f"transgression output not closed at {wit}"
+    if not ok:
+        raise InvariantError(f"transgression output not closed at {wit}")
     return tau, cent, embed
 
 

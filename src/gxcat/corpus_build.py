@@ -6,11 +6,11 @@ byte-exact JSON output of the CLI command recorded in the index.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
-
-from click.testing import CliRunner
 
 from .cohomology import TorsionCocycle, cohomology_group
 from .fusion import GradedFusionRing, pointed_ring, tensor_power
@@ -64,11 +64,14 @@ def rep_s3_ring():
 def _golden(cli_args):
     from .cli import main
 
-    runner = CliRunner()
-    res = runner.invoke(main, cli_args + ["--format", "json"], catch_exceptions=False)
-    if res.exit_code not in (0,):
-        raise RuntimeError(f"golden command failed: {cli_args}: {res.output}")
-    return res.output
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            main(cli_args + ["--format", "json"])
+        except SystemExit as exc:
+            if exc.code:
+                raise RuntimeError(f"golden command failed: {cli_args}: exit {exc.code}") from None
+    return out.getvalue()
 
 
 def build(target=None):

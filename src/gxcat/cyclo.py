@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InvariantError
 from .snf import rref
 
 __all__ = ["Cyc", "cyclotomic_poly"]
@@ -45,7 +46,8 @@ def cyclotomic_poly(n):
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_divmod(poly, list(cyclotomic_poly(d)))
-            assert all(c == 0 for c in rem)
+            if any(rem):
+                raise InvariantError(f"cyclotomic_poly({n}): division by Phi_{d} left a remainder")
     return tuple(poly)
 
 

@@ -78,6 +78,8 @@ class GradedFusionRing:
             return int(x)
 
         unit_i = label(unit)
+        if isinstance(dual, dict) and not set(simples) <= set(dual):
+            raise FusionError(f"the dual map has no entry for {min(set(simples) - set(dual))!r}")
         dual_t = tuple(label(dual[s]) for s in simples) if isinstance(dual, dict) else tuple(map(label, dual))
         if len(dual_t) != len(simples):
             raise FusionError("the dual map needs one entry per label")

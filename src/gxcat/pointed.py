@@ -321,7 +321,8 @@ def holomorphic_crossed(group: FiniteGroup, omega: TorsionCocycle):
         if tables:
             data = PointedGXData.make(group, group, deg, action, n, infl, tables[0])
             rep = validate_pointed(data)
-            assert rep.passed, f"holomorphic output failed validation: {rep.issues[:1]}"
+            if not rep.passed:
+                raise InvariantError(f"holomorphic output failed validation: {rep.issues[:1]}")
             return data, len(tables)
         mult += 1
     raise ValueError(
@@ -422,7 +423,8 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
         assoc = TorsionCocycle.from_table(group, 3, n, rep[: o**3].reshape(o, o, o))
         data = PointedGXData.make(group, group, deg, action, n, assoc, rep[o**3 :].reshape(o, o))
         check = validate_pointed(data)
-        assert check.passed, f"enumerated representative failed validation: {check.issues[:1]}"
+        if not check.passed:
+            raise InvariantError(f"enumerated representative failed validation: {check.issues[:1]}")
         orbits.append({"representative": data, "size": len(members)})
     all_solutions = sorted(states)
     orbits.sort(key=lambda o: (o["representative"].assoc.values, o["representative"].braid))
@@ -519,7 +521,8 @@ def pointed_deequivariantize(data: PointedGXData, subgroup_elems):
             if any(cand.monodromy(c1, c2) != v for (c1, c2), v in pins_mono.items()):
                 continue
             rep = validate_pointed(cand)
-            assert rep.passed, f"descended data failed validation: {rep.issues[:1]}"
+            if not rep.passed:
+                raise InvariantError(f"descended data failed validation: {rep.issues[:1]}")
             return cand
     raise ValueError("no descended braiding found (internal consistency error)")
 

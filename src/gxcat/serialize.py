@@ -4,6 +4,10 @@ All emitters produce sorted-key, canonically ordered structures so that
 reports and corpus files are byte-stable across runs.  Each loader imports
 the layer of its kind when it runs, so reading a group file loads no ring,
 cocycle or pointed-data code.
+
+The loaders take integers only as JSON integers: a float, a bool or a
+numeric string where an integer belongs is refused with an error that names
+the field, and so is a missing key.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .errors import GroupError
+from .errors import FusionError, GroupError
 
 if TYPE_CHECKING:
     from .cohomology import TorsionCocycle
@@ -66,22 +70,47 @@ def dump_group(g: FiniteGroup):
     return {"name": g.name, "order": g.order, "mul": [list(r) for r in g.mul]}
 
 
-def _element_index(g, x):
-    if isinstance(x, int):
-        return x
+def _field(obj, key, where, error=ValueError):
+    """``obj[key]``, or ``error`` naming the key when ``obj`` has none."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise error(f"{where} has no {key!r}")
+    return obj[key]
+
+
+def _integer(x, field):
+    from .groups import is_index
+
+    if not is_index(x):
+        raise ValueError(f"{field} is not an integer: {x!r}")
+    return int(x)
+
+
+def _element_index(g, x, field):
+    """A group element given by its index or by its name."""
+    if not isinstance(x, str):
+        return _integer(x, field)
+    if x not in g.element_names:
+        raise ValueError(f"{field}: {x!r} is not an element of {g.name}")
     return g.element_names.index(x)
+
+
+def _entries(obj, key):
+    """The list of non-empty lists under ``key`` (empty when the file has none)."""
+    rows = obj.get(key, [])
+    if not isinstance(rows, list) or not all(isinstance(row, list) and row for row in rows):
+        raise ValueError(f"{key} must be a list of non-empty lists")
+    return rows
 
 
 def load_cocycle(obj):
     from .cohomology import TorsionCocycle
 
-    g = load_group(obj["group"])
-    degree = int(obj["degree"])
-    n = int(obj["N"])
+    g = load_group(_field(obj, "group", "cocycle file"))
+    degree = _integer(_field(obj, "degree", "cocycle file"), "degree")
+    n = _integer(_field(obj, "N", "cocycle file"), "N")
     values = {}
-    for entry in obj.get("values", []):
-        *tup, v = entry
-        values[tuple(_element_index(g, t) for t in tup)] = int(v)
+    for *tup, v in _entries(obj, "values"):
+        values[tuple(_element_index(g, t, "values entry") for t in tup)] = _integer(v, "values entry")
     return TorsionCocycle.make(g, degree, n, values)
 
 
@@ -112,17 +141,18 @@ def load_ring(obj):
     group = None
     grading = None
     if grading_obj:
-        group = load_group(grading_obj["group"])
-        grading = {lab: _element_index(group, el) for lab, el in grading_obj["deg"].items()}
-    coeffs = {}
-    for i, j, k, mult in obj["N"]:
-        coeffs[(i, j, k)] = mult
+        group = load_group(_field(grading_obj, "group", "the ring grading", FusionError))
+        deg = _field(grading_obj, "deg", "the ring grading", FusionError)
+        grading = {lab: _element_index(group, el, "grading") for lab, el in deg.items()}
+    entries = _field(obj, "N", "ring file", FusionError)
+    if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 4 for e in entries):
+        raise FusionError("N must be a list of [i, j, k, multiplicity] entries")
     ring = GradedFusionRing.make(
         obj.get("name", "ring"),
-        obj["simples"],
-        obj["unit"],
-        obj["dual"],
-        coeffs,
+        _field(obj, "simples", "ring file", FusionError),
+        _field(obj, "unit", "ring file", FusionError),
+        _field(obj, "dual", "ring file", FusionError),
+        {(i, j, k): mult for i, j, k, mult in entries},
         group=group,
         grading=grading,
     )
@@ -170,24 +200,24 @@ def dump_ring(ring: GradedFusionRing, action: RingGAction = None):
 def load_pointed(obj):
     from .pointed import PointedGXData
 
-    gamma = load_group(obj["Gamma"])
-    group = load_group(obj["G"])
-    n = int(obj["N"])
-    deg_obj = obj["deg"]
+    gamma = load_group(_field(obj, "Gamma", "pointed file"))
+    group = load_group(_field(obj, "G", "pointed file"))
+    n = _integer(_field(obj, "N", "pointed file"), "N")
+    deg_obj = _field(obj, "deg", "pointed file")
     if isinstance(deg_obj, dict):
-        deg = [_element_index(group, deg_obj[gamma.element_names[x]]) for x in gamma.elements()]
+        deg = [_element_index(group, _field(deg_obj, gamma.element_names[x], "the deg map"), "deg entry")
+               for x in gamma.elements()]
     else:
-        deg = [int(x) for x in deg_obj]
-    action_obj = obj["action"]
+        deg = [_integer(x, "deg entry") for x in deg_obj]
+    action_obj = _field(obj, "action", "pointed file")
     if isinstance(action_obj, dict):
-        action = [tuple(action_obj[group.element_names[k]]) for k in group.elements()]
-    else:
-        action = [tuple(p) for p in action_obj]
+        action_obj = [_field(action_obj, group.element_names[k], "the action map") for k in group.elements()]
+    action = [tuple(_integer(x, "action entry") for x in p) for p in action_obj]
     assoc = {}
-    for entry in obj.get("assoc", []):
-        *tup, v = entry
-        assoc[tuple(int(t) for t in tup)] = int(v)
-    return PointedGXData.make(gamma, group, deg, action, n, assoc, obj["braid"])
+    for *tup, v in _entries(obj, "assoc"):
+        assoc[tuple(_integer(t, "assoc entry") for t in tup)] = _integer(v, "assoc entry")
+    braid = [[_integer(v, "braid entry") for v in row] for row in _field(obj, "braid", "pointed file")]
+    return PointedGXData.make(gamma, group, deg, action, n, assoc, braid)
 
 
 def dump_pointed(d: PointedGXData):

@@ -1,15 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import traceback
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 import gxcat
 from gxcat.cli import main
 from gxcat.corpus import CorpusError, corpus_dir, corpus_list
+from gxcat.errors import FusionError
 from gxcat.serialize import (
     canonical_json,
     detect_kind,
@@ -22,9 +26,31 @@ from gxcat.serialize import (
 CORPUS = pathlib.Path(str(corpus_dir()))
 
 
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self):
+        return self.stdout + self.stderr
+
+
 def run_cli(args):
-    runner = CliRunner()
-    return runner.invoke(main, args)
+    """Run ``gxcat ARGS`` in this process and capture its exit code, stdout
+    and stderr.  An exception that escapes ``main`` exits 1 with its
+    traceback on stderr, as it would in a process of its own."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return CliResult(code, out.getvalue(), err.getvalue())
 
 
 class TestCorpus:
@@ -203,6 +229,51 @@ class TestCliContracts:
         res = run_cli(["gauge", str(path), "--format", "json"])
         assert (res.exit_code, res.stdout) == (1, "")
         assert res.stderr == "error: action entry for group element g is not a list of label indices\n"
+
+    @pytest.mark.parametrize("name, where, value, message", [
+        ("cocycle_Z2_h3_0.json", ["degree"], 3.0, "degree is not an integer: 3.0"),
+        ("cocycle_Z2_h3_0.json", ["N"], "2", "N is not an integer: '2'"),
+        ("cocycle_Z2_h3_0.json", ["values", 0, 3], 1.5, "values entry is not an integer: 1.5"),
+        ("cocycle_Z2_h3_0.json", ["values", 0, 0], True, "values entry is not an integer: True"),
+        ("pointed_toric_code.json", ["N"], 2.0, "N is not an integer: 2.0"),
+        ("pointed_toric_code.json", ["deg", 1], True, "deg entry is not an integer: True"),
+        ("pointed_double_semion.json", ["assoc", 0, 3], 2.5, "assoc entry is not an integer: 2.5"),
+        ("pointed_double_semion.json", ["assoc", 0, 0], "1", "assoc entry is not an integer: '1'"),
+        ("pointed_toric_code.json", ["action", 0, 2], "2", "action entry is not an integer: '2'"),
+        ("pointed_toric_code.json", ["braid", 1, 2], 1.0, "braid entry is not an integer: 1.0"),
+    ])
+    def test_cocycle_and_pointed_integers_must_be_integers(self, tmp_path, name, where, value, message):
+        obj = json.loads((CORPUS / name).read_text())
+        *path, last = where
+        target = obj
+        for key in path:
+            target = target[key]
+        target[last] = value
+        bad = tmp_path / name
+        bad.write_text(json.dumps(obj))
+        res = run_cli(["validate", str(bad), "--format", "json"])
+        assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("where, message", [
+        (["dual", "t"], "the dual map has no entry for 't'"),
+        (["unit"], "ring file has no 'unit'"),
+        (["N"], "ring file has no 'N'"),
+    ])
+    def test_ring_file_missing_a_key(self, tmp_path, where, message):
+        obj = json.loads((CORPUS / "ring_fibonacci.json").read_text())
+        *path, last = where
+        target = obj
+        for key in path:
+            target = target[key]
+        del target[last]
+        with pytest.raises(FusionError) as info:
+            load_ring(obj)
+        assert str(info.value) == message
+        bad = tmp_path / "ring.json"
+        bad.write_text(json.dumps(obj))
+        for command in ("validate", "dims"):
+            res = run_cli([command, str(bad), "--format", "json"])
+            assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
 
     def test_ring_label_index_must_be_a_label(self, tmp_path):
         obj = json.loads((CORPUS / "ring_fibonacci.json").read_text())
@@ -396,6 +467,28 @@ class TestInvariantChecks:
     def test_optimized_gauge_run_is_byte_identical(self):
         # the gauging dimension identities and the groups class checks
         self._check_optimized_run(["gauge", str(CORPUS / "ring_ising_ising_swap.json"), "--format", "json"])
+
+    @pytest.mark.parametrize("args", [
+        ["cohomology", "--group", "S3", "--k", "3", "--format", "json"],
+        ["transgress", str(CORPUS / "cocycle_Z2xZ2_h3_1.json"), "--g", "g.e", "--format", "json"],
+    ])
+    def test_optimized_cochain_run_is_byte_identical(self, args):
+        # the closedness and exactness checks of cohomology and transgress
+        self._check_optimized_run(args)
+
+    @pytest.mark.parametrize("args, degree", [
+        (["cohomology", "--group", "S3", "--k", "3"], 3),  # the representatives
+        (["transgress", str(CORPUS / "cocycle_Z2_h3_0.json"), "--g", "g"], 2),  # the output
+    ])
+    def test_open_cochain_exits_4(self, monkeypatch, args, degree):
+        import gxcat.cohomology as cohomology
+
+        real = cohomology.is_cocycle
+        monkeypatch.setattr(cohomology, "is_cocycle",
+                            lambda c: (False, (1,) * (degree + 1)) if c.degree == degree else real(c))
+        res = run_cli(args)
+        assert res.exit_code == 4, res.stderr
+        assert res.stderr.startswith("invariant violated: ") and "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_corrupt_section_exits_4(self, flags):

@@ -236,6 +236,11 @@ class TestCocycleType:
         c4 = c.inflated(4)
         assert c4.n == 4 and c4(1, 1, 1) == 2
 
+    def test_addition_refuses_operands_of_another_shape(self):
+        c = TorsionCocycle.make(cyclic(2), 3, 2, {(1, 1, 1): 1})
+        with pytest.raises(ValueError, match="share group, degree and N"):
+            c + c.inflated(4)
+
     @given(st.integers(0, 5), st.integers(0, 5))
     @settings(max_examples=20, deadline=None)
     def test_addition(self, a, b):

@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gxcat.fusion as fusion_mod
 import gxcat.gauging as gauging_mod
-from gxcat.cli import main
 from gxcat.corpus import corpus_dir
 from gxcat.exact import QuadReal, scalar_eq
 from gxcat.fusion import (
@@ -29,6 +27,7 @@ from gxcat.fusion import (
     validate_ring,
 )
 from gxcat.groups import cyclic, product, symmetric
+from test_cli_corpus import run_cli
 
 PHI = QuadReal.root_of(1, 1)
 SQRT2 = QuadReal.sqrt_int(2)
@@ -192,7 +191,7 @@ class TestIntegerProductRule:
         monkeypatch.setattr(fusion_mod, "pf_dims", counted)
         monkeypatch.setattr(gauging_mod, "pf_dims", counted)
         args = [str(corpus_dir().joinpath(a)) if a.endswith(".json") else a for a in args]
-        res = CliRunner().invoke(main, [*args, "--format", "json"])
+        res = run_cli([*args, "--format", "json"])
         assert res.exit_code == 0, res.output
         assert calls and len(calls) == len({id(r) for r in calls})
 

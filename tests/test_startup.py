@@ -1,8 +1,9 @@
 """Cold start: a gxcat process imports only the layers its command uses.
 
 Each case runs in a fresh interpreter from cwd="/" and reports which of
-numpy and the gxcat modules it loaded.  Only commands that run an array
-kernel (cochains, character tables, doubles, gauging) may load numpy.
+numpy, click and the gxcat modules it loaded.  Only commands that run an
+array kernel (cochains, character tables, doubles, gauging) may load numpy,
+and no case loads click.
 """
 
 import json
@@ -39,7 +40,7 @@ json.dump(sorted(sys.modules), sys.stdout)
 
 
 def _loaded(modules):
-    return {m for m in modules if m == "numpy" or m.startswith("gxcat")}
+    return {m for m in modules if m in ("numpy", "click") or m.startswith(("gxcat", "click."))}
 
 
 def _run_cli(tmp_path, args):
@@ -56,6 +57,19 @@ def test_import_loads_no_numpy(module):
                          capture_output=True, env=_child_env(1), cwd="/")
     assert res.returncode == 0, res.stderr
     assert _loaded(json.loads(res.stdout)) <= {"gxcat", "gxcat.cli"} | _BASE
+
+
+COMMANDS = ["cohomology", "corpus", "dims", "double", "enumerate", "gauge", "holo-crossed", "obstruct",
+            "perm-picard", "picard", "roundtrip", "sectors", "smatrix", "transgress", "ungauge", "validate"]
+
+
+def test_help_lists_every_command(tmp_path):
+    exit_code, loaded, res = _run_cli(tmp_path, ["--help"])
+    assert exit_code == 0, res.stderr
+    stdout = res.stdout.decode()
+    assert "Usage" in stdout
+    listed = [line.split()[0] for line in stdout.partition("Commands:\n")[2].splitlines()]
+    assert listed == COMMANDS
 
 
 @pytest.mark.parametrize("args, code", [

@@ -26,16 +26,15 @@ from functools import lru_cache
 from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 
 from gxcat import fusion
-from gxcat.cli import main
 from gxcat.corpus import corpus_dir
 from gxcat.corpus_build import fibonacci_ring, ising_ring
 from gxcat.exact import CertReal, QuadReal
 from gxcat.fusion import FusionError, GradedFusionRing, RingGAction, pf_dims, pointed_ring, validate_action
 from gxcat.groups import PRESETS, build_group, cyclic, product
 from gxcat.serialize import canonical_json, dump_group, dump_ring
+from test_cli_corpus import run_cli
 
 FROZEN = pathlib.Path(__file__).parent / "data" / "validate_frozen.json"
 CORPUS = pathlib.Path(str(corpus_dir()))
@@ -143,7 +142,7 @@ def cli_record(obj):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "input.json"
         path.write_text(json.dumps(obj))
-        res = CliRunner().invoke(main, ["validate", str(path), "--format", "json"])
+        res = run_cli(["validate", str(path), "--format", "json"])
     return {"exit": res.exit_code, "stdout": res.stdout, "stderr": res.stderr}
 
 
