@@ -59,11 +59,14 @@ class UsageError(Exception):
 def _read_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path} does not hold a JSON object")
+    return obj
 
 
 def _emit(payload, fmt, out):

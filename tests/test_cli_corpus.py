@@ -288,9 +288,14 @@ class TestCliContracts:
         assert res.exit_code == 0
         assert "global_dim" in res.output
 
-    def test_usage_error_exits_2(self):
+    def test_usage_error_exits_2(self, tmp_path):
         assert run_cli(["sectors", "/does/not/exist.json"]).exit_code == 2
         assert run_cli(["cohomology", "--group", "M11", "--k", "3"]).exit_code == 2
+        for text in ("[1]", "3"):  # JSON, but not an object
+            (tmp_path / "x.json").write_text(text)
+            for command in ("validate", "dims", "gauge"):
+                res = run_cli([command, str(tmp_path / "x.json")])
+                assert res.exit_code == 2 and "does not hold a JSON object" in res.stderr, res.stderr
 
     def test_resource_guard_exits_3(self):
         res = run_cli(["cohomology", "--group", "S4", "--k", "4"])
