@@ -97,6 +97,8 @@ class GradedFusionRing:
         if grading is None:
             grading_t = (0,) * len(simples)
         else:
+            if isinstance(grading, dict) and not set(simples) <= set(grading):
+                raise FusionError(f"the grading has no entry for {min(set(simples) - set(grading))!r}")
             grading_t = tuple(grading[s] for s in simples) if isinstance(grading, dict) else tuple(grading)
             if len(grading_t) != len(simples) or not all(is_index(x) and 0 <= x < group.order for x in grading_t):
                 raise FusionError(f"the grading must send each label to an element of {group.name}")
@@ -202,10 +204,13 @@ def validate_ring(ring: GradedFusionRing, check_dims=True) -> ValidationReport:
         except FusionError as exc:
             rep.add("dims", str(exc))
             return rep
-        bad = _dims_mismatch(ring, rep.dims)
-        if bad is not None:
-            i, j = bad
-            rep.add("dims", f"d_i d_j mismatch at ({ring.label(i)},{ring.label(j)})", (ring.label(i), ring.label(j)))
+        # dims that _try_exact_dims verified have passed every product rule
+        if not isinstance(rep.dims, _VerifiedDims):
+            bad = _dims_mismatch(ring, rep.dims)
+            if bad is not None:
+                i, j = bad
+                rep.add("dims", f"d_i d_j mismatch at ({ring.label(i)},{ring.label(j)})",
+                        (ring.label(i), ring.label(j)))
     return rep
 
 
@@ -384,6 +389,10 @@ def _recognize_quadratic(x, tol=1e-7):
     return None
 
 
+class _VerifiedDims(list):
+    """QuadReal dims that satisfy every product rule d_i d_j = sum_k N_ij^k d_k."""
+
+
 def _try_exact_dims(ring, v):
     recognized = {x: _recognize_quadratic(x) for x in set(v)}
     cands = [recognized[x] for x in v]
@@ -398,7 +407,7 @@ def _try_exact_dims(ring, v):
         return None
     if any(c.sign() <= 0 for c in cands):
         return None
-    return cands
+    return _VerifiedDims(cands)
 
 
 def global_dim(ring: GradedFusionRing, dims=None):

@@ -7,7 +7,8 @@ cocycle or pointed-data code.
 
 The loaders take integers only as JSON integers: a float, a bool or a
 numeric string where an integer belongs is refused with an error that names
-the field, and so is a missing key.
+the field, and so is a missing key or a nested field of the wrong JSON type
+(a list where an object belongs, a number where a list belongs).
 """
 
 from __future__ import annotations
@@ -53,9 +54,12 @@ def detect_kind(obj):
     raise ValueError("unrecognized input file: expected group, cocycle, ring or pointed data")
 
 
-def load_group(obj):
+def load_group(obj, where="group"):
+    """A group from a preset name or an object with a mul table; ``where``
+    names the field in errors."""
     from .groups import build_group
 
+    _shaped(obj, (str, dict), where, GroupError)
     if isinstance(obj, str):
         return build_group(obj)
     if "mul" in obj:
@@ -77,6 +81,19 @@ def _field(obj, key, where, error=ValueError):
     return obj[key]
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean", int: "a number",
+               float: "a number", type(None): "null"}
+
+
+def _shaped(x, kinds, field, error=ValueError):
+    """``x`` when its JSON type is one of ``kinds`` (dict, list, str), else
+    ``error`` naming the field and the type found."""
+    if not isinstance(x, kinds):
+        want = " or ".join(_JSON_TYPES[k] for k in kinds)
+        raise error(f"{field} must be {want}, not {_JSON_TYPES.get(type(x), type(x).__name__)}")
+    return x
+
+
 def _integer(x, field):
     from .groups import is_index
 
@@ -92,6 +109,14 @@ def _element_index(g, x, field):
     if x not in g.element_names:
         raise ValueError(f"{field}: {x!r} is not an element of {g.name}")
     return g.element_names.index(x)
+
+
+def _in_range(g, i, field):
+    """The element index i of g, refused when g has no such element (deg
+    values index G's table directly; a bad action entry is a validation issue)."""
+    if not 0 <= i < g.order:
+        raise ValueError(f"{field}: {i} is not an element of {g.name}")
+    return i
 
 
 def _entries(obj, key):
@@ -141,17 +166,24 @@ def load_ring(obj):
     group = None
     grading = None
     if grading_obj:
-        group = load_group(_field(grading_obj, "group", "the ring grading", FusionError))
-        deg = _field(grading_obj, "deg", "the ring grading", FusionError)
+        _shaped(grading_obj, (dict,), "grading", FusionError)
+        group = load_group(_field(grading_obj, "group", "the ring grading", FusionError), "grading.group")
+        deg = _shaped(_field(grading_obj, "deg", "the ring grading", FusionError), (dict,), "grading.deg", FusionError)
         grading = {lab: _element_index(group, el, "grading") for lab, el in deg.items()}
     entries = _field(obj, "N", "ring file", FusionError)
     if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 4 for e in entries):
         raise FusionError("N must be a list of [i, j, k, multiplicity] entries")
+    for entry in entries:
+        for x in entry[:3]:
+            _shaped(x, (str, int), "N entry label", FusionError)
+    simples = _shaped(_field(obj, "simples", "ring file", FusionError), (list,), "simples", FusionError)
+    for x in simples:
+        _shaped(x, (str,), "simples entry", FusionError)
     ring = GradedFusionRing.make(
         obj.get("name", "ring"),
-        _field(obj, "simples", "ring file", FusionError),
+        simples,
         _field(obj, "unit", "ring file", FusionError),
-        _field(obj, "dual", "ring file", FusionError),
+        _shaped(_field(obj, "dual", "ring file", FusionError), (dict, list), "dual", FusionError),
         {(i, j, k): mult for i, j, k, mult in entries},
         group=group,
         grading=grading,
@@ -160,14 +192,15 @@ def load_ring(obj):
     if "action" in obj:
         if group is None:
             raise ValueError("an action requires a grading group in the file")
+        action_obj = _shaped(obj["action"], (dict,), "action")
         perms = []
         for el in group.elements():
             key = group.element_names[el]
-            if key not in obj["action"]:
+            if key not in action_obj:
                 raise ValueError(f"action missing entry for group element {key}")
-            if not all(map(is_index, obj["action"][key])):
+            if not isinstance(action_obj[key], list) or not all(map(is_index, action_obj[key])):
                 raise ValueError(f"action entry for group element {key} is not a list of label indices")
-            perms.append(tuple(int(x) for x in obj["action"][key]))
+            perms.append(tuple(int(x) for x in action_obj[key]))
         action = RingGAction(group, tuple(perms))
     return ring, action
 
@@ -200,23 +233,25 @@ def dump_ring(ring: GradedFusionRing, action: RingGAction = None):
 def load_pointed(obj):
     from .pointed import PointedGXData
 
-    gamma = load_group(_field(obj, "Gamma", "pointed file"))
-    group = load_group(_field(obj, "G", "pointed file"))
+    gamma = load_group(_field(obj, "Gamma", "pointed file"), "Gamma")
+    group = load_group(_field(obj, "G", "pointed file"), "G")
     n = _integer(_field(obj, "N", "pointed file"), "N")
-    deg_obj = _field(obj, "deg", "pointed file")
+    deg_obj = _shaped(_field(obj, "deg", "pointed file"), (dict, list), "deg")
     if isinstance(deg_obj, dict):
         deg = [_element_index(group, _field(deg_obj, gamma.element_names[x], "the deg map"), "deg entry")
                for x in gamma.elements()]
     else:
         deg = [_integer(x, "deg entry") for x in deg_obj]
-    action_obj = _field(obj, "action", "pointed file")
+    deg = [_in_range(group, x, "deg entry") for x in deg]
+    action_obj = _shaped(_field(obj, "action", "pointed file"), (dict, list), "action")
     if isinstance(action_obj, dict):
         action_obj = [_field(action_obj, group.element_names[k], "the action map") for k in group.elements()]
-    action = [tuple(_integer(x, "action entry") for x in p) for p in action_obj]
+    action = [tuple(_integer(x, "action entry") for x in _shaped(p, (list,), "action row")) for p in action_obj]
     assoc = {}
     for *tup, v in _entries(obj, "assoc"):
         assoc[tuple(_integer(t, "assoc entry") for t in tup)] = _integer(v, "assoc entry")
-    braid = [[_integer(v, "braid entry") for v in row] for row in _field(obj, "braid", "pointed file")]
+    braid = [[_integer(v, "braid entry") for v in _shaped(row, (list,), "braid row")]
+             for row in _shaped(_field(obj, "braid", "pointed file"), (list,), "braid")]
     return PointedGXData.make(gamma, group, deg, action, n, assoc, braid)
 
 

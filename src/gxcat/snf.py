@@ -42,12 +42,15 @@ def invariant_factor_chain(values, modulus=None):
 
     Per prime, the exponent multiset of a diagonalized presentation is an
     invariant, so pairwise gcd/lcm stabilization yields the Smith chain.
-    With a modulus, entries are first replaced by gcd(value, modulus).
+    With a modulus, entries are first replaced by gcd(value, modulus).  A 1
+    has no prime factor, so the 1s are set aside and put back in front: the
+    stabilization is quadratic in the other entries only.
     """
     vals = [abs(int(v)) for v in values]
     if modulus is not None:
         vals = [math.gcd(v, modulus) for v in vals]
-    vals = [v for v in vals if v != 0]
+    ones = vals.count(1)
+    vals = [v for v in vals if v > 1]
     changed = True
     while changed:
         changed = False
@@ -58,7 +61,7 @@ def invariant_factor_chain(values, modulus=None):
                 if (vals[i], vals[j]) != (g, l):
                     vals[i], vals[j] = g, l
                     changed = True
-    return sorted(vals)
+    return [1] * ones + sorted(vals)
 
 
 def _xgcd(a, b):
@@ -90,8 +93,27 @@ def modinv(u, n):
 
 
 def _balanced(x, m):
-    """Residues of x mod m in (-m/2, m/2]."""
-    return m // 2 - (m // 2 - x) % m
+    """Residues of x mod m in (m//2 - m, m//2].
+
+    x itself is returned when every entry already lies there: two reductions
+    instead of two int64 divisions and three temporaries.  With m near 2**31
+    almost no step of an elimination wraps, so this is the common case.
+    """
+    half = m // 2
+    if not x.size or (x.min() > half - m and x.max() <= half):
+        return x
+    return half - (half - x) % m
+
+
+def _row_keys(block):
+    """Each row's least nonzero |x| minus 1, read as unsigned: a zero row
+    reads 2**64 - 1, above every other key."""
+    size = np.abs(block)
+    size -= 1
+    return size.view(np.uint64).min(axis=1, initial=_ZERO_ROW)
+
+
+_ZERO_ROW = np.iinfo(np.uint64).max
 
 
 def snf_mod(a, m, rhs=None):
@@ -111,6 +133,19 @@ def snf_mod(a, m, rhs=None):
     are exactly those of the elimination over Z.  Each finished pivot is
     scaled by a unit so that it divides m.  Rows are combined only with
     rows, so p is never formed.
+
+    The pivot search reads one key per row, its least nonzero |x|.  After
+    step t the rows below t are zero in columns <= t, so the first row with
+    the least key, and in it the first column holding that |x|, is the
+    first least entry of the remaining block in C order.  A column swap
+    keeps every key; a row swap swaps two.  A +-1 pivot divides everything,
+    so its column is cleared in one row step on the rows that hold a
+    nonzero there, restricted to the columns where the pivot row is
+    nonzero; its row then only needs zeroing in a, and q changes only in
+    the rows where its column t is nonzero.  Only those rows get new keys.
+    Any other pivot runs the general clearing loop and rekeys every row
+    below it.  Entries of a stay balanced throughout, so skipping the
+    columns where the pivot row is zero skips only no-op steps.
     """
     if not 1 <= m < 1 << 31:
         raise ValueError(f"modulus {m} outside 1..2**31-1: products of residues must fit in int64")
@@ -118,22 +153,42 @@ def snf_mod(a, m, rhs=None):
     rows, cols = a.shape
     c = _balanced(np.zeros((rows, 0), dtype=np.int64) if rhs is None else _as_int_matrix(rhs), m)
     q = np.eye(cols, dtype=np.int64)
+    keys = _row_keys(a)
     diag = []
     for t in range(min(rows, cols)):
-        # |x| - 1 read as unsigned puts the zeros last: argmin is the least
-        # nonzero |x|, the first in C order on ties
-        size = np.abs(a[t:, t:])
-        size -= 1
-        at = np.argmin(size.view(np.uint64))
-        if size.flat[at] < 0:
+        pi = t + int(np.argmin(keys[t:]))
+        if keys[pi] == _ZERO_ROW:
             break
-        pi, pj = np.unravel_index(at, size.shape)
-        _swap(a, c, t, t + pi)
-        _swap(a.T, q.T, t, t + pj)
-        # clear column t with row steps, then row t with column steps (the
-        # same code on the transposes); repeat until neither swaps a pivot in
-        while _clear(a, c, t, m) | _clear(a.T, q.T, t, m):
-            pass
+        pj = t + int(np.argmax(np.abs(a[pi, t:]) == int(keys[pi]) + 1))
+        _swap(a, c, t, pi)
+        keys[[t, pi]] = keys[[pi, t]]
+        _swap(a.T, q.T, t, pj)
+        p = int(a[t, t])
+        if abs(p) == 1:
+            # x // p == x * p: one row step clears column t, and since the
+            # rows below are now 0 there, the column steps change row t only
+            hit = t + 1 + np.flatnonzero(a[t + 1:, t])
+            support = t + np.flatnonzero(a[t, t:])
+            if len(hit):
+                f = (a[hit, t] * p)[:, None]
+                block = np.ix_(hit, support)
+                a[block] = _balanced(a[block] - f * a[t, support], m)
+                c[hit] = _balanced(c[hit] - f * c[t], m)
+                keys[hit] = _row_keys(a[hit, t + 1:])
+            support = support[1:]
+            if len(support):
+                f = a[t, support] * p
+                live = np.flatnonzero(q[:, t])
+                block = np.ix_(live, support)
+                q[block] = _balanced(q[block] - q[live, t, None] * f, m)
+                a[t, support] = 0
+        else:
+            # clear column t with row steps, then row t with column steps
+            # (the same code on the transposes); repeat until neither swaps
+            # a pivot in
+            while _clear(a, c, t, m) | _clear(a.T, q.T, t, m):
+                pass
+            keys[t + 1:] = _row_keys(a[t + 1:, t + 1:])
         if a[t, t] < 0:
             a[t], c[t] = -a[t], _balanced(-c[t], m)
         d = int(a[t, t])

@@ -283,6 +283,40 @@ class TestCliContracts:
         res = run_cli(["validate", str(path), "--format", "json"])
         assert (res.exit_code, res.stderr) == (1, "error: 7 is not a label of fibonacci\n")
 
+    @pytest.mark.parametrize("name, command, where, value, message", [
+        ("ising_z2graded.json", "sectors", ["grading"], [1], "grading must be an object, not a list"),
+        ("ising_z2graded.json", "sectors", ["grading", "group"], 5,
+         "grading.group must be a string or an object, not a number"),
+        ("ising_z2graded.json", "sectors", ["grading", "deg"], [0, 0, 1], "grading.deg must be an object, not a list"),
+        ("ising_z2graded.json", "sectors", ["grading", "deg"], {"1": 0}, "the grading has no entry for 'p'"),
+        ("ising_z2graded.json", "sectors", ["simples"], "1", "simples must be a list, not a string"),
+        ("ising_z2graded.json", "sectors", ["simples", 0], ["1"], "simples entry must be a string, not a list"),
+        ("ising_z2graded.json", "sectors", ["dual"], 5, "dual must be an object or a list, not a number"),
+        ("ising_z2graded.json", "sectors", ["N", 0, 0], [0], "N entry label must be a string or a number, not a list"),
+        ("ring_fib_fib_swap.json", "gauge", ["action"], [[0, 1, 2, 3]], "action must be an object, not a list"),
+        ("ring_fib_fib_swap.json", "gauge", ["action", "g"], 3,
+         "action entry for group element g is not a list of label indices"),
+        ("pointed_toric_code.json", "validate", ["Gamma"], 4, "Gamma must be a string or an object, not a number"),
+        ("pointed_toric_code.json", "validate", ["G"], None, "G must be a string or an object, not null"),
+        ("pointed_toric_code.json", "validate", ["deg"], 5, "deg must be an object or a list, not a number"),
+        ("pointed_toric_code.json", "validate", ["deg", 1], 5, "deg entry: 5 is not an element of Z1"),
+        ("pointed_toric_code.json", "validate", ["action"], "e", "action must be an object or a list, not a string"),
+        ("pointed_toric_code.json", "validate", ["action", 0], 0, "action row must be a list, not a number"),
+        ("pointed_toric_code.json", "validate", ["braid"], {"x": 1}, "braid must be a list, not an object"),
+        ("pointed_toric_code.json", "validate", ["braid", 0], 0, "braid row must be a list, not a number"),
+    ])
+    def test_nested_field_of_the_wrong_shape(self, tmp_path, name, command, where, value, message):
+        obj = json.loads((CORPUS / name).read_text())
+        *path, last = where
+        target = obj
+        for key in path:
+            target = target[key]
+        target[last] = value
+        bad = tmp_path / name
+        bad.write_text(json.dumps(obj))
+        res = run_cli([command, str(bad), "--format", "json"])
+        assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+
     def test_text_format_renders(self):
         res = run_cli(["dims", str(CORPUS / "ring_ising.json")])
         assert res.exit_code == 0

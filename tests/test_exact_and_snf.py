@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gxcat.cyclo import Cyc, cyclotomic_poly
@@ -189,7 +189,41 @@ def brute_coker_invariants(mat, rows, cols):
     return [x for x in out if x != 0]
 
 
+def stabilized_chain(values, modulus=None):
+    """The invariant-factor chain by pairwise gcd/lcm stabilization over
+    every entry, 1s included (invariant_factor_chain sets the 1s aside)."""
+    vals = [abs(int(v)) for v in values]
+    if modulus is not None:
+        vals = [math.gcd(v, modulus) for v in vals]
+    vals = [v for v in vals if v != 0]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                g = math.gcd(vals[i], vals[j])
+                if (vals[i], vals[j]) != (g, vals[i] // g * vals[j]):
+                    vals[i], vals[j] = g, vals[i] // g * vals[j]
+                    changed = True
+    return sorted(vals)
+
+
+# a diagonal like that of a bar differential: hundreds of 1s, a few torsion entries, zeros
+UNIT_HEAVY = [1] * 290 + [2, 0, 4, 1, 6, 0, 3, 12, 8, 1, 9, 2, 5] + [1] * 200 + [0, 0, 24]
+
+
 class TestSnf:
+    @given(st.lists(st.sampled_from([1, 1, 1, 1, 0, -1, 2, 3, 4, 6, 8, 9, 12, 25, 36]), max_size=40),
+           st.sampled_from([None, 12, 36, 720720]))
+    @example(UNIT_HEAVY, None)
+    @example(UNIT_HEAVY, 48)
+    @example(UNIT_HEAVY, NEAR_2_31)
+    @settings(max_examples=200, deadline=None)
+    def test_invariant_factor_chain_matches_full_stabilization(self, values, modulus):
+        got = invariant_factor_chain(values, modulus)
+        assert got == stabilized_chain(values, modulus)
+        assert all(b % a == 0 for a, b in zip(got, got[1:]))
+
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_snf_z_matches_minor_gcds(self, rows):
