@@ -111,14 +111,6 @@ def _element_index(g, x, field):
     return g.element_names.index(x)
 
 
-def _in_range(g, i, field):
-    """The element index i of g, refused when g has no such element (deg
-    values index G's table directly; a bad action entry is a validation issue)."""
-    if not 0 <= i < g.order:
-        raise ValueError(f"{field}: {i} is not an element of {g.name}")
-    return i
-
-
 def _entries(obj, key):
     """The list of non-empty lists under ``key`` (empty when the file has none)."""
     rows = obj.get(key, [])
@@ -242,7 +234,9 @@ def load_pointed(obj):
                for x in gamma.elements()]
     else:
         deg = [_integer(x, "deg entry") for x in deg_obj]
-    deg = [_in_range(group, x, "deg entry") for x in deg]
+    for x in deg:  # deg values index G's table (an action entry out of range is a validation issue)
+        if not 0 <= x < group.order:
+            raise ValueError(f"deg entry: {x} is not an element of {group.name}")
     action_obj = _shaped(_field(obj, "action", "pointed file"), (dict, list), "action")
     if isinstance(action_obj, dict):
         action_obj = [_field(action_obj, group.element_names[k], "the action map") for k in group.elements()]
