@@ -204,6 +204,10 @@ def _enum_cases(name, n):
     def stacked():
         return np.vstack([bar_matrix(g, 3), invariance_rows(g, 3, action)])
 
+    def stacked_system():
+        mat = stacked()
+        return mat, n, np.zeros((len(mat), 1), dtype=np.int64)
+
     def gauge():
         invariance = invariance_rows(g, 3, action)
         return invariance @ bar_matrix(g, 2) % n, n, None
@@ -214,7 +218,7 @@ def _enum_cases(name, n):
         return amat, n, rmat @ tables.reshape(len(tables), -1).T % n
 
     out = [
-        (f"enum/{name}/{n}/stacked", lambda: (stacked(), n, np.zeros((stacked().shape[0], 1), dtype=np.int64))),
+        (f"enum/{name}/{n}/stacked", stacked_system),
         (f"enum/{name}/{n}/braid", braid),
     ]
     if len(invariance_rows(g, 3, action)):
