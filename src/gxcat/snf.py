@@ -105,15 +105,15 @@ def _balanced(x, m):
     return half - (half - x) % m
 
 
+_ZERO_ROW = np.iinfo(np.uint64).max
+
+
 def _row_keys(block):
     """Each row's least nonzero |x| minus 1, read as unsigned: a zero row
     reads 2**64 - 1, above every other key."""
     size = np.abs(block)
     size -= 1
     return size.view(np.uint64).min(axis=1, initial=_ZERO_ROW)
-
-
-_ZERO_ROW = np.iinfo(np.uint64).max
 
 
 def snf_mod(a, m, rhs=None):
