@@ -54,7 +54,6 @@ __all__ = [
     "transgress",
     "brute_force_order",
     "first_witness",
-    "invariance_rows",
 ]
 
 CELL_CAP = 1 << 25
@@ -237,28 +236,6 @@ def bar_matrix(g: FiniteGroup, k: int):
         keep = col >= 0
         np.add.at(mat, (r[keep], col[keep]), sign)
     return mat
-
-
-def invariance_rows(g: FiniteGroup, k: int, perms):
-    """Rows c(p(t)) - c(t) over the bar_matrix columns of degree k.
-
-    perms are automorphisms of g (so they fix the identity), taken in
-    order; within each, one row per non-identity tuple t with p(t) != t, in
-    lexicographic order.  Their kernel is the cochains every p leaves fixed.
-    """
-    m = g.order
-    cols = (m - 1) ** k
-    position = np.arange(cols).reshape((m - 1,) * k)
-    blocks = [np.zeros((0, cols), dtype=np.int64)]
-    for p in perms:
-        q = np.asarray(p)[1:] - 1
-        image = position[np.ix_(*[q] * k)].ravel()
-        moved = np.flatnonzero(image != np.arange(cols))
-        block = np.zeros((len(moved), cols), dtype=np.int64)
-        block[np.arange(len(moved)), image[moved]] += 1
-        block[np.arange(len(moved)), moved] -= 1
-        blocks.append(block)
-    return np.vstack(blocks)
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,12 @@ import numpy as np
 from . import snf
 from .chartab import character_sums, cyc_coefficients, projective_irrep_data
 from .cohomology import (
+    CELL_CAP,
     ResourceLimit,
     TorsionCocycle,
     bar_matrix,
     coboundary,
     first_witness,
-    invariance_rows,
     is_coboundary,
     is_cocycle,
     transgress,
@@ -215,77 +215,98 @@ def validate_pointed(d: PointedGXData) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# braid solving: the hexagons and covariance are linear in the braid table
+# braid solving: the hexagons are linear in the braid table, and a covariant
+# table is constant on the orbits of the action on its cells
 
 
-def _braid_system(gamma, group, deg, action):
-    """Integer matrices (A, R) such that the hexagons and covariance read
-    A b = R a (mod N).
+def _cell_images(action, k):
+    """images[g, t] = act_g(t) for the non-unit cells t of Gamma^k, each cell
+    written as its position among them in lexicographic order (the
+    bar_matrix columns)."""
+    perms = np.asarray(action)[:, 1:] - 1
+    position = np.arange(perms.shape[1] ** k).reshape((perms.shape[1],) * k)
+    return np.array([position[np.ix_(*[p] * k)].ravel() for p in perms])
 
-    b runs over the non-unit braid cells (x, y), x, y != e, in lexicographic
-    order; a is the flat associator table over Gamma^3.  Rows: the first
-    hexagon at every (x, z, t), the second at every (x, y, z), both in
-    lexicographic order, then covariance for each k in G and each non-unit
-    cell that action_k moves.
+
+def _orbit_labels(action, k):
+    """(labels, count): the orbit of each non-unit cell of Gamma^k under the
+    diagonal action, numbered 0..count-1 in the order of the orbits' least
+    cells, so y -> y[labels] is a bijection from orbit values onto the
+    tables constant on orbits that keeps lexicographic order."""
+    orbits, labels = np.unique(_cell_images(action, k).min(axis=0), return_inverse=True)
+    return labels.ravel(), len(orbits)
+
+
+def _braid_system(gamma, deg, action):
+    """(A, labels, cells) such that the hexagons read
+    A y = a[cells[0]] - a[cells[1]] + a[cells[2]] (mod N), row by row.
+
+    y holds one braid value per orbit of the action on the non-unit cells
+    (x, y), x, y != e: the braid table b[cell] = y[labels[cell]] is covariant,
+    and every covariant table has this form.  a is the flat associator table
+    over Gamma^3.  Rows: the first hexagon at every (x, z, t), negated, then
+    the second at every (x, y, z), both in lexicographic order.
     """
     o = gamma.order
-    mul, act = gamma.mul_array, np.asarray(action)
-    by = act[np.asarray(deg)]
+    labels, count = _orbit_labels(action, 2)
+    rows = 2 * o**3
+    if rows * count > CELL_CAP:
+        raise ResourceLimit(f"braid system on orbit coordinates: {rows}x{count} = {rows * count} cells exceed the cell cap {CELL_CAP}")
+    column = np.pad(labels.reshape(o - 1, o - 1), (1, 0), constant_values=-1)  # -1 on unit cells
+    mul, by = gamma.mul_array, np.asarray(action)[np.asarray(deg)]
     x, y, z = np.indices((o, o, o)).reshape(3, -1)
     az, at, xy, yz = by[x, y], by[x, z], mul[x, y], by[y, z]
-    k, cx, cy = np.indices((group.order, o - 1, o - 1)).reshape(3, -1)
-    cx, cy = cx + 1, cy + 1
-    moved = (act[k, cx] != cx) | (act[k, cy] != cy)
-    k, cx, cy = k[moved], cx[moved], cy[moved]
-    blocks = [  # (braid terms (x, y, coef), associator terms ((x, y, z), coef))
-        ([(x, mul[y, z], 1), (x, y, -1), (x, z, -1)], [((x, y, z), -1), ((az, x, z), 1), ((az, at, x), -1)]),
-        ([(xy, z, 1), (x, yz, -1), (y, z, -1)], [((x, y, z), 1), ((x, yz, y), -1), ((by[xy, z], x, y), 1)]),
-        ([(act[k, cx], act[k, cy], 1), (cx, cy, -1)], []),
+    hexagons = [  # (braid terms (x, y, coef), associator cells with signs +, -, +)
+        ([(x, y, 1), (x, z, 1), (x, mul[y, z], -1)], [(x, y, z), (az, x, z), (az, at, x)]),
+        ([(xy, z, 1), (x, yz, -1), (y, z, -1)], [(x, y, z), (x, yz, y), (by[xy, z], x, y)]),
     ]
-    amats, rmats = [], []
-    for braid_terms, assoc_terms in blocks:
-        size = len(braid_terms[0][0])
-        amat = np.zeros((size, o * o), dtype=np.int64)
-        # entries are sums of at most three +-1 terms; int8 keeps the |Gamma|^3 columns small
-        rmat = np.zeros((size, o**3), dtype=np.int8)
+    amat = np.zeros((2, o**3, count), dtype=np.int64)
+    cells = np.zeros((3, 2, o**3), dtype=np.int64)
+    for h, (braid_terms, assoc_cells) in enumerate(hexagons):
         for p, q, coef in braid_terms:
-            np.add.at(amat, (np.arange(size), p * o + q), coef)
-        for cell, coef in assoc_terms:
-            np.add.at(rmat, (np.arange(size), np.ravel_multi_index(cell, (o, o, o))), coef)
-        amats.append(amat.reshape(size, o, o)[:, 1:, 1:].reshape(size, (o - 1) ** 2))
-        rmats.append(rmat)
-    return np.vstack(amats), np.vstack(rmats)
+            col = column[p, q]
+            np.add.at(amat[h], (np.flatnonzero(col >= 0), col[col >= 0]), coef)
+        cells[:, h] = [np.ravel_multi_index(cell, (o, o, o)) for cell in assoc_cells]
+    return amat.reshape(rows, count), labels, cells.reshape(3, rows)
 
 
-def _solutions(mat, n, rhss, cap=ENUM_STATE_CAP):
-    """Yield, for each column of rhss in turn, all solutions of mat x = rhs
-    (mod n), sorted lexicographically, as tuples of ints."""
+def _solutions(mat, labels, n, rhss, cap=ENUM_STATE_CAP):
+    """Yield, for each column of rhss in turn, the solutions y of mat y = rhs
+    (mod n) mapped back to the cells as y[labels] (_orbit_labels): an array
+    with one solution per row, in lexicographic order."""
     parts, gens, orders = snf.solution_lattice(mat, n, rhss)
     total = math.prod(orders)
-    offsets = None
+    if total > cap and any(part is not None for part in parts):
+        raise ResourceLimit(f"solution lattice has {total} points, over the enumeration cap")
+    offsets = gens @ np.indices(orders).reshape(len(orders), total) if total <= cap else None
     for part in parts:
-        if part is None:
-            yield []
-            continue
-        if total > cap:
-            raise ResourceLimit(f"solution lattice has {total} points, over the enumeration cap")
-        if offsets is None:
-            offsets = gens @ np.indices(orders).reshape(len(orders), total)
-        yield sorted(set(map(tuple, ((part[:, None] + offsets) % n).T.tolist())))
+        sols = [] if part is None else sorted(set(map(tuple, ((part[:, None] + offsets) % n).T.tolist())))
+        yield np.array(sols, dtype=np.int64).reshape(len(sols), mat.shape[1])[:, labels]
+
+
+def _invariant_associators(group, action, n):
+    """The closed 3-cochains mod n that the action fixes, as sorted vectors
+    (_solutions): the kernel of d3 on the orbit coordinates of (G - e)^3."""
+    labels, count = _orbit_labels(action, 3)
+    d3 = bar_matrix(group, 3) @ np.eye(count, dtype=np.int64)[labels]
+    (vectors,) = _solutions(d3, labels, n, np.zeros((len(d3), 1), dtype=np.int64))
+    return vectors
 
 
 def _braid_tables(gamma, system, n, assocs, cap=ENUM_STATE_CAP):
     """Yield, for each associator in turn, the sorted braid tables that solve the system with it."""
-    amat, rmat = system
+    amat, labels, cells = system
     o = gamma.order
-    assoc_tables = np.array([assoc.table.ravel() for assoc in assocs], dtype=np.int64).reshape(len(assocs), o**3)
-    for sols in _solutions(amat, n, rmat @ assoc_tables.T % n, cap):
-        tables = []
-        for sol in sols:
-            table = np.zeros((o, o), dtype=np.int64)
-            table[1:, 1:] = np.reshape(sol, (o - 1, o - 1))
-            tables.append(tuple(map(tuple, table.tolist())))
-        yield tables
+    flat = np.array([assoc.table.ravel() for assoc in assocs], dtype=np.int64).reshape(len(assocs), o**3).T
+    rhs = flat[cells[0]]  # one column per associator: three signed gathers, added in place
+    rhs -= flat[cells[1]]
+    rhs += flat[cells[2]]
+    rhs %= n
+    del flat  # the solve below is the peak of the run; it need not hold the tables
+    for sols in _solutions(amat, labels, n, rhs, cap):
+        tables = np.zeros((len(sols), o, o), dtype=np.int64)
+        tables[:, 1:, 1:] = sols.reshape(len(sols), o - 1, o - 1)
+        yield [tuple(map(tuple, table)) for table in tables.tolist()]
 
 
 def _conjugation_action(g: FiniteGroup):
@@ -312,7 +333,7 @@ def holomorphic_crossed(group: FiniteGroup, omega: TorsionCocycle):
             "associator representative is not conjugation-invariant; "
             "pick an invariant representative of its class"
         )
-    system = _braid_system(group, group, deg, action)
+    system = _braid_system(group, deg, action)
     mult = 1
     while mult * omega.n <= N_CAP:
         n = mult * omega.n
@@ -357,12 +378,9 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
     deg = tuple(group.elements())
     o = group.order
 
-    # closed, conjugation-invariant 3-cochains mod n
-    invariance = invariance_rows(group, 3, action)
-    mat = np.vstack([bar_matrix(group, 3), invariance])
-    (assoc_vectors,) = _solutions(mat, n, np.zeros((mat.shape[0], 1), dtype=np.int64))
+    assoc_vectors = list(map(tuple, _invariant_associators(group, action, n).tolist()))
     assocs = [TorsionCocycle.from_vector(group, 3, n, avec) for avec in assoc_vectors]
-    system = _braid_system(group, group, deg, action)
+    system = _braid_system(group, deg, action)
 
     # A state is flattened to its dense associator table followed by its
     # braid table.  Identity slots of the associator are 0 in every state,
@@ -381,10 +399,15 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
     # associator by +d(lambda) and the braid by lambda(^x y, x) - lambda(x, y),
     # a translation of the flat state.  Only lambdas whose coboundary stays
     # conjugation-invariant act on the state set, so the generators are a
-    # basis of that subgroup (for abelian G this is every 2-cochain).
+    # basis of that subgroup (for abelian G this is every 2-cochain): the
+    # kernel of the rows dlambda(act_g(t)) - dlambda(t), one per g in G and
+    # non-unit cell t that g moves, in that order.
     d2 = bar_matrix(group, 2)
+    images = _cell_images(action, 3)
+    moved = images != np.arange(images.shape[1])
+    invariance = d2[images[moved]] - d2[np.nonzero(moved)[1]]
     if len(invariance):
-        lam_gens, _ = snf.kernel_mod(invariance @ d2 % n, n)
+        lam_gens, _ = snf.kernel_mod(invariance % n, n)
     else:
         lam_gens = np.eye(d2.shape[1], dtype=np.int64)
     by = np.asarray(action)[np.asarray(deg)]
@@ -509,10 +532,8 @@ def pointed_deequivariantize(data: PointedGXData, subgroup_elems):
         if deg2[c1] == 0 or deg2[c2] == 0:
             pins_mono[(c1, c2)] = data.monodromy(section[c1], section[c2]) % n
 
-    d3 = bar_matrix(gamma2, 3)
-    (assoc_vectors,) = _solutions(d3, n, np.zeros((d3.shape[0], 1), dtype=np.int64))
-    assocs = [TorsionCocycle.from_vector(gamma2, 3, n, avec) for avec in assoc_vectors]
-    system = _braid_system(gamma2, g2, deg2, action2)
+    assocs = [TorsionCocycle.from_vector(gamma2, 3, n, avec) for avec in _invariant_associators(gamma2, action2, n)]
+    system = _braid_system(gamma2, deg2, action2)
     for assoc2, tables in zip(assocs, _braid_tables(gamma2, system, n, assocs)):
         for table in tables:
             cand = PointedGXData.make(gamma2, g2, deg2, action2, n, assoc2, table)

@@ -335,6 +335,25 @@ class TestCliContracts:
         res = run_cli(["cohomology", "--group", "S4", "--k", "4"])
         assert res.exit_code == 3
 
+    def test_holo_crossed_over_the_cell_cap_exits_3(self, tmp_path):
+        # Z32: 2 * 32^3 = 65,536 hexagon rows over 31^2 = 961 orbit columns,
+        # over CELL_CAP; refused before the braid system is built
+        z32 = tmp_path / "z32.json"
+        z32.write_text(json.dumps({"name": "Z32", "mul": [[(i + j) % 32 for j in range(32)] for i in range(32)]}))
+        res = run_cli(["holo-crossed", "--group", str(z32), "--trivial"])
+        assert res.exit_code == 3, res.stderr
+        assert "65536x961 = 62980096 cells exceed the cell cap 33554432" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_holo_crossed_reaches_s4(self, tmp_path):
+        out = tmp_path / "holo.json"
+        res = run_cli(["holo-crossed", "--group", "S4", "--trivial", "--N", "2", "--format", "json", "--out", str(out)])
+        assert res.exit_code == 0, res.stderr
+        pointed_path = tmp_path / "pointed.json"
+        pointed_path.write_text(canonical_json(json.loads(out.read_text())["data"]))
+        res2 = run_cli(["validate", str(pointed_path), "--format", "json"])
+        assert res2.exit_code == 0 and json.loads(res2.output)["passed"] is True
+
     def test_double_command(self):
         res = run_cli(["double", "--group", "S3", "--trivial", "--format", "json"])
         assert res.exit_code == 0

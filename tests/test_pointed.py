@@ -371,7 +371,7 @@ class TestEnumerate:
         from gxcat.pointed import _braid_system, _braid_tables
 
         z3 = cyclic(3)
-        system = _braid_system(z3, cyclic(1), (0, 0, 0), (tuple(range(3)),))
+        system = _braid_system(z3, (0, 0, 0), (tuple(range(3)),))
         for v1 in range(3):
             for v2 in range(3):
                 lam = TorsionCocycle.make(z3, 2, 3, {(1, 1): v1, (2, 2): v2})

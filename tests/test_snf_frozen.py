@@ -9,13 +9,21 @@ that rescanned the whole remaining block for each pivot (written with
 * ``bar/<G>/<k>/<m>``: ``bar_matrix(G, k)`` for every (G, k) of
   ``test_lattice_frozen.cases()``, at the cohomology modulus of H^k(G, U(1))
   and at m in {2, 3, 4, 6}, and D4 at k = 3 (2401x343);
-* ``enum/<G>/<n>/...``: the systems the holomorphic enumeration solves for
-  the enumerate-workload groups: the stacked ``bar_matrix(3)`` and
-  ``invariance_rows`` system with its zero right-hand side, the gauge system
-  ``invariance @ d2``, and the ``_braid_system`` matrix with the right-hand
-  side of every closed invariant associator;
-* ``holo/<G>/<n>/braid``: the ``_braid_system`` matrix of holo-crossed at
-  the trivial associator;
+* ``enum/<G>/<n>/...``: the systems the holomorphic enumeration solved for
+  the enumerate-workload groups before it moved to orbit coordinates, built
+  by the dense oracle in ``dense_hexagons.py``: the stacked ``bar_matrix(3)``
+  and ``invariance_rows`` system with its zero right-hand side, the gauge
+  system ``invariance @ d2`` (which the enumeration still solves), and the
+  dense braid matrix with the right-hand side of every closed invariant
+  associator;
+* ``holo/<G>/<n>/braid``: the dense braid matrix of holo-crossed at the
+  trivial associator;
+* ``enum/<G>/<n>/orbit-assoc``, ``enum/<G>/<n>/orbit-braid`` and
+  ``holo/<G>/<n>/orbit-braid``: the systems solved now, on orbit
+  coordinates: ``bar_matrix(3)`` summed over the orbit columns, and the
+  ``_braid_system`` matrix with the right-hand side of every closed
+  invariant associator (or the zero one for holo); their digests were
+  written by ``reference_snf_mod``;
 * ``rand/<seed>/<m>/<rhs>``: seeded random matrices of at most 30x30 whose
   entries share small factors, so pivots other than +-1 occur, at moduli
   from 1 to just below 2**31, with and without right-hand sides.
@@ -36,9 +44,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gxcat.cohomology import TorsionCocycle, _modulus, bar_matrix, invariance_rows
+from dense_hexagons import dense_braid_system, invariance_rows
+from gxcat.cohomology import TorsionCocycle, _modulus, bar_matrix
 from gxcat.groups import build_group
-from gxcat.pointed import _braid_system, _conjugation_action
+from gxcat.pointed import _braid_system, _conjugation_action, _orbit_labels
 from gxcat.snf import snf_mod, solution_lattice
 from test_lattice_frozen import cases as lattice_cases
 
@@ -178,6 +187,7 @@ def cases():
         out += _enum_cases(name, n)
     for name, n in HOLO_JOBS:
         out.append((f"holo/{name}/{n}/braid", lambda name=name, n=n: _trivial_braid(name, n)))
+        out.append((f"holo/{name}/{n}/orbit-braid", lambda name=name, n=n: _trivial_braid(name, n, orbit=True)))
     for seed in range(12):
         for m in RANDOM_MODULI:
             out.append((f"rand/{seed}/{m}/none", lambda seed=seed, m=m: (random_matrix(seed), m, None)))
@@ -191,9 +201,10 @@ def _with_rhs(seed, m):
     return a, m, rhs
 
 
-def _trivial_braid(name, n):
+def _trivial_braid(name, n, orbit=False):
     g = build_group(name)
-    amat, _ = _braid_system(g, g, tuple(g.elements()), _conjugation_action(g))
+    deg, action = tuple(g.elements()), _conjugation_action(g)
+    amat = _braid_system(g, deg, action)[0] if orbit else dense_braid_system(g, g, deg, action)[0]
     return amat, n, np.zeros((len(amat), 1), dtype=np.int64)
 
 
@@ -213,13 +224,25 @@ def _enum_cases(name, n):
         return invariance @ bar_matrix(g, 2) % n, n, None
 
     def braid():
-        amat, rmat = _braid_system(g, g, tuple(g.elements()), action)
+        amat, rmat = dense_braid_system(g, g, tuple(g.elements()), action)
         tables = np.array(_closed_invariant_associators(g, n, stacked()), dtype=np.int64)
         return amat, n, rmat @ tables.reshape(len(tables), -1).T % n
+
+    def orbit_assoc():
+        labels, count = _orbit_labels(action, 3)
+        mat = bar_matrix(g, 3) @ np.eye(count, dtype=np.int64)[labels]
+        return mat, n, np.zeros((len(mat), 1), dtype=np.int64)
+
+    def orbit_braid():
+        amat, _, cells = _braid_system(g, tuple(g.elements()), action)
+        flat = np.array(_closed_invariant_associators(g, n, stacked()), dtype=np.int64).reshape(-1, g.order**3).T
+        return amat, n, (flat[cells[0]] - flat[cells[1]] + flat[cells[2]]) % n
 
     out = [
         (f"enum/{name}/{n}/stacked", stacked_system),
         (f"enum/{name}/{n}/braid", braid),
+        (f"enum/{name}/{n}/orbit-assoc", orbit_assoc),
+        (f"enum/{name}/{n}/orbit-braid", orbit_braid),
     ]
     if len(invariance_rows(g, 3, action)):
         out.append((f"enum/{name}/{n}/gauge", gauge))
@@ -270,7 +293,8 @@ def test_matches_reference_kernel(system):
 
 
 if __name__ == "__main__":
-    # python tests/test_snf_frozen.py [KEY ...] > out.json
-    keys = set(sys.argv[1:])
-    now = {key: digest(*snf_mod(*thunk())) for key, thunk in cases() if not keys or key in keys}
+    # python tests/test_snf_frozen.py [--reference] [KEY ...] > out.json
+    kernel = reference_snf_mod if "--reference" in sys.argv else snf_mod
+    keys = set(sys.argv[1:]) - {"--reference"}
+    now = {key: digest(*kernel(*thunk())) for key, thunk in cases() if not keys or key in keys}
     print("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(now.items())) + "\n}")
