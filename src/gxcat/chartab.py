@@ -151,15 +151,16 @@ def character_sums(a, b, c, terms):
     if len(starts) >= 1 << 16:
         raise ResourceLimit(f"{len(starts)} distinct character columns in one sum")
     ia, ib, ic = images(a), images(b), images(c[..., -np.arange(m) % m])
-    out = []
-    for i in range(len(units)):
+    for i in range(len(units)):  # keep the first embedding's values and where the others agree
         ab = ia[:, u, i] * w % p
         ab = ab[:, None, :] * ib[:, v, i][None] % p
         part = np.add.reduceat(ab, starts, axis=2) % p
-        out.append(dot_mod(part.reshape(-1, len(starts)), p, ic[:, x[starts], i].T))
-    vals = np.stack(out)
-    rational = (vals == vals[0]).all(axis=0)
-    vals = np.where(vals[0] > p // 2, vals[0] - p, vals[0])
+        image = dot_mod(part.reshape(-1, len(starts)), p, ic[:, x[starts], i].T)
+        if i == 0:
+            vals, rational = image, np.ones(image.shape, dtype=bool)
+        else:
+            rational &= image == vals
+    vals = np.where(vals > p // 2, vals - p, vals)
     shape = (a.shape[0], b.shape[0], c.shape[0])
     return vals.reshape(shape), rational.reshape(shape)
 

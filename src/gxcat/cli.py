@@ -157,10 +157,21 @@ def _arg(*flags, **keywords):
     return flags, keywords
 
 
+def _positive(text):
+    """The value of an --N option: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"N must be a positive integer, not {value}")
+    return value
+
+
 PATH = _arg("path")
 GROUP = _arg("--group", dest="group_spec", metavar="GROUP", required=True)
 ELEMENT = _arg("--g", dest="g_name", required=True, help="group element name")
-N_OPT = _arg("--N", dest="n", type=int, default=None)
+N_OPT = _arg("--N", dest="n", type=_positive, default=None)
 CROSSED = (GROUP, _arg("--cocycle", dest="cocycle_path", default=None),
            _arg("--trivial", action="store_true", help="use the zero cocycle"), N_OPT)
 EMBEDDED = (_arg("--embed", required=True, help="pi0=label,pi1=label,..."),
@@ -181,7 +192,7 @@ def _load_cocycle_opt(group, cocycle_path, trivial, n):
     from .cohomology import TorsionCocycle
 
     if trivial or cocycle_path is None:
-        return TorsionCocycle.make(group, 3, n or group.order, {})
+        return TorsionCocycle.make(group, 3, group.order if n is None else n, {})
     c = load_cocycle(_read_json(cocycle_path))
     if c.group.mul != group.mul:
         raise CliError("cocycle group does not match --group")
@@ -327,7 +338,7 @@ def cohomology(group_spec, k, n, fmt, out):
     from .cohomology import cohomology_group, u1_cohomology
 
     g = _load_group_opt(group_spec)
-    n = n or g.order
+    n = g.order if n is None else n
     h = cohomology_group(g, k, n)
     payload = {
         "group": g.name,
@@ -386,7 +397,7 @@ def holo_crossed(group_spec, cocycle_path, trivial, n, fmt, out):
     _emit({"solutions": count, "data": dump_pointed(data)}, fmt, out)
 
 
-@command("enumerate", GROUP, _arg("--N", dest="n", type=int, required=True), _arg("--seed", type=int, default=None))
+@command("enumerate", GROUP, _arg("--N", dest="n", type=_positive, required=True), _arg("--seed", type=int, default=None))
 def enumerate_cmd(group_spec, n, seed, fmt, out):
     """Exhaustive holomorphic enumeration with orbit partition."""
     from .pointed import enumerate_holomorphic

@@ -159,7 +159,7 @@ class ValidationReport:
         return {"passed": self.passed, "issues": self.issues}
 
 
-def validate_ring(ring: GradedFusionRing, check_dims=True) -> ValidationReport:
+def validate_ring(ring: GradedFusionRing) -> ValidationReport:
     rep = ValidationReport([])
     coeff = dict(ring.coeffs)
     r = ring.rank
@@ -198,7 +198,7 @@ def validate_ring(ring: GradedFusionRing, check_dims=True) -> ValidationReport:
                 (ring.label(i), ring.label(j), ring.label(k)),
             )
             break
-    if check_dims and rep.passed:
+    if rep.passed:
         try:
             rep.dims = pf_dims(ring)
         except FusionError as exc:

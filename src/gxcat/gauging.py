@@ -484,7 +484,7 @@ def _multiplicity_free_output_ring(ring, hom, blocks, group):
     out = GradedFusionRing.make(
         f"{ring.name}//{group.name}", names, unit_block, dual, coeffs, group=None, grading=None
     )
-    rep_check = validate_ring(out, check_dims=True)
+    rep_check = validate_ring(out)
     if not rep_check.passed:
         raise FusionError(f"derived output ring failed validation: {rep_check.issues[0]}")
     return out, rep_check.dims

@@ -193,19 +193,13 @@ def validate_pointed(d: PointedGXData) -> ValidationReport:
     # braiding normalization
     if b[0].any() or b[:, 0].any():
         rep.add("braid-unit", "braiding with the unit must be trivial")
-    # hexagons, every instance at once; act[deg] holds the action of deg(x) in row x
-    x, y, z = np.ix_(*[range(gam.order)] * 3)
-    mul, by = gam.mul_array, act[np.asarray(d.deg)]
-    az, at = by[x, y], by[x, z]
-    hex1 = b[x, mul[y, z]] - (b[x, y] + b[x, z] - a[x, y, z] + a[az, x, z] - a[az, at, x])
-    wit = first_witness(hex1 % d.n)
-    if wit:
-        rep.add("hexagon-1", "first hexagon fails at ({},{},{})".format(*(names[i] for i in wit)), tuple(names[i] for i in wit))
-    xy, yz = mul[x, y], by[y, z]
-    hex2 = b[xy, z] - (b[x, yz] + b[y, z] + a[x, y, z] - a[x, yz, y] + a[by[xy, z], x, y])
-    wit = first_witness(hex2 % d.n)
-    if wit:
-        rep.add("hexagon-2", "second hexagon fails at ({},{},{})".format(*(names[i] for i in wit)), tuple(names[i] for i in wit))
+    # hexagons, every instance at once
+    for h, (braid_terms, cells) in enumerate(_hexagons(gam, d.deg, act)):
+        lhs = sum(coef * b[p, q] for p, q, coef in braid_terms)
+        wit = first_witness(((lhs - a[cells[0]] + a[cells[1]] - a[cells[2]]) % d.n).reshape(a.shape))
+        if wit:
+            rep.add(f"hexagon-{h + 1}", "{} hexagon fails at ({},{},{})".format(("first", "second")[h], *(names[i] for i in wit)),
+                    tuple(names[i] for i in wit))
     # covariance
     bad = _invariance_witness(b, act)
     if bad:
@@ -237,6 +231,21 @@ def _orbit_labels(action, k):
     return labels.ravel(), len(orbits)
 
 
+def _hexagons(gamma, deg, action):
+    """The two hexagons at every (x, y, z), in lexicographic order, as pairs
+    (braid terms (x, y, coef), associator cells): a hexagon holds where
+    sum coef * b[x, y] = a[cell 0] - a[cell 1] + a[cell 2] (mod N), the
+    first hexagon of the module docstring with both sides negated."""
+    o = gamma.order
+    mul, by = gamma.mul_array, np.asarray(action)[np.asarray(deg)]  # row x of by: the action of deg(x)
+    x, y, z = np.indices((o, o, o)).reshape(3, -1)
+    az, at, xy, yz = by[x, y], by[x, z], mul[x, y], by[y, z]
+    return [
+        ([(x, y, 1), (x, z, 1), (x, mul[y, z], -1)], [(x, y, z), (az, x, z), (az, at, x)]),
+        ([(xy, z, 1), (x, yz, -1), (y, z, -1)], [(x, y, z), (x, yz, y), (by[xy, z], x, y)]),
+    ]
+
+
 def _braid_system(gamma, deg, action):
     """(A, labels, cells) such that the hexagons read
     A y = a[cells[0]] - a[cells[1]] + a[cells[2]] (mod N), row by row.
@@ -253,16 +262,9 @@ def _braid_system(gamma, deg, action):
     if rows * count > CELL_CAP:
         raise ResourceLimit(f"braid system on orbit coordinates: {rows}x{count} = {rows * count} cells exceed the cell cap {CELL_CAP}")
     column = np.pad(labels.reshape(o - 1, o - 1), (1, 0), constant_values=-1)  # -1 on unit cells
-    mul, by = gamma.mul_array, np.asarray(action)[np.asarray(deg)]
-    x, y, z = np.indices((o, o, o)).reshape(3, -1)
-    az, at, xy, yz = by[x, y], by[x, z], mul[x, y], by[y, z]
-    hexagons = [  # (braid terms (x, y, coef), associator cells with signs +, -, +)
-        ([(x, y, 1), (x, z, 1), (x, mul[y, z], -1)], [(x, y, z), (az, x, z), (az, at, x)]),
-        ([(xy, z, 1), (x, yz, -1), (y, z, -1)], [(x, y, z), (x, yz, y), (by[xy, z], x, y)]),
-    ]
     amat = np.zeros((2, o**3, count), dtype=np.int64)
     cells = np.zeros((3, 2, o**3), dtype=np.int64)
-    for h, (braid_terms, assoc_cells) in enumerate(hexagons):
+    for h, (braid_terms, assoc_cells) in enumerate(_hexagons(gamma, deg, action)):
         for p, q, coef in braid_terms:
             col = column[p, q]
             np.add.at(amat[h], (np.flatnonzero(col >= 0), col[col >= 0]), coef)
@@ -270,15 +272,15 @@ def _braid_system(gamma, deg, action):
     return amat.reshape(rows, count), labels, cells.reshape(3, rows)
 
 
-def _solutions(mat, labels, n, rhss, cap=ENUM_STATE_CAP):
+def _solutions(mat, labels, n, rhss):
     """Yield, for each column of rhss in turn, the solutions y of mat y = rhs
     (mod n) mapped back to the cells as y[labels] (_orbit_labels): an array
     with one solution per row, in lexicographic order."""
     parts, gens, orders = snf.solution_lattice(mat, n, rhss)
     total = math.prod(orders)
-    if total > cap and any(part is not None for part in parts):
+    if total > ENUM_STATE_CAP and any(part is not None for part in parts):
         raise ResourceLimit(f"solution lattice has {total} points, over the enumeration cap")
-    offsets = gens @ np.indices(orders).reshape(len(orders), total) if total <= cap else None
+    offsets = gens @ np.indices(orders).reshape(len(orders), total) if total <= ENUM_STATE_CAP else None
     for part in parts:
         sols = [] if part is None else sorted(set(map(tuple, ((part[:, None] + offsets) % n).T.tolist())))
         yield np.array(sols, dtype=np.int64).reshape(len(sols), mat.shape[1])[:, labels]
@@ -293,7 +295,7 @@ def _invariant_associators(group, action, n):
     return vectors
 
 
-def _braid_tables(gamma, system, n, assocs, cap=ENUM_STATE_CAP):
+def _braid_tables(gamma, system, n, assocs):
     """Yield, for each associator in turn, the sorted braid tables that solve the system with it."""
     amat, labels, cells = system
     o = gamma.order
@@ -303,7 +305,7 @@ def _braid_tables(gamma, system, n, assocs, cap=ENUM_STATE_CAP):
     rhs += flat[cells[2]]
     rhs %= n
     del flat  # the solve below is the peak of the run; it need not hold the tables
-    for sols in _solutions(amat, labels, n, rhs, cap):
+    for sols in _solutions(amat, labels, n, rhs):
         tables = np.zeros((len(sols), o, o), dtype=np.int64)
         tables[:, 1:, 1:] = sols.reshape(len(sols), o - 1, o - 1)
         yield [tuple(map(tuple, table)) for table in tables.tolist()]
@@ -602,9 +604,10 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
     class, projective centralizer irrep with transgressed multiplier).
 
     S is computed exactly when the group is abelian (any omega) or omega is
-    zero; otherwise the double stays in dims+T mode.  T entries are the
-    normalized character values at the class representative.  Every
-    self-check raises InvariantError.
+    zero, and the fusion ring follows from it by Verlinde; otherwise the
+    double stays in dims+T mode.  T entries are the normalized character
+    values at the class representative.  Every self-check raises
+    InvariantError.
     """
     ok, wit = is_cocycle(omega)
     if not ok:
@@ -623,7 +626,6 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
                 raise InvariantError(f"T entry of ({g.element_names[rep]};{ii}) is not a root of unity")
             simples.append({
                 "class_rep": g.element_names[rep],
-                "rep": rep,
                 "class_index": ci,
                 "class_size": len(data.classes[ci]),
                 "irrep": ii,
@@ -637,36 +639,26 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
     if total != g.order**2:
         raise InvariantError(f"double dimension identity failed: sum of dim^2 is {total}, not |G|^2 = {g.order**2}")
 
-    fusion = s_ints = s_matrix = None
-    if omega.is_zero():
-        sections = _section_table(g, simples)
-        fusion = _untwisted_double_fusion(g, data, simples, sections)
-        s_ints = _untwisted_s_matrix(g, data, simples, sections)
-    elif g.is_abelian and all(s["irrep_dim"] == 1 for s in simples):
-        fusion = _abelian_twisted_double_fusion(g, omega, simples)
-        if fusion is not None:
-            s_ints = _pointed_s_matrix(g, simples, fusion)
-    if s_ints is not None:
-        cond, coef, den = s_ints
+    fusion = s_matrix = None
+    if omega.is_zero() or g.is_abelian:
+        # zeta_n^phase[a, b] weighs the class pair (a, b) in S: the phase of
+        # Coste-Gannon-Ruelle for abelian G, and 0 when omega is zero
+        w, ab = omega.table, g.mul_array
+        a, b = np.indices(ab.shape)
+        phase = (w[a, b, ab] - w[a, ab, b] + w[ab, a, b] - w[a, b, a] - w[b, a, b]) % n
+        cond, coef, den = _s_matrix(g, data, simples, phase, n)
         _check_unitary(coef, den)
+        name = f"D({g.name})" if omega.is_zero() else f"D^w({g.name})"
+        fusion = _verlinde_fusion(name, g.order, simples, coef, den)
         rows = coef.tolist()
         m = coef.shape[-1]
-        s_matrix = [[Cyc.from_ints(n, row[j][::m // n], den) for j, n in enumerate(nrow)]
-                    for row, nrow in zip(rows, cond.tolist())]
+        s_matrix = [[Cyc.from_ints(c, row[j][::m // c], den) for j, c in enumerate(crow)]
+                    for row, crow in zip(rows, cond.tolist())]
     public = [
         {k: s[k] for k in ("class_rep", "class_size", "irrep", "irrep_dim", "dim", "t")}
         for s in simples
     ]
     return DoubleData(g, n, public, s_matrix, fusion)
-
-
-def _root_exponents(values, m):
-    """e mod m with v = zeta_m^e, for each Cyc v written as one root of unity."""
-    coef = cyc_coefficients(values, m)
-    ok = ((coef != 0).sum(axis=1) == 1) & (coef.sum(axis=1) == 1)
-    if not ok.all():
-        raise InvariantError(f"{values[int(np.argmin(ok))]} is not a root of unity")
-    return np.argmax(coef, axis=1)
 
 
 def _check_unitary(coef, den):
@@ -684,65 +676,57 @@ def _check_unitary(coef, den):
         raise InvariantError(f"S not unitary at ({i},{j})")
 
 
-def _section_table(g, simples):
-    """The section values of all simples as one int coefficient table.
+def _s_matrix(g, data, simples, phase, n):
+    """S of the twisted double from the sections (Coste-Gannon-Ruelle):
 
-    Returns (coef, pos, m): coef (values + 1, m) holds every section value on
-    1, zeta_m, ..., zeta_m^(m-1), with a zero row last; pos[s, x] is the row
-    of section_s(x) for x in the centralizer of simple s, the zero row for
-    any other x.
+        S_AB = sum over t in G with x = t b t^-1 in C(a) of
+               zeta_n^phase[a, b] conj(theta_A(x)) conj(theta_B(t^-1 a t))
+               / (|C(a)| |C(b)|)
+
+    for the class representatives a of A and b of B, phase the table of
+    twisted_double (zero when omega is).  The section values of all simples
+    are int coefficient vectors over zeta_m, m the lcm of their conductors
+    and of the order of the phases; for each pair of classes the sum is one
+    integer matrix product of the conjugated vectors, a cyclic convolution
+    over zeta_m, turned by the phase.  An entry is emitted in Q(zeta_c), c
+    the lcm of the conductors of its two simples' sections and of the order
+    of its phase, when some x commutes with a, and c = 1 when none does.
+
+    Returns (cond, coef, den): the conductor c of every entry, and den * S as
+    int coefficients on the powers of zeta_M, M = lcm of the conductors, with
+    den the least common denominator of all coefficients.
     """
     values = [v for s in simples for v in s["section"]]
-    m = math.lcm(*(v.n for v in values))
-    coef = np.vstack([cyc_coefficients(values, m), np.zeros((1, m), dtype=np.int64)])
-    pos = np.full((len(simples), g.order), len(values), dtype=np.int64)
+    m = math.lcm(n // math.gcd(n, *np.unique(phase).tolist()), *(v.n for v in values))
+    bar = np.vstack([cyc_coefficients(values, m), np.zeros((1, m), dtype=np.int64)])[:, -np.arange(m) % m]
+    zero = len(values)  # the zero row of bar
+    pos = np.full((len(simples), g.order), zero, dtype=np.int64)  # pos[s, x]: row of section_s(x)
     offset = 0
     for si, s in enumerate(simples):
         pos[si, list(s["embed"])] = offset + np.arange(len(s["embed"]))
         offset += len(s["embed"])
-    return coef, pos, m
-
-
-def _untwisted_s_matrix(g, data, simples, sections):
-    """S of D(G) from the sections (Coste-Gannon-Ruelle):
-
-        S_AB = sum over t in G with x = t b t^-1 in C(a) of
-               conj(theta_A(x)) conj(theta_B(t^-1 a t)) / (|C(a)| |C(b)|)
-
-    for the class representatives a of A and b of B.  For each pair of
-    classes the sum is one integer matrix product of the conjugated
-    coefficient vectors, a cyclic convolution over zeta_m.  An entry is
-    emitted in Q(zeta_n), n = lcm(exp C(a), exp C(b)) (the conductor of its
-    sections) when some x commutes with a, and n = 1 when none does.
-
-    Returns (cond, coef, den): the conductor of every entry, and den * S as
-    int coefficients on the powers of zeta_M, M = lcm of the conductors, with
-    den the least common denominator of all coefficients.
-    """
-    coef, pos, m = sections
     conj, inv = g.conj_array, np.asarray(g.inv)
-    reps = data.reps
     klass = np.array([s["class_index"] for s in simples])
     cond = np.array([math.lcm(*(v.n for v in s["section"])) for s in simples], dtype=np.int64)
     size = np.array([len(s["embed"]) for s in simples], dtype=np.int64)
-    bar = coef[:, -np.arange(m) % m]
     shift = (np.arange(m) - np.arange(m)[:, None]) % m  # shift[i, e] = e - i
     raw = np.zeros((len(simples), len(simples), m), dtype=np.int64)
     entry_cond = np.ones((len(simples), len(simples)), dtype=np.int64)
-    for ca, a in enumerate(reps):
+    for ca, a in enumerate(data.reps):
         rows = np.flatnonzero(klass == ca)
-        for cb, b in enumerate(reps):
+        for cb, b in enumerate(data.reps):
             cols = np.flatnonzero(klass == cb)
             x = conj[:, b]
-            ts = np.flatnonzero(pos[rows[0], x] < len(coef) - 1)  # t b t^-1 in C(a)
+            ts = np.flatnonzero(pos[rows[0], x] < zero)  # t b t^-1 in C(a)
             u = bar[pos[np.ix_(rows, x[ts])]]  # (rows, terms, m)
             v = bar[pos[np.ix_(cols, conj[inv[ts], a])]][:, :, shift]  # (cols, terms, m, m)
             terms = len(ts) * m
             num = u.reshape(len(rows), terms) @ v.transpose(1, 2, 0, 3).reshape(terms, len(cols) * m)
-            raw[np.ix_(rows, cols)] = num.reshape(len(rows), len(cols), m)
+            raw[np.ix_(rows, cols)] = np.roll(num.reshape(len(rows), len(cols), m), phase[a, b] * m // n, axis=-1)
             if len(ts):
-                entry_cond[np.ix_(rows, cols)] = np.lcm.outer(cond[rows], cond[cols])
-    raw[np.arange(m) % (m // entry_cond)[..., None] != 0] = 0  # not emitted in Q(zeta_n)
+                entry_cond[np.ix_(rows, cols)] = np.lcm(np.lcm.outer(cond[rows], cond[cols]),
+                                                        n // math.gcd(n, int(phase[a, b])))
+    raw[np.arange(m) % (m // entry_cond)[..., None] != 0] = 0  # not emitted in Q(zeta_c)
     den = np.multiply.outer(size, size)
     common = np.gcd(np.gcd.reduce(raw, axis=2), den)
     reduced = den // common
@@ -752,39 +736,25 @@ def _untwisted_s_matrix(g, data, simples, sections):
     return entry_cond, scaled[:, :, ::m // big_m], lcd
 
 
-def _pointed_s_matrix(g, simples, fusion):
-    """S of a pointed double from its twists: S_{uv} = conj(b(u,v))/|G| with
-    b(u,v) = theta(u v) / (theta(u) theta(v)), which must be a bicharacter.
+def _verlinde_fusion(name, order, simples, coef, den):
+    """The fusion ring of a double from its S = coef / den by Verlinde:
 
-    The twists are roots of unity, so b is the int table
-    theta[uv] - theta[u] - theta[v] of exponents mod M, M the lcm of the T
-    conductors; each entry is emitted in the lcm of its three conductors.
-    Returns (cond, coef, |G|) as _untwisted_s_matrix does: coef holds one 1
-    per entry, at its root of unity among the powers of zeta_M.
+        N_ij^k = sum over l of S_il S_jl conj(S_kl) / S_0l,  S_0l = d_l / |G|,
+
+    that is N = |G| V / (den^3 L) with V = sum over l of (L / d_l) coef_il
+    coef_jl conj(coef_kl) and L the lcm of the dims d_l.  One certified
+    character sum; each simple must have exactly one dual.
     """
-    size = len(simples)
-    prod = np.zeros((size, size), dtype=np.int64)
-    for (i, j, k), _ in fusion.coeffs:
-        prod[i, j] = k
-    cond = np.array([s["t"].n for s in simples], dtype=np.int64)
-    m = math.lcm(*cond.tolist())
-    theta = _root_exponents([s["t"] for s in simples], m)
-    b = (theta[prod] - theta[:, None] - theta[None, :]) % m
-    if (b != b.T).any():
-        raise InvariantError("monodromy form must be symmetric")
-    if ((b[prod] - b[:, None, :] - b[None, :, :]) % m).any():
-        raise InvariantError("monodromy form must be a bicharacter")
-    lcm = np.lcm(np.lcm(cond[prod], cond[:, None]), cond[None, :])
-    exps = (-b * lcm // m) % lcm
-    big_m = math.lcm(*lcm.ravel().tolist())
-    coef = np.zeros((size, size, big_m), dtype=np.int64)
-    i, j = np.indices((size, size))
-    coef[i, j, exps * (big_m // lcm)] = 1
-    return lcm, coef, g.order
-
-
-def _fusion_ring(name, simples, coeffs):
-    """The fusion ring with these coefficients; each simple must have exactly one dual."""
+    dims = np.array([s["dim"] for s in simples], dtype=np.int64)
+    big_l = math.lcm(*dims.tolist())
+    cols = np.arange(len(simples))
+    vals, rational = character_sums(coef, coef, coef, (cols, cols, cols, big_l // dims))
+    scale = den**3 * big_l
+    if not rational.all() or (vals * order % scale).any() or (vals < 0).any():
+        raise InvariantError("double fusion must be a non-negative integer")
+    mult = vals * order // scale
+    nz = np.nonzero(mult)  # in C order
+    coeffs = dict(zip(zip(*(i.tolist() for i in nz)), mult[nz].tolist()))
     labels = [f"({s['class_rep']};{s['irrep']})" for s in simples]
     dual = []
     for i in range(len(simples)):
@@ -793,79 +763,6 @@ def _fusion_ring(name, simples, coeffs):
             raise InvariantError(f"{labels[i]} must have exactly one dual, found {len(partners)}")
         dual.append(partners[0])
     return GradedFusionRing.make(name, labels, 0, tuple(dual), coeffs)
-
-
-def _untwisted_double_fusion(g, data, simples, sections):
-    """Fusion ring of D(G) from characters on commuting pairs:
-
-        |G| N_ij^k = sum over commuting (a, x) and a1 in C(x) of
-                     theta_i(a1, x) theta_j(a1^-1 a, x) conj(theta_k(a, x)),
-
-    where theta_s(a, x) = section_s(t^-1 x t) for a = t rep_s t^-1 (least
-    such t) and 0 off the class of s.  One certified character sum.
-    """
-    coef, pos, _ = sections
-    mul, inv, conj = g.mul_array, np.asarray(g.inv), g.conj_array
-    comm = mul == mul.T
-    pa, px = np.nonzero(comm)  # commuting pairs (a, x), a-major
-    pair = np.full(mul.shape, -1, dtype=np.int64)
-    pair[pa, px] = np.arange(len(pa))
-    cls = np.asarray(data.class_of)
-    transport = np.argmax(conj[:, np.asarray(data.reps)[cls]] == np.arange(g.order), axis=0)
-    y = conj[inv[transport[pa]], px]
-    klass = np.array([s["class_index"] for s in simples])
-    theta = coef[np.where(cls[pa] == klass[:, None], pos[:, y], len(coef) - 1)]
-
-    a1, pi = np.nonzero(comm[:, px])
-    a2 = mul[inv[a1], pa[pi]]
-    terms = (pair[a1, px[pi]], pair[a2, px[pi]], pi, np.ones(len(pi)))
-    vals, rational = character_sums(theta, theta, theta, terms)
-    if not rational.all() or (vals % g.order).any() or (vals < 0).any():
-        raise InvariantError("double fusion must be a non-negative integer")
-    mult = vals // g.order
-    nz = np.nonzero(mult)  # in C order
-    coeffs = dict(zip(zip(*(i.tolist() for i in nz)), mult[nz].tolist()))
-    return _fusion_ring(f"D({g.name})", simples, coeffs)
-
-
-def _abelian_twisted_double_fusion(g, omega, simples):
-    """Pointed fusion of an abelian twisted double.
-
-    (a, chi)(b, psi) = (ab, chi psi zeta^{-kappa_{a,b}}) where kappa
-    compensates the multiplier mismatch tau_a + tau_b - tau_{ab}; the
-    candidate kappa is verified cochain-level before use.  Sections are
-    roots of unity, kept as exponents mod M, and the product is found by
-    looking up (class, exponent vector).
-    """
-    n = omega.n
-    # tau[a] is the slant of omega at a (transgress on the whole abelian
-    # group) and kappa[a, b] compensates tau[ab] - tau[a] - tau[b]
-    w, mul = omega.table, g.mul_array
-    a, b, c = np.ix_(*[range(g.order)] * 3)
-    tau = w[a, b, c] - w[b, a, c] + w[b, c, a]
-    kappa = w[a, b, c] - w[a, c, b] + w[c, a, b]
-    # verify tau[ab] = tau[a] + tau[b] + d(kappa[a, b]) as normalized cochains
-    a, b, h, k = np.ix_(*[range(g.order)] * 4)
-    lhs = tau[mul[a, b], h, k] - tau[a, h, k] - tau[b, h, k]
-    rhs = kappa[a, b, k] - kappa[a, b, mul[h, k]] + kappa[a, b, h]
-    if ((lhs - rhs) % n).any():
-        return None
-    values = [v for s in simples for v in s["section"]]
-    m = math.lcm(n, *(v.n for v in values))
-    sec = _root_exponents(values, m).reshape(len(simples), g.order)
-    reps = np.array([s["rep"] for s in simples], dtype=np.int64)
-    index = {}
-    for i, (rep, row) in enumerate(zip(reps.tolist(), sec)):
-        if index.setdefault((rep, row.tobytes()), i) != i:
-            raise InvariantError("two simples of the twisted double have the same class and section")
-    target = (sec[:, None, :] + sec[None, :, :] + kappa[reps[:, None], reps[None, :]] * (m // n)) % m
-    coeffs = {}
-    for (i, j), ab in np.ndenumerate(mul[reps[:, None], reps[None, :]]):
-        k = index.get((int(ab), target[i, j].tobytes()))
-        if k is None:
-            raise InvariantError(f"twisted abelian fusion of simples {i} and {j} matches no simple")
-        coeffs[(i, j, k)] = 1
-    return _fusion_ring(f"D^w({g.name})", simples, coeffs)
 
 
 # ---------------------------------------------------------------------------

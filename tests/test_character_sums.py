@@ -121,12 +121,21 @@ def _corrupt_section(monkeypatch, call, change):
 def test_corrupt_section_raises_on_untwisted_double(monkeypatch, change):
     s3 = symmetric(3)
     _corrupt_section(monkeypatch, 3, change)  # the class of 3-cycles
-    with pytest.raises(InvariantError, match="fusion"):
+    with pytest.raises(InvariantError, match="S not unitary"):
         pointed.twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))
 
 
 def test_corrupt_section_raises_on_pointed_double(monkeypatch):
     omega = load_entry("cocycle_Z4_h3_0")
     _corrupt_section(monkeypatch, 4, lambda v: v * Cyc.root(4))
-    with pytest.raises(InvariantError, match="matches no simple|same class"):
+    with pytest.raises(InvariantError, match="S not unitary"):
         pointed.twisted_double(omega.group, omega)
+
+
+def test_verlinde_integrality_is_checked_without_unitarity(monkeypatch):
+    # with the unitarity check gone, the corrupt S reaches the Verlinde sum
+    s3 = symmetric(3)
+    _corrupt_section(monkeypatch, 3, lambda v: v + 1)
+    monkeypatch.setattr(pointed, "_check_unitary", lambda coef, den: None)
+    with pytest.raises(InvariantError, match="double fusion must be a non-negative integer"):
+        pointed.twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))

@@ -331,6 +331,19 @@ class TestCliContracts:
                 res = run_cli([command, str(tmp_path / "x.json")])
                 assert res.exit_code == 2 and "does not hold a JSON object" in res.stderr, res.stderr
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    @pytest.mark.parametrize("command", [
+        ["cohomology", "--group", "Z2", "--k", "3"],
+        ["double", "--group", "Z2", "--trivial"],
+        ["holo-crossed", "--group", "Z2", "--trivial"],
+        ["enumerate", "--group", "Z2"],
+    ])
+    def test_nonpositive_n_is_a_usage_error(self, command, n):
+        res = run_cli(command + ["--N", n, "--format", "json"])
+        assert res.exit_code == 2, res.output
+        assert f"argument --N: N must be a positive integer, not {n}" in res.stderr
+        assert res.stdout == ""
+
     def test_resource_guard_exits_3(self):
         res = run_cli(["cohomology", "--group", "S4", "--k", "4"])
         assert res.exit_code == 3
@@ -359,6 +372,19 @@ class TestCliContracts:
         assert res.exit_code == 0
         payload = json.loads(res.output)
         assert sorted(s["dim"] for s in payload["simples"]) == [1, 1, 2, 2, 2, 2, 3, 3]
+
+    def test_double_of_a_type_iii_cocycle_has_a_fusion_ring(self, tmp_path):
+        from gxcat.cohomology import cohomology_group
+        from gxcat.groups import build_group
+        from gxcat.serialize import dump_cocycle
+
+        omega = cohomology_group(build_group("Z2xZ2xZ2"), 3, 2).representatives[3]
+        path = tmp_path / "type_iii.json"
+        path.write_text(canonical_json(dump_cocycle(omega)))
+        res = run_cli(["double", "--group", "Z2xZ2xZ2", "--cocycle", str(path), "--format", "json"])
+        assert res.exit_code == 0, res.stderr
+        payload = json.loads(res.output)
+        assert payload["has_fusion_ring"] is True and len(payload["s_matrix"]) == 22
 
     def test_holo_crossed_and_smatrix(self, tmp_path):
         res = run_cli([

@@ -226,9 +226,9 @@ class TestTwistedDouble:
         mat = []
         for sa in simples:
             row = []
-            a, za = sa["rep"], sa["embed"]
+            a, za = g.element_names.index(sa["class_rep"]), sa["embed"]
             for sb in simples:
-                b, zb = sb["rep"], sb["embed"]
+                b, zb = g.element_names.index(sb["class_rep"]), sb["embed"]
                 acc = Cyc.rational(0)
                 for t in g.elements():
                     x = g.mul[g.mul[t][b]][g.inv[t]]
@@ -247,25 +247,20 @@ class TestTwistedDouble:
 
         g = build_group(preset)
         seen = {}
-        real = pointed._untwisted_s_matrix
+        real = pointed._s_matrix
 
-        def spy(g, data, simples, sections):
+        def spy(g, data, simples, phase, n):
             seen["simples"] = simples
-            return real(g, data, simples, sections)
+            return real(g, data, simples, phase, n)
 
-        monkeypatch.setattr(pointed, "_untwisted_s_matrix", spy)
+        monkeypatch.setattr(pointed, "_s_matrix", spy)
         got = twisted_double(g, TorsionCocycle.make(g, 3, g.order, {})).s_matrix
         want = self._untwisted_s_reference(g, seen["simples"])
         assert [[(v.n, v.c) for v in row] for row in got] == [[(v.n, v.c) for v in row] for row in want]
 
 
-    @pytest.mark.parametrize("builder, preset, twisted", [
-        ("_untwisted_s_matrix", "S3", False),
-        ("_untwisted_s_matrix", "Z6", False),
-        ("_pointed_s_matrix", "Z2", True),
-        ("_pointed_s_matrix", "Z4", True),
-    ])
-    def test_unitarity_is_checked_on_the_emitted_integers(self, builder, preset, twisted, monkeypatch):
+    @pytest.mark.parametrize("preset, twisted", [("S3", False), ("Z6", False), ("Z2", True), ("Z4", True)])
+    def test_unitarity_is_checked_on_the_emitted_integers(self, preset, twisted, monkeypatch):
         import gxcat.pointed as pointed
         from gxcat.errors import InvariantError
         from gxcat.groups import build_group
@@ -274,20 +269,50 @@ class TestTwistedDouble:
         omega = cohomology_group(g, 3, g.order).representatives[0] if twisted else \
             TorsionCocycle.make(g, 3, g.order, {})
         assert not omega.is_zero() or not twisted
-        real = getattr(pointed, builder)
+        real = pointed._s_matrix
         calls = []
 
         def corrupted(*args):
             cond, coef, den = real(*args)
-            calls.append(builder)
+            calls.append(preset)
             coef = coef.copy()
             coef[1, 1, 0] += 1  # one more den-th in an emitted coefficient
             return cond, coef, den
 
-        monkeypatch.setattr(pointed, builder, corrupted)
+        monkeypatch.setattr(pointed, "_s_matrix", corrupted)
         with pytest.raises(InvariantError, match="S not unitary"):
             twisted_double(g, omega)
-        assert calls == [builder]
+        assert calls == [preset]
+
+    @pytest.mark.parametrize("index, twin", [(3, "D4"), (5, "Q8"), (6, "D4")])
+    def test_type_iii_doubles_of_z2_cubed_have_modular_data(self, index, twin):
+        """The type-III classes of H^3(Z2xZ2xZ2, mu_2), with 22 simples: S is
+        symmetric with (ST)^3 = S^2, the fusion ring is valid with PF dims equal
+        to the dims, and (dim, T) is distributed as in D(D4) or D(Q8), to which
+        Goff, Mason and Ng (J. Algebra 312, 2007) show these doubles gauge
+        equivalent."""
+        from collections import Counter
+
+        from gxcat.fusion import pf_dims, validate_ring
+        from gxcat.groups import build_group
+
+        g = build_group("Z2xZ2xZ2")
+        dd = twisted_double(g, cohomology_group(g, 3, 2).representatives[index])
+        s, r = dd.s_matrix, len(dd.simples)
+        assert r == 22 and s is not None and dd.fusion is not None
+        assert all(s[i][j] == s[j][i] for i in range(r) for j in range(i))
+
+        def mul(a, b):
+            return [[sum((a[i][k] * b[k][j] for k in range(r)), Cyc.rational(0)) for j in range(r)] for i in range(r)]
+
+        st = [[s[i][j] * dd.simples[j]["t"] for j in range(r)] for i in range(r)]
+        st3, s2 = mul(mul(st, st), st), mul(s, s)
+        assert all(st3[i][j] == s2[i][j] for i in range(r) for j in range(r))
+        assert validate_ring(dd.fusion).passed
+        assert list(pf_dims(dd.fusion)) == dd.dims
+        h = build_group(twin)
+        ref = twisted_double(h, TorsionCocycle.make(h, 3, h.order, {}))
+        assert Counter(zip(dd.dims, dd.t_spectrum())) == Counter(zip(ref.dims, ref.t_spectrum()))
 
 
 class TestHolomorphicCrossed:
