@@ -697,7 +697,7 @@ def _s_matrix(g, data, simples, phase, n):
     den the least common denominator of all coefficients.
     """
     values = [v for s in simples for v in s["section"]]
-    m = math.lcm(n // math.gcd(n, *np.unique(phase).tolist()), *(v.n for v in values))
+    m = math.lcm(n // math.gcd(n, int(np.gcd.reduce(phase, axis=None))), *(v.n for v in values))
     bar = np.vstack([cyc_coefficients(values, m), np.zeros((1, m), dtype=np.int64)])[:, -np.arange(m) % m]
     zero = len(values)  # the zero row of bar
     pos = np.full((len(simples), g.order), zero, dtype=np.int64)  # pos[s, x]: row of section_s(x)
