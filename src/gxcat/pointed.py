@@ -684,7 +684,7 @@ def _s_matrix(g, data, simples, phase, n):
                / (|C(a)| |C(b)|)
 
     for the class representatives a of A and b of B, phase the table of
-    twisted_double (zero when omega is).  The section values of all simples
+    twisted_double (zero when omega is zero).  The section values of all simples
     are int coefficient vectors over zeta_m, m the lcm of their conductors
     and of the order of the phases; for each pair of classes the sum is one
     integer matrix product of the conjugated vectors, a cyclic convolution
@@ -749,10 +749,9 @@ def _verlinde_fusion(name, order, simples, coef, den):
     big_l = math.lcm(*dims.tolist())
     cols = np.arange(len(simples))
     vals, rational = character_sums(coef, coef, coef, (cols, cols, cols, big_l // dims))
-    scale = den**3 * big_l
-    if not rational.all() or (vals * order % scale).any() or (vals < 0).any():
+    mult, rest = np.divmod(vals * order, den**3 * big_l)
+    if not rational.all() or rest.any() or (mult < 0).any():
         raise InvariantError("double fusion must be a non-negative integer")
-    mult = vals * order // scale
     nz = np.nonzero(mult)  # in C order
     coeffs = dict(zip(zip(*(i.tolist() for i in nz)), mult[nz].tolist()))
     labels = [f"({s['class_rep']};{s['irrep']})" for s in simples]
