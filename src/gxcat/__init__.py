@@ -23,6 +23,7 @@ _EXPORTS = {
         "conjugacy_data",
         "cyclic",
         "dihedral",
+        "orbit_labels",
         "product",
         "quaternion8",
         "symmetric",

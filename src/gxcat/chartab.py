@@ -42,6 +42,7 @@ __all__ = [
 
 EXTENSION_ORDER_CAP = 192
 PRIME_CAP = 1 << 31  # F_p products of two residues stay inside int64
+SUM_BLOCK_CELLS = 1 << 16  # rows of a x rows of b x terms per block of a character sum
 
 
 def _prime_factors(n):
@@ -130,6 +131,10 @@ def character_sums(a, b, c, terms):
     as sum |w_t| times the largest coefficient sum of an entry of a, of b
     and of c.  p is the least such prime; ResourceLimit if none lies below
     2**31.  If the embeddings disagree, the sum is not a rational integer.
+
+    The rows of a are taken in blocks of at most SUM_BLOCK_CELLS products
+    (block rows x rows of b x terms), so the temporaries stay that small
+    whatever the number of rows; only values and rational are full size.
     """
     m = a.shape[-1]
     u, v, x, w = (np.asarray(t, dtype=np.int64) for t in terms)
@@ -151,15 +156,20 @@ def character_sums(a, b, c, terms):
     if len(starts) >= 1 << 16:
         raise ResourceLimit(f"{len(starts)} distinct character columns in one sum")
     ia, ib, ic = images(a), images(b), images(c[..., -np.arange(m) % m])
-    for i in range(len(units)):  # keep the first embedding's values and where the others agree
-        ab = ia[:, u, i] * w % p
-        ab = ab[:, None, :] * ib[:, v, i][None] % p
-        part = np.add.reduceat(ab, starts, axis=2) % p
-        image = dot_mod(part.reshape(-1, len(starts)), p, ic[:, x[starts], i].T)
-        if i == 0:
-            vals, rational = image, np.ones(image.shape, dtype=bool)
-        else:
-            rational &= image == vals
+    vals = np.empty((a.shape[0], b.shape[0] * c.shape[0]), dtype=np.int64)
+    rational = np.ones(vals.shape, dtype=bool)
+    step = max(1, SUM_BLOCK_CELLS // max(1, b.shape[0] * len(u)))
+    for lo in range(0, a.shape[0], step):  # a block of rows of a at a time
+        rows = slice(lo, lo + step)
+        for i in range(len(units)):  # keep the first embedding's values and where the others agree
+            ab = ia[rows, u, i] * w % p
+            ab = ab[:, None, :] * ib[:, v, i][None] % p
+            part = np.add.reduceat(ab, starts, axis=2) % p
+            image = dot_mod(part.reshape(-1, len(starts)), p, ic[:, x[starts], i].T).reshape(-1, vals.shape[1])
+            if i == 0:
+                vals[rows] = image
+            else:
+                rational[rows] &= image == vals[rows]
     vals = np.where(vals > p // 2, vals - p, vals)
     shape = (a.shape[0], b.shape[0], c.shape[0])
     return vals.reshape(shape), rational.reshape(shape)

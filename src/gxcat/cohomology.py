@@ -350,10 +350,9 @@ def transgress(omega: TorsionCocycle, g_elem: int):
     if not ok:
         raise ValueError(f"omega is not closed (witness {wit})")
     g, a, w = omega.group, g_elem, omega.table
-    cent_elems = [t for t in g.elements() if g.mul[t][a] == g.mul[a][t]]
-    cent, embed = subgroup(g, cent_elems, name=f"Z({g.element_names[a]})")
+    conj_a = g.conj_array[:, a]  # x -> x a x^-1
+    cent, embed = subgroup(g, np.flatnonzero(conj_a == a).tolist(), name=f"Z({g.element_names[a]})")
     mul, inv = g.mul_array, np.asarray(g.inv)
-    conj_a = mul[mul[:, a], inv]  # x -> x a x^-1
     h, k = np.ix_(embed, embed)
     hk = mul[h, k]
     table = w[a, h, k] - w[h, conj_a[inv[h]], k] + w[h, k, conj_a[inv[hk]]]

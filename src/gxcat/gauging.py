@@ -38,7 +38,7 @@ from .fusion import (
     validate_action,
     validate_ring,
 )
-from .groups import FiniteGroup, abelian_characters, subgroup
+from .groups import FiniteGroup, abelian_characters, orbit_labels, subgroup
 
 __all__ = [
     "EquivariantizationResult",
@@ -51,27 +51,11 @@ __all__ = [
 ]
 
 
-def _orbits(ring, action):
-    seen = set()
-    orbits = []
-    for i in range(ring.rank):
-        if i in seen:
-            continue
-        orb = sorted({action.perms[g][i] for g in action.group.elements()})
-        seen.update(orb)
-        orbits.append(tuple(orb))
-    return orbits
-
-
-def _stab_elements(ring, action, orbit):
-    rep = min(orbit)
-    return [g for g in action.group.elements() if action.perms[g][rep] == rep]
-
-
 def orbit_stabilizer(ring, action, orbit):
-    """Stabilizer (as its own FiniteGroup) of the least member of an orbit."""
+    """Stabilizer of the least member of an orbit: (its own FiniteGroup,
+    its elements in G)."""
     rep = min(orbit)
-    elems = _stab_elements(ring, action, orbit)
+    elems = np.flatnonzero(np.asarray(action.perms)[:, rep] == rep).tolist()
     return subgroup(action.group, elems, name=f"Stab({ring.label(rep)})")
 
 
@@ -123,9 +107,10 @@ def equivariantize(ring: GradedFusionRing, action: RingGAction, stabilizer_cocyc
         dims = pf_dims(ring)
     simples = []
     total = as_scalar(0)
-    for orbit in _orbits(ring, action):
-        rep = min(orbit)
-        stab, _ = orbit_stabilizer(ring, action, orbit)
+    labels, reps = orbit_labels(action.perms)
+    for label, rep in enumerate(reps.tolist()):
+        orbit = np.flatnonzero(labels == label).tolist()
+        stab, stab_elems = orbit_stabilizer(ring, action, orbit)
         key = ring.label(rep)
         coc = stabilizer_cocycles.get(key)
         if coc is not None:
@@ -140,7 +125,7 @@ def equivariantize(ring: GradedFusionRing, action: RingGAction, stabilizer_cocyc
         else:
             coc, tag = TorsionCocycle.make(stab, 2, 1, {}), "assumed-trivial"
         orbit_dim = sum((dims[i] for i in orbit), start=as_scalar(0))
-        stab_names = tuple(action.group.element_names[g] for g in _stab_elements(ring, action, orbit))
+        stab_names = tuple(action.group.element_names[g] for g in stab_elems)
         for d in chartab.projective_irrep_dims(stab, coc):
             dim = orbit_dim * d
             simples.append(
@@ -531,13 +516,8 @@ def perm_orbifold_picard(base: GradedFusionRing, n: int, group: FiniteGroup, emb
     equivariantization; a mismatch raises.
     """
     embedding = tuple(tuple(p) for p in embedding)
-    reachable = {0}
-    while True:
-        grown = reachable | {p[i] for p in embedding for i in reachable}
-        if grown == reachable:
-            break
-        reachable = grown
-    if reachable != set(range(n)):
+    labels, reps = orbit_labels(embedding)
+    if len(labels) != n or len(reps) != 1:
         raise FusionError("permutation group must act transitively on the slots")
     pic_labels, _ = picard(base)
     chars = abelian_characters(group, group.exponent if group.order > 1 else 1)

@@ -30,6 +30,7 @@ __all__ = [
     "quaternion8",
     "product",
     "conjugacy_data",
+    "orbit_labels",
     "abelian_characters",
     "PRESETS",
 ]
@@ -293,30 +294,30 @@ class ConjugacyData:
     class_of: tuple  # element index -> index of its class
 
 
+def orbit_labels(perms):
+    """(labels, reps) for a permutation action given as a |G| x r array.
+
+    Row g of perms is the image of 0..r-1 under g, every group element
+    listed once.  labels[x] is the index of the orbit of x and reps the
+    least member of each orbit, increasing: orbits are numbered by their
+    least member, which is the least image of any member.
+    """
+    import numpy as np
+
+    least = np.asarray(perms).min(axis=0)
+    is_rep = least == np.arange(least.size)
+    return (np.cumsum(is_rep) - 1)[least], np.flatnonzero(is_rep)
+
+
 @lru_cache(maxsize=None)
 def conjugacy_data(g: FiniteGroup) -> ConjugacyData:
-    seen = set()
-    classes = []
-    for x in g.elements():
-        if x in seen:
-            continue
-        orbit = sorted({g.conj(t, x) for t in g.elements()})
-        seen.update(orbit)
-        classes.append(tuple(orbit))
-    classes.sort(key=lambda c: c[0])
-    reps = tuple(c[0] for c in classes)
-    cents = []
-    mul = g.mul
-    for r in reps:
-        cent = tuple(x for x in g.elements() if mul[x][r] == mul[r][x])
-        if not _is_subgroup(g, cent):
-            raise GroupError("centralizer failed subgroup check")  # pragma: no cover
-        cents.append(cent)
-    class_of = [0] * g.order
-    for i, c in enumerate(classes):
-        for x in c:
-            class_of[x] = i
-    data = ConjugacyData(tuple(classes), reps, tuple(cents), tuple(class_of))
+    import numpy as np
+
+    conj = g.conj_array
+    labels, reps = orbit_labels(conj)
+    classes = tuple(tuple(np.flatnonzero(labels == i).tolist()) for i in range(len(reps)))
+    cents = tuple(tuple(np.flatnonzero(conj[:, r] == r).tolist()) for r in reps.tolist())
+    data = ConjugacyData(classes, tuple(reps.tolist()), cents, tuple(labels.tolist()))
     if sum(len(c) for c in classes) != g.order:
         raise InvariantError("conjugacy classes do not partition the group")
     if any(len(c) * len(z) != g.order for c, z in zip(classes, cents)):
@@ -328,23 +329,6 @@ def _is_subgroup(g, elems):
     inside = set(elems)
     inv = [g.inv[b] for b in elems]
     return 0 in inside and all(inside.issuperset(map(g.mul[a].__getitem__, inv)) for a in elems)  # a b^-1
-
-
-def subgroup_closure(g, gens):
-    """Closure of gens under multiplication, as a sorted tuple."""
-    elems = {0}
-    frontier = [0]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in gens:
-                b = g.mul[a][s]
-                if b not in elems:
-                    elems.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return tuple(sorted(elems))
 
 
 def subgroup(g, elems, name=None):
@@ -361,37 +345,22 @@ def subgroup(g, elems, name=None):
     return _mk(name or f"{g.name}<{len(elems)}>", mul, names), elems
 
 
-def commutator_subgroup(g):
-    comms = {g.mul[g.mul[a][b]][g.mul[g.inv[a]][g.inv[b]]] for a in g.elements() for b in g.elements()}
-    return subgroup_closure(g, comms)
-
-
 def quotient(g, normal_elems, name=None):
     """Quotient by a normal subgroup; returns (group, coset map element -> index).
 
-    Cosets are ordered by least member, the identity coset first.
+    The cosets are the orbits of right multiplication by the subgroup
+    (orbit_labels), so they are ordered by least member, the identity coset
+    first.
     """
-    nset = set(normal_elems)
-    for t in g.elements():
-        if any(g.conj(t, x) not in nset for x in nset):
-            raise GroupError("subgroup is not normal")
-    cosets = []
-    assigned = {}
-    for x in g.elements():
-        if x in assigned:
-            continue
-        coset = tuple(sorted({g.mul[x][h] for h in nset}))
-        for y in coset:
-            assigned[y] = len(cosets)
-        cosets.append(coset)
-    order = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
-    relabel = {old: new for new, old in enumerate(order)}
-    cosets = [cosets[i] for i in order]
-    cmap = {x: relabel[assigned[x]] for x in g.elements()}
-    mul = [[cmap[g.mul[c1[0]][c2[0]]] for c2 in cosets] for c1 in cosets]
-    names = ["e"] + [f"[{g.element_names[c[0]]}]" for c in cosets[1:]]
-    grp = _mk(name or f"{g.name}/N", mul, names)
-    return grp, cmap
+    import numpy as np
+
+    nset = sorted(set(normal_elems))
+    if not np.isin(g.conj_array[:, nset], nset).all():
+        raise GroupError("subgroup is not normal")
+    labels, reps = orbit_labels(g.mul_array[:, nset].T)
+    mul = labels[g.mul_array[np.ix_(reps, reps)]].tolist()
+    names = ["e"] + [f"[{g.element_names[c]}]" for c in reps[1:].tolist()]
+    return _mk(name or f"{g.name}/N", mul, names), dict(enumerate(labels.tolist()))
 
 
 @dataclass(frozen=True)
@@ -410,55 +379,24 @@ class LinearCharacter:
         return LinearCharacter(tuple((a + b) % self.n for a, b in zip(self.values, other.values)), self.n)
 
 
-def _minimal_generators(g):
-    gens = []
-    span = {0}
-    while len(span) < g.order:
-        best = max(
-            (x for x in g.elements() if x not in span),
-            key=lambda x: (g.element_order(x), -x),
-        )
-        gens.append(best)
-        span = set(subgroup_closure(g, gens))
-    return gens
-
-
 def abelian_characters(g, n):
-    """All homomorphisms G/[G,G] -> Z/n, pulled back to G.
+    """All homomorphisms G -> Z/n: the points of Z^1(G, mu_n), the kernel
+    of the first bar differential mod n, in increasing order of values.
 
-    n must be a multiple of the exponent of the abelianization.
+    n must be a multiple of the exponent of the abelianization, the
+    exponent of the same kernel mod |G|.
     """
-    comm = commutator_subgroup(g)
-    q, cmap = quotient(g, comm)
-    exp = q.exponent
+    import numpy as np
+
+    from .cohomology import bar_matrix
+    from .snf import kernel_mod, lattice_points
+
+    d1 = bar_matrix(g, 1)
+    _, orders = kernel_mod(d1, g.order)
+    exp = math.lcm(*orders)
     if n % exp != 0:
         raise GroupError(f"N={n} must be a multiple of the abelianization exponent {exp}")
-    gens = _minimal_generators(q) if q.order > 1 else []
-    chars = []
-    orders = [q.element_order(x) for x in gens]
-    for combo in itertools.product(*(range(o) for o in orders)):
-        val = {0: 0}
-        frontier = [0]
-        ok = True
-        while frontier and ok:
-            nxt = []
-            for a in frontier:
-                for gi, c, o in zip(gens, combo, orders):
-                    b = q.mul[a][gi]
-                    v = (val[a] + c * (n // o)) % n
-                    if b in val:
-                        if val[b] != v:
-                            ok = False
-                            break
-                    else:
-                        val[b] = v
-                        nxt.append(b)
-                if not ok:
-                    break
-            frontier = nxt
-        if ok and len(val) == q.order:
-            chars.append(LinearCharacter(tuple(val[cmap[x]] for x in g.elements()), n))
-    chars = sorted(set(chars), key=lambda ch: ch.values)
-    if len(chars) != q.order:
+    (points,) = lattice_points(d1, n, np.zeros((len(d1), 1), dtype=np.int64))
+    if len(points) != math.prod(orders):
         raise InvariantError("character count must equal |G_ab|")
-    return chars
+    return [LinearCharacter((0, *p), n) for p in points.tolist()]

@@ -50,7 +50,7 @@ from .cohomology import (
 )
 from .cyclo import Cyc
 from .fusion import GradedFusionRing, ValidationReport
-from .groups import FiniteGroup, InvariantError, abelian_characters, conjugacy_data, subgroup
+from .groups import FiniteGroup, InvariantError, abelian_characters, conjugacy_data, orbit_labels, quotient, subgroup
 
 __all__ = [
     "PointedGXData",
@@ -70,7 +70,6 @@ __all__ = [
 N_CAP = 16
 ENUM_GROUP_CAP = 6
 ENUM_N_CAP = 8
-ENUM_STATE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -224,11 +223,11 @@ def _cell_images(action, k):
 
 def _orbit_labels(action, k):
     """(labels, count): the orbit of each non-unit cell of Gamma^k under the
-    diagonal action, numbered 0..count-1 in the order of the orbits' least
-    cells, so y -> y[labels] is a bijection from orbit values onto the
-    tables constant on orbits that keeps lexicographic order."""
-    orbits, labels = np.unique(_cell_images(action, k).min(axis=0), return_inverse=True)
-    return labels.ravel(), len(orbits)
+    diagonal action (orbit_labels), numbered 0..count-1 in the order of the
+    orbits' least cells, so y -> y[labels] is a bijection from orbit values
+    onto the tables constant on orbits that keeps lexicographic order."""
+    labels, reps = orbit_labels(_cell_images(action, k))
+    return labels, len(reps)
 
 
 def _hexagons(gamma, deg, action):
@@ -272,27 +271,14 @@ def _braid_system(gamma, deg, action):
     return amat.reshape(rows, count), labels, cells.reshape(3, rows)
 
 
-def _solutions(mat, labels, n, rhss):
-    """Yield, for each column of rhss in turn, the solutions y of mat y = rhs
-    (mod n) mapped back to the cells as y[labels] (_orbit_labels): an array
-    with one solution per row, in lexicographic order."""
-    parts, gens, orders = snf.solution_lattice(mat, n, rhss)
-    total = math.prod(orders)
-    if total > ENUM_STATE_CAP and any(part is not None for part in parts):
-        raise ResourceLimit(f"solution lattice has {total} points, over the enumeration cap")
-    offsets = gens @ np.indices(orders).reshape(len(orders), total) if total <= ENUM_STATE_CAP else None
-    for part in parts:
-        sols = [] if part is None else sorted(set(map(tuple, ((part[:, None] + offsets) % n).T.tolist())))
-        yield np.array(sols, dtype=np.int64).reshape(len(sols), mat.shape[1])[:, labels]
-
-
 def _invariant_associators(group, action, n):
-    """The closed 3-cochains mod n that the action fixes, as sorted vectors
-    (_solutions): the kernel of d3 on the orbit coordinates of (G - e)^3."""
+    """The closed 3-cochains mod n that the action fixes, as sorted vectors:
+    the kernel of d3 on the orbit coordinates of (G - e)^3 (snf.lattice_points),
+    mapped back to the cells as y[labels]; the map keeps lexicographic order."""
     labels, count = _orbit_labels(action, 3)
     d3 = bar_matrix(group, 3) @ np.eye(count, dtype=np.int64)[labels]
-    (vectors,) = _solutions(d3, labels, n, np.zeros((len(d3), 1), dtype=np.int64))
-    return vectors
+    (vectors,) = snf.lattice_points(d3, n, np.zeros((len(d3), 1), dtype=np.int64))
+    return vectors[:, labels]
 
 
 def _braid_tables(gamma, system, n, assocs):
@@ -305,9 +291,9 @@ def _braid_tables(gamma, system, n, assocs):
     rhs += flat[cells[2]]
     rhs %= n
     del flat  # the solve below is the peak of the run; it need not hold the tables
-    for sols in _solutions(amat, labels, n, rhs):
+    for sols in snf.lattice_points(amat, n, rhs):
         tables = np.zeros((len(sols), o, o), dtype=np.int64)
-        tables[:, 1:, 1:] = sols.reshape(len(sols), o - 1, o - 1)
+        tables[:, 1:, 1:] = sols[:, labels].reshape(len(sols), o - 1, o - 1)
         yield [tuple(map(tuple, table)) for table in tables.tolist()]
 
 
@@ -497,8 +483,9 @@ def pointed_deequivariantize(data: PointedGXData, subgroup_elems):
 
     if n % h_grp.exponent:
         raise ValueError("root order N too coarse to carry the characters of H")
-    quot, cmap = quotient_with_section(gam, h_elems)
-    gamma2, section = quot
+    gamma2, cmap = quotient(gam, h_elems)
+    cosets = [[x for x in gam.elements() if cmap[x] == c] for c in range(gamma2.order)]
+    section = [coset[0] for coset in cosets]  # the least member of each coset
 
     chars = abelian_characters(h_grp, n)
     char_index = {c.values: i for i, c in enumerate(chars)}
@@ -507,8 +494,7 @@ def pointed_deequivariantize(data: PointedGXData, subgroup_elems):
     g2 = FiniteGroup(f"dual({h_grp.name})", tuple(tuple(r) for r in gmul), tuple(gnames))
 
     deg2 = []
-    for c in range(gamma2.order):
-        reps = [x for x in gam.elements() if cmap[x] == c]
+    for reps in cosets:
         vals = tuple(data.monodromy(reps[0], h_embed[hi]) % n for hi in range(h_grp.order))
         for r in reps[1:]:
             vals_r = tuple(data.monodromy(r, h_embed[hi]) % n for hi in range(h_grp.order))
@@ -548,15 +534,6 @@ def pointed_deequivariantize(data: PointedGXData, subgroup_elems):
                 raise InvariantError(f"descended data failed validation: {rep.issues[:1]}")
             return cand
     raise ValueError("no descended braiding found (internal consistency error)")
-
-
-def quotient_with_section(gam, h_elems):
-    """Quotient group plus the least-representative section."""
-    from .groups import quotient
-
-    q, cmap = quotient(gam, h_elems)
-    section = [min(x for x in gam.elements() if cmap[x] == c) for c in range(q.order)]
-    return (q, section), cmap
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +726,8 @@ def _verlinde_fusion(name, order, simples, coef, den):
     big_l = math.lcm(*dims.tolist())
     cols = np.arange(len(simples))
     vals, rational = character_sums(coef, coef, coef, (cols, cols, cols, big_l // dims))
-    mult, rest = np.divmod(vals * order, den**3 * big_l)
+    vals *= order
+    mult, rest = np.divmod(vals, den**3 * big_l)
     if not rational.all() or rest.any() or (mult < 0).any():
         raise InvariantError("double fusion must be a non-negative integer")
     nz = np.nonzero(mult)  # in C order

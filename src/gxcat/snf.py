@@ -5,7 +5,9 @@ so products of two residues fit in int64) with the Euclidean steps of the
 Smith form over Z on balanced residues, returns the column transform and
 applies its row steps to any right-hand sides it is given.  Cohomology
 reads integer invariants off it with m a large multiple of |G|; the braid
-solver and the enumerator call it through solution_lattice with m = N.
+solver and the enumerator call it through solution_lattice with m = N, and
+lattice_points lists every point of a small solution coset (the invariant
+associators, the braid tables, the characters of a group).
 rref_fp and rref are Gauss-Jordan over F_p (int64 arrays) and over an exact
 field (lists of Fraction or Cyc entries).
 """
@@ -16,11 +18,14 @@ import math
 
 import numpy as np
 
+from .errors import ResourceLimit
+
 __all__ = [
     "snf_mod",
     "dot_mod",
     "solve_mod",
     "solution_lattice",
+    "lattice_points",
     "kernel_mod",
     "invariant_factor_chain",
     "modinv",
@@ -28,6 +33,9 @@ __all__ = [
     "rref_fp",
     "nullspace_fp",
 ]
+
+
+ENUM_STATE_CAP = 1 << 16
 
 
 def _as_int_matrix(a):
@@ -268,6 +276,21 @@ def solution_lattice(a, n, b):
     orders = [full[i] for i in keep]
     gens = (q[:, keep] * (n // np.array(orders, dtype=np.int64))) % n
     return parts, gens, orders
+
+
+def lattice_points(a, n, rhs):
+    """Yield, for each column of rhs in turn, every solution x of
+    a @ x == rhs[:, j] (mod n): an int64 array with one solution per row,
+    rows in lexicographic order.  ResourceLimit when a solvable column has
+    more than ENUM_STATE_CAP solutions."""
+    parts, gens, orders = solution_lattice(a, n, rhs)
+    total = math.prod(orders)
+    if total > ENUM_STATE_CAP and any(part is not None for part in parts):
+        raise ResourceLimit(f"solution lattice has {total} points, over the enumeration cap")
+    offsets = gens @ np.indices(orders).reshape(len(orders), total) if total <= ENUM_STATE_CAP else None
+    for part in parts:
+        sols = [] if part is None else sorted(set(map(tuple, ((part[:, None] + offsets) % n).T.tolist())))
+        yield np.array(sols, dtype=np.int64).reshape(len(sols), np.shape(a)[1])
 
 
 def solve_mod(a, n, b):

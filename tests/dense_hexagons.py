@@ -14,7 +14,7 @@ import numpy as np
 
 from gxcat import snf
 from gxcat.cohomology import ResourceLimit, TorsionCocycle, bar_matrix
-from gxcat.pointed import ENUM_STATE_CAP
+from gxcat.snf import ENUM_STATE_CAP
 
 
 def dense_solutions(mat, n, rhss, cap=ENUM_STATE_CAP):

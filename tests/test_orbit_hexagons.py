@@ -22,7 +22,6 @@ from gxcat import pointed
 from gxcat.cohomology import ResourceLimit, TorsionCocycle, bar_matrix
 from gxcat.groups import PRESETS, build_group
 from gxcat.pointed import (
-    ENUM_STATE_CAP,
     _braid_system,
     _braid_tables,
     _conjugation_action,
@@ -31,7 +30,7 @@ from gxcat.pointed import (
     enumerate_holomorphic,
     holomorphic_crossed,
 )
-from gxcat.snf import kernel_mod
+from gxcat.snf import ENUM_STATE_CAP, kernel_mod
 
 RELABELED = ("S3", "D4", "Q8", "Z4", "Z2xZ2")
 WORKLOAD_N = (2, 3, 4, 6)  # the N values of the benchmark's enumerate jobs
