@@ -132,9 +132,9 @@ def character_sums(a, b, c, terms):
     and of c.  p is the least such prime; ResourceLimit if none lies below
     2**31.  If the embeddings disagree, the sum is not a rational integer.
 
-    The rows of a are taken in blocks of at most SUM_BLOCK_CELLS products
-    (block rows x rows of b x terms), so the temporaries stay that small
-    whatever the number of rows; only values and rational are full size.
+    The rows of a are taken in blocks, as many rows (at least one) as keep
+    block rows x rows of b x terms within SUM_BLOCK_CELLS, so only values
+    and rational grow with the number of rows.
     """
     m = a.shape[-1]
     u, v, x, w = (np.asarray(t, dtype=np.int64) for t in terms)

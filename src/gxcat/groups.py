@@ -317,6 +317,8 @@ def conjugacy_data(g: FiniteGroup) -> ConjugacyData:
     labels, reps = orbit_labels(conj)
     classes = tuple(tuple(np.flatnonzero(labels == i).tolist()) for i in range(len(reps)))
     cents = tuple(tuple(np.flatnonzero(conj[:, r] == r).tolist()) for r in reps.tolist())
+    if not all(_is_subgroup(g, cent) for cent in cents):
+        raise GroupError("centralizer failed subgroup check")  # pragma: no cover
     data = ConjugacyData(classes, tuple(reps.tolist()), cents, tuple(labels.tolist()))
     if sum(len(c) for c in classes) != g.order:
         raise InvariantError("conjugacy classes do not partition the group")

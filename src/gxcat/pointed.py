@@ -215,19 +215,12 @@ def validate_pointed(d: PointedGXData) -> ValidationReport:
 def _cell_images(action, k):
     """images[g, t] = act_g(t) for the non-unit cells t of Gamma^k, each cell
     written as its position among them in lexicographic order (the
-    bar_matrix columns)."""
+    bar_matrix columns).  orbit_labels(images) numbers the orbits by their
+    least cells, so y -> y[labels] is a bijection from orbit values onto the
+    tables constant on orbits that keeps lexicographic order."""
     perms = np.asarray(action)[:, 1:] - 1
     position = np.arange(perms.shape[1] ** k).reshape((perms.shape[1],) * k)
     return np.array([position[np.ix_(*[p] * k)].ravel() for p in perms])
-
-
-def _orbit_labels(action, k):
-    """(labels, count): the orbit of each non-unit cell of Gamma^k under the
-    diagonal action (orbit_labels), numbered 0..count-1 in the order of the
-    orbits' least cells, so y -> y[labels] is a bijection from orbit values
-    onto the tables constant on orbits that keeps lexicographic order."""
-    labels, reps = orbit_labels(_cell_images(action, k))
-    return labels, len(reps)
 
 
 def _hexagons(gamma, deg, action):
@@ -256,7 +249,8 @@ def _braid_system(gamma, deg, action):
     the second at every (x, y, z), both in lexicographic order.
     """
     o = gamma.order
-    labels, count = _orbit_labels(action, 2)
+    labels, reps = orbit_labels(_cell_images(action, 2))
+    count = len(reps)
     rows = 2 * o**3
     if rows * count > CELL_CAP:
         raise ResourceLimit(f"braid system on orbit coordinates: {rows}x{count} = {rows * count} cells exceed the cell cap {CELL_CAP}")
@@ -275,8 +269,8 @@ def _invariant_associators(group, action, n):
     """The closed 3-cochains mod n that the action fixes, as sorted vectors:
     the kernel of d3 on the orbit coordinates of (G - e)^3 (snf.lattice_points),
     mapped back to the cells as y[labels]; the map keeps lexicographic order."""
-    labels, count = _orbit_labels(action, 3)
-    d3 = bar_matrix(group, 3) @ np.eye(count, dtype=np.int64)[labels]
+    labels, reps = orbit_labels(_cell_images(action, 3))
+    d3 = bar_matrix(group, 3) @ np.eye(len(reps), dtype=np.int64)[labels]
     (vectors,) = snf.lattice_points(d3, n, np.zeros((len(d3), 1), dtype=np.int64))
     return vectors[:, labels]
 

@@ -20,13 +20,13 @@ from dense_hexagons import (
 )
 from gxcat import pointed
 from gxcat.cohomology import ResourceLimit, TorsionCocycle, bar_matrix
-from gxcat.groups import PRESETS, build_group
+from gxcat.groups import PRESETS, build_group, orbit_labels
 from gxcat.pointed import (
     _braid_system,
     _braid_tables,
+    _cell_images,
     _conjugation_action,
     _invariant_associators,
-    _orbit_labels,
     enumerate_holomorphic,
     holomorphic_crossed,
 )
@@ -63,7 +63,8 @@ def associators(g, action, n):
     dense solves per example would take seconds); otherwise they are
     compared on the zero associator and the mapped-back orbit generators.
     """
-    labels, count = _orbit_labels(action, 3)
+    labels, reps = orbit_labels(_cell_images(action, 3))
+    count = len(reps)
     gens, orders = kernel_mod(bar_matrix(g, 3) @ np.eye(count, dtype=np.int64)[labels], n)
     dense = dense_invariant_system(g, action)
     assert not (dense @ gens[labels] % n).any()
@@ -125,7 +126,7 @@ def test_gauge_system_is_invariance_rows_times_d2(name, n, monkeypatch):
 
 def test_trivial_group_has_no_orbit_cells():
     g = build_group("Z1")
-    labels, count = _orbit_labels(_conjugation_action(g), 2)
-    assert len(labels) == 0 and count == 0
+    labels, reps = orbit_labels(_cell_images(_conjugation_action(g), 2))
+    assert len(labels) == 0 and len(reps) == 0
     (tables,) = _braid_tables(g, _braid_system(g, (0,), ((0,),)), 2, [TorsionCocycle.make(g, 3, 2, {})])
     assert tables == [((0,),)]

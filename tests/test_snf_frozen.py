@@ -46,8 +46,8 @@ from hypothesis import strategies as st
 
 from dense_hexagons import dense_braid_system, invariance_rows
 from gxcat.cohomology import TorsionCocycle, _modulus, bar_matrix
-from gxcat.groups import build_group
-from gxcat.pointed import _braid_system, _conjugation_action, _orbit_labels
+from gxcat.groups import build_group, orbit_labels
+from gxcat.pointed import _braid_system, _cell_images, _conjugation_action
 from gxcat.snf import snf_mod, solution_lattice
 from test_lattice_frozen import cases as lattice_cases
 
@@ -229,8 +229,8 @@ def _enum_cases(name, n):
         return amat, n, rmat @ tables.reshape(len(tables), -1).T % n
 
     def orbit_assoc():
-        labels, count = _orbit_labels(action, 3)
-        mat = bar_matrix(g, 3) @ np.eye(count, dtype=np.int64)[labels]
+        labels, reps = orbit_labels(_cell_images(action, 3))
+        mat = bar_matrix(g, 3) @ np.eye(len(reps), dtype=np.int64)[labels]
         return mat, n, np.zeros((len(mat), 1), dtype=np.int64)
 
     def orbit_braid():
