@@ -298,9 +298,9 @@ def orbit_labels(perms):
     """(labels, reps) for a permutation action given as a |G| x r array.
 
     Row g of perms is the image of 0..r-1 under g, every group element
-    listed once.  labels[x] is the index of the orbit of x and reps the
-    least member of each orbit, increasing: orbits are numbered by their
-    least member, which is the least image of any member.
+    listed once, so column x lists the orbit of x and its least entry is
+    the orbit's least member.  reps holds the least member of each orbit,
+    increasing, and labels[x] is the index of the orbit of x in reps.
     """
     import numpy as np
 
