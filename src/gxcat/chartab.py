@@ -4,11 +4,14 @@ Characters are computed Dixon-style: joint eigenvectors of the class
 multiplication matrices over a prime field F_p with p = 1 mod exp(G),
 with the eigenvalues read off as the roots of a characteristic
 polynomial, then lifted to exact cyclotomic values through
-eigenvalue-multiplicity recovery, one F_p DFT per class.  On top of that sit central extensions and projective
-representation data: the dimensions (and section characters) of the
-alpha-projective irreps of a group are read off the ordinary irreps of
+eigenvalue-multiplicity recovery, one F_p DFT per class.  On top of that
+sit central extensions and projective representation data: the
+dimensions and section characters of the alpha-projective irreps of an
+abelian group are read off one Z/M lattice coset of characters of the
+radical of alpha; those of a nonabelian group are the ordinary irreps of
 its central extension by Z/N on which the centre acts by the standard
-injective character.
+injective character, so EXTENSION_ORDER_CAP applies only to nonabelian
+groups.
 
 Sums of products of character values (fusion multiplicities, unitarity)
 are evaluated the same way, in F_p with p = 1 mod M under every embedding
@@ -23,10 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cohomology import ResourceLimit, TorsionCocycle, is_cocycle
+from .cohomology import ResourceLimit, TorsionCocycle, bar_matrix, is_cocycle
 from .cyclo import Cyc, cyclotomic_poly
-from .groups import FiniteGroup, GroupError, InvariantError, conjugacy_data, validate_table
-from .snf import dot_mod, modinv, nullspace_fp
+from .groups import FiniteGroup, GroupError, InvariantError, conjugacy_data, subgroup, validate_table
+from .snf import dot_mod, lattice_points, modinv, nullspace_fp
 
 __all__ = [
     "CharacterTable",
@@ -40,7 +43,7 @@ __all__ = [
     "projective_irrep_dims",
 ]
 
-EXTENSION_ORDER_CAP = 192
+EXTENSION_ORDER_CAP = 192  # central extensions of nonabelian groups; abelian ones need none
 PRIME_CAP = 1 << 31  # F_p products of two residues stay inside int64
 SUM_BLOCK_CELLS = 1 << 16  # rows of a x rows of b x terms per block of a character sum
 
@@ -416,15 +419,27 @@ def _coerce_cocycle(h, alpha, n):
 
 
 def projective_irrep_data(h: FiniteGroup, alpha, n=None):
-    """(dim, section character) pairs for the alpha-projective irreps of h.
+    """(dim, section character) pairs for the alpha-projective irreps of h,
+    and the N of alpha reduced by the gcd of its values.
 
-    The section character is chi((x, 0)) on the central extension; its
-    values depend on alpha itself, not just the cohomology class.
+    The section character is chi((x, 0)) on the central extension of h by
+    Z/N, one Cyc per element of h with n = the exponent of that extension;
+    its values depend on alpha itself, not just the cohomology class.
+    Abelian h reads them off one lattice coset (_lattice_irreps); any other
+    h splits the character table of the extension (_extension_irreps),
+    which EXTENSION_ORDER_CAP bounds.
     """
     alpha = _coerce_cocycle(h, alpha, n)
     ok, wit = is_cocycle(alpha)
     if not ok:
         raise ValueError("alpha is not a 2-cocycle: coboundary nonzero at triple ({}, {}, {})".format(*wit))
+    return (_lattice_irreps if h.is_abelian else _extension_irreps)(h, alpha)
+
+
+def _extension_irreps(h, alpha):
+    """projective_irrep_data from character tables: of h itself when alpha
+    reduces to N = 1, else of its central extension, keeping the irreps on
+    which (e, 1) acts by zeta_N, in table order."""
     red, n_red = _reduce_cocycle(alpha)
     if n_red == 1:
         tab = character_table(h)
@@ -443,6 +458,57 @@ def projective_irrep_data(h: FiniteGroup, alpha, n=None):
     if sum(d * d for d, _ in out) != h.order:
         raise InvariantError(f"{h.name}: twisted algebra dimension check failed")
     return out, n_red
+
+
+def _lattice_irreps(h, alpha):
+    """projective_irrep_data for abelian h, with no extension and no table.
+
+    With alpha reduced mod N, the radical R = {x : alpha(x, y) = alpha(y, x)
+    for all y} lifts to the centre of the extension.  Every irrep has the
+    same dimension d, d^2 |R| = |H|, and section d zeta_M^phi(x) on R and 0
+    off it, for phi one of the |R| solutions of d^1 phi = (M / N) alpha on
+    R mod M: one lattice_points coset.  M is the exponent of the extension,
+    the lcm of the orders ord(x) N / gcd(N, s_x) of its elements (x, 0),
+    (x, 0)^ord(x) = (e, s_x) with s_x = sum_{i=1}^{ord(x)-1} alpha(x^i, x).
+
+    The irreps come in the order of _extension_irreps: by the coefficients
+    mod Phi_M of the sections over h in element order, with the trivial
+    character first when N = 1.
+    """
+    _, n = _reduce_cocycle(alpha)
+    a = alpha.table // (alpha.n // n)
+    radical = np.flatnonzero(~(a != a.T).any(axis=1))
+    d = math.isqrt(h.order // len(radical))
+    if d * d * len(radical) != h.order:
+        raise InvariantError(f"{h.name}: |H| / |R| = {h.order} / {len(radical)} is not a square")
+    orders, xs = h.element_orders, np.arange(h.order)
+    power, s = xs, np.zeros(h.order, dtype=np.int64)
+    for i in range(1, int(orders.max())):
+        s += np.where(orders > i, a[power, xs], 0)
+        power = h.mul_array[power, xs]
+    m = int(np.lcm.reduce(orders * n // np.gcd(s, n)))
+    r = h if len(radical) == h.order else subgroup(h, radical.tolist())[0]
+    inner = radical[1:]
+    rhs = (m // n) * a[np.ix_(inner, inner)].reshape(-1, 1)
+    sols = next(lattice_points(bar_matrix(r, 1), m, rhs))
+    if len(sols) != len(radical):
+        raise InvariantError(f"{h.name}: {len(sols)} characters on the radical, not {len(radical)}")
+    phis = np.hstack([np.zeros((len(sols), 1), dtype=np.int64), sols])  # phi(e) = 0
+    # every section is 0 off R and d zeta_M^phi on it, so its coefficients
+    # mod Phi_M over h order the irreps as those of phi over R do
+    keys = _reduction_matrix(m)[phis].reshape(len(phis), -1)
+    trivial = (n == 1) & ~phis.any(axis=1)
+    order = sorted(range(len(phis)), key=lambda i: (not trivial[i], keys[i].tolist()))
+    zero = [0] * m
+    out = []
+    for i in order:
+        section = [Cyc.from_ints(m, zero)] * h.order
+        for x, e in zip(radical.tolist(), phis[i].tolist()):
+            c = zero.copy()
+            c[e] = d
+            section[x] = Cyc.from_ints(m, c)
+        out.append((d, tuple(section)))
+    return out, n
 
 
 def projective_irrep_dims(h: FiniteGroup, alpha, n=None):

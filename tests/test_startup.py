@@ -103,6 +103,7 @@ _ALL = _RING | _COHOMOLOGY | {"gxcat.cyclo", "gxcat.chartab", "gxcat.gauging", "
     (["corpus"], _BASE | {"gxcat.corpus"}),
     (["smatrix", "pointed_toric_code.json"], _ALL - {"gxcat.gauging"}),
     (["double", "--group", "S3", "--trivial"], _ALL - {"gxcat.gauging"}),
+    (["double", "--group", "Z4", "--cocycle", "cocycle_Z4_h3_0.json"], _ALL - {"gxcat.gauging"}),
     (["gauge", "ring_ising_ising_swap.json"], _ALL - {"gxcat.pointed"}),
 ])
 def test_command_loads_only_its_layers(tmp_path, args, allowed):
