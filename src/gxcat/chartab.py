@@ -477,7 +477,7 @@ def _lattice_irreps(h, alpha):
     """
     _, n = _reduce_cocycle(alpha)
     a = alpha.table // (alpha.n // n)
-    radical = np.flatnonzero(~(a != a.T).any(axis=1))
+    radical = np.flatnonzero((a == a.T).all(axis=1))
     d = math.isqrt(h.order // len(radical))
     if d * d * len(radical) != h.order:
         raise InvariantError(f"{h.name}: |H| / |R| = {h.order} / {len(radical)} is not a square")
