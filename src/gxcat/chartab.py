@@ -402,9 +402,10 @@ def central_extension(h: FiniteGroup, values, n, name=None):
 
 
 def _reduce_cocycle(alpha):
-    """Divide out the common gcd so the trivial cocycle needs no extension."""
+    """alpha's table and N divided by their common gcd, so the trivial
+    cocycle needs no extension."""
     g = math.gcd(alpha.n, int(np.gcd.reduce(alpha.table, axis=None)))
-    return {k: v // g for k, v in alpha.values}, alpha.n // g
+    return alpha.table // g, alpha.n // g
 
 
 def _coerce_cocycle(h, alpha, n):
@@ -440,13 +441,14 @@ def _extension_irreps(h, alpha):
     """projective_irrep_data from character tables: of h itself when alpha
     reduces to N = 1, else of its central extension, keeping the irreps on
     which (e, 1) acts by zeta_N, in table order."""
-    red, n_red = _reduce_cocycle(alpha)
+    a, n_red = _reduce_cocycle(alpha)
     if n_red == 1:
         tab = character_table(h)
         cls = conjugacy_data(h).class_of
         return [(tab.dims[i], tuple(tab.chars[i][cls[x]] for x in h.elements()))
                 for i in range(len(tab.dims))], 1
-    ext = central_extension(h, red, n_red)
+    cells = np.argwhere(a)
+    ext = central_extension(h, dict(zip(map(tuple, cells.tolist()), a[tuple(cells.T)].tolist())), n_red)
     tab = character_table(ext)
     cls = conjugacy_data(ext).class_of
     centre = {d: Cyc.root(n_red, 1) * d for d in set(tab.dims)}
@@ -467,16 +469,19 @@ def _lattice_irreps(h, alpha):
     for all y} lifts to the centre of the extension.  Every irrep has the
     same dimension d, d^2 |R| = |H|, and section d zeta_M^phi(x) on R and 0
     off it, for phi one of the |R| solutions of d^1 phi = (M / N) alpha on
-    R mod M: one lattice_points coset.  M is the exponent of the extension,
-    the lcm of the orders ord(x) N / gcd(N, s_x) of its elements (x, 0),
-    (x, 0)^ord(x) = (e, s_x) with s_x = sum_{i=1}^{ord(x)-1} alpha(x^i, x).
+    R mod M: one lattice_points coset.  M is the exponent of the extension:
+    the lcm of N, the order of its central (e, 1), and of the orders
+    ord(x) N / gcd(N, s_x) of its elements (x, 0), where (x, 0)^ord(x) =
+    (e, s_x) with s_x = sum_{i=1}^{ord(x)-1} alpha(x^i, x).  Every (x, a)
+    is (x, 0)(e, a), a product of commuting elements, so no other order
+    adds to it; and N divides M, so M / N is exact even when every s_x is
+    0 mod N.
 
     The irreps come in the order of _extension_irreps: by the coefficients
     mod Phi_M of the sections over h in element order, with the trivial
     character first when N = 1.
     """
-    _, n = _reduce_cocycle(alpha)
-    a = alpha.table // (alpha.n // n)
+    a, n = _reduce_cocycle(alpha)
     radical = np.flatnonzero((a == a.T).all(axis=1))
     d = math.isqrt(h.order // len(radical))
     if d * d * len(radical) != h.order:
@@ -486,7 +491,7 @@ def _lattice_irreps(h, alpha):
     for i in range(1, int(orders.max())):
         s += np.where(orders > i, a[power, xs], 0)
         power = h.mul_array[power, xs]
-    m = int(np.lcm.reduce(orders * n // np.gcd(s, n)))
+    m = math.lcm(n, int(np.lcm.reduce(orders * n // np.gcd(s, n))))
     r = h if len(radical) == h.order else subgroup(h, radical.tolist())[0]
     inner = radical[1:]
     rhs = (m // n) * a[np.ix_(inner, inner)].reshape(-1, 1)

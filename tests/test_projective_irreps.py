@@ -55,6 +55,32 @@ def test_lattice_route_matches_extension_tables(name):
             assert record(projective_irrep_data(h, alpha)) == record(_extension_irreps(h, alpha)), (n, alpha.values)
 
 
+# the Pauli cocycle on Z2xZ2 = {e, X, Z, Y} mod 4: s(X)s(Z) = i^3 s(Y), ...
+PAULI = np.array([[0, 0, 0, 0], [0, 0, 3, 1], [0, 1, 0, 3], [0, 3, 1, 0]])
+# the coboundary of the section s(UV) = -uv of <U> x <V> in a commuting Z4 extension
+MINUS_UV = np.array([[0, 0, 0, 0], [0, 0, 2, 2], [0, 2, 0, 2], [0, 2, 2, 0]])
+
+
+def test_lattice_route_when_every_section_squares_to_the_identity():
+    """alpha(x, x) = 0 for all x, so every (x, 0) has the order of x and the
+    exponent of the extension is N = 4 itself, the order of (e, 1)."""
+    klein = product(cyclic(2), cyclic(2))
+    h = product(klein, klein)  # the Pauli group times <U> x <V>
+    x = np.arange(h.order)
+    cases = [
+        (klein, TorsionCocycle.from_table(klein, 2, 4, PAULI)),
+        (h, TorsionCocycle.from_table(h, 2, 4, PAULI[np.ix_(x // 4, x // 4)] + MINUS_UV[np.ix_(x % 4, x % 4)])),
+    ]
+    for g, alpha in cases:
+        got = record(projective_irrep_data(g, alpha))
+        assert got == record(_extension_irreps(g, alpha))
+        assert got[0] == 4 and all(v["n"] == 4 for _, section in got[1] for v in section)
+    # on the radical {e, U, V, UV} the sections are 2 zeta_4^phi with phi(UV) = phi(U) + phi(V) + 2
+    for _, section in projective_irrep_data(*cases[1])[0]:
+        u, v, uv = (section[k] for k in (2, 1, 3))
+        assert uv + uv == -(u * v)
+
+
 def bicharacter(k):
     """alpha(x, y) = x_1 y_2 on Z_k x Z_k: nondegenerate, one irrep of dimension k."""
     h = product(cyclic(k), cyclic(k))
