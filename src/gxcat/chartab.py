@@ -3,8 +3,9 @@
 Characters are computed Dixon-style: joint eigenvectors of the class
 multiplication matrices over a prime field F_p with p = 1 mod exp(G),
 with the eigenvalues read off as the roots of a characteristic
-polynomial, then lifted to exact cyclotomic values through
-eigenvalue-multiplicity recovery, one F_p DFT per class.  On top of that
+polynomial, then lifted to exact cyclotomic integers through
+eigenvalue-multiplicity recovery, one F_p DFT per class.  Every value is
+kept as an int64 coefficient vector over one zeta_m.  On top of that
 sit central extensions and projective representation data: the
 dimensions and section characters of the alpha-projective irreps of an
 abelian group are read off one Z/M lattice coset of characters of the
@@ -27,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cohomology import ResourceLimit, TorsionCocycle, bar_matrix, is_cocycle
-from .cyclo import Cyc, cyclotomic_poly
+from .cyclo import reduction_bound, reduction_matrix
 from .groups import FiniteGroup, GroupError, InvariantError, conjugacy_data, subgroup, validate_table
 from .snf import dot_mod, lattice_points, modinv, nullspace_fp
 
@@ -35,7 +36,6 @@ __all__ = [
     "CharacterTable",
     "character_table",
     "character_sums",
-    "cyc_coefficients",
     "irrep_dims",
     "rep_fusion_data",
     "central_extension",
@@ -59,7 +59,7 @@ def _prime_factors(n):
     return out + ([n] if n > 1 else [])
 
 
-def _prime_1_mod(m, lower):
+def prime_1_mod(m, lower):
     """The least prime p >= lower with p = 1 (mod m); p < 2**31 or ResourceLimit."""
     p = max(lower, 2)
     p += (1 - p) % m
@@ -70,50 +70,13 @@ def _prime_1_mod(m, lower):
     raise ResourceLimit(f"no prime p = 1 mod {m} with {lower} <= p < 2**31")
 
 
-def _primitive_root(p):
+def primitive_root(p):
     """The least generator of F_p^*: w with w^((p-1)/q) != 1 for each prime q | p - 1."""
     factors = _prime_factors(p - 1)
     for w in range(2, p):
         if all(pow(w, (p - 1) // q, p) != 1 for q in factors):
             return w
     raise ArithmeticError("no primitive root")  # pragma: no cover
-
-
-@lru_cache(maxsize=None)
-def _reduction_matrix(m):
-    """Read-only int64 array (m, phi(m)): row e holds the coefficients of x^e mod Phi_m."""
-    phi = cyclotomic_poly(m)
-    deg = len(phi) - 1
-    rows, r = [], [1] + [0] * (deg - 1)
-    for _ in range(m):
-        rows.append(r)
-        top, r = r[-1], [0] + r[:-1]
-        r = [c - top * f for c, f in zip(r, phi)]
-    out = np.array(rows, dtype=np.int64).reshape(m, deg)
-    out.setflags(write=False)
-    return out
-
-
-def _reduction_bound(m):
-    """max |coefficient| of x^e mod Phi_m over 0 <= e < m."""
-    return int(np.abs(_reduction_matrix(m)).max())
-
-
-def cyc_coefficients(values, m):
-    """int64 array (len(values), m): the coefficients of v on 1, zeta_m, ...,
-    zeta_m^(m-1) for each Cyc v whose conductor divides m.
-
-    Raises InvariantError unless every coefficient is an integer.
-    """
-    out = np.zeros((len(values), m), dtype=np.int64)
-    for i, v in enumerate(values):
-        step = m // v.n
-        for e, c in enumerate(v.c):
-            if c:
-                if c.denominator != 1:
-                    raise InvariantError(f"{c} * zeta_{v.n}^{e} is not a cyclotomic integer")
-                out[i, e * step] = c.numerator
-    return out
 
 
 def character_sums(a, b, c, terms):
@@ -142,10 +105,10 @@ def character_sums(a, b, c, terms):
     m = a.shape[-1]
     u, v, x, w = (np.asarray(t, dtype=np.int64) for t in terms)
     norm = [int(np.abs(t).sum(axis=-1).max(initial=0)) for t in (a, b, c)]
-    bound = int(np.abs(w).sum()) * math.prod(norm) * _reduction_bound(m)
-    p = _prime_1_mod(m, 2 * bound + 1)
+    bound = int(np.abs(w).sum()) * math.prod(norm) * reduction_bound(m)
+    p = prime_1_mod(m, 2 * bound + 1)
     units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
-    z = pow(_primitive_root(p), (p - 1) // m, p)
+    z = pow(primitive_root(p), (p - 1) // m, p)
     # powers[e, i] = z^(e * units[i]): row e maps zeta^e under every embedding
     powers = np.array([[pow(z, e * k, p) for k in units] for e in range(m)], dtype=np.int64)
 
@@ -178,19 +141,21 @@ def character_sums(a, b, c, terms):
     return vals.reshape(shape), rational.reshape(shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # coef is an array: compare tables by identity
 class CharacterTable:
     group: FiniteGroup
     class_reps: tuple
     class_sizes: tuple
-    chars: tuple  # per irrep, tuple of Cyc values per class
+    m: int
+    coef: np.ndarray  # read-only int64 (irreps, classes, m): each value on 1, zeta_m, ..., zeta_m^(m-1)
     dims: tuple
 
 
 @lru_cache(maxsize=None)
 def character_table(g: FiniteGroup) -> CharacterTable:
     """The irreducible characters of g, computed over F_p (Dixon; Schneider,
-    J. Symb. Comput. 9, 1990) and lifted to Cyc values of conductor exp(g).
+    J. Symb. Comput. 9, 1990) and lifted to int coefficients over zeta_m,
+    m = exp(g).
 
     Order: the trivial character first, then by degree, then by the
     coefficients of the values mod Phi_exp(g).  Every self-check raises
@@ -201,8 +166,8 @@ def character_table(g: FiniteGroup) -> CharacterTable:
     cls = np.asarray(data.class_of)
     r = len(reps)
     m = g.exponent
-    p = _prime_1_mod(m, 2 * math.isqrt(g.order) + 1)
-    zgen = pow(_primitive_root(p), (p - 1) // m, p)
+    p = prime_1_mod(m, 2 * math.isqrt(g.order) + 1)
+    zgen = pow(primitive_root(p), (p - 1) // m, p)
 
     # class multiplication constants a[i, j, k]: K_i K_j = sum_k a_ijk K_k,
     # counting x in K_i with x^-1 z_k in K_j for the representative z_k
@@ -248,11 +213,12 @@ def character_table(g: FiniteGroup) -> CharacterTable:
 
     # canonical order: trivial character first, then by dimension and the
     # values' coefficients mod Phi_m (each class's phi(m) in turn, as Cyc.reduced)
-    red = coef @ _reduction_matrix(m)
+    red = coef @ reduction_matrix(m)
     trivial = (red[:, :, 0] == 1).all(axis=1) & ~red[:, :, 1:].any(axis=(1, 2))
     order = sorted(range(r), key=lambda i: (not trivial[i], dims[i], red[i].ravel().tolist()))
-    chars = tuple(tuple(Cyc.from_ints(m, c) for c in coef[i].tolist()) for i in order)
-    return CharacterTable(g, reps, tuple(sizes), chars, tuple(dims[i] for i in order))
+    coef = coef[order]
+    coef.setflags(write=False)
+    return CharacterTable(g, reps, tuple(sizes), m, coef, tuple(dims[i] for i in order))
 
 
 def _charpoly_fp(b, p):
@@ -351,13 +317,9 @@ def rep_fusion_data(g):
     (trivial), pi1, ... in table order.
     """
     tab = character_table(g)
-    r = len(tab.class_reps)
     labels = [f"pi{i}" for i in range(len(tab.dims))]
-    chars = [v for row in tab.chars for v in row]
-    m = math.lcm(*(v.n for v in chars))
-    table = cyc_coefficients(chars, m).reshape(r, r, m)
-    k = np.arange(r)
-    vals, rational = character_sums(table, table, table, (k, k, k, tab.class_sizes))
+    k = np.arange(len(tab.class_reps))
+    vals, rational = character_sums(tab.coef, tab.coef, tab.coef, (k, k, k, tab.class_sizes))
     if not rational.all() or (vals % g.order).any() or (vals < 0).any():
         raise InvariantError("Rep(G) fusion multiplicities must be non-negative integers")
     coeffs = {key: int(nv) for key, nv in np.ndenumerate(vals // g.order) if nv}
@@ -420,15 +382,17 @@ def _coerce_cocycle(h, alpha, n):
 
 
 def projective_irrep_data(h: FiniteGroup, alpha, n=None):
-    """(dim, section character) pairs for the alpha-projective irreps of h,
-    and the N of alpha reduced by the gcd of its values.
+    """(dims, sections, N) for the alpha-projective irreps of h: their
+    dimensions, their section characters and the N of alpha reduced by the
+    gcd of its values.
 
-    The section character is chi((x, 0)) on the central extension of h by
-    Z/N, one Cyc per element of h with n = the exponent of that extension;
-    its values depend on alpha itself, not just the cohomology class.
-    Abelian h reads them off one lattice coset (_lattice_irreps); any other
-    h splits the character table of the extension (_extension_irreps),
-    which EXTENSION_ORDER_CAP bounds.
+    The section character of an irrep is chi((x, 0)) on the central
+    extension of h by Z/N; sections is the int64 array (irreps, |h|, m) of
+    its values on 1, zeta_m, ..., zeta_m^(m-1), m the exponent of that
+    extension.  The values depend on alpha itself, not just the cohomology
+    class.  Abelian h reads them off one lattice coset (_lattice_irreps);
+    any other h splits the character table of the extension
+    (_extension_irreps), which EXTENSION_ORDER_CAP bounds.
     """
     alpha = _coerce_cocycle(h, alpha, n)
     ok, wit = is_cocycle(alpha)
@@ -444,22 +408,17 @@ def _extension_irreps(h, alpha):
     a, n_red = _reduce_cocycle(alpha)
     if n_red == 1:
         tab = character_table(h)
-        cls = conjugacy_data(h).class_of
-        return [(tab.dims[i], tuple(tab.chars[i][cls[x]] for x in h.elements()))
-                for i in range(len(tab.dims))], 1
+        return tab.dims, tab.coef[:, np.asarray(conjugacy_data(h).class_of)], 1
     cells = np.argwhere(a)
     ext = central_extension(h, dict(zip(map(tuple, cells.tolist()), a[tuple(cells.T)].tolist())), n_red)
     tab = character_table(ext)
-    cls = conjugacy_data(ext).class_of
-    centre = {d: Cyc.root(n_red, 1) * d for d in set(tab.dims)}
-    out = []
-    for i, d in enumerate(tab.dims):
-        if tab.chars[i][cls[1]] == centre[d]:  # element (e, 1) has index 1
-            section = tuple(tab.chars[i][cls[x * n_red]] for x in h.elements())
-            out.append((d, section))
-    if sum(d * d for d, _ in out) != h.order:
+    cls = np.asarray(conjugacy_data(ext).class_of)
+    dims = np.array(tab.dims, dtype=np.int64)
+    # (e, 1) has index 1, and acts by d zeta_N = d zeta_m^(m / N); (x, 0) has index x N
+    keep = np.flatnonzero(tab.coef[:, cls[1], tab.m // n_red] == dims)
+    if (dims[keep] ** 2).sum() != h.order:
         raise InvariantError(f"{h.name}: twisted algebra dimension check failed")
-    return out, n_red
+    return tuple(dims[keep].tolist()), tab.coef[np.ix_(keep, cls[::n_red])], n_red
 
 
 def _lattice_irreps(h, alpha):
@@ -501,25 +460,17 @@ def _lattice_irreps(h, alpha):
     phis = np.hstack([np.zeros((len(sols), 1), dtype=np.int64), sols])  # phi(e) = 0
     # every section is 0 off R and d zeta_M^phi on it, so its coefficients
     # mod Phi_M over h order the irreps as those of phi over R do
-    keys = _reduction_matrix(m)[phis].reshape(len(phis), -1)
+    keys = reduction_matrix(m)[phis].reshape(len(phis), -1)
     trivial = (n == 1) & ~phis.any(axis=1)
     order = sorted(range(len(phis)), key=lambda i: (not trivial[i], keys[i].tolist()))
-    zero = [0] * m
-    out = []
-    for i in order:
-        section = [Cyc.from_ints(m, zero)] * h.order
-        for x, e in zip(radical.tolist(), phis[i].tolist()):
-            c = zero.copy()
-            c[e] = d
-            section[x] = Cyc.from_ints(m, c)
-        out.append((d, tuple(section)))
-    return out, n
+    sections = np.zeros((len(phis), h.order, m), dtype=np.int64)
+    sections[np.arange(len(phis))[:, None], radical, phis[order]] = d
+    return (d,) * len(phis), sections, n
 
 
 def projective_irrep_dims(h: FiniteGroup, alpha, n=None):
     """Multiset (sorted list) of alpha-projective irreducible dimensions."""
-    data, _ = projective_irrep_data(h, alpha, n)
-    dims = sorted(d for d, _ in data)
+    dims = sorted(projective_irrep_data(h, alpha, n)[0])
     if sum(d * d for d in dims) != h.order:
         raise InvariantError(f"{h.name}: projective irreducible dimensions do not square-sum to |H|")
     return dims

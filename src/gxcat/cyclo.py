@@ -1,41 +1,36 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_n).
+"""Cyclotomic numbers at the output boundary.
 
-Elements are stored as rational coefficient vectors on the spanning set
-1, zeta, ..., zeta^(n-1); equality and zero tests reduce modulo the n-th
-cyclotomic polynomial, so every comparison is exact.  Conductors are
-lifted to a common multiple when elements of different fields meet.
+gxcat computes with roots of unity as int64 coefficient arrays over one
+zeta_m (see chartab); Cyc wraps such a vector where a value leaves the
+library: the T and S entries of a double and the Kirillov matrix.  A Cyc
+is a rational coefficient vector on the spanning set 1, zeta, ...,
+zeta^(n-1); equality and hashing reduce modulo the n-th cyclotomic
+polynomial, so they are exact across conductors.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InvariantError
-from .snf import rref
 
-__all__ = ["Cyc", "cyclotomic_poly"]
+__all__ = ["Cyc", "cyclotomic_poly", "reduction_bound", "reduction_matrix"]
 
 
-def _poly_divmod(num, den):
-    """Quotient/remainder of integer-coefficient polynomials (lists, low->high)."""
-    num = list(num)
-    q = [0] * max(1, len(num) - len(den) + 1)
-    d = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % d != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= d
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
+def _divide_monic(num, den):
+    """Quotient and remainder of int polynomials (lists, low->high), den monic."""
+    num, k = list(num), len(den) - 1
+    q = [0] * max(1, len(num) - k)
+    for i in range(len(num) - 1 - k, -1, -1):
+        q[i] = c = num[i + k]
+        for j, dj in enumerate(den):
+            num[i + j] -= c * dj
+    return q, num[:k]
 
 
 @lru_cache(maxsize=None)
@@ -45,10 +40,31 @@ def cyclotomic_poly(n):
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_poly(d)))
+            poly, rem = _divide_monic(poly, cyclotomic_poly(d))
             if any(rem):
                 raise InvariantError(f"cyclotomic_poly({n}): division by Phi_{d} left a remainder")
     return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def reduction_matrix(m):
+    """Read-only int64 array (m, phi(m)): row e holds the coefficients of x^e mod Phi_m."""
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    rows, r = [], [1] + [0] * (deg - 1)
+    for _ in range(m):
+        rows.append(r)
+        top, r = r[-1], [0] + r[:-1]
+        r = [c - top * f for c, f in zip(r, phi)]
+    out = np.array(rows, dtype=np.int64).reshape(m, deg)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def reduction_bound(m):
+    """max |coefficient| of x^e mod Phi_m over 0 <= e < m."""
+    return int(np.abs(reduction_matrix(m)).max())
 
 
 @lru_cache(maxsize=None)
@@ -75,34 +91,30 @@ class Cyc:
 
     __slots__ = ("n", "c", "_red")
 
-    def __init__(self, n, coeffs=None):
-        self.n = n
-        c = [Fraction(0)] * n
-        if coeffs:
-            for k, v in (coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)):
-                c[k % n] += Fraction(v)
-        self.c = c
-        self._red = None
+    def __init__(self, n, coeffs=()):
+        self.n, self.c, self._red = n, [_ZERO] * n, None
+        for k, v in (coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)):
+            self.c[k % n] += Fraction(v)
 
-    @staticmethod
-    def _of(n, c):
+    @classmethod
+    def _of(cls, n, c):
         """The element with coefficient list c, n Fractions, taken as it is."""
-        out = Cyc.__new__(Cyc)
+        out = cls.__new__(cls)
         out.n, out.c, out._red = n, c, None
         return out
 
-    @staticmethod
-    def from_ints(n, coeffs, den=1):
+    @classmethod
+    def from_ints(cls, n, coeffs, den=1):
         """Cyc(n, coeffs) / den for a sequence of n ints, without Fraction additions."""
-        return Cyc._of(n, [Fraction(v, den) if v else _ZERO for v in coeffs])
+        return cls._of(n, [Fraction(v, den) if v else _ZERO for v in coeffs])
 
-    @staticmethod
-    def root(n, k=1):
-        return Cyc(n, {k % n: 1})
+    @classmethod
+    def root(cls, n, k=1):
+        return cls(n, {k % n: 1})
 
-    @staticmethod
-    def rational(x, n=1):
-        return Cyc(n, {0: Fraction(x)})
+    @classmethod
+    def rational(cls, x, n=1):
+        return cls(n, {0: Fraction(x)})
 
     def lift(self, m):
         """Reinterpret in Q(zeta_m) for n | m."""
@@ -112,74 +124,31 @@ class Cyc:
             raise ValueError("conductor lift must be a multiple")
         c = [_ZERO] * m
         c[::m // self.n] = self.c
-        return Cyc._of(m, c)
-
-    def _pair(self, other):
-        if not isinstance(other, Cyc):
-            other = Cyc.rational(other)
-        n = self.n * other.n // math.gcd(self.n, other.n)
-        return self.lift(n), other.lift(n)
-
-    def __add__(self, other):
-        a, b = self._pair(other)
-        return Cyc._of(a.n, [x + y if x and y else x or y for x, y in zip(a.c, b.c)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyc._of(self.n, [-x for x in self.c])
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        return Cyc._of(a.n, [x - y if y else x for x, y in zip(a.c, b.c)])
-
-    def __rsub__(self, other):
-        return Cyc.rational(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyc._of(self.n, [x * other for x in self.c])
-        a, b = self._pair(other)
-        out = [Fraction(0)] * a.n
-        for i, x in enumerate(a.c):
-            if x:
-                for j, y in enumerate(b.c):
-                    if y:
-                        out[(i + j) % a.n] += x * y
-        return Cyc._of(a.n, out)
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return Cyc._of(self.n, self.c[:1] + self.c[:0:-1])
+        return self._of(m, c)
 
     def reduced(self):
-        """Canonical coefficients modulo Phi_n (degree < phi(n)), as a tuple."""
-        if self._red is not None:
-            return self._red
-        phi = cyclotomic_poly(self.n)
-        deg = len(phi) - 1
-        c = list(self.c)
-        for i in range(len(c) - 1, deg - 1, -1):
-            f = c[i]
-            if f:
-                c[i] = Fraction(0)
-                for j, pj in enumerate(phi[:-1]):
-                    c[i - deg + j] -= f * pj
-        self._red = tuple(c[:deg])
+        """Canonical coefficients modulo Phi_n (degree < phi(n)), as a tuple:
+        the numerators over their common denominator times reduction_matrix(n),
+        one int64 product (in Python ints if int64 could overflow)."""
+        if self._red is None:
+            nonzero = [(k, v) for k, v in enumerate(self.c) if v]
+            den = math.lcm(*(v.denominator for _, v in nonzero))
+            nums = [v.numerator * (den // v.denominator) for _, v in nonzero]
+            rows = reduction_matrix(self.n)[[k for k, _ in nonzero]]
+            if sum(map(abs, nums)) * reduction_bound(self.n) < 1 << 63:
+                red = (np.array(nums, dtype=np.int64) @ rows).tolist()
+            else:
+                red = [sum(map(operator.mul, nums, col)) for col in rows.T.tolist()]
+            self._red = tuple(Fraction(v, den) if v else _ZERO for v in red)
         return self._red
-
-    def is_zero(self):
-        return all(v == 0 for v in self.reduced())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            red = self.reduced()
-            return red[0] == other and not any(red[1:])
+            other = Cyc.rational(other)
         if not isinstance(other, Cyc):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.reduced() == b.reduced()
+        n = math.lcm(self.n, other.n)
+        return self.lift(n).reduced() == other.lift(n).reduced()
 
     def __hash__(self):
         # The normalized trace sum_k c_k mu(d_k)/phi(d_k), d_k = n/gcd(n, k),
@@ -187,34 +156,6 @@ class Cyc:
         # different conductors hash alike; on rationals it is the value.
         n = self.n
         return hash(sum((v * _root_trace(n // math.gcd(n, k)) for k, v in enumerate(self.c) if v), Fraction(0)))
-
-    def __complex__(self):
-        return sum(
-            float(v) * cmath.exp(2j * cmath.pi * k / self.n)
-            for k, v in enumerate(self.c)
-            if v
-        ) + 0j
-
-    def as_rational(self):
-        """Return a Fraction if the value is rational, else None."""
-        a = self.reduced()
-        if all(v == 0 for v in a[1:]):
-            return a[0]
-        return None
-
-    def inv(self):
-        """Multiplicative inverse via exact linear algebra over Q."""
-        deg = len(cyclotomic_poly(self.n)) - 1
-        # solve M x = e_0, where column k of M is self * zeta^k in the reduced basis
-        cols = [(self * Cyc(self.n, {k: 1})).reduced() for k in range(deg)]
-        aug = [[cols[j][i] for j in range(deg)] + [Fraction(int(i == 0))] for i in range(deg)]
-        red, pivots = rref(aug)
-        if pivots != list(range(deg)):
-            raise ZeroDivisionError("not invertible")
-        return Cyc(self.n, {k: red[k][deg] for k in range(deg)})
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
 
     def to_json(self):
         red = self.reduced()

@@ -31,12 +31,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import snf
-from .chartab import character_sums, cyc_coefficients, projective_irrep_data
+from .chartab import character_sums, prime_1_mod, primitive_root, projective_irrep_data
 from .cohomology import (
     CELL_CAP,
     ResourceLimit,
@@ -589,11 +588,13 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
     simples = []
     for ci, rep in enumerate(data.reps):
         tau, cent, embed = transgress(omega, rep)
-        irreps, nred = projective_irrep_data(cent, tau)
-        rep_pos = embed.index(rep)
-        for ii, (dim, section) in enumerate(irreps):
-            tval = section[rep_pos] * Fraction(1, dim)
-            if tval * tval.conj() != 1:
+        dims, sections, _ = projective_irrep_data(cent, tau)
+        # rep is central in its centralizer, so each section value at rep is
+        # dim zeta_m^t: dim at one exponent t and 0 at every other
+        at_rep = sections[:, embed.index(rep)]
+        for ii, (dim, section) in enumerate(zip(dims, sections)):
+            t = int(at_rep[ii].argmax())
+            if at_rep[ii, t] != dim or np.count_nonzero(at_rep[ii]) != 1:
                 raise InvariantError(f"T entry of ({g.element_names[rep]};{ii}) is not a root of unity")
             simples.append({
                 "class_rep": g.element_names[rep],
@@ -602,7 +603,7 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
                 "irrep": ii,
                 "irrep_dim": dim,
                 "dim": len(data.classes[ci]) * dim,
-                "t": tval,
+                "t": Cyc.root(section.shape[-1], t),
                 "section": section,
                 "embed": embed,
             })
@@ -667,10 +668,12 @@ def _s_matrix(g, data, simples, phase, n):
     int coefficients on the powers of zeta_M, M = lcm of the conductors, with
     den the least common denominator of all coefficients.
     """
-    values = [v for s in simples for v in s["section"]]
-    m = math.lcm(n // math.gcd(n, int(np.gcd.reduce(phase, axis=None))), *(v.n for v in values))
-    bar = np.vstack([cyc_coefficients(values, m), np.zeros((1, m), dtype=np.int64)])[:, -np.arange(m) % m]
-    zero = len(values)  # the zero row of bar
+    cond = np.array([s["section"].shape[-1] for s in simples], dtype=np.int64)
+    m = math.lcm(n // math.gcd(n, int(np.gcd.reduce(phase, axis=None))), *cond.tolist())
+    # each section lifted to zeta_m by stride, zeta_c^e = zeta_m^(e m / c), then one zero row
+    lifted = [np.kron(s["section"], np.eye(1, m // c, dtype=np.int64)) for s, c in zip(simples, cond.tolist())]
+    bar = np.vstack(lifted + [np.zeros((1, m), dtype=np.int64)])[:, -np.arange(m) % m]
+    zero = len(bar) - 1  # the zero row of bar
     pos = np.full((len(simples), g.order), zero, dtype=np.int64)  # pos[s, x]: row of section_s(x)
     offset = 0
     for si, s in enumerate(simples):
@@ -678,7 +681,6 @@ def _s_matrix(g, data, simples, phase, n):
         offset += len(s["embed"])
     conj, inv = g.conj_array, np.asarray(g.inv)
     klass = np.array([s["class_index"] for s in simples])
-    cond = np.array([math.lcm(*(v.n for v in s["section"])) for s in simples], dtype=np.int64)
     size = np.array([len(s["embed"]) for s in simples], dtype=np.int64)
     shift = (np.arange(m) - np.arange(m)[:, None]) % m  # shift[i, e] = e - i
     raw = np.zeros((len(simples), len(simples), m), dtype=np.int64)
@@ -765,23 +767,48 @@ def kirillov_S(d: PointedGXData) -> KirillovMatrix:
         S[(x,k),(y,l)] = zeta ^ ( braid(x, y) + braid(action_{deg x}(y), x) ).
 
     With trivial G this is the double-braiding matrix of the underlying
-    braided pointed category.  The verdict is an exact full-rank test over
-    the cyclotomic field.
+    braided pointed category.  The verdict is exact (_invertible_roots).
     """
     gam, g = d.gamma, d.group
     basis = [(x, k) for x in gam.elements() for k in g.elements() if d.act(k, x) == x]
-    size = len(basis)
-    entries = [[Cyc.rational(0, d.n)] * size for _ in range(size)]
+    expo = np.full((len(basis),) * 2, -1, dtype=np.int64)  # -1: the entry is 0
     for i, (x, k) in enumerate(basis):
         for j, (y, l) in enumerate(basis):
             if k == d.deg[y] and l == d.deg[x]:
-                entries[i][j] = Cyc.root(d.n, d.monodromy(x, y))
-    _, pivots = snf.rref(entries)
+                expo[i, j] = d.monodromy(x, y) % d.n
+    entries = [[Cyc.root(d.n, e) if e >= 0 else Cyc.rational(0, d.n) for e in row] for row in expo.tolist()]
     return KirillovMatrix(
         [(gam.element_names[x], g.element_names[k]) for x, k in basis],
         entries,
-        len(pivots) == size,
+        _invertible_roots(expo, d.n),
     )
+
+
+def _invertible_roots(expo, n):
+    """Whether the square matrix with entries zeta_n^expo (0 where expo < 0)
+    is invertible over Q(zeta_n).
+
+    Over F_p, p = 1 mod n, each embedding zeta_n -> z^k (gcd(k, n) = 1)
+    reduces the matrix modulo one prime above p.  Full rank under one of
+    them proves det != 0.  Rank below full under all phi(n) of them puts
+    det in p Z[zeta_n], so p^phi(n) divides its norm.  By Hadamard every
+    conjugate of det has |.| <= prod_i sqrt(r_i), r_i the nonzero entries
+    of row i, so a nonzero det has |norm| <= (prod_i r_i)^(phi(n) / 2):
+    once the primes tried satisfy (prod p)^2 > prod_i r_i, det = 0.
+    """
+    bound = math.prod((expo >= 0).sum(axis=1).tolist())
+    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    p, tried = min(math.isqrt(bound), 1 << 30), 1
+    while tried * tried <= bound:
+        p = prime_1_mod(n, p + 1)
+        z = pow(primitive_root(p), (p - 1) // n, p)
+        for k in units:
+            # powers[e] = z^(k e); the trailing 0 is powers[-1]
+            powers = np.array([pow(z, k * e, p) for e in range(n)] + [0], dtype=np.int64)
+            if len(snf.rref_fp(powers[expo], p)[1]) == len(expo):
+                return True
+        tried *= p
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ reads integer invariants off it with m a large multiple of |G|; the braid
 solver and the enumerator call it through solution_lattice with m = N, and
 lattice_points lists every point of a small solution coset (the invariant
 associators, the braid tables, the characters of a group).
-rref_fp and rref are Gauss-Jordan over F_p (int64 arrays) and over an exact
-field (lists of Fraction or Cyc entries).
+rref_fp and rref are Gauss-Jordan over F_p (int64 arrays) and over Q
+(lists of Fraction entries, for gauging's dimension solves).
 """
 
 from __future__ import annotations
@@ -305,9 +305,9 @@ def kernel_mod(a, n):
 
 
 def rref(rows):
-    """Row-reduced echelon form over an exact field; returns (rows, pivot columns).
+    """Row-reduced echelon form over Q; returns (rows, pivot columns).
 
-    Entries are Fraction, Cyc or anything with exact +, -, * and 1 / x.  Each
+    Entries are Fraction only (the one caller is gauging._solve_dims).  Each
     pivot is inverted once; only the nonzero rows are returned.
     """
     a = [list(row) for row in rows]

@@ -2,15 +2,17 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import gxcat.pointed as pointed
-from gxcat.chartab import _prime_1_mod, _primitive_root, _reduction_bound, character_sums
+from cyc_oracle import reduced_by_division
+from gxcat.chartab import character_sums, prime_1_mod, primitive_root
 from gxcat.cohomology import ResourceLimit, TorsionCocycle
 from gxcat.corpus import load_entry
-from gxcat.cyclo import Cyc, cyclotomic_poly
+from gxcat.cyclo import Cyc, cyclotomic_poly, reduction_bound
 from gxcat.groups import InvariantError, symmetric
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 24]
@@ -77,10 +79,22 @@ def test_reduction_bound_matches_polynomial_division(m):
     phi = list(cyclotomic_poly(m))
     best = 0
     for e in range(m):
-        red = Cyc.root(m, e).reduced()
+        red = reduced_by_division(Cyc.root(m, e))
         best = max(best, max(abs(c) for c in red))
         assert len(red) == len(phi) - 1
-    assert _reduction_bound(m) == best
+    assert reduction_bound(m) == best
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_reduced_matches_polynomial_division(m):
+    # small and int64-overflowing numerators, both sides of the guard in reduced
+    rng = random.Random(m)
+    for scale in (1, 1 << 62):
+        for _ in range(20):
+            coeffs = {rng.randrange(m): Fraction(rng.randint(-scale, scale), rng.randint(1, 12))
+                      for _ in range(rng.randint(0, m))}
+            v = Cyc(m, coeffs)
+            assert v.reduced() == reduced_by_division(v), coeffs
 
 
 def test_primitive_root_matches_brute_force_below_500():
@@ -88,36 +102,59 @@ def test_primitive_root_matches_brute_force_below_500():
         if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             continue
         brute = next(w for w in range(2, p) if len({pow(w, k, p) for k in range(1, p)}) == p - 1)
-        assert _primitive_root(p) == brute, p
+        assert primitive_root(p) == brute, p
 
 
 def test_prime_search_takes_a_lower_bound():
-    assert _prime_1_mod(4, 1) == 5
-    assert _prime_1_mod(8, 18) == 41
-    assert _prime_1_mod(1, 3) == 3
+    assert prime_1_mod(4, 1) == 5
+    assert prime_1_mod(8, 18) == 41
+    assert prime_1_mod(1, 3) == 3
     with pytest.raises(ResourceLimit):
-        _prime_1_mod(16, 1 << 31)
+        prime_1_mod(16, 1 << 31)
 
 
-def _corrupt_section(monkeypatch, call, change):
+def _corrupt_section(monkeypatch, call, change, at_rep=False):
     """Make the double's call number `call` to projective_irrep_data return its
-    last irrep with the section value at the identity changed (never the class
-    representative of a nontrivial class, so T stays a root of unity)."""
-    real = pointed.projective_irrep_data
-    calls = []
+    last irrep with the section value at the identity changed, or at the class
+    representative with at_rep.  A value is its int coefficient row over
+    zeta_m; off the representative, T stays a root of unity."""
+    real, real_transgress = pointed.projective_irrep_data, pointed.transgress
+    calls, rep_rows = [], []
+
+    def spy(omega, a):
+        tau, cent, embed = real_transgress(omega, a)
+        rep_rows.append(embed.index(a))
+        return tau, cent, embed
 
     def corrupted(cent, tau):
-        irreps, n = real(cent, tau)
+        dims, sections, n = real(cent, tau)
         calls.append(cent)
         if len(calls) == call:
-            dim, section = irreps[-1]
-            irreps[-1] = (dim, (change(section[0]),) + tuple(section[1:]))
-        return irreps, n
+            sections = sections.copy()
+            row = rep_rows[-1] if at_rep else 0
+            sections[-1, row] = change(sections[-1, row])
+        return dims, sections, n
 
+    monkeypatch.setattr(pointed, "transgress", spy)
     monkeypatch.setattr(pointed, "projective_irrep_data", corrupted)
 
 
-@pytest.mark.parametrize("change", [lambda v: v + 1, lambda v: v * Cyc.root(3)])
+def _plus_one(v):
+    """v + 1: one more on the coefficient of zeta_m^0."""
+    v = v.copy()
+    v[0] += 1
+    return v
+
+
+def _times_root(k):
+    """v zeta_k: the coefficients rolled by m / k places."""
+    def change(v):
+        assert len(v) % k == 0
+        return np.roll(v, len(v) // k)
+    return change
+
+
+@pytest.mark.parametrize("change", [_plus_one, _times_root(3)])
 def test_corrupt_section_raises_on_untwisted_double(monkeypatch, change):
     s3 = symmetric(3)
     _corrupt_section(monkeypatch, 3, change)  # the class of 3-cycles
@@ -127,15 +164,23 @@ def test_corrupt_section_raises_on_untwisted_double(monkeypatch, change):
 
 def test_corrupt_section_raises_on_pointed_double(monkeypatch):
     omega = load_entry("cocycle_Z4_h3_0")
-    _corrupt_section(monkeypatch, 4, lambda v: v * Cyc.root(4))
+    _corrupt_section(monkeypatch, 4, _times_root(4))
     with pytest.raises(InvariantError, match="S not unitary"):
         pointed.twisted_double(omega.group, omega)
+
+
+def test_section_at_the_class_representative_must_be_a_root_of_unity(monkeypatch):
+    # d zeta^t + 1 at the representative of the 3-cycles: T is not a root of unity
+    s3 = symmetric(3)
+    _corrupt_section(monkeypatch, 3, _plus_one, at_rep=True)
+    with pytest.raises(InvariantError, match=r"T entry of \(.*;2\) is not a root of unity"):
+        pointed.twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))
 
 
 def test_verlinde_integrality_is_checked_without_unitarity(monkeypatch):
     # with the unitarity check gone, the corrupt S reaches the Verlinde sum
     s3 = symmetric(3)
-    _corrupt_section(monkeypatch, 3, lambda v: v + 1)
+    _corrupt_section(monkeypatch, 3, _plus_one)
     monkeypatch.setattr(pointed, "_check_unitary", lambda coef, den: None)
     with pytest.raises(InvariantError, match="double fusion must be a non-negative integer"):
         pointed.twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))

@@ -23,6 +23,7 @@ import pytest
 
 from gxcat.chartab import character_table, projective_irrep_data
 from gxcat.cohomology import cohomology_group
+from gxcat.cyclo import Cyc
 from gxcat.groups import PRESETS, build_group
 from gxcat.serialize import canonical_json
 
@@ -39,13 +40,19 @@ def table_record(g):
         "reps": list(tab.class_reps),
         "sizes": list(tab.class_sizes),
         "dims": list(tab.dims),
-        "chars": [[v.to_json() for v in row] for row in tab.chars],
+        "chars": _values_json(tab.coef),
     })
 
 
+def _values_json(coef):
+    """The Cyc to_json of every coefficient row of coef (..., m), nested as coef."""
+    m = coef.shape[-1]
+    return [[Cyc.from_ints(m, v).to_json() for v in row] for row in coef.tolist()]
+
+
 def proj_record(g, alpha):
-    data, n_red = projective_irrep_data(g, alpha)
-    return _sha({"n": n_red, "irreps": [[d, [v.to_json() for v in section]] for d, section in data]})
+    dims, sections, n_red = projective_irrep_data(g, alpha)
+    return _sha({"n": n_red, "irreps": [[d, values] for d, values in zip(dims, _values_json(sections))]})
 
 
 @lru_cache(maxsize=None)

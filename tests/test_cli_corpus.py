@@ -511,17 +511,18 @@ class TestDeterminism:
 
 
 # Replaces one section value handed to twisted_double (the identity entry of
-# the last irrep of the last class) by itself plus one, then runs the CLI.
+# the last irrep of the last class) by itself plus one, one more on its
+# coefficient of zeta_m^0, then runs the CLI.
 _CORRUPT_SECTION_CLI = """
 import sys
 import gxcat.pointed as pointed
 real = pointed.projective_irrep_data
 def corrupted(cent, tau):
-    irreps, n = real(cent, tau)
+    dims, sections, n = real(cent, tau)
     if cent.order == 3:
-        dim, section = irreps[-1]
-        irreps[-1] = (dim, (section[0] + 1,) + tuple(section[1:]))
-    return irreps, n
+        sections = sections.copy()
+        sections[-1, 0, 0] += 1
+    return dims, sections, n
 pointed.projective_irrep_data = corrupted
 from gxcat.cli import main
 main(sys.argv[1:])

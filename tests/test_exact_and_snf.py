@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gxcat.cyclo import Cyc, cyclotomic_poly
+from cyc_oracle import Cyc
+from gxcat import cyclo
+from gxcat.cyclo import cyclotomic_poly
 from gxcat.exact import CertReal, QuadReal, scalar_eq
 from gxcat.snf import (
     dot_mod,
@@ -152,6 +154,12 @@ class TestCyc:
                 prod[n * i + (i + j) % n] = ca[i] * cb[j]  # distinct slots, = i + j mod n
         assert (a * b).c == Cyc(n, prod).c
         assert Cyc.from_ints(n, [int(v * 6) for v in ca], 6).c == Cyc(n, [Fraction(int(v * 6), 6) for v in ca]).c
+
+    def test_gxcat_cyc_does_no_field_arithmetic(self):
+        # gxcat computes on int coefficient arrays; its Cyc only prints and compares
+        ops = ("__add__", "__sub__", "__mul__", "__neg__", "conj", "inv", "__rtruediv__")
+        assert [op for op in ops if hasattr(cyclo.Cyc, op)] == []
+        assert Cyc.root(4, 1) == cyclo.Cyc.root(8, 2) and hash(Cyc.root(4, 1)) == hash(cyclo.Cyc.root(8, 2))
 
     def test_inverse(self):
         z = Cyc.root(5) + Cyc.rational(2)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cyc_oracle import Cyc
 from gxcat.chartab import (
     character_table,
     irrep_dims,
@@ -186,7 +187,7 @@ class TestCharacterTables:
         tab = character_table(symmetric(3))
         # columns: classes of sizes 1, 3, 2 in least-representative order
         assert tab.class_sizes == (1, 3, 2)
-        rows = {tuple(c.as_rational() for c in row) for row in tab.chars}
+        rows = {tuple(Cyc.from_ints(tab.m, v).as_rational() for v in row) for row in tab.coef.tolist()}
         assert (1, 1, 1) in rows  # trivial
         assert (1, -1, 1) in rows  # sign
         assert (2, 0, -1) in rows  # standard

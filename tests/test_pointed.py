@@ -1,10 +1,15 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyc_oracle import Cyc
 from gxcat.cohomology import TorsionCocycle, cohomology_group
-from gxcat.cyclo import Cyc
+from gxcat.corpus import corpus_list, load_entry
 from gxcat.exact import QuadReal
 from gxcat.fusion import pointed_ring, sector_dims
 from gxcat.gauging import crossed_product
@@ -18,9 +23,12 @@ from gxcat.pointed import (
     pointed_deequivariantize,
     symmetric_pointed,
     toric_code_pointed,
+    _invertible_roots,
     twisted_double,
     validate_pointed,
 )
+from gxcat.serialize import canonical_json
+from gxcat.snf import rref
 
 
 def z2_omega():
@@ -140,13 +148,13 @@ class TestTwistedDouble:
     def test_toric_code(self):
         dd = twisted_double(cyclic(2), TorsionCocycle.make(cyclic(2), 3, 2, {}))
         assert dd.dims == [1, 1, 1, 1]
-        ts = sorted((round(complex(t).real, 6), round(complex(t).imag, 6)) for t in dd.t_spectrum())
+        ts = sorted((round(complex(t).real, 6), round(complex(t).imag, 6)) for t in map(Cyc.of, dd.t_spectrum()))
         assert ts == [(-1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0)]
         assert dd.s_matrix is not None and dd.fusion is not None
 
     def test_double_semion_t_spectrum_differs(self):
         dd = twisted_double(cyclic(2), z2_omega())
-        ts = sorted((round(complex(t).real, 6), round(complex(t).imag, 6)) for t in dd.t_spectrum())
+        ts = sorted((round(complex(t).real, 6), round(complex(t).imag, 6)) for t in map(Cyc.of, dd.t_spectrum()))
         assert ts == [(0.0, -1.0), (0.0, 1.0), (1.0, 0.0), (1.0, 0.0)]
 
     def test_d_s3(self):
@@ -180,7 +188,7 @@ class TestTwistedDouble:
 
     @staticmethod
     def _verlinde_consistent(dd):
-        s, ring = dd.s_matrix, dd.fusion
+        s, ring = [[Cyc.of(v) for v in row] for row in dd.s_matrix], dd.fusion
         n = ring.tensor()
         r = ring.rank
         inv0 = [s[0][l].inv() for l in range(r)]
@@ -223,11 +231,12 @@ class TestTwistedDouble:
     def _untwisted_s_reference(g, simples):
         """The Cyc loop the untwisted S was computed with before it became
         integer convolutions: the reference for values and conductors."""
+        values = [[Cyc.from_ints(s["section"].shape[-1], r) for r in s["section"].tolist()] for s in simples]
         mat = []
-        for sa in simples:
+        for sa, va in zip(simples, values):
             row = []
             a, za = g.element_names.index(sa["class_rep"]), sa["embed"]
-            for sb in simples:
+            for sb, vb in zip(simples, values):
                 b, zb = g.element_names.index(sb["class_rep"]), sb["embed"]
                 acc = Cyc.rational(0)
                 for t in g.elements():
@@ -235,7 +244,7 @@ class TestTwistedDouble:
                     if g.mul[a][x] != g.mul[x][a]:
                         continue
                     y = g.mul[g.mul[g.inv[t]][a]][t]
-                    acc = acc + sa["section"][za.index(x)].conj() * sb["section"][zb.index(y)].conj()
+                    acc = acc + va[za.index(x)].conj() * vb[zb.index(y)].conj()
                 row.append(acc * Fraction(1, len(za) * len(zb)))
             mat.append(row)
         return mat
@@ -298,7 +307,7 @@ class TestTwistedDouble:
 
         g = build_group("Z2xZ2xZ2")
         dd = twisted_double(g, cohomology_group(g, 3, 2).representatives[index])
-        s, r = dd.s_matrix, len(dd.simples)
+        s, r = [[Cyc.of(v) for v in row] for row in dd.s_matrix], len(dd.simples)
         assert r == 22 and s is not None and dd.fusion is not None
         assert all(s[i][j] == s[j][i] for i in range(r) for j in range(i))
 
@@ -462,6 +471,65 @@ class TestKirillov:
         assert len(km.basis) == sum(
             1 for x in range(4) for k in range(1) if data.act(k, x) == x
         )
+
+
+CORPUS_POINTED = [e.name for e in corpus_list() if e.kind == "pointed"]
+KIRILLOV_CASES = ["toric", "semion", "symmetric2", "symmetric3", "symmetric4", "holo_Z2", "holo_Z3", "holo_Z4",
+                  "holo_S3", "holo_Z2_twisted", *CORPUS_POINTED]
+
+
+@lru_cache(maxsize=None)
+def _kirillov_cases():
+    """The stock and corpus pointed data, and holomorphic_crossed outputs, by name."""
+    out = {"toric": toric_code_pointed(), "semion": double_semion_pointed()}
+    out.update({f"symmetric{k}": symmetric_pointed(k) for k in (2, 3, 4)})
+    for name, g, n in [("Z2", cyclic(2), 2), ("Z3", cyclic(3), 3), ("Z4", cyclic(4), 4), ("S3", symmetric(3), 6)]:
+        out[f"holo_{name}"] = holomorphic_crossed(g, TorsionCocycle.make(g, 3, n, {}))[0]
+    out["holo_Z2_twisted"] = holomorphic_crossed(cyclic(2), z2_omega())[0]
+    out.update({name: load_entry(name) for name in CORPUS_POINTED})
+    return out
+
+
+def _rref_invertible(rows):
+    """The exact verdict: Gauss-Jordan over Q(zeta_n) on the oracle Cyc."""
+    return len(rref([[Cyc.of(v) for v in row] for row in rows])[1]) == len(rows)
+
+
+@st.composite
+def root_matrices(draw):
+    """(n, exponents) of a square matrix of zeta_n^e, with -1 for a 0 entry;
+    a third of them get a row repeated times a root of unity, a third a zero row."""
+    n = draw(st.sampled_from([2, 3, 4, 6, 8]))
+    size = draw(st.integers(1, 6))
+    expo = draw(st.lists(st.lists(st.integers(-1, n - 1), min_size=size, max_size=size),
+                         min_size=size, max_size=size))
+    kind = draw(st.sampled_from(["free", "repeat", "zero"]))
+    if size > 1 and kind != "free":
+        i, j = draw(st.permutations(range(size)))[:2]
+        shift = draw(st.integers(0, n - 1))
+        expo[j] = [(e + shift) % n if e >= 0 else -1 for e in expo[i]] if kind == "repeat" else [-1] * size
+    return n, expo
+
+
+class TestKirillovRank:
+    @settings(max_examples=150, deadline=None)
+    @given(root_matrices())
+    def test_fp_verdict_matches_cyc_rref(self, case):
+        n, expo = case
+        rows = [[Cyc.root(n, e) if e >= 0 else Cyc.rational(0, n) for e in row] for row in expo]
+        assert _invertible_roots(np.array(expo, dtype=np.int64), n) == _rref_invertible(rows)
+
+    @pytest.mark.parametrize("name", KIRILLOV_CASES)
+    def test_stock_data_verdict_and_entries(self, name):
+        data = _kirillov_cases()[name]
+        km = kirillov_S(data)
+        assert km.invertible == _rref_invertible(km.entries)
+        # the entries from their definition: zeta^monodromy(x, y) where k = deg(y) and l = deg(x), else 0
+        gam, g = data.gamma, data.group
+        basis = [(x, k) for x in gam.elements() for k in g.elements() if data.act(k, x) == x]
+        want = [[Cyc.root(data.n, data.monodromy(x, y)) if k == data.deg[y] and l == data.deg[x]
+                 else Cyc.rational(0, data.n) for y, l in basis] for x, k in basis]
+        assert canonical_json(km.to_json()["entries"]) == canonical_json([[v.to_json() for v in r] for r in want])
 
 
 class TestHolomorphicChain:

@@ -23,8 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gxcat.chartab as chartab
+from cyc_oracle import Cyc
 from gxcat.chartab import EXTENSION_ORDER_CAP, _extension_irreps, projective_irrep_data, projective_irrep_dims
 from gxcat.cohomology import TorsionCocycle, coboundary, cohomology_group
+from gxcat.cyclo import reduction_matrix
 from gxcat.groups import PRESETS, GroupError, build_group, cyclic, product
 from gxcat.pointed import twisted_double
 
@@ -32,8 +34,10 @@ ABELIAN = sorted(name for name in PRESETS if build_group(name).order <= 12 and b
 
 
 def record(data):
-    irreps, n = data
-    return n, [(d, [v.to_json() for v in section]) for d, section in irreps]
+    """The reduced N, the dims, the m of zeta_m and every section value mod Phi_m."""
+    dims, sections, n = data
+    m = sections.shape[-1]
+    return n, list(dims), m, (sections @ reduction_matrix(m)).tolist()
 
 
 def shifted(alpha, rng):
@@ -74,10 +78,10 @@ def test_lattice_route_when_every_section_squares_to_the_identity():
     for g, alpha in cases:
         got = record(projective_irrep_data(g, alpha))
         assert got == record(_extension_irreps(g, alpha))
-        assert got[0] == 4 and all(v["n"] == 4 for _, section in got[1] for v in section)
+        assert got[0] == 4 and got[2] == 4
     # on the radical {e, U, V, UV} the sections are 2 zeta_4^phi with phi(UV) = phi(U) + phi(V) + 2
-    for _, section in projective_irrep_data(*cases[1])[0]:
-        u, v, uv = (section[k] for k in (2, 1, 3))
+    for section in projective_irrep_data(*cases[1])[1]:
+        u, v, uv = (Cyc.from_ints(4, section[k].tolist()) for k in (2, 1, 3))
         assert uv + uv == -(u * v)
 
 
