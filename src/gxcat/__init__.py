@@ -32,7 +32,6 @@ _EXPORTS = {
     "cohomology": (
         "CohomologyGroup",
         "TorsionCocycle",
-        "brute_force_order",
         "coboundary",
         "cohomology_group",
         "is_coboundary",
@@ -73,7 +72,6 @@ _EXPORTS = {
         "holomorphic_crossed",
         "kirillov_S",
         "pointed_deequivariantize",
-        "symmetric_pointed",
         "toric_code_pointed",
         "twisted_double",
         "validate_pointed",

@@ -22,13 +22,13 @@ zeta_M -> z^k, and made exact by a certificate (see character_sums).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .cohomology import ResourceLimit, TorsionCocycle, bar_matrix, is_cocycle
 from .cyclo import reduction_bound, reduction_matrix
+from .errors import FrozenRecord
 from .groups import FiniteGroup, GroupError, InvariantError, conjugacy_data, subgroup, validate_table
 from .snf import dot_mod, lattice_points, modinv, nullspace_fp
 
@@ -141,14 +141,14 @@ def character_sums(a, b, c, terms):
     return vals.reshape(shape), rational.reshape(shape)
 
 
-@dataclass(frozen=True, eq=False)  # coef is an array: compare tables by identity
-class CharacterTable:
-    group: FiniteGroup
-    class_reps: tuple
-    class_sizes: tuple
-    m: int
-    coef: np.ndarray  # read-only int64 (irreps, classes, m): each value on 1, zeta_m, ..., zeta_m^(m-1)
-    dims: tuple
+class CharacterTable(FrozenRecord):
+    _fields = ("group", "class_reps", "class_sizes", "m", "coef", "dims")
+    # coef is an array: compare tables by identity
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, group, class_reps, class_sizes, m, coef, dims):
+        # coef: read-only int64 (irreps, classes, m): each value on 1, zeta_m, ..., zeta_m^(m-1)
+        self.__dict__.update(group=group, class_reps=class_reps, class_sizes=class_sizes, m=m, coef=coef, dims=dims)
 
 
 @lru_cache(maxsize=None)

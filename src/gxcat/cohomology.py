@@ -31,14 +31,12 @@ division mod m/d_i, which N divides.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InvariantError, ResourceLimit
+from .errors import FrozenRecord, InvariantError, ResourceLimit
 from .groups import FiniteGroup, GroupError, subgroup
 from . import snf
 
@@ -52,7 +50,6 @@ __all__ = [
     "cohomology_group",
     "u1_cohomology",
     "transgress",
-    "brute_force_order",
     "first_witness",
 ]
 
@@ -65,14 +62,14 @@ def _inner(k):
     return (slice(1, None),) * k
 
 
-@dataclass(frozen=True, eq=False)
-class TorsionCocycle:
+class TorsionCocycle(FrozenRecord):
     """Normalized cochain G^degree -> Z/n (additive angle numerators)."""
 
-    group: FiniteGroup
-    degree: int
-    n: int
-    table: np.ndarray  # read-only int64, shape (|G|,)*degree, values in [0, n), 0 on identity slots
+    _fields = ("group", "degree", "n", "table")
+
+    def __init__(self, group, degree, n, table):
+        # table: read-only int64, shape (|G|,)*degree, values in [0, n), 0 on identity slots
+        self.__dict__.update(group=group, degree=degree, n=n, table=table)
 
     @staticmethod
     def _guard(group, degree):
@@ -238,11 +235,16 @@ def bar_matrix(g: FiniteGroup, k: int):
     return mat
 
 
-@dataclass(frozen=True)
-class CohomologyGroup:
-    invariant_factors: tuple  # canonical chain, each dividing the next
-    representatives: tuple  # TorsionCocycle generators (direct-sum form)
-    generator_orders: tuple  # order of each representative's class
+class CohomologyGroup(FrozenRecord):
+    _fields = ("invariant_factors", "representatives", "generator_orders")
+
+    def __init__(self, invariant_factors, representatives, generator_orders):
+        # invariant_factors: canonical chain, each dividing the next
+        # representatives: TorsionCocycle generators (direct-sum form)
+        # generator_orders: order of each representative's class
+        self.__dict__.update(
+            invariant_factors=invariant_factors, representatives=representatives, generator_orders=generator_orders
+        )
 
     @property
     def order(self):
@@ -361,24 +363,3 @@ def transgress(omega: TorsionCocycle, g_elem: int):
     if not ok:
         raise InvariantError(f"transgression output not closed at {wit}")
     return tau, cent, embed
-
-
-def brute_force_order(g: FiniteGroup, k: int, n: int, limit=1 << 20):
-    """|H^k(G, mu_n)| by exhaustive enumeration (test oracle).
-
-    Counts closed cochains and coboundaries directly; refuses when either
-    cochain space exceeds the limit.
-    """
-    size_k = n ** ((g.order - 1) ** k)
-    size_km1 = n ** ((g.order - 1) ** (k - 1)) if k >= 1 else 1
-    if size_k > limit or size_km1 > limit:
-        raise ResourceLimit("cochain space too large for brute force")
-    closed = sum(
-        is_cocycle(TorsionCocycle.from_vector(g, k, n, a))[0]
-        for a in itertools.product(range(n), repeat=(g.order - 1) ** k)
-    )
-    images = {
-        coboundary(TorsionCocycle.from_vector(g, k - 1, n, a)).table.tobytes()
-        for a in itertools.product(range(n), repeat=(g.order - 1) ** (k - 1))
-    }
-    return closed // len(images)

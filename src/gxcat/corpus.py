@@ -10,21 +10,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from importlib import resources
 
-from .errors import CorpusError
+from .errors import CorpusError, FrozenRecord
 
 __all__ = ["CorpusEntry", "CorpusError", "corpus_list", "corpus_dir", "load_entry"]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    kind: str  # group | cocycle | ring | pointed
-    path: str
-    golden: str
-    sha256: str
+class CorpusEntry(FrozenRecord):
+    _fields = ("name", "kind", "path", "golden", "sha256")
+
+    def __init__(self, name, kind, path, golden, sha256):
+        # kind: group | cocycle | ring | pointed
+        self.__dict__.update(name=name, kind=kind, path=path, golden=golden, sha256=sha256)
 
 
 def corpus_dir():

@@ -1,14 +1,17 @@
-"""The exception types of gxcat, importable without numpy.
+"""The exception types and record base classes of gxcat, importable without numpy.
 
-Each is re-exported by the module that raises it first (``groups``,
-``cohomology``, ``fusion``, ``corpus``), so both import paths name the
-same class.  The CLI maps them to its exit codes from here, before any
-layer is loaded.
+Each exception is re-exported by the module that raises it first
+(``groups``, ``cohomology``, ``fusion``, ``corpus``), so both import paths
+name the same class.  The CLI maps them to its exit codes from here, before
+any layer is loaded.  Every layer loads this module, so the record bases
+live here too.
 """
 
 from __future__ import annotations
 
-__all__ = ["GroupError", "InvariantError", "ResourceLimit", "FusionError", "CorpusError"]
+from operator import itemgetter
+
+__all__ = ["GroupError", "InvariantError", "ResourceLimit", "FusionError", "CorpusError", "Record", "FrozenRecord"]
 
 
 class GroupError(ValueError):
@@ -32,3 +35,41 @@ class FusionError(ValueError):
 
 class CorpusError(RuntimeError):
     pass
+
+
+class Record:
+    """A result record: its fields are the names in ``_fields``, which its
+    ``__init__`` assigns.  Records of one class compare equal when the
+    tuples of their fields do; a mutable record has no hash.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        if cls._fields:  # two or more names, so that the getter returns a tuple
+            cls._field_values = itemgetter(*cls._fields)  # instance __dict__ -> tuple of the fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values(self.__dict__) == other._field_values(other.__dict__)
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A value record: it hashes by the tuple of its fields and refuses
+    assignment and deletion.  ``__init__`` fills ``self.__dict__`` directly."""
+
+    def __hash__(self):
+        return hash(self._field_values(self.__dict__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from itertools import compress
 from operator import mul, sub
 
-from .errors import FusionError
+from .errors import FrozenRecord, FusionError, Record
 from .exact import CertReal, QuadReal, as_scalar, quad_numerators, scalar_eq, scalar_json
 from .groups import FiniteGroup, cyclic, is_index, validate_table
 
@@ -47,15 +46,15 @@ TENSOR_POWER_CAP = 4
 PF_ITERATION_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class GradedFusionRing:
-    name: str
-    simples: tuple  # label strings
-    unit: int  # index
-    dual: tuple  # involution, index -> index
-    coeffs: tuple  # sorted ((i, j, k), n) with n > 0
-    group: FiniteGroup
-    grading: tuple  # index -> group element
+class GradedFusionRing(FrozenRecord):
+    _fields = ("name", "simples", "unit", "dual", "coeffs", "group", "grading")
+
+    def __init__(self, name, simples, unit, dual, coeffs, group, grading):
+        # simples: label strings; unit: an index; dual: involution, index -> index
+        # coeffs: sorted ((i, j, k), n) with n > 0; grading: index -> group element
+        self.__dict__.update(
+            name=name, simples=simples, unit=unit, dual=dual, coeffs=coeffs, group=group, grading=grading
+        )
 
     @staticmethod
     def make(name, simples, unit, dual, coeffs, group=None, grading=None):
@@ -128,10 +127,12 @@ class GradedFusionRing:
         return f"GradedFusionRing({self.name}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
-class RingGAction:
-    group: FiniteGroup
-    perms: tuple  # per group element, tuple permutation of simple indices
+class RingGAction(FrozenRecord):
+    _fields = ("group", "perms")
+
+    def __init__(self, group, perms):
+        # perms: per group element, tuple permutation of simple indices
+        self.__dict__.update(group=group, perms=perms)
 
     def apply(self, g, i):
         return self.perms[g][i]
@@ -143,10 +144,12 @@ def trivial_action(ring: GradedFusionRing, group=None):
     return RingGAction(group, tuple(ident for _ in group.elements()))
 
 
-@dataclass
-class ValidationReport:
-    issues: list
-    dims: list = None  # the Perron-Frobenius dims, when validate_ring checked them
+class ValidationReport(Record):
+    _fields = ("issues", "dims")
+
+    def __init__(self, issues, dims=None):
+        # dims: the Perron-Frobenius dims, when validate_ring checked them
+        self.__dict__.update(issues=issues, dims=dims)
 
     @property
     def passed(self):
@@ -418,12 +421,14 @@ def global_dim(ring: GradedFusionRing, dims=None):
     return sum((d * d for d in dims), start=as_scalar(0))
 
 
-@dataclass
-class SectorReport:
-    sectors: dict  # element name -> squared-dimension sum (scalar)
-    full_spectrum: bool
-    m3_homogeneous: bool
-    global_dim: object
+class SectorReport(Record):
+    _fields = ("sectors", "full_spectrum", "m3_homogeneous", "global_dim")
+
+    def __init__(self, sectors, full_spectrum, m3_homogeneous, global_dim):
+        # sectors: element name -> squared-dimension sum (scalar)
+        self.__dict__.update(
+            sectors=sectors, full_spectrum=full_spectrum, m3_homogeneous=m3_homogeneous, global_dim=global_dim
+        )
 
     def to_json(self):
         return {

@@ -17,14 +17,13 @@ dimension budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import chartab, snf
 from .cohomology import TorsionCocycle, is_cocycle
-from .errors import InvariantError
+from .errors import InvariantError, Record
 from .exact import QuadReal, as_scalar, scalar_eq, scalar_json
 from .fusion import (
     FusionError,
@@ -59,12 +58,14 @@ def orbit_stabilizer(ring, action, orbit):
     return subgroup(action.group, elems, name=f"Stab({ring.label(rep)})")
 
 
-@dataclass
-class EquivariantizationResult:
-    simples: list  # dicts: orbit, stabilizer, cocycle_class, irrep_dim, dim
-    global_dim: object
-    input_global_dim: object
-    group_order: int
+class EquivariantizationResult(Record):
+    _fields = ("simples", "global_dim", "input_global_dim", "group_order")
+
+    def __init__(self, simples, global_dim, input_global_dim, group_order):
+        # simples: dicts with orbit, stabilizer, cocycle_class, irrep_dim, dim
+        self.__dict__.update(
+            simples=simples, global_dim=global_dim, input_global_dim=input_global_dim, group_order=group_order
+        )
 
     def dim_identity_holds(self):
         return scalar_eq(self.global_dim, as_scalar(self.group_order) * self.input_global_dim)
@@ -311,14 +312,14 @@ def _canonical_cols(mat, dims):
     return tuple((p, d) for p, d in cols)
 
 
-@dataclass
-class CrossedProductResult:
-    blocks: list
-    global_dim: object
-    input_global_dim: object
-    group_order: int
-    output_ring: object  # GradedFusionRing when every image stays simple, else None
-    output_dims: list = None  # pf_dims of output_ring, from its validation
+class CrossedProductResult(Record):
+    _fields = ("blocks", "global_dim", "input_global_dim", "group_order", "output_ring", "output_dims")
+
+    def __init__(self, blocks, global_dim, input_global_dim, group_order, output_ring, output_dims=None):
+        # output_ring: GradedFusionRing when every image stays simple, else None
+        # output_dims: pf_dims of output_ring, from its validation
+        self.__dict__.update(blocks=blocks, global_dim=global_dim, input_global_dim=input_global_dim,
+                             group_order=group_order, output_ring=output_ring, output_dims=output_dims)
 
     @property
     def fully_resolved(self):
@@ -475,13 +476,14 @@ def _multiplicity_free_output_ring(ring, hom, blocks, group):
     return out, rep_check.dims
 
 
-@dataclass
-class RoundTripReport:
-    input_global_dim: object
-    crossed_global_dim: object
-    regauged_global_dim: object
-    dims_match: bool
-    simple_counts: tuple  # (input rank, regauged count) when available
+class RoundTripReport(Record):
+    _fields = ("input_global_dim", "crossed_global_dim", "regauged_global_dim", "dims_match", "simple_counts")
+
+    def __init__(self, input_global_dim, crossed_global_dim, regauged_global_dim, dims_match, simple_counts):
+        # simple_counts: (input rank, regauged count) when available
+        self.__dict__.update(input_global_dim=input_global_dim, crossed_global_dim=crossed_global_dim,
+                             regauged_global_dim=regauged_global_dim, dims_match=dims_match,
+                             simple_counts=simple_counts)
 
     def to_json(self):
         return {

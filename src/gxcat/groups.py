@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from numbers import Integral
 from operator import itemgetter
 
-from .errors import GroupError, InvariantError
+from .errors import FrozenRecord, GroupError, InvariantError
 
 __all__ = [
     "FiniteGroup",
@@ -39,11 +38,12 @@ PRESET_ORDER_CAP = 24
 TABLE_ORDER_CAP = 64
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    name: str
-    mul: tuple  # tuple of tuples of element indices
-    element_names: tuple
+class FiniteGroup(FrozenRecord):
+    _fields = ("name", "mul", "element_names")
+
+    def __init__(self, name, mul, element_names):
+        # mul: tuple of tuples of element indices
+        self.__dict__.update(name=name, mul=mul, element_names=element_names)
 
     @property
     def order(self):
@@ -286,12 +286,15 @@ def build_group(spec):
     return _mk(name, mul)
 
 
-@dataclass(frozen=True)
-class ConjugacyData:
-    classes: tuple  # tuple of sorted tuples of element indices
-    reps: tuple  # least-index member of each class
-    centralizers: tuple  # per class, sorted tuple of elements commuting with the rep
-    class_of: tuple  # element index -> index of its class
+class ConjugacyData(FrozenRecord):
+    _fields = ("classes", "reps", "centralizers", "class_of")
+
+    def __init__(self, classes, reps, centralizers, class_of):
+        # classes: tuple of sorted tuples of element indices
+        # reps: least-index member of each class
+        # centralizers: per class, sorted tuple of elements commuting with the rep
+        # class_of: element index -> index of its class
+        self.__dict__.update(classes=classes, reps=reps, centralizers=centralizers, class_of=class_of)
 
 
 def orbit_labels(perms):
@@ -365,12 +368,13 @@ def quotient(g, normal_elems, name=None):
     return _mk(name or f"{g.name}/N", mul, names), dict(enumerate(labels.tolist()))
 
 
-@dataclass(frozen=True)
-class LinearCharacter:
+class LinearCharacter(FrozenRecord):
     """Homomorphism into Z/N, stored as additive angle numerators."""
 
-    values: tuple
-    n: int
+    _fields = ("values", "n")
+
+    def __init__(self, values, n):
+        self.__dict__.update(values=values, n=n)
 
     def __call__(self, x):
         return self.values[x]

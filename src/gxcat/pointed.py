@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from .cohomology import (
     transgress,
 )
 from .cyclo import Cyc
+from .errors import FrozenRecord, Record
 from .fusion import GradedFusionRing, ValidationReport
 from .groups import FiniteGroup, InvariantError, abelian_characters, conjugacy_data, orbit_labels, quotient, subgroup
 
@@ -63,7 +63,6 @@ __all__ = [
     "kirillov_S",
     "toric_code_pointed",
     "double_semion_pointed",
-    "symmetric_pointed",
 ]
 
 N_CAP = 16
@@ -71,15 +70,13 @@ ENUM_GROUP_CAP = 6
 ENUM_N_CAP = 8
 
 
-@dataclass(frozen=True)
-class PointedGXData:
-    gamma: FiniteGroup
-    group: FiniteGroup
-    deg: tuple  # Gamma index -> G element
-    action: tuple  # per G element, automorphism of Gamma as a tuple
-    n: int
-    assoc: TorsionCocycle  # degree 3 on gamma
-    braid: tuple  # |Gamma| x |Gamma| values mod n
+class PointedGXData(FrozenRecord):
+    _fields = ("gamma", "group", "deg", "action", "n", "assoc", "braid")
+
+    def __init__(self, gamma, group, deg, action, n, assoc, braid):
+        # deg: Gamma index -> G element; action: per G element, automorphism of Gamma as a tuple
+        # assoc: TorsionCocycle of degree 3 on gamma; braid: |Gamma| x |Gamma| values mod n
+        self.__dict__.update(gamma=gamma, group=group, deg=deg, action=action, n=n, assoc=assoc, braid=braid)
 
     @staticmethod
     def make(gamma, group, deg, action, n, assoc_values, braid_table):
@@ -533,13 +530,13 @@ def pointed_deequivariantize(data: PointedGXData, subgroup_elems):
 # twisted quantum doubles
 
 
-@dataclass
-class DoubleData:
-    group: FiniteGroup
-    n: int
-    simples: list  # dicts: class_rep, class_size, irrep, irrep_dim, dim, t (Cyc)
-    s_matrix: object  # list of lists of Cyc, or None in dims-only mode
-    fusion: object  # GradedFusionRing or None
+class DoubleData(Record):
+    _fields = ("group", "n", "simples", "s_matrix", "fusion")
+
+    def __init__(self, group, n, simples, s_matrix, fusion):
+        # simples: dicts with class_rep, class_size, irrep, irrep_dim, dim, t (Cyc)
+        # s_matrix: list of lists of Cyc, or None in dims-only mode; fusion: GradedFusionRing or None
+        self.__dict__.update(group=group, n=n, simples=simples, s_matrix=s_matrix, fusion=fusion)
 
     @property
     def dims(self):
@@ -742,11 +739,12 @@ def _verlinde_fusion(name, order, simples, coef, den):
 # Kirillov pairing matrix
 
 
-@dataclass
-class KirillovMatrix:
-    basis: list  # (object name, group element name)
-    entries: list  # Cyc matrix
-    invertible: bool
+class KirillovMatrix(Record):
+    _fields = ("basis", "entries", "invertible")
+
+    def __init__(self, basis, entries, invertible):
+        # basis: (object name, group element name) pairs; entries: a Cyc matrix
+        self.__dict__.update(basis=basis, entries=entries, invertible=invertible)
 
     def to_json(self):
         return {
@@ -849,14 +847,3 @@ def double_semion_pointed():
             y1, y2 = divmod(y, 2)
             braid[x][y] = (x1 * y1 + 3 * x2 * y2) % 4
     return PointedGXData.make(gam, cyclic(1), [0] * 4, [tuple(range(4))], 4, assoc, braid)
-
-
-def symmetric_pointed(n_elems=2):
-    """Rep(Z_n) as a symmetric pointed category (degenerate braiding)."""
-    from .groups import cyclic
-
-    gam = cyclic(n_elems)
-    size = gam.order
-    return PointedGXData.make(
-        gam, cyclic(1), [0] * size, [tuple(range(size))], max(2, n_elems), {}, [[0] * size for _ in range(size)]
-    )

@@ -1,6 +1,6 @@
 import pytest
 
-from gxcat.corpus_build import fibonacci_ring, ising_ring, rep_s3_ring
+from corpus_build import fibonacci_ring, ising_ring, rep_s3_ring
 from gxcat.fusion import pointed_ring, tensor_power
 from gxcat.groups import cyclic, product
 

@@ -1,7 +1,12 @@
-"""Regenerate the bundled corpus and its golden CLI outputs.
+"""Regenerate the bundled corpus and its golden CLI outputs, and build the
+example rings and pointed data that the tests share.
 
 Deterministic by construction: rebuild and diff to audit.  Goldens are the
 byte-exact JSON output of the CLI command recorded in the index.
+
+    PYTHONPATH=src python3 tests/corpus_build.py [TARGET]
+
+writes into TARGET, by default the package's own ``corpus`` directory.
 """
 
 from __future__ import annotations
@@ -11,16 +16,19 @@ import hashlib
 import io
 import json
 import pathlib
+import sys
 
-from .cohomology import TorsionCocycle, cohomology_group
-from .fusion import GradedFusionRing, pointed_ring, tensor_power
-from .groups import build_group, cyclic, product
-from .pointed import (
+import gxcat
+from gxcat.cohomology import TorsionCocycle, cohomology_group
+from gxcat.fusion import GradedFusionRing, pointed_ring, tensor_power
+from gxcat.groups import build_group, cyclic, product
+from gxcat.pointed import (
+    PointedGXData,
     double_semion_pointed,
     holomorphic_crossed,
     toric_code_pointed,
 )
-from .serialize import canonical_json, dump_cocycle, dump_group, dump_pointed, dump_ring
+from gxcat.serialize import canonical_json, dump_cocycle, dump_group, dump_pointed, dump_ring
 
 ISING_COEFFS = {
     ("1", "1", "1"): 1, ("1", "s", "s"): 1, ("1", "p", "p"): 1,
@@ -61,8 +69,17 @@ def rep_s3_ring():
     )
 
 
+def symmetric_pointed(n_elems=2):
+    """Rep(Z_n) as a symmetric pointed category (degenerate braiding)."""
+    gam = cyclic(n_elems)
+    size = gam.order
+    return PointedGXData.make(
+        gam, cyclic(1), [0] * size, [tuple(range(size))], max(2, n_elems), {}, [[0] * size for _ in range(size)]
+    )
+
+
 def _golden(cli_args):
-    from .cli import main
+    from gxcat.cli import main
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -75,7 +92,7 @@ def _golden(cli_args):
 
 
 def build(target=None):
-    target = pathlib.Path(target or pathlib.Path(__file__).parent / "corpus")
+    target = pathlib.Path(target or pathlib.Path(gxcat.__file__).parent / "corpus")
     target.mkdir(exist_ok=True)
     (target / "goldens").mkdir(exist_ok=True)
     entries = []
@@ -169,4 +186,4 @@ def build(target=None):
 
 
 if __name__ == "__main__":
-    build()
+    build(*sys.argv[1:2])

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 import gxcat
-from gxcat.cohomology import TorsionCocycle, bar_matrix, brute_force_order, cohomology_group, u1_cohomology
+from corpus_build import fibonacci_ring, ising_ring, rep_s3_ring, symmetric_pointed
+from gxcat.cohomology import TorsionCocycle, bar_matrix, cohomology_group, u1_cohomology
 from gxcat.corpus import corpus_dir
-from gxcat.corpus_build import fibonacci_ring, ising_ring, rep_s3_ring
 from gxcat.cyclo import Cyc
 from gxcat.exact import QuadReal, scalar_eq
 from gxcat.fusion import (
@@ -42,11 +42,11 @@ from gxcat.pointed import (
     enumerate_holomorphic,
     holomorphic_crossed,
     kirillov_S,
-    symmetric_pointed,
     toric_code_pointed,
     twisted_double,
     validate_pointed,
 )
+from test_cohomology import brute_force_order
 
 CORPUS = pathlib.Path(str(corpus_dir()))
 ONE = QuadReal(1)

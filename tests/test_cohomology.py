@@ -11,7 +11,6 @@ from gxcat.cohomology import (
     ResourceLimit,
     TorsionCocycle,
     bar_matrix,
-    brute_force_order,
     coboundary,
     cohomology_group,
     is_coboundary,
@@ -23,6 +22,27 @@ from gxcat.groups import GroupError, build_group, cyclic, product, symmetric
 from gxcat.serialize import dump_cocycle
 
 FROZEN = json.loads((pathlib.Path(__file__).parent / "data" / "cohomology_frozen.json").read_text())["cases"]
+
+
+def brute_force_order(g, k, n, limit=1 << 20):
+    """|H^k(G, mu_n)| by exhaustive enumeration (test oracle).
+
+    Counts closed cochains and coboundaries directly; refuses when either
+    cochain space exceeds the limit.
+    """
+    size_k = n ** ((g.order - 1) ** k)
+    size_km1 = n ** ((g.order - 1) ** (k - 1)) if k >= 1 else 1
+    if size_k > limit or size_km1 > limit:
+        raise ResourceLimit("cochain space too large for brute force")
+    closed = sum(
+        is_cocycle(TorsionCocycle.from_vector(g, k, n, a))[0]
+        for a in itertools.product(range(n), repeat=(g.order - 1) ** k)
+    )
+    images = {
+        coboundary(TorsionCocycle.from_vector(g, k - 1, n, a)).table.tobytes()
+        for a in itertools.product(range(n), repeat=(g.order - 1) ** (k - 1))
+    }
+    return closed // len(images)
 
 
 def random_cochain(g, k, n, rng):

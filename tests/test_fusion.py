@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import gxcat.fusion as fusion_mod
 import gxcat.gauging as gauging_mod
-from gxcat.corpus import corpus_dir
+from gxcat.corpus import corpus_dir, corpus_list
 from gxcat.exact import QuadReal, scalar_eq
 from gxcat.fusion import (
     FusionError,
@@ -34,7 +34,7 @@ SQRT2 = QuadReal.sqrt_int(2)
 
 
 def graded_ising(ising_coeffs=None):
-    from gxcat.corpus_build import ising_ring
+    from corpus_build import ising_ring
 
     return ising_ring(name="ising_z2", group=cyclic(2), grading={"1": 0, "s": 1, "p": 0})
 
@@ -194,6 +194,75 @@ class TestIntegerProductRule:
         res = run_cli([*args, "--format", "json"])
         assert res.exit_code == 0, res.output
         assert calls and len(calls) == len({id(r) for r in calls})
+
+
+RING_FILES = [e.path.rpartition("/")[2] for e in corpus_list() if e.kind == "ring"]
+
+
+def _brute_violations(ring):
+    """Every violated ring axiom, by definition: (code, indices)."""
+    r, u, dual, g = ring.rank, ring.unit, ring.dual, ring.group
+    n = dict(ring.coeffs)
+
+    def N(i, j, k):
+        return n.get((i, j, k), 0)
+
+    out = {("unit", "left", a, b) for a in range(r) for b in range(r) if N(u, a, b) != (a == b)}
+    out |= {("unit", "right", a, b) for a in range(r) for b in range(r) if N(a, u, b) != (a == b)}
+    out |= {("duality", a, b) for a in range(r) for b in range(r) if N(a, b, u) != (b == dual[a])}
+    for i, j, k, l in itertools.product(range(r), repeat=4):
+        if sum(N(i, j, m) * N(m, k, l) for m in range(r)) != sum(N(j, k, m) * N(i, m, l) for m in range(r)):
+            out.add(("associativity", i, j, k, l))
+    for (i, j, k), v in ring.coeffs:
+        if ring.grading[k] != g.mul[ring.grading[i]][ring.grading[j]]:
+            out.add(("grading", i, j, k))
+    return out
+
+
+@st.composite
+def corrupted_rings(draw):
+    """A corpus ring with one structure constant moved by +-1, or two duals swapped."""
+    ring = _corpus_ring(draw(st.sampled_from(RING_FILES)))
+    r = ring.rank
+    coeffs, dual = dict(ring.coeffs), list(ring.dual)
+    if r > 1 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+        dual[a], dual[b] = dual[b], dual[a]
+    else:
+        key = draw(st.tuples(*[st.integers(0, r - 1)] * 3))
+        step = draw(st.sampled_from([1, -1] if coeffs.get(key, 0) else [1]))
+        coeffs[key] = coeffs.get(key, 0) + step
+    coeffs = tuple(sorted((key, v) for key, v in coeffs.items() if v))
+    return GradedFusionRing(f"{ring.name}_corrupted", ring.simples, ring.unit, tuple(dual), coeffs,
+                            ring.group, ring.grading)
+
+
+class TestCorruptedRings:
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted_rings())
+    def test_every_witness_is_a_real_violation(self, ring):
+        rep = validate_ring(ring)
+        truth = _brute_violations(ring)
+        assert rep.passed == (not truth), (rep.issues, sorted(truth)[:5])
+        index = {s: i for i, s in enumerate(ring.simples)}
+        for issue in rep.issues:
+            code, message = issue["code"], issue["message"]
+            witness = tuple(index[s] for s in issue["witness"])
+            if code == "unit":
+                a, b = issue["witness"]
+                sides = [side for side, text in (("left", f"N[1,{a}]^{b} "), ("right", f"N[{a},1]^{b} "))
+                         if message.startswith(text)]
+                assert any(("unit", side, *witness) in truth for side in sides), issue
+            else:
+                assert (code, *witness) in truth, issue
+
+    def test_a_corruption_that_keeps_every_axiom_gives_a_ring(self, fibonacci):
+        # N_tt^t = 2 is the fusion ring t^2 = 1 + 2t: no axiom fails, so validation passes
+        coeffs = dict(fibonacci.coeffs)
+        coeffs[(1, 1, 1)] = 2
+        ring = GradedFusionRing.make("fib_2", fibonacci.simples, fibonacci.unit, fibonacci.dual, coeffs)
+        assert not _brute_violations(ring)
+        assert validate_ring(ring).passed
 
 
 class TestSectors:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus_build import symmetric_pointed
 from cyc_oracle import Cyc
 from gxcat.cohomology import TorsionCocycle, cohomology_group
 from gxcat.corpus import corpus_list, load_entry
@@ -21,7 +22,6 @@ from gxcat.pointed import (
     holomorphic_crossed,
     kirillov_S,
     pointed_deequivariantize,
-    symmetric_pointed,
     toric_code_pointed,
     _invertible_roots,
     twisted_double,

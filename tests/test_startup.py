@@ -133,3 +133,55 @@ def test_every_exported_name_resolves_and_is_listed():
     assert gxcat.fusion.pf_dims is gxcat.pf_dims
     with pytest.raises(AttributeError):
         gxcat.no_such_name
+
+
+# Records are plain classes: importing a layer generates no methods, so no
+# command loads dataclasses, and the commands that need no numpy (which
+# itself loads inspect) load no inspect either.
+def _every_module_loaded(tmp_path, args):
+    args = [str(CORPUS / a) if a.endswith(".json") else a for a in args]
+    exit_code, _, res = _run_cli(tmp_path, args)
+    return exit_code, set(json.loads((tmp_path / "modules.json").read_text())["modules"]), res
+
+
+_NUMPY_FREE_CASES = [
+    (["--help"], 0),
+    (["dims", "--help"], 0),
+    (["dims"], 2),
+    (["no-such-command"], 2),
+    (["double", "--group", "S3", "--format", "xml"], 2),
+    (["validate", "group_S3.json", "--format", "json"], 0),
+    (["validate", "ring_fibonacci.json", "--format", "json"], 0),
+    (["validate", "ring_ising_ising_swap.json", "--format", "json"], 0),
+    (["validate", "broken_ring.json", "--format", "json"], 1),
+    (["dims", "ring_ising.json", "--format", "json"], 0),
+    (["sectors", "ising_z2graded.json", "--format", "json"], 0),
+    (["picard", "ring_ising.json", "--format", "json"], 0),
+    (["obstruct", "ring_ising_ising_swap.json", "--g", "g", "--format", "json"], 0),
+    (["corpus", "--format", "json"], 0),
+]
+
+_ARRAY_CASES = [
+    (["validate", "cocycle_Z2_h3_0.json", "--format", "json"], 0),
+    (["cohomology", "--group", "Z2xZ2", "--k", "3", "--format", "json"], 0),
+    (["smatrix", "pointed_toric_code.json", "--format", "json"], 0),
+    (["double", "--group", "S3", "--trivial", "--format", "json"], 0),
+    (["double", "--group", "Z4", "--cocycle", "cocycle_Z4_h3_0.json", "--format", "json"], 0),
+    (["gauge", "ring_ising_ising_swap.json", "--format", "json"], 0),
+    (["enumerate", "--group", "Z2", "--N", "2", "--format", "json"], 0),
+]
+
+
+@pytest.mark.parametrize("args, code", _NUMPY_FREE_CASES + _ARRAY_CASES)
+def test_no_command_loads_dataclasses(tmp_path, args, code):
+    exit_code, modules, res = _every_module_loaded(tmp_path, args)
+    assert exit_code == code, res.stderr
+    assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("args, code", _NUMPY_FREE_CASES)
+def test_numpy_free_commands_load_no_inspect(tmp_path, args, code):
+    exit_code, modules, res = _every_module_loaded(tmp_path, args)
+    assert exit_code == code, res.stderr
+    assert "numpy" not in modules
+    assert "inspect" not in modules

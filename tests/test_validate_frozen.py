@@ -27,9 +27,9 @@ from unittest import mock
 
 import pytest
 
+from corpus_build import fibonacci_ring, ising_ring
 from gxcat import fusion
 from gxcat.corpus import corpus_dir
-from gxcat.corpus_build import fibonacci_ring, ising_ring
 from gxcat.exact import CertReal, QuadReal
 from gxcat.fusion import FusionError, GradedFusionRing, RingGAction, pf_dims, pointed_ring, validate_action
 from gxcat.groups import PRESETS, build_group, cyclic, product
