@@ -38,9 +38,9 @@ class CorpusError(RuntimeError):
 
 
 class Record:
-    """A result record: its fields are the names in ``_fields``, which its
+    """A record whose fields are the names in ``_fields``, which its
     ``__init__`` assigns.  Records of one class compare equal when the
-    tuples of their fields do; a mutable record has no hash.
+    tuples of their fields do.  A mutable (result) record has no hash.
     """
 
     _fields = ()
