@@ -5,13 +5,17 @@ tuple-and-dict implementation of ``TorsionCocycle`` (written with
 ``json.dump(snapshot(), fh, sort_keys=True)``).  The test recomputes it with
 the current code and requires equality, so the bar matrices, transgressions,
 validator issue lists (text, order and witnesses) and enumeration orbits do
-not move when the cochain layout does.
+not move when the cochain layout does.  The enumeration cases past the
+first three (Z1, Z2 at N = 8, Z3 at N = 6, Z2xZ2, the S3 cases and the
+relabeled and shuffled ones) were added later, computed by the tuple-state
+enumerator that preceded the state-array one.
 """
 
 import hashlib
 import itertools
 import json
 import pathlib
+import random
 
 import numpy as np
 
@@ -84,15 +88,46 @@ def _mutations():
     return out
 
 
+def _relabeled(name, seed):
+    """The preset ``name`` as an explicit table, its non-identity elements
+    renamed by a shuffle drawn from ``random.Random(seed)``."""
+    mul = build_group(name).mul
+    rest = list(range(1, len(mul)))
+    random.Random(seed).shuffle(rest)
+    p = [0, *rest]
+    table = [[0] * len(mul) for _ in mul]
+    for i, j in itertools.product(range(len(mul)), repeat=2):
+        table[p[i]][p[j]] = p[mul[i][j]]
+    return build_group({"name": name, "mul": table})
+
+
+def _enumeration_cases():
+    """(key, group, N, shuffle_seed).  Cyclic cases are keyed Z<order>/<N>;
+    the rest at the preset labels <name>/<N>; S3 and Z2xZ2 at N = 2 also
+    relabeled (seeds 0 and 2: S3 splits 2x16 at seed 0, and 4x8 at seed 2
+    and as preset) and S3 with a shuffled start order."""
+    cases = [(f"Z{order}/{n}", cyclic(order), n, None) for order, n in [(2, 4), (3, 3), (4, 2)]]
+    for name, n in [("Z1", 2), ("Z2", 8), ("Z3", 6), ("Z2xZ2", 2), ("S3", 2), ("S3", 3)]:
+        cases.append((f"{name}/{n}", build_group(name), n, None))
+    for name, seed in itertools.product(["S3", "Z2xZ2"], [0, 2]):
+        cases.append((f"{name}/2/relabel{seed}", _relabeled(name, seed), 2, None))
+    return cases + [("S3/2/shuffle1", build_group("S3"), 2, 1)]
+
+
 def _enumerations():
+    """Orbits in full; all_solutions in full up to 128 states, else as its
+    count and the sha256 of its JSON text."""
     out = {}
-    for order, n in [(2, 4), (3, 3), (4, 2)]:
-        orbits, sols = enumerate_holomorphic(cyclic(order), n)
-        out[f"Z{order}/{n}"] = {
+    for key, group, n, seed in _enumeration_cases():
+        orbits, sols = enumerate_holomorphic(group, n, shuffle_seed=seed)
+        states = [[list(a), [list(r) for r in b]] for a, b in sols]
+        if len(states) > 128:
+            states = {"count": len(states), "sha256": hashlib.sha256(json.dumps(states).encode()).hexdigest()}
+        out[key] = {
             "orbits": [{"assoc": [[*k, v] for k, v in o["representative"].assoc.values],
                         "braid": [list(r) for r in o["representative"].braid],
                         "size": o["size"]} for o in orbits],
-            "all_solutions": [[list(a), [list(r) for r in b]] for a, b in sols],
+            "all_solutions": states,
         }
     return out
 
@@ -136,3 +171,7 @@ def test_witnesses_and_states_are_plain_ints():
     orbits, sols = enumerate_holomorphic(cyclic(2), 4, shuffle_seed=1)
     _assert_plain(sols)
     _assert_plain([(o["representative"].assoc.values, o["representative"].braid) for o in orbits])
+    for _, group, n, seed in _enumeration_cases():
+        orbits, sols = enumerate_holomorphic(group, n, shuffle_seed=seed)
+        _assert_plain(sols)
+        _assert_plain([(o["representative"].assoc.values, o["representative"].braid, o["size"]) for o in orbits])
