@@ -271,11 +271,13 @@ def _invariant_associators(group, action, n):
     return vectors[:, labels]
 
 
-def _braid_tables(gamma, system, n, assocs):
-    """Yield, for each associator in turn, the sorted braid tables that solve the system with it."""
-    amat, labels, cells = system
-    o = gamma.order
-    flat = np.array([assoc.table.ravel() for assoc in assocs], dtype=np.int64).reshape(len(assocs), o**3).T
+def _braid_tables(gamma, system, n, vectors):
+    """Yield, for each associator in turn, the braid tables that solve the
+    system with it: an int64 array (tables, |Gamma|, |Gamma|) in lexicographic
+    order.  vectors: one associator per row, as TorsionCocycle.to_vector."""
+    (amat, labels, cells), o = system, gamma.order
+    inner = np.reshape(np.transpose(vectors), (o - 1,) * 3 + (len(vectors),))
+    flat = np.pad(inner, ((1, 0),) * 3 + ((0, 0),)).reshape(o**3, len(vectors))
     rhs = flat[cells[0]]  # one column per associator: three signed gathers, added in place
     rhs -= flat[cells[1]]
     rhs += flat[cells[2]]
@@ -284,7 +286,7 @@ def _braid_tables(gamma, system, n, assocs):
     for sols in snf.lattice_points(amat, n, rhs):
         tables = np.zeros((len(sols), o, o), dtype=np.int64)
         tables[:, 1:, 1:] = sols[:, labels].reshape(len(sols), o - 1, o - 1)
-        yield [tuple(map(tuple, table)) for table in tables.tolist()]
+        yield tables
 
 
 def _conjugation_action(g: FiniteGroup):
@@ -316,8 +318,8 @@ def holomorphic_crossed(group: FiniteGroup, omega: TorsionCocycle):
     while mult * omega.n <= N_CAP:
         n = mult * omega.n
         infl = omega.inflated(n)
-        (tables,) = _braid_tables(group, system, n, [infl])
-        if tables:
+        (tables,) = _braid_tables(group, system, n, infl.to_vector()[None])
+        if len(tables):
             data = PointedGXData.make(group, group, deg, action, n, infl, tables[0])
             rep = validate_pointed(data)
             if not rep.passed:
@@ -341,6 +343,12 @@ def _automorphisms(g: FiniteGroup):
     return perms
 
 
+def _void_rows(rows):
+    """One np.void per row of a uint8 array, in the rows' lexicographic order (width 0 reads as one 0 byte)."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.shape[1]}").ravel() if rows.shape[1] else np.zeros(len(rows), dtype="V1")
+
+
 def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
     """All holomorphic crossed pointed data on Gamma = G at root order n.
 
@@ -352,30 +360,25 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
     """
     if group.order > ENUM_GROUP_CAP or n > ENUM_N_CAP:
         raise ResourceLimit(f"enumeration guarded to |G| <= {ENUM_GROUP_CAP}, N <= {ENUM_N_CAP}")
-    action = _conjugation_action(group)
-    deg = tuple(group.elements())
-    o = group.order
+    action, deg = _conjugation_action(group), tuple(group.elements())
+    o, width3 = group.order, (group.order - 1) ** 3
 
-    assoc_vectors = list(map(tuple, _invariant_associators(group, action, n).tolist()))
-    assocs = [TorsionCocycle.from_vector(group, 3, n, avec) for avec in assoc_vectors]
-    system = _braid_system(group, deg, action)
-
-    # A state is flattened to its dense associator table followed by its
-    # braid table.  Identity slots of the associator are 0 in every state,
-    # so the order of these tuples is the order of (associator vector, braid).
-    states, keys = [], []
-    for avec, assoc, tables in zip(assoc_vectors, assocs, _braid_tables(group, system, n, assocs)):
-        for table in tables:
-            states.append((avec, table))
-            keys.append(tuple(np.concatenate([assoc.table.ravel(), np.ravel(table)]).tolist()))
-    if shuffle_seed is not None:
-        rng = np.random.default_rng(shuffle_seed)
-        keys = [keys[i] for i in rng.permutation(len(keys))]
-    key_set = set(keys)
+    # A state is one uint8 row (n <= 8): the associator on the non-unit
+    # cells of G^3, then the braid table on those of G^2.  The associator
+    # vectors and each one's braid tables come sorted, so the rows are in
+    # lexicographic order, the order of (associator, braid).
+    vectors = _invariant_associators(group, action, n)
+    solved = _braid_tables(group, _braid_system(group, deg, action), n, vectors)
+    braids, all_solutions = [], []
+    for avec, tables in zip(map(tuple, vectors.tolist()), solved):
+        braids.append(tables[:, 1:, 1:].reshape(len(tables), (o - 1) ** 2).astype(np.uint8))
+        all_solutions += [(avec, tuple(map(tuple, table))) for table in tables.tolist()]
+    states = np.hstack([np.repeat(vectors.astype(np.uint8), [len(b) for b in braids], axis=0), np.vstack(braids)])
+    count = len(states)
 
     # gauge moves: a 2-cochain lambda (tensorator scalars) shifts the
     # associator by +d(lambda) and the braid by lambda(^x y, x) - lambda(x, y),
-    # a translation of the flat state.  Only lambdas whose coboundary stays
+    # a translation of the state.  Only lambdas whose coboundary stays
     # conjugation-invariant act on the state set, so the generators are a
     # basis of that subgroup (for abelian G this is every 2-cochain): the
     # kernel of the rows dlambda(act_g(t)) - dlambda(t), one per g in G and
@@ -384,50 +387,46 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
     images = _cell_images(action, 3)
     moved = images != np.arange(images.shape[1])
     invariance = d2[images[moved]] - d2[np.nonzero(moved)[1]]
-    if len(invariance):
-        lam_gens, _ = snf.kernel_mod(invariance % n, n)
-    else:
-        lam_gens = np.eye(d2.shape[1], dtype=np.int64)
-    by = np.asarray(action)[np.asarray(deg)]
-    shifts = []
-    for vec in lam_gens.T:
-        lam = TorsionCocycle.from_vector(group, 2, n, vec)
-        braid_shift = lam.table[by, np.arange(o)[:, None]] - lam.table
-        shifts.append(np.concatenate([coboundary(lam).table.ravel(), braid_shift.ravel()]))
-    shifts = np.array(shifts, dtype=np.int64).reshape(-1, o**3 + o**2)
+    lam_gens = snf.kernel_mod(invariance % n, n)[0] if len(invariance) else np.eye(d2.shape[1], dtype=np.int64)
+    lam = np.pad(lam_gens.T.reshape(lam_gens.shape[1], o - 1, o - 1), ((0, 0), (1, 0), (1, 0)))
+    braid_shift = lam[:, np.asarray(action)[np.asarray(deg)], np.arange(o)[:, None]] - lam
+    shifts = np.hstack([(d2 @ lam_gens).T, braid_shift[:, 1:, 1:].reshape(len(lam), (o - 1) ** 2)]) % n
     # relabeling by psi moves the value at cell t to cell psi(t)
-    perms = []
-    for psi in _automorphisms(group):
-        inv = np.argsort(psi)
-        perms.append(np.concatenate([
-            np.arange(o**3).reshape(o, o, o)[np.ix_(inv, inv, inv)].ravel(),
-            o**3 + np.arange(o**2).reshape(o, o)[np.ix_(inv, inv)].ravel(),
-        ]))
-    perms = np.array(perms)
+    inverses = np.argsort(_automorphisms(group), axis=1)
+    perms = np.hstack([_cell_images(inverses, 3), width3 + _cell_images(inverses, 2)])
 
-    seen = set()
+    # adj[j, i]: the state that move j takes state i to, or count when it
+    # leaves the solution set: one translation or gather over all rows per
+    # move, then one sorted lookup
+    keys = _void_rows(states)
+    adj = np.empty((len(shifts) + len(perms), count), dtype=np.int32)
+    for j, move in enumerate([*shifts.astype(np.uint8), *perms]):
+        found = _void_rows((states + move) % n if j < len(shifts) else states[:, move])
+        at = np.minimum(np.searchsorted(keys, found), count - 1)
+        adj[j] = np.where(keys[at] == found, at, count)
+
+    # an orbit is every state reachable from its start inside the solution
+    # set, closed one layer at a time; a state may lie in several orbits
+    order = np.arange(count) if shuffle_seed is None else np.random.default_rng(shuffle_seed).permutation(count)
+    mark = np.zeros(count + 1, dtype=np.int32)  # the last orbit to reach each state (0: none; count: outside)
     orbits = []
-    for st in keys:
-        if st in seen:
+    for start in order.tolist():
+        if mark[start]:
             continue
-        frontier = [st]
-        members = {st}
-        seen.add(st)
-        while frontier:
-            cur = np.array(frontier.pop(), dtype=np.int64)
-            for nb in map(tuple, np.vstack([(cur + shifts) % n, cur[perms]]).tolist()):
-                if nb in key_set and nb not in members:
-                    members.add(nb)
-                    seen.add(nb)
-                    frontier.append(nb)
-        rep = np.array(min(members), dtype=np.int64)
-        assoc = TorsionCocycle.from_table(group, 3, n, rep[: o**3].reshape(o, o, o))
-        data = PointedGXData.make(group, group, deg, action, n, assoc, rep[o**3 :].reshape(o, o))
+        k = len(orbits) + 1
+        mark[[start, count]] = k
+        layer, least, size = np.array([start]), start, 0
+        while len(layer):
+            least, size = min(least, int(layer[0])), size + len(layer)
+            step = np.sort(adj[:, layer], axis=None)
+            layer = step[(mark[step] != k) & np.append(True, step[1:] != step[:-1])]
+            mark[layer] = k
+        assoc = TorsionCocycle.from_vector(group, 3, n, states[least, :width3])
+        data = PointedGXData.make(group, group, deg, action, n, assoc, np.pad(states[least, width3:].reshape(o - 1, o - 1), (1, 0)))
         check = validate_pointed(data)
         if not check.passed:
             raise InvariantError(f"enumerated representative failed validation: {check.issues[:1]}")
-        orbits.append({"representative": data, "size": len(members)})
-    all_solutions = sorted(states)
+        orbits.append({"representative": data, "size": size})
     orbits.sort(key=lambda o: (o["representative"].assoc.values, o["representative"].braid))
     return orbits, all_solutions
 
@@ -510,9 +509,10 @@ def pointed_deequivariantize(data: PointedGXData, subgroup_elems):
         if deg2[c1] == 0 or deg2[c2] == 0:
             pins_mono[(c1, c2)] = data.monodromy(section[c1], section[c2]) % n
 
-    assocs = [TorsionCocycle.from_vector(gamma2, 3, n, avec) for avec in _invariant_associators(gamma2, action2, n)]
+    vectors = _invariant_associators(gamma2, action2, n)
     system = _braid_system(gamma2, deg2, action2)
-    for assoc2, tables in zip(assocs, _braid_tables(gamma2, system, n, assocs)):
+    for avec, tables in zip(vectors, _braid_tables(gamma2, system, n, vectors)):
+        assoc2 = TorsionCocycle.from_vector(gamma2, 3, n, avec)
         for table in tables:
             cand = PointedGXData.make(gamma2, g2, deg2, action2, n, assoc2, table)
             if any(cand.twist(c) != v for c, v in pins_twist.items()):

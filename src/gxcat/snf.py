@@ -159,7 +159,9 @@ def snf_mod(a, m, rhs=None):
         raise ValueError(f"modulus {m} outside 1..2**31-1: products of residues must fit in int64")
     a = _balanced(_as_int_matrix(a), m)
     rows, cols = a.shape
-    c = _balanced(np.zeros((rows, 0), dtype=np.int64) if rhs is None else _as_int_matrix(rhs), m)
+    c = np.zeros((rows, 0), dtype=np.int64) if rhs is None else _as_int_matrix(rhs)
+    for part in _blocks(c):
+        c[:, part] = _balanced(c[:, part], m)
     q = np.eye(cols, dtype=np.int64)
     keys = _row_keys(a)
     diag = []
@@ -181,7 +183,7 @@ def snf_mod(a, m, rhs=None):
                 f = (a[hit, t] * p)[:, None]
                 block = np.ix_(hit, support)
                 a[block] = _balanced(a[block] - f * a[t, support], m)
-                c[hit] = _balanced(c[hit] - f * c[t], m)
+                _row_step(c, hit, f, t, m)
                 keys[hit] = _row_keys(a[hit, t + 1:])
             support = support[1:]
             if len(support):
@@ -205,7 +207,19 @@ def snf_mod(a, m, rhs=None):
             ui = modinv(_unit_for(d, g, m), m)
             a[t], c[t] = _balanced(a[t] * ui, m), _balanced(c[t] * ui, m)
         diag.append(g)
-    return diag, q % m, c % m
+    return diag, q % m, np.remainder(c, m, out=c)
+
+
+def _blocks(c):
+    """Column slices of c, at most 1024 wide: a row step on a wide right-hand
+    side then needs temporaries of one block, not of its full width."""
+    return [slice(j, j + 1024) for j in range(0, c.shape[1], 1024)]
+
+
+def _row_step(c, hit, f, t, m):
+    """c[hit] -= f * c[t] (mod m, balanced), in place, a block of columns at a time."""
+    for part in _blocks(c):
+        c[hit, part] = _balanced(c[hit, part] - f * c[t, part], m)
 
 
 def _swap(a, c, i, j):
@@ -232,12 +246,12 @@ def _clear(a, c, t, m):
         if len(hit):
             f = (a[hit, t] // a[t, t])[:, None]
             a[hit, t:] = _balanced(a[hit, t:] - f * a[t, t:], m)
-            c[hit] = _balanced(c[hit] - f * c[t], m)
+            _row_step(c, hit, f, t, m)
         if end == len(a):
             break
         f = a[end, t] // a[t, t]
         a[end, t:] = _balanced(a[end, t:] - f * a[t, t:], m)
-        c[end] = _balanced(c[end] - f * c[t], m)
+        _row_step(c, end, f, t, m)
         _swap(a, c, t, end)
         swapped = True
         i = end + 1

@@ -410,7 +410,7 @@ class TestEnumerate:
             for v2 in range(3):
                 lam = TorsionCocycle.make(z3, 2, 3, {(1, 1): v1, (2, 2): v2})
                 assoc = coboundary(lam)
-                for tab in next(_braid_tables(z3, system, 3, [assoc])):
+                for tab in next(_braid_tables(z3, system, 3, assoc.to_vector()[None])):
                     d = PointedGXData.make(z3, cyclic(1), (0, 0, 0), (tuple(range(3)),), 3, assoc, tab)
                     assert validate_pointed(d).passed
 
