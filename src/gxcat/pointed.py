@@ -398,12 +398,12 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
     # adj[j, i]: the state that move j takes state i to, or count when it
     # leaves the solution set: one translation or gather over all rows per
     # move, then one sorted lookup
-    keys = _void_rows(states)
+    index = _void_rows(states)
+    targets = itertools.chain(((states + s) % n for s in shifts.astype(np.uint8)), (states[:, p] for p in perms))
     adj = np.empty((len(shifts) + len(perms), count), dtype=np.int32)
-    for j, move in enumerate([*shifts.astype(np.uint8), *perms]):
-        found = _void_rows((states + move) % n if j < len(shifts) else states[:, move])
-        at = np.minimum(np.searchsorted(keys, found), count - 1)
-        adj[j] = np.where(keys[at] == found, at, count)
+    for j, found in enumerate(map(_void_rows, targets)):
+        at = np.minimum(np.searchsorted(index, found), count - 1)
+        adj[j] = np.where(index[at] == found, at, count)
 
     # an orbit is every state reachable from its start inside the solution
     # set, closed one layer at a time; a state may lie in several orbits
