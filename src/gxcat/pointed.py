@@ -376,15 +376,13 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
     states = np.hstack([np.repeat(vectors.astype(np.uint8), [len(b) for b in braids], axis=0), np.vstack(braids)])
     count = len(states)
 
-    # gauge moves: a 2-cochain lambda (tensorator scalars) shifts the
-    # associator by +d(lambda) and the braid by lambda(^x y, x) - lambda(x, y),
-    # a translation of the state.  Only lambdas whose coboundary stays
-    # conjugation-invariant act on the state set, so the generators are a
-    # basis of that subgroup (for abelian G this is every 2-cochain): the
-    # kernel of the rows dlambda(act_g(t)) - dlambda(t), one per g in G and
-    # non-unit cell t that g moves, in that order.
-    d2 = bar_matrix(group, 2)
-    images = _cell_images(action, 3)
+    # gauge moves: a 2-cochain lambda (tensorator scalars) shifts the associator
+    # by +d(lambda) and the braid by lambda(^x y, x) - lambda(x, y), a translation
+    # of the state.  Only lambdas with a conjugation-invariant coboundary act on
+    # the states, so the generators are a basis of that subgroup (every 2-cochain
+    # for abelian G): the kernel of the rows dlambda(act_g(t)) - dlambda(t), one
+    # per g in G and non-unit cell t that g moves, in that order.
+    d2, images = bar_matrix(group, 2), _cell_images(action, 3)
     moved = images != np.arange(images.shape[1])
     invariance = d2[images[moved]] - d2[np.nonzero(moved)[1]]
     lam_gens = snf.kernel_mod(invariance % n, n)[0] if len(invariance) else np.eye(d2.shape[1], dtype=np.int64)
@@ -409,7 +407,7 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
     # set, closed one layer at a time; a state may lie in several orbits
     order = np.arange(count) if shuffle_seed is None else np.random.default_rng(shuffle_seed).permutation(count)
     mark = np.zeros(count + 1, dtype=np.int32)  # the last orbit to reach each state (0: none; count: outside)
-    orbits = []
+    slot, orbits = np.zeros(count + 1, dtype=np.int64), []
     for start in order.tolist():
         if mark[start]:
             continue
@@ -417,9 +415,11 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
         mark[[start, count]] = k
         layer, least, size = np.array([start]), start, 0
         while len(layer):
-            least, size = min(least, int(layer[0])), size + len(layer)
-            step = np.sort(adj[:, layer], axis=None)
-            layer = step[(mark[step] != k) & np.append(True, step[1:] != step[:-1])]
+            least, size = min(least, int(layer.min())), size + len(layer)
+            step = adj[:, layer].ravel()
+            pos = np.arange(len(step))
+            slot[step] = pos  # one position per state survives, so the next layer holds each state once
+            layer = step[(slot[step] == pos) & (mark[step] != k)]
             mark[layer] = k
         assoc = TorsionCocycle.from_vector(group, 3, n, states[least, :width3])
         data = PointedGXData.make(group, group, deg, action, n, assoc, np.pad(states[least, width3:].reshape(o - 1, o - 1), (1, 0)))
