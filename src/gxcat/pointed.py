@@ -406,7 +406,7 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
     # an orbit is every state reachable from its start inside the solution
     # set, closed one layer at a time; a state may lie in several orbits
     order = np.arange(count) if shuffle_seed is None else np.random.default_rng(shuffle_seed).permutation(count)
-    mark = np.zeros(count + 1, dtype=np.int32)  # the last orbit to reach each state (0: none; count: outside)
+    mark = np.zeros(count + 1, dtype=np.int32)  # last orbit to reach each state, 0 if none; index count: outside
     slot, orbits = np.zeros(count + 1, dtype=np.int64), []
     for start in order.tolist():
         if mark[start]:
