@@ -454,7 +454,7 @@ def _lattice_irreps(h, alpha):
     r = h if len(radical) == h.order else subgroup(h, radical.tolist())[0]
     inner = radical[1:]
     rhs = (m // n) * a[np.ix_(inner, inner)].reshape(-1, 1)
-    sols = next(lattice_points(bar_matrix(r, 1), m, rhs))
+    _, sols = lattice_points(bar_matrix(r, 1), m, rhs)
     if len(sols) != len(radical):
         raise InvariantError(f"{h.name}: {len(sols)} characters on the radical, not {len(radical)}")
     phis = np.hstack([np.zeros((len(sols), 1), dtype=np.int64), sols])  # phi(e) = 0

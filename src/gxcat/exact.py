@@ -180,10 +180,6 @@ class QuadReal:
     def to_cert(self):
         return CertReal(float(self), abs(float(self)) * 1e-15 + 1e-300)
 
-    @property
-    def is_rational(self):
-        return self.b == 0
-
     def to_json(self):
         den = self.a.denominator
         den = den * self.b.denominator // math.gcd(den, self.b.denominator)
@@ -251,10 +247,6 @@ class CertReal:
 
     def to_cert(self):
         return self
-
-    @property
-    def is_rational(self):
-        return False
 
     def to_json(self):
         return {"value": self.value, "err": self.err, "exact": False}

@@ -117,9 +117,6 @@ class GradedFusionRing(FrozenRecord):
             n[i, j, k] = v
         return n
 
-    def n(self, i, j, k):
-        return dict(self.coeffs).get((i, j, k), 0)
-
     def label(self, i):
         return self.simples[i]
 
@@ -133,9 +130,6 @@ class RingGAction(FrozenRecord):
     def __init__(self, group, perms):
         # perms: per group element, tuple permutation of simple indices
         self.__dict__.update(group=group, perms=perms)
-
-    def apply(self, g, i):
-        return self.perms[g][i]
 
 
 def trivial_action(ring: GradedFusionRing, group=None):

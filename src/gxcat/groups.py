@@ -402,7 +402,7 @@ def abelian_characters(g, n):
     exp = math.lcm(*orders)
     if n % exp != 0:
         raise GroupError(f"N={n} must be a multiple of the abelianization exponent {exp}")
-    (points,) = lattice_points(d1, n, np.zeros((len(d1), 1), dtype=np.int64))
+    _, points = lattice_points(d1, n, np.zeros((len(d1), 1), dtype=np.int64))
     if len(points) != math.prod(orders):
         raise InvariantError("character count must equal |G_ab|")
     return [LinearCharacter((0, *p), n) for p in points.tolist()]

@@ -267,14 +267,14 @@ def _invariant_associators(group, action, n):
     mapped back to the cells as y[labels]; the map keeps lexicographic order."""
     labels, reps = orbit_labels(_cell_images(action, 3))
     d3 = bar_matrix(group, 3) @ np.eye(len(reps), dtype=np.int64)[labels]
-    (vectors,) = snf.lattice_points(d3, n, np.zeros((len(d3), 1), dtype=np.int64))
+    _, vectors = snf.lattice_points(d3, n, np.zeros((len(d3), 1), dtype=np.int64))
     return vectors[:, labels]
 
 
 def _braid_tables(gamma, system, n, vectors):
-    """Yield, for each associator in turn, the braid tables that solve the
-    system with it: an int64 array (tables, |Gamma|, |Gamma|) in lexicographic
-    order.  vectors: one associator per row, as TorsionCocycle.to_vector."""
+    """(counts, tables): counts[i] braid tables solve the system with the
+    associator vectors[i] (a TorsionCocycle.to_vector), and tables, int64
+    (tables, |Gamma|, |Gamma|), holds them by associator, each lexicographic."""
     (amat, labels, cells), o = system, gamma.order
     inner = np.reshape(np.transpose(vectors), (o - 1,) * 3 + (len(vectors),))
     flat = np.pad(inner, ((1, 0),) * 3 + ((0, 0),)).reshape(o**3, len(vectors))
@@ -283,10 +283,10 @@ def _braid_tables(gamma, system, n, vectors):
     rhs += flat[cells[2]]
     rhs %= n
     del flat  # the solve below is the peak of the run; it need not hold the tables
-    for sols in snf.lattice_points(amat, n, rhs):
-        tables = np.zeros((len(sols), o, o), dtype=np.int64)
-        tables[:, 1:, 1:] = sols[:, labels].reshape(len(sols), o - 1, o - 1)
-        yield tables
+    counts, sols = snf.lattice_points(amat, n, rhs)
+    tables = np.zeros((len(sols), o, o), dtype=np.int64)
+    tables[:, 1:, 1:] = sols[:, labels].reshape(len(sols), o - 1, o - 1)
+    return counts, tables
 
 
 def _conjugation_action(g: FiniteGroup):
@@ -318,7 +318,7 @@ def holomorphic_crossed(group: FiniteGroup, omega: TorsionCocycle):
     while mult * omega.n <= N_CAP:
         n = mult * omega.n
         infl = omega.inflated(n)
-        (tables,) = _braid_tables(group, system, n, infl.to_vector()[None])
+        _, tables = _braid_tables(group, system, n, infl.to_vector()[None])
         if len(tables):
             data = PointedGXData.make(group, group, deg, action, n, infl, tables[0])
             rep = validate_pointed(data)
@@ -352,28 +352,26 @@ def _void_rows(rows):
 def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
     """All holomorphic crossed pointed data on Gamma = G at root order n.
 
-    Returns (orbits, all_solutions): orbits is a list of dicts with a
+    Returns (orbits, states): orbits is a list of dicts with a
     representative PointedGXData and the orbit size, under the equivalence
     generated by associator coboundary shifts (with the induced braid
     adjustment) and relabelings through Aut(G); this relation is a package
-    choice, and all_solutions is the raw pre-quotient list.
+    choice.  states is every solution before the quotient, one uint8 row
+    each: the associator on the non-unit cells of G^3, then the braid table
+    on those of G^2, rows in lexicographic order.
     """
     if group.order > ENUM_GROUP_CAP or n > ENUM_N_CAP:
         raise ResourceLimit(f"enumeration guarded to |G| <= {ENUM_GROUP_CAP}, N <= {ENUM_N_CAP}")
     action, deg = _conjugation_action(group), tuple(group.elements())
     o, width3 = group.order, (group.order - 1) ** 3
 
-    # A state is one uint8 row (n <= 8): the associator on the non-unit
-    # cells of G^3, then the braid table on those of G^2.  The associator
-    # vectors and each one's braid tables come sorted, so the rows are in
-    # lexicographic order, the order of (associator, braid).
+    # The states fit uint8 (n <= 8).  The associator vectors and each one's
+    # braid tables come sorted, so the rows are in lexicographic order, the
+    # order of (associator, braid).
     vectors = _invariant_associators(group, action, n)
-    solved = _braid_tables(group, _braid_system(group, deg, action), n, vectors)
-    braids, all_solutions = [], []
-    for avec, tables in zip(map(tuple, vectors.tolist()), solved):
-        braids.append(tables[:, 1:, 1:].reshape(len(tables), (o - 1) ** 2).astype(np.uint8))
-        all_solutions += [(avec, tuple(map(tuple, table))) for table in tables.tolist()]
-    states = np.hstack([np.repeat(vectors.astype(np.uint8), [len(b) for b in braids], axis=0), np.vstack(braids)])
+    counts, tables = _braid_tables(group, _braid_system(group, deg, action), n, vectors)
+    braids = tables[:, 1:, 1:].reshape(len(tables), (o - 1) ** 2).astype(np.uint8)
+    states = np.hstack([np.repeat(vectors.astype(np.uint8), counts, axis=0), braids])
     count = len(states)
 
     # gauge moves: a 2-cochain lambda (tensorator scalars) shifts the associator
@@ -428,7 +426,7 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
             raise InvariantError(f"enumerated representative failed validation: {check.issues[:1]}")
         orbits.append({"representative": data, "size": size})
     orbits.sort(key=lambda o: (o["representative"].assoc.values, o["representative"].braid))
-    return orbits, all_solutions
+    return orbits, states
 
 
 # ---------------------------------------------------------------------------
@@ -498,32 +496,26 @@ def pointed_deequivariantize(data: PointedGXData, subgroup_elems):
 
     action2 = tuple(tuple(range(gamma2.order)) for _ in range(g2.order))
 
-    # pin gauge-invariant scalars: twists of degree-zero cosets and
-    # monodromies of pairs with at least one degree-zero member
-    pins_twist = {}
-    pins_mono = {}
-    for c in range(gamma2.order):
-        if deg2[c] == 0:
-            pins_twist[c] = data.twist(section[c]) % n
-    for c1, c2 in itertools.product(range(gamma2.order), repeat=2):
-        if deg2[c1] == 0 or deg2[c2] == 0:
-            pins_mono[(c1, c2)] = data.monodromy(section[c1], section[c2]) % n
-
+    # pin gauge-invariant scalars over all candidate tables: twists of
+    # degree-zero cosets and monodromies of pairs with at least one
+    # degree-zero member.  Both actions are trivial, so a twist is the
+    # diagonal of the braid table b and the monodromies are b + b^T.
     vectors = _invariant_associators(gamma2, action2, n)
-    system = _braid_system(gamma2, deg2, action2)
-    for avec, tables in zip(vectors, _braid_tables(gamma2, system, n, vectors)):
-        assoc2 = TorsionCocycle.from_vector(gamma2, 3, n, avec)
-        for table in tables:
-            cand = PointedGXData.make(gamma2, g2, deg2, action2, n, assoc2, table)
-            if any(cand.twist(c) != v for c, v in pins_twist.items()):
-                continue
-            if any(cand.monodromy(c1, c2) != v for (c1, c2), v in pins_mono.items()):
-                continue
-            rep = validate_pointed(cand)
-            if not rep.passed:
-                raise InvariantError(f"descended data failed validation: {rep.issues[:1]}")
-            return cand
-    raise ValueError("no descended braiding found (internal consistency error)")
+    counts, tables = _braid_tables(gamma2, _braid_system(gamma2, deg2, action2), n, vectors)
+    zero = np.asarray(deg2) == 0
+    pair = zero[:, None] | zero
+    b = np.asarray(data.braid)[np.ix_(section, section)]
+    fits = (np.diagonal(tables, axis1=1, axis2=2)[:, zero] == np.diag(b)[zero]).all(axis=1)
+    fits &= (((tables + tables.transpose(0, 2, 1)) % n)[:, pair] == ((b + b.T) % n)[pair]).all(axis=1)
+    if not fits.any():
+        raise ValueError("no descended braiding found (internal consistency error)")
+    least = int(np.argmax(fits))  # candidates run in the order of (associator, braid table)
+    assoc2 = TorsionCocycle.from_vector(gamma2, 3, n, np.repeat(vectors, counts, axis=0)[least])
+    cand = PointedGXData.make(gamma2, g2, deg2, action2, n, assoc2, tables[least])
+    rep = validate_pointed(cand)
+    if not rep.passed:
+        raise InvariantError(f"descended data failed validation: {rep.issues[:1]}")
+    return cand
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ Smith form over Z on balanced residues, returns the column transform and
 applies its row steps to any right-hand sides it is given.  Cohomology
 reads integer invariants off it with m a large multiple of |G|; the braid
 solver and the enumerator call it through solution_lattice with m = N, and
-lattice_points lists every point of a small solution coset (the invariant
-associators, the braid tables, the characters of a group).
+lattice_points lists every point of the small solution cosets of all
+right-hand sides in one array (the invariant associators, the braid tables,
+the characters of a group).
 rref_fp and rref are Gauss-Jordan over F_p (int64 arrays) and over Q
 (lists of Fraction entries, for gauging's dimension solves).
 """
@@ -293,18 +294,25 @@ def solution_lattice(a, n, b):
 
 
 def lattice_points(a, n, rhs):
-    """Yield, for each column of rhs in turn, every solution x of
-    a @ x == rhs[:, j] (mod n): an int64 array with one solution per row,
-    rows in lexicographic order.  ResourceLimit when a solvable column has
-    more than ENUM_STATE_CAP solutions."""
+    """Every solution x of a @ x == rhs[:, j] (mod n), for all columns j of
+    rhs at once.  Returns (counts, points): counts[j] is 0 or the size of
+    column j's coset, and points is int64 with one solution per row, the
+    cosets in column order, each in lexicographic order.  ResourceLimit
+    when a solvable column has more than ENUM_STATE_CAP solutions."""
     parts, gens, orders = solution_lattice(a, n, rhs)
+    solved = [part for part in parts if part is not None]
     total = math.prod(orders)
-    if total > ENUM_STATE_CAP and any(part is not None for part in parts):
+    if total > ENUM_STATE_CAP and solved:
         raise ResourceLimit(f"solution lattice has {total} points, over the enumeration cap")
-    offsets = gens @ np.indices(orders).reshape(len(orders), total) if total <= ENUM_STATE_CAP else None
-    for part in parts:
-        sols = [] if part is None else sorted(set(map(tuple, ((part[:, None] + offsets) % n).T.tolist())))
-        yield np.array(sols, dtype=np.int64).reshape(len(sols), np.shape(a)[1])
+    counts = np.array([0 if part is None else total for part in parts], dtype=np.int64)
+    if not solved:
+        return counts, np.zeros((0, np.shape(a)[1]), dtype=np.int64)
+    points = (np.array(solved)[:, None] + (gens @ np.indices(orders).reshape(len(orders), total)).T) % n
+    if total > 1:  # a lone point needs no sort (at width 0 lexsort would get no keys)
+        # a coset wraps mod n, so each is sorted on its own
+        order = np.lexsort(points.transpose(2, 0, 1)[::-1], axis=-1)
+        points = np.take_along_axis(points, order[..., None], axis=1)
+    return counts, points.reshape(len(solved) * total, np.shape(a)[1])
 
 
 def solve_mod(a, n, b):

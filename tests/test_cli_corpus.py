@@ -344,6 +344,12 @@ class TestCliContracts:
         assert f"argument --N: N must be a positive integer, not {n}" in res.stderr
         assert res.stdout == ""
 
+    def test_negative_seed_is_a_usage_error(self):
+        res = run_cli(["enumerate", "--group", "Z2", "--N", "2", "--seed", "-1", "--format", "json"])
+        assert res.exit_code == 2, res.output
+        assert "argument --seed: seed must be a non-negative integer, not -1" in res.stderr
+        assert res.stdout == ""
+
     def test_resource_guard_exits_3(self):
         res = run_cli(["cohomology", "--group", "S4", "--k", "4"])
         assert res.exit_code == 3

@@ -117,13 +117,22 @@ def _enumeration_cases():
     return cases + [("S3/2/shuffle1", build_group("S3"), 2, 1)]
 
 
+def _solutions(group, states):
+    """The state rows as the [associator vector, braid table] pairs that the
+    enumerator once returned: the associator on the non-unit cells of G^3,
+    and the braid table with its unit row and column put back."""
+    o = group.order
+    braids = np.pad(states[:, (o - 1) ** 3:].reshape(len(states), o - 1, o - 1), ((0, 0), (1, 0), (1, 0)))
+    return [[a, b] for a, b in zip(states[:, :(o - 1) ** 3].tolist(), braids.tolist())]
+
+
 def _enumerations():
     """Orbits in full; all_solutions in full up to 128 states, else as its
     count and the sha256 of its JSON text."""
     out = {}
     for key, group, n, seed in _enumeration_cases():
-        orbits, sols = enumerate_holomorphic(group, n, shuffle_seed=seed)
-        states = [[list(a), [list(r) for r in b]] for a, b in sols]
+        orbits, states = enumerate_holomorphic(group, n, shuffle_seed=seed)
+        states = _solutions(group, states)
         if len(states) > 128:
             states = {"count": len(states), "sha256": hashlib.sha256(json.dumps(states).encode()).hexdigest()}
         out[key] = {
@@ -166,15 +175,18 @@ def test_matches_frozen_cochain_outputs():
 
 
 def test_witnesses_and_states_are_plain_ints():
+    """Witnesses and orbit representatives hold builtin ints; the states are
+    one uint8 array, one row per state of the associator's and the braid
+    table's non-unit cells, rows strictly increasing."""
     data = toric_code_pointed()
     braid = [list(r) for r in data.braid]
     braid[2][1] ^= 1
     bent = PointedGXData.make(data.gamma, data.group, data.deg, data.action, data.n, data.assoc, braid)
     _assert_plain(validate_pointed(bent).issues)
-    orbits, sols = enumerate_holomorphic(cyclic(2), 4, shuffle_seed=1)
-    _assert_plain(sols)
-    _assert_plain([(o["representative"].assoc.values, o["representative"].braid) for o in orbits])
-    for _, group, n, seed in _enumeration_cases():
-        orbits, sols = enumerate_holomorphic(group, n, shuffle_seed=seed)
-        _assert_plain(sols)
+    for _, group, n, seed in [("Z2/4/shuffle1", cyclic(2), 4, 1), *_enumeration_cases()]:
+        orbits, states = enumerate_holomorphic(group, n, shuffle_seed=seed)
+        assert states.dtype == np.uint8 and states.ndim == 2
+        assert states.shape[1] == (group.order - 1) ** 3 + (group.order - 1) ** 2
+        rows = list(map(tuple, states.tolist()))
+        assert rows == sorted(set(rows))
         _assert_plain([(o["representative"].assoc.values, o["representative"].braid, o["size"]) for o in orbits])

@@ -86,8 +86,9 @@ def test_orbit_solver_matches_dense_solver(case):
     assocs = associators(g, action, n)
     want = list(dense_braid_tables(g, dense_braid_system(g, g, deg, action), n, assocs))
     vectors = np.array([assoc.to_vector() for assoc in assocs])
-    got = _braid_tables(g, _braid_system(g, deg, action), n, vectors)
-    assert [[tuple(map(tuple, table)) for table in tables.tolist()] for tables in got] == want
+    counts, tables = _braid_tables(g, _braid_system(g, deg, action), n, vectors)
+    got = np.split(tables, np.cumsum(counts)[:-1])
+    assert [[tuple(map(tuple, table)) for table in part.tolist()] for part in got] == want
 
 
 def dense_holomorphic_crossed(group, omega):
@@ -130,5 +131,5 @@ def test_trivial_group_has_no_orbit_cells():
     g = build_group("Z1")
     labels, reps = orbit_labels(_cell_images(_conjugation_action(g), 2))
     assert len(labels) == 0 and len(reps) == 0
-    (tables,) = _braid_tables(g, _braid_system(g, (0,), ((0,),)), 2, TorsionCocycle.make(g, 3, 2, {}).to_vector()[None])
-    assert tables.tolist() == [[[0]]]
+    counts, tables = _braid_tables(g, _braid_system(g, (0,), ((0,),)), 2, TorsionCocycle.make(g, 3, 2, {}).to_vector()[None])
+    assert counts.tolist() == [1] and tables.tolist() == [[[0]]]

@@ -113,13 +113,28 @@ def test_orbit_labels_give_the_relabeled_partition(case):
     assert cosets == sorted(tuple(sorted(p[x] for x in c)) for c in old)
 
 
+def brute_lattice_points(a, n, rhs):
+    """(counts, points) as lattice_points lists them, by trying every x in
+    (Z/n)^width for each column of rhs in turn."""
+    cosets = [[list(x) for x in np.ndindex((n,) * a.shape[1]) if not ((a @ np.array(x, dtype=np.int64) - r) % n).any()]
+              for r in rhs.T]
+    return [len(c) for c in cosets], [x for c in cosets for x in c]
+
+
 def test_lattice_points_lists_each_coset_in_order():
-    a = np.array([[1, 1, 0], [0, 2, 2]])
-    got = list(lattice_points(a, 4, np.array([[0, 1], [0, 1]])))
-    want = [sorted(x for x in np.ndindex(4, 4, 4) if not ((a @ x - r) % 4).any()) for r in ([0, 0], [1, 1])]
-    assert [sols.tolist() for sols in got] == [list(map(list, w)) for w in want]
+    cases = [
+        ([[1, 1, 0], [0, 2, 2]], 4, [[0, 1, 1], [0, 1, 2]]),  # the middle column is unsolvable
+        ([[1, -1]], 5, [[3, 0]]),  # x0 - x1 = 3 wraps: (3, 0) + k (1, 1) is not in lexicographic order
+        (np.zeros((2, 0), dtype=np.int64), 3, [[0, 1], [0, 0]]),  # zero width: one empty point, or none
+        ([[2, 2]], 4, [[1, 3]]),  # no column is solvable
+    ]
+    for a, n, rhs in cases:
+        a, rhs = np.array(a, dtype=np.int64), np.array(rhs, dtype=np.int64)
+        counts, points = lattice_points(a, n, rhs)
+        assert points.dtype == np.int64 and points.shape == (sum(counts), a.shape[1])
+        assert (counts.tolist(), points.tolist()) == brute_lattice_points(a, n, rhs)
     with pytest.raises(ResourceLimit, match="over the enumeration cap"):
-        next(lattice_points(np.zeros((1, 17), dtype=np.int64), 2, np.zeros((1, 1), dtype=np.int64)))
+        lattice_points(np.zeros((1, 17), dtype=np.int64), 2, np.zeros((1, 1), dtype=np.int64))
     assert 2**17 > ENUM_STATE_CAP
 
 
