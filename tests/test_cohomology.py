@@ -238,6 +238,22 @@ class TestTransgression:
             tau, cent, _ = transgress(rep, g_elem)
             assert is_cocycle(tau)[0]
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(("S3", "Z2xZ2", "D4", "Q8", "Z4")), st.data())
+    def test_cohomologous_inputs_give_cohomologous_outputs(self, name, data):
+        # tau_a(omega + d beta) - tau_a(omega) is exact on C(a), for every a
+        g = build_group(name)
+        omega = TorsionCocycle.make(g, 3, g.order, {})
+        for rep in cohomology_group(g, 3, g.order).representatives:
+            omega = omega + rep.scaled(data.draw(st.integers(0, g.order - 1)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shifted = omega + coboundary(random_cochain(g, 2, g.order, rng))
+        for a in g.elements():
+            tau, cent, _ = transgress(omega, a)
+            moved, moved_cent, _ = transgress(shifted, a)
+            assert moved_cent == cent
+            assert is_coboundary(moved + tau.scaled(-1))
+
 
 class TestCocycleType:
     def test_normalization_enforced(self):
