@@ -11,9 +11,14 @@ argwhere is the lexicographically least witness.  The simplicial coboundary
         + sum_i (-1)^i c(g1,...,g_i g_{i+1},...,g_{k+1})
         + (-1)^{k+1} c(g1,...,g_k)
 
-is evaluated on every (k+1)-tuple at once through the flat indices of its
-k+2 faces into G^k (`_faces`); the same face indices build the integer bar
-matrices.  Matrices and linear solves act on the vector of values over the
+is evaluated one slab of the first argument g1 = a at a time (`_faces`):
+each face is the table itself, or an `np.take` of it along an axis by a row
+of the multiplication table or by the whole table, which merges two slots;
+no flat index into G^k is formed.  The same faces give `coboundary` (every
+slab), the closedness check (slabs up to the first hit, the least witness)
+and the integer bar matrices (applied to a table of column numbers).  A
+cochain is immutable, so it is checked once: its witness is a cached
+property.  Matrices and linear solves act on the vector of values over the
 non-identity tuples in lexicographic order; TorsionCocycle.to_vector and
 TorsionCocycle.from_vector are the only conversions between the two layouts.
 
@@ -73,7 +78,8 @@ class TorsionCocycle(FrozenRecord):
 
     @staticmethod
     def _guard(group, degree):
-        """Checking a degree-k cochain touches every (k+1)-tuple; refuse before allocating."""
+        """Checking a degree-k cochain visits every (k+1)-tuple, one G^k slab at a time,
+        and its coboundary holds them all; refuse before allocating."""
         cells = group.order ** (degree + 1)
         if cells > CELL_CAP:
             raise ResourceLimit(
@@ -134,6 +140,15 @@ class TorsionCocycle(FrozenRecord):
         vals = self.table[tuple(cells.T)]
         return tuple((tuple(t), v) for t, v in zip(cells.tolist(), vals.tolist()))
 
+    @cached_property
+    def witness(self):
+        """Lexicographically least (k+1)-tuple where the coboundary is nonzero, or None."""
+        for a in range(self.group.order):
+            wit = first_witness(_slab(self, a))
+            if wit is not None:
+                return (a, *wit)
+        return None
+
     def __call__(self, *args):
         if len(args) != self.degree:
             raise ValueError("arity mismatch")
@@ -167,27 +182,20 @@ class TorsionCocycle(FrozenRecord):
         return TorsionCocycle.from_table(self.group, self.degree, new_n, self.table * (new_n // self.n))
 
 
-def _faces(g: FiniteGroup, k: int):
-    """Yield (sign, index) for the k+2 faces of the (k+1)-tuples of g.
-
-    index[T] is the flat position in G^k of the face of the tuple at flat
-    position T of G^(k+1); (dc)[T] = sum over faces of sign * c[index[T]].
-    """
-    m = g.order
-    t = np.arange(m ** (k + 1))
-    yield 1, t % m**k
-    for i in range(1, k + 1):
-        # merge slots i-1 and i: (high, a, b, low) -> (high, ab, low)
-        low = m ** (k - i)
-        a, b = t // (low * m) % m, t // low % m
-        yield (-1) ** i, (t // (low * m * m) * m + g.mul_array[a, b]) * low + t % low
-    yield (-1) ** (k + 1), t // m
+def _faces(table, mul, a):
+    """The k+2 faces of dc at the tuples (a, g2, ..., g_{k+1}), for table over
+    G^k: arrays over (g2, ..., g_{k+1}), the last broadcast along g_{k+1}.
+    Face i enters dc with sign (-1)^i."""
+    yield table
+    yield np.take(table, mul[a], axis=0)
+    for i in range(2, table.ndim + 1):
+        yield np.take(table[a], mul, axis=i - 2)
+    yield table[a][..., None]
 
 
-def _coboundary_table(c):
-    flat = c.table.ravel()
-    total = sum(sign * flat[idx] for sign, idx in _faces(c.group, c.degree))
-    return (total % c.n).reshape((c.group.order,) * (c.degree + 1))
+def _slab(c, a):
+    """dc at the tuples (a, g2, ..., g_{k+1}), as an array over G^k."""
+    return sum((-1) ** i * face for i, face in enumerate(_faces(c.table, c.group.mul_array, a))) % c.n
 
 
 def first_witness(mask):
@@ -197,13 +205,12 @@ def first_witness(mask):
 
 
 def coboundary(c: TorsionCocycle) -> TorsionCocycle:
-    return TorsionCocycle.from_table(c.group, c.degree + 1, c.n, _coboundary_table(c))
+    return TorsionCocycle.from_table(c.group, c.degree + 1, c.n, np.stack([_slab(c, a) for a in c.group.elements()]))
 
 
 def is_cocycle(c: TorsionCocycle):
     """(True, None) if dc = 0, else (False, lexicographically least witness)."""
-    wit = first_witness(_coboundary_table(c))
-    return wit is None, wit
+    return c.witness is None, c.witness
 
 
 def _guard_cells(g, k, what):
@@ -225,13 +232,13 @@ def bar_matrix(g: FiniteGroup, k: int):
     m = g.order
     column = np.full((m,) * k, -1, dtype=np.int64)
     column[_inner(k)] = np.arange(cols).reshape((m - 1,) * k)
-    column = column.ravel()
     mat = np.zeros((rows, cols), dtype=np.int64)
-    r = np.arange(rows)
-    for sign, idx in _faces(g, k):
-        col = column[idx.reshape((m,) * (k + 1))[_inner(k + 1)].ravel()]
-        keep = col >= 0
-        np.add.at(mat, (r[keep], col[keep]), sign)
+    # slab a holds the rows of the tuples (a, ...), in order; within one face each row meets one column
+    for a, slab in zip(range(1, m), mat.reshape(m - 1, cols, cols)):
+        for i, face in enumerate(_faces(column, g.mul_array, a)):
+            col = np.broadcast_to(face, column.shape)[_inner(k)].ravel()
+            keep = np.flatnonzero(col >= 0)
+            slab[keep, col[keep]] += (-1) ** i
     return mat
 
 

@@ -40,7 +40,6 @@ from .cohomology import (
     ResourceLimit,
     TorsionCocycle,
     bar_matrix,
-    coboundary,
     first_witness,
     is_coboundary,
     is_cocycle,

@@ -41,3 +41,23 @@ def test_no_module_builds_object_arrays():
                 ):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, f"dtype=object passed at {found}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every imported name is read in its module or listed in its __all__."""
+    found = []
+    for path in sorted(pathlib.Path(gxcat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name.split(".")[0], a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [(a.asname or a.name, f"{node.module}.{a.name}") for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {full}" for name, full in bound if name not in used]
+    assert not found, f"imported and never used: {found}"
