@@ -11,16 +11,11 @@ argwhere is the lexicographically least witness.  The simplicial coboundary
         + sum_i (-1)^i c(g1,...,g_i g_{i+1},...,g_{k+1})
         + (-1)^{k+1} c(g1,...,g_k)
 
-is evaluated one slab of the first argument g1 = a at a time (`_faces`):
-each face is the table itself, or an `np.take` of it along an axis by a row
-of the multiplication table or by the whole table, which merges two slots;
-no flat index into G^k is formed.  The same faces give `coboundary` (every
-slab), the closedness check (slabs up to the first hit, the least witness)
-and the integer bar matrices (applied to a table of column numbers).  A
-cochain is immutable, so it is checked once: its witness is a cached
-property.  Matrices and linear solves act on the vector of values over the
-non-identity tuples in lexicographic order; TorsionCocycle.to_vector and
-TorsionCocycle.from_vector are the only conversions between the two layouts.
+is evaluated one first-argument slab at a time, in order, from k+2 `np.take`
+faces over G^k (`_faces`), which also build the bar matrices; a cochain is
+immutable, so it is checked once (`witness`).  Matrices and linear solves act
+on the vector of values over the non-identity tuples in lexicographic order;
+to_vector and from_vector are the only conversions between the two layouts.
 
 Cohomology groups are read off Smith forms of the lifted differentials:
 with C* free, H^k(G, Z/N) decomposes as
@@ -78,8 +73,7 @@ class TorsionCocycle(FrozenRecord):
 
     @staticmethod
     def _guard(group, degree):
-        """Checking a degree-k cochain visits every (k+1)-tuple, one G^k slab at a time,
-        and its coboundary holds them all; refuse before allocating."""
+        """A check visits every (k+1)-tuple, a G^k slab at a time, and dc holds them all; refuse before allocating."""
         cells = group.order ** (degree + 1)
         if cells > CELL_CAP:
             raise ResourceLimit(
@@ -183,9 +177,8 @@ class TorsionCocycle(FrozenRecord):
 
 
 def _faces(table, mul, a):
-    """The k+2 faces of dc at the tuples (a, g2, ..., g_{k+1}), for table over
-    G^k: arrays over (g2, ..., g_{k+1}), the last broadcast along g_{k+1}.
-    Face i enters dc with sign (-1)^i."""
+    """The k+2 faces of dc at (a, g2, ..., g_{k+1}) for a table over G^k, face i with
+    sign (-1)^i: arrays over (g2, ..., g_{k+1}), the last broadcast along g_{k+1}."""
     yield table
     yield np.take(table, mul[a], axis=0)
     for i in range(2, table.ndim + 1):
