@@ -178,12 +178,14 @@ class TorsionCocycle(FrozenRecord):
 
 def _faces(table, mul, a):
     """The k+2 faces of dc at (a, g2, ..., g_{k+1}) for a table over G^k, face i with
-    sign (-1)^i: arrays over (g2, ..., g_{k+1}), the last broadcast along g_{k+1}."""
+    sign (-1)^i: arrays over (g2, ..., g_{k+1}), the last broadcast along g_{k+1}.
+    At k = 0 both faces are the table itself."""
     yield table
-    yield np.take(table, mul[a], axis=0)
+    if table.ndim:
+        yield np.take(table, mul[a], axis=0)
     for i in range(2, table.ndim + 1):
         yield np.take(table[a], mul, axis=i - 2)
-    yield table[a][..., None]
+    yield table[a][..., None] if table.ndim else table
 
 
 def _slab(c, a):
@@ -219,8 +221,6 @@ def _guard_cells(g, k, what):
 @lru_cache(maxsize=None)
 def bar_matrix(g: FiniteGroup, k: int):
     """Integer matrix of the degree-k differential C^k -> C^{k+1}."""
-    if k == 0:
-        return np.zeros(((g.order - 1), 1), dtype=np.int64)
     rows, cols = _guard_cells(g, k, "bar_matrix")
     m = g.order
     column = np.full((m,) * k, -1, dtype=np.int64)

@@ -1,7 +1,7 @@
 """The coboundary kernel against the flat-index kernel it replaced
 (``reference_coboundary.py``) and against the textbook formula.
 
-On every preset up to order 8 and on S4, at degrees 1 to 3 (and 4 on Z2xZ2
+On every preset up to order 8 and on S4, at degrees 0 to 3 (and 4 on Z2xZ2
 and Z4): the same ``coboundary`` table, the same ``is_cocycle`` verdict and
 witness (a tuple of builtin ints), and the same ``bar_matrix``, on random
 cochains, on the H^3 representatives, and on those representatives with one
@@ -20,7 +20,7 @@ from gxcat.cohomology import ResourceLimit, TorsionCocycle, bar_matrix, cobounda
 from gxcat.groups import PRESETS, build_group
 
 SMALL = sorted(name for name in PRESETS if build_group(name).order <= 8)
-CASES = [(name, k) for name in SMALL + ["S4"] for k in (1, 2, 3)] + [("Z2xZ2", 4), ("Z4", 4)]
+CASES = [(name, k) for name in SMALL + ["S4"] for k in (0, 1, 2, 3)] + [("Z2xZ2", 4), ("Z4", 4)]
 TEXTBOOK = [(name, k) for name in ("Z2", "Z3", "S3") for k in (1, 2, 3)]
 
 
@@ -36,8 +36,8 @@ def h3_representatives(name):
 
 
 def random_cochain(g, k, n, seed):
-    rng = np.random.default_rng(seed)
-    return TorsionCocycle.from_table(g, k, n, np.pad(rng.integers(0, n, (g.order - 1,) * k), (1, 0)))
+    values = np.random.default_rng(seed).integers(0, n, (g.order - 1,) * k)
+    return TorsionCocycle.from_table(g, k, n, np.pad(values, (1, 0)) if k else values)
 
 
 def assert_kernels_agree(c):
@@ -53,6 +53,12 @@ def test_random_cochains(case, n, seed):
     name, k = case
     g = group(name)
     assert_kernels_agree(random_cochain(g, k, n or g.order, seed))
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z2", "S3"])
+def test_degree_zero(name):
+    # a 0-cochain is a constant: both faces of dc are the constant itself
+    assert_kernels_agree(TorsionCocycle.from_table(group(name), 0, 5, 3))
 
 
 @settings(max_examples=40, deadline=None)
