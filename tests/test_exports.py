@@ -61,3 +61,23 @@ def test_no_module_imports_a_name_it_never_uses():
                 continue
             found += [f"{path.name}: {full}" for name, full in bound if name not in used]
     assert not found, f"imported and never used: {found}"
+
+
+def test_every_private_definition_is_used():
+    """Each underscore function, method or class in src is read somewhere in src."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(pathlib.Path(gxcat.__file__).parent.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__") and node.name not in used
+    ]
+    assert not found, f"private definitions never used: {found}"
