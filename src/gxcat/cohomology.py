@@ -72,8 +72,13 @@ class TorsionCocycle(FrozenRecord):
         self.__dict__.update(group=group, degree=degree, n=n, table=table)
 
     @staticmethod
-    def _guard(group, degree):
-        """A check visits every (k+1)-tuple, a G^k slab at a time, and dc holds them all; refuse before allocating."""
+    def _guard(group, degree, n):
+        """Refuse a degree below 0, an N below 1, and more cells than a check may visit
+        (every (k+1)-tuple, a G^k slab at a time, with dc holding them all), before allocating."""
+        if degree < 0:
+            raise ValueError(f"cochain degree must be at least 0, not {degree}")
+        if n < 1:
+            raise ValueError(f"cochain modulus N must be at least 1, not {n}")
         cells = group.order ** (degree + 1)
         if cells > CELL_CAP:
             raise ResourceLimit(
@@ -84,7 +89,7 @@ class TorsionCocycle(FrozenRecord):
     @staticmethod
     def make(group, degree, n, values):
         """From a dict or (tuple, value) pairs; tuples may not hold the identity with a nonzero value."""
-        TorsionCocycle._guard(group, degree)
+        TorsionCocycle._guard(group, degree, n)
         table = np.zeros((group.order,) * degree, dtype=np.int64)
         for key, v in (values.items() if isinstance(values, dict) else values):
             key = tuple(int(g) for g in key)
@@ -105,7 +110,7 @@ class TorsionCocycle(FrozenRecord):
     @staticmethod
     def from_table(group, degree, n, table):
         """From a dense array over G^degree, reduced mod n."""
-        TorsionCocycle._guard(group, degree)
+        TorsionCocycle._guard(group, degree, n)
         table = np.asarray(table, dtype=np.int64) % n
         if table.shape != (group.order,) * degree:
             raise ValueError(f"table of shape {table.shape} does not fit degree {degree} on order {group.order}")
@@ -117,7 +122,7 @@ class TorsionCocycle(FrozenRecord):
     @staticmethod
     def from_vector(group, degree, n, vec):
         """From values over the non-identity tuples in lexicographic order."""
-        TorsionCocycle._guard(group, degree)
+        TorsionCocycle._guard(group, degree, n)
         table = np.zeros((group.order,) * degree, dtype=np.int64)
         table[_inner(degree)] = np.reshape(np.asarray(vec, dtype=np.int64) % n, (group.order - 1,) * degree)
         table.setflags(write=False)

@@ -9,19 +9,22 @@ cocycle was supplied.
 
 The crossed product enlarges hom spaces by the regular algebra of the
 embedded Rep(G): hom(rho, sigma) = sum_alpha d_alpha N_{s(alpha) rho}^sigma.
-Blocks are split into output simples only when the hom data forces a unique
-decomposition; otherwise the block is reported unresolved with its
-dimension budget.
+Its blocks are the components of hom != 0.  The free module of a simple is
+a multiple of one G-orbit of output simples, so a block's hom matrix is
+k v v^T; its splits are read off the partitions of k into squares, and a
+block is split only when the hom data and the dims >= 1 bound leave exactly
+one.  Any other block is reported unresolved with its dimension budget.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from . import chartab, snf
+from . import chartab
 from .cohomology import TorsionCocycle, is_cocycle
 from .errors import InvariantError, Record
 from .exact import QuadReal, as_scalar, scalar_eq, scalar_json
@@ -172,61 +175,39 @@ def _rep_g_embedding_check(ring, dims, emb_idx, labels, rep_coeffs, rep_dims):
                 )
 
 
-def _gram_decompositions(h, member_dims):
-    """All canonical factorizations H = M M^T with feasible dims.
+def _splits(h, member_dims):
+    """Every split of a block with hom matrix h into output simples.
 
-    Rows of M are multiplicity vectors of the block members over the
-    candidate output simples; a factorization is feasible when the linear
-    system M d = member_dims has a solution with every d >= 1.  Returns a
-    list of (M, dims) with columns canonically sorted.
+    A split is a tuple of (pattern, dim), one per output simple: pattern
+    holds its multiplicity in each member, and the members' dims must be
+    the pattern-weighted sums of the output dims, each dim >= 1.  The free
+    module of a simple of a Galois extension is a multiple of one orbit, so
+    h = k v v^T with v primitive; then Cauchy-Schwarz forces every
+    nonnegative M with M M^T = h to be v w^T, with w a non-increasing
+    partition of k into squares.  The dims of such an M are forced only
+    when a member dim equals its row sum (every dim is then 1) or when M has
+    one column.  Any other h gives no split.
     """
-    s = len(member_dims)
-    solutions = []
-
-    def extend(rows, ncols):
-        i = len(rows)
-        if i == s:
-            mat = [row + [0] * (ncols - len(row)) for row in rows]
-            dims = _solve_dims(mat, member_dims)
-            if dims is not None:
-                canon = _canonical_cols(mat, dims)
-                if canon not in solutions:
-                    solutions.append(canon)
-            return
-        target_sq = h[i][i]
-        # multiplicities over existing columns + up to target new columns
-        def rec(j, row, remaining):
-            if j == ncols:
-                # append new columns (only this row nonzero);
-                # canonical: non-increasing values
-                for newcols in _partitions_sq(remaining):
-                    full = row + newcols
-                    if all(
-                        sum(full[c] * rows[j2][c] if c < len(rows[j2]) else 0 for c in range(len(full)))
-                        == h[i][j2]
-                        for j2 in range(i)
-                    ):
-                        extend(rows + [full], ncols + len(newcols))
-                return
-            m = 0
-            while m * m <= remaining:
-                # partial dot-product bound against earlier rows
-                row.append(m)
-                ok = True
-                for j2 in range(i):
-                    dot = sum(row[c] * rows[j2][c] for c in range(len(row)))
-                    if dot > h[i][j2]:
-                        ok = False
-                        break
-                if ok:
-                    rec(j + 1, row, remaining - m * m)
-                row.pop()
-                m += 1
-
-        rec(0, [], target_sq)
-
-    extend([], 0)
-    return solutions
+    v = h[0] // math.gcd(*h[0].tolist())
+    k, rem = divmod(int(h[0, 0]), int(v[0]) ** 2)
+    if rem or not np.array_equal(h, k * np.outer(v, v)):
+        return []
+    v = v.tolist()
+    one = QuadReal(1)
+    out = []
+    for w in _partitions_sq(k):
+        if any(scalar_eq(d, vi * sum(w)) for d, vi in zip(member_dims, v)):
+            dims = [one] * len(w)
+        elif len(w) == 1:
+            dims = [member_dims[0] * Fraction(1, v[0] * w[0])]
+        else:
+            continue
+        if all(
+            scalar_eq(sum((x * (vi * wj) for x, wj in zip(dims, w)), start=as_scalar(0)), d)
+            for d, vi in zip(member_dims, v)
+        ) and not any(x < one for x in dims):
+            out.append(tuple((tuple(vi * wj for vi in v), x) for x, wj in zip(dims, w)))
+    return out
 
 
 def _partitions_sq(total):
@@ -237,79 +218,12 @@ def _partitions_sq(total):
         if rem == 0:
             out.append(list(acc))
             return
-        m = min(maxv, int(rem**0.5))
+        m = min(maxv, math.isqrt(rem))
         for v in range(m, 0, -1):
             rec(rem - v * v, v, acc + [v])
 
-    rec(total, int(total**0.5) if total else 0, [])
+    rec(total, math.isqrt(total), [])
     return out
-
-
-def _solve_dims(mat, member_dims):
-    """Solve M d = member_dims with every d >= 1, when the solution is forced.
-
-    Two forcing mechanisms: full column rank (plain linear solve), and
-    saturated rows -- when a member dim equals the row's multiplicity sum,
-    each constituent in that row is pinned to dimension exactly 1 (dims are
-    bounded below by 1).  Returns None unless a unique solution emerges.
-    """
-    s = len(mat)
-    t = len(mat[0]) if mat else 0
-    if t == 0:
-        return [] if s == 0 else None
-    dims = [None] * t
-    residual = list(member_dims)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(s):
-            open_cols = [j for j in range(t) if dims[j] is None and mat[i][j]]
-            if not open_cols:
-                continue
-            floor = sum(mat[i][j] for j in open_cols)
-            if scalar_eq(residual[i], floor):
-                for j in open_cols:
-                    dims[j] = QuadReal(1)
-                    for i2 in range(s):
-                        if mat[i2][j]:
-                            residual[i2] = residual[i2] - mat[i2][j]
-                    changed = True
-    open_cols = [j for j in range(t) if dims[j] is None]
-    if open_cols:
-        w = len(open_cols)
-        sub = [[Fraction(mat[i][j]) for j in open_cols] for i in range(s)]
-        # the first w linearly independent rows are the pivot columns of sub^T
-        _, chosen = snf.rref(list(zip(*sub)))
-        if len(chosen) < w:
-            return None
-        red, _ = snf.rref([sub[i] + [Fraction(int(c == r)) for c in range(w)] for r, i in enumerate(chosen)])
-        inv = [row[w:] for row in red]
-        for pos, j in enumerate(open_cols):
-            val = as_scalar(0)
-            for c, i in enumerate(chosen):
-                val = val + residual[i] * inv[pos][c]
-            dims[j] = val
-    for i, row in enumerate(mat):
-        lhs = sum((dims[j] * row[j] for j in range(t)), start=as_scalar(0))
-        if not scalar_eq(lhs, member_dims[i]):
-            return None
-    one = QuadReal(1)
-    for d in dims:
-        if isinstance(d, QuadReal):
-            if (d - one).sign() < 0:
-                return None
-        elif float(d) < 1 - 1e-6:
-            return None
-    return dims
-
-
-def _canonical_cols(mat, dims):
-    cols = []
-    for j in range(len(dims)):
-        pattern = tuple(row[j] for row in mat)
-        cols.append((pattern, dims[j]))
-    cols.sort(key=lambda pd: (pd[0], float(pd[1])), reverse=True)
-    return tuple((p, d) for p, d in cols)
 
 
 class CrossedProductResult(Record):
@@ -385,32 +299,23 @@ def crossed_product(ring: GradedFusionRing, s_embedding, action: RingGAction = N
     if not np.array_equal(hom, hom.T):
         raise FusionError("hom pairing must be symmetric")
 
-    # connected components
-    comp = [-1] * r
-    blocks = []
-    for i in range(r):
-        if comp[i] != -1:
-            continue
-        stack, members = [i], []
-        comp[i] = len(blocks)
-        while stack:
-            x = stack.pop()
-            members.append(x)
-            for y in range(r):
-                if comp[y] == -1 and (hom[x, y] or hom[y, x]):
-                    comp[y] = comp[i]
-                    stack.append(y)
-        blocks.append(sorted(members))
+    # blocks: the components of hom != 0, found by squaring reach until it
+    # spans paths of length r - 1, each listed under its least member
+    reach = (hom != 0) | np.eye(r, dtype=bool)
+    for _ in range((r - 1).bit_length()):
+        reach = reach @ reach
+    least = reach.argmax(axis=1)
+    blocks = [np.flatnonzero(least == i).tolist() for i in np.flatnonzero(least == np.arange(r)).tolist()]
 
     order = group.order
     out_blocks = []
     total = as_scalar(0)
     all_simple = True
     for members in blocks:
-        h = [[int(hom[a, b]) for b in members] for a in members]
+        h = hom[np.ix_(members, members)]
         member_dims = [dims[i] for i in members]
         budget = sum((d * d for d in member_dims), start=as_scalar(0)) * Fraction(1, order)
-        sols = _gram_decompositions(h, member_dims)
+        sols = _splits(h, member_dims)
         resolved = len(sols) == 1
         simples = []
         if resolved:
@@ -419,7 +324,7 @@ def crossed_product(ring: GradedFusionRing, s_embedding, action: RingGAction = N
             block_dim = sum((s["dim"] * s["dim"] for s in simples), start=as_scalar(0))
             if not scalar_eq(block_dim, budget):
                 raise InvariantError("resolved block dimension mismatch")
-            if any(e != 1 for e in np.diag(np.array(h))):
+            if (np.diag(h) != 1).any():
                 all_simple = False
         else:
             all_simple = False
@@ -428,7 +333,7 @@ def crossed_product(ring: GradedFusionRing, s_embedding, action: RingGAction = N
             {
                 "members": tuple(ring.label(i) for i in members),
                 "member_indices": tuple(members),
-                "end_dims": [h[j][j] for j in range(len(members))],
+                "end_dims": np.diag(h).tolist(),
                 "resolved": resolved,
                 "simples": simples,
                 "budget": budget,
@@ -458,13 +363,8 @@ def _multiplicity_free_output_ring(ring, hom, blocks, group):
     for bi, b in enumerate(blocks):
         for i in b["member_indices"]:
             block_of[i] = bi
-    coeffs = {}
-    for bi, bj in itertools.product(range(len(blocks)), repeat=2):
-        a, b = reps[bi], reps[bj]
-        for ck, c in enumerate(reps):
-            val = sum(int(n[a, b, mu]) * int(hom[mu, c]) for mu in range(ring.rank))
-            if val:
-                coeffs[(bi, bj, ck)] = val
+    prod = n[np.ix_(reps, reps)] @ hom[:, reps]
+    coeffs = dict(zip(map(tuple, np.argwhere(prod).tolist()), prod[prod != 0].tolist()))
     dual = tuple(block_of[ring.dual[reps[bi]]] for bi in range(len(blocks)))
     unit_block = block_of[ring.unit]
     out = GradedFusionRing.make(

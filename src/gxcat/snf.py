@@ -9,8 +9,8 @@ solver and the enumerator call it through solution_lattice with m = N, and
 lattice_points lists every point of the small solution cosets of all
 right-hand sides in one array (the invariant associators, the braid tables,
 the characters of a group).
-rref_fp and rref are Gauss-Jordan over F_p (int64 arrays) and over Q
-(lists of Fraction entries, for gauging's dimension solves).
+rref_fp is Gauss-Jordan over F_p on int64 arrays, and nullspace_fp reads a
+kernel basis off it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "kernel_mod",
     "invariant_factor_chain",
     "modinv",
-    "rref",
     "rref_fp",
     "nullspace_fp",
 ]
@@ -324,37 +323,6 @@ def kernel_mod(a, n):
     """Generators of {x : a @ x == 0 mod n} as columns, with their orders."""
     _, gens, orders = solution_lattice(a, n, None)
     return gens, orders
-
-
-def rref(rows):
-    """Row-reduced echelon form over Q; returns (rows, pivot columns).
-
-    Entries are Fraction only (the one caller is gauging._solve_dims).  Each
-    pivot is inverted once; only the nonzero rows are returned.
-    """
-    a = [list(row) for row in rows]
-    cols = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        support = [j for j in range(c, cols) if a[r][j] != 0]
-        inv = 1 / a[r][c]
-        for j in support:
-            a[r][j] = a[r][j] * inv
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                for j in support:
-                    a[i][j] = a[i][j] - f * a[r][j]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a[:r], pivots
 
 
 def rref_fp(a, p):

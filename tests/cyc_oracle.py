@@ -6,7 +6,8 @@ operations that the doubles, the character tables and the Kirillov rank
 test were computed with before that live here, on a subclass of that
 ``Cyc``: the Verlinde, untwisted-S, unitarity and Kirillov oracles run on
 them, and ``reduced_by_division`` is the Fraction long division that
-``Cyc.reduced`` replaced.
+``Cyc.reduced`` replaced.  ``rref`` is Gauss-Jordan elimination over Q or
+over these Cycs, for the oracles' exact solves.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from fractions import Fraction
 
 from gxcat import cyclo
-from gxcat.snf import rref
 
 
 class Cyc(cyclo.Cyc):
@@ -112,3 +112,34 @@ def reduced_by_division(v):
             for j, pj in enumerate(phi[:-1]):
                 c[i - deg + j] -= f * pj
     return tuple(c[:deg])
+
+
+def rref(rows):
+    """Row-reduced echelon form over a field; returns (rows, pivot columns).
+
+    Entries are Fractions or oracle Cycs.  Each pivot is inverted once; only
+    the nonzero rows are returned.
+    """
+    a = [list(row) for row in rows]
+    cols = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        support = [j for j in range(c, cols) if a[r][j] != 0]
+        inv = 1 / a[r][c]
+        for j in support:
+            a[r][j] = a[r][j] * inv
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                for j in support:
+                    a[i][j] = a[i][j] - f * a[r][j]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a[:r], pivots

@@ -254,6 +254,17 @@ class TestCliContracts:
         res = run_cli(["validate", str(bad), "--format", "json"])
         assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("degree, n, message", [
+        (-1, 2, "cochain degree must be at least 0, not -1"),
+        (2, 0, "cochain modulus N must be at least 1, not 0"),
+        (2, -3, "cochain modulus N must be at least 1, not -3"),
+    ])
+    def test_cocycle_degree_and_modulus_must_be_in_range(self, tmp_path, degree, n, message):
+        bad = tmp_path / "cocycle.json"
+        bad.write_text(json.dumps({"group": "Z2", "degree": degree, "N": n, "values": []}))
+        res = run_cli(["validate", str(bad), "--format", "json"])
+        assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("where, message", [
         (["dual", "t"], "the dual map has no entry for 't'"),
         (["unit"], "ring file has no 'unit'"),

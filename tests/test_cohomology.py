@@ -157,6 +157,15 @@ class TestCohomologyGroups:
         with pytest.raises(GroupError):
             cohomology_group(cyclic(2), 3, 999)
 
+    @pytest.mark.parametrize("degree, n", [(-1, 2), (2, 0), (2, -3)])
+    def test_cochain_constructors_refuse_bad_degree_or_modulus(self, degree, n):
+        g = cyclic(2)
+        for build in (lambda: TorsionCocycle.make(g, degree, n, {}),
+                      lambda: TorsionCocycle.from_table(g, degree, n, np.zeros((2,) * max(degree, 0))),
+                      lambda: TorsionCocycle.from_vector(g, degree, n, [0] * max(degree, 0))):
+            with pytest.raises(ValueError, match="degree must be at least 0|modulus N must be at least 1"):
+                build()
+
     def test_resource_guard_names_dimension(self):
         with pytest.raises(ResourceLimit, match="differential matrix"):
             cohomology_group(build_group("S4"), 4, 2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyc_oracle import Cyc
+from cyc_oracle import Cyc, rref
 from gxcat import cyclo
 from gxcat.cyclo import cyclotomic_poly
 from gxcat.exact import CertReal, QuadReal, scalar_eq
@@ -15,7 +15,6 @@ from gxcat.snf import (
     dot_mod,
     invariant_factor_chain,
     kernel_mod,
-    rref,
     rref_fp,
     snf_mod,
     solution_lattice,

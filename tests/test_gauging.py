@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from gxcat.fusion import (
     trivial_action,
     validate_ring,
 )
+from gxcat import gauging
 from gxcat.gauging import (
     crossed_product,
     equivariantize,
@@ -98,8 +100,6 @@ class TestEquivariantize:
     @settings(max_examples=12, deadline=None)
     def test_identity_on_random_pointed_actions(self, m, seed):
         # pointed ring of Z_m with a random relabeling action of Z2
-        import numpy as np
-
         gam = cyclic(m)
         ring = pointed_ring(gam)
         rng = np.random.default_rng(seed)
@@ -210,6 +210,14 @@ class TestCrossedProduct:
         assert cp.output_ring is None
         # the dimension identity still holds through the budgets
         assert scalar_eq(cp.global_dim * 2, global_dim(ring))
+
+    @pytest.mark.parametrize("h, dims", [
+        ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], [1, 1, 2]),
+        ([[2, 1, 1], [1, 2, 1], [1, 1, 2]], [2, 2, 2]),
+    ])
+    def test_block_that_is_not_rank_one_has_no_split(self, h, dims):
+        # M M^T = h has solutions, but no Galois extension gives such a block
+        assert gauging._splits(np.array(h), [QuadReal(d) for d in dims]) == []
 
 
 class TestRoundtrip:

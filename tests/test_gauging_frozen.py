@@ -4,7 +4,8 @@
 ``gauging.crossed_product`` split each block by an exhaustive search over
 the nonnegative integer matrices M with M M^T equal to the block's hom
 matrix (written with ``python tests/test_gauging_frozen.py >
-tests/data/gauging_frozen.json``).  Two sections:
+tests/data/gauging_frozen.json`` while ``splits`` called that search,
+``gauging._gram_decompositions``).  Two sections:
 
 - ``ungauge``: ``crossed_product(...).to_json()`` for D^omega(G) by Rep(G)
   (omega = 0 on Z2, Z3, Z4, Z2xZ2, S3, D4, Q8 and S4, and every
@@ -84,6 +85,7 @@ CS = {"1": QuadReal(1), "2": QuadReal(2), "3": QuadReal(3), "4": QuadReal(4), "6
       "cert3": CertReal(3.0, 1e-12), "cert2r2": CertReal(2 * math.sqrt(2), 1e-12), "cert1/2": CertReal(0.5, 1e-12)}
 
 
+@lru_cache(maxsize=None)
 def grid():
     """key -> (h, member dims) for the rank-one blocks k v v^T, k <= 8, with dims c v."""
     return {
@@ -93,7 +95,7 @@ def grid():
 
 
 def splits(h, member_dims):
-    return [[[list(p), repr(d)] for p, d in sol] for sol in gauging._gram_decompositions(h, member_dims)]
+    return [[[list(p), repr(d)] for p, d in sol] for sol in gauging._splits(np.array(h), member_dims)]
 
 
 def snapshot(split_keys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus_build import symmetric_pointed
-from cyc_oracle import Cyc
+from cyc_oracle import Cyc, rref
 from gxcat.cohomology import TorsionCocycle, cohomology_group
 from gxcat.corpus import corpus_list, load_entry
 from gxcat.exact import QuadReal
@@ -28,7 +28,6 @@ from gxcat.pointed import (
     validate_pointed,
 )
 from gxcat.serialize import canonical_json
-from gxcat.snf import rref
 
 
 def z2_omega():
