@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gxcat import gauging
 from gxcat.cohomology import TorsionCocycle, cohomology_group
 from gxcat.exact import QuadReal, scalar_eq
 from gxcat.fusion import (
@@ -19,7 +20,6 @@ from gxcat.fusion import (
     trivial_action,
     validate_ring,
 )
-from gxcat import gauging
 from gxcat.gauging import (
     crossed_product,
     equivariantize,
