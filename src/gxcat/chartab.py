@@ -30,7 +30,8 @@ from .cohomology import ResourceLimit, TorsionCocycle, bar_matrix, is_cocycle
 from .cyclo import reduction_bound, reduction_matrix
 from .errors import FrozenRecord
 from .groups import FiniteGroup, GroupError, InvariantError, conjugacy_data, subgroup, validate_table
-from .snf import dot_mod, lattice_points, modinv, nullspace_fp
+from .exact import factorize
+from .snf import dot_mod, lattice_points, nullspace_fp
 
 __all__ = [
     "CharacterTable",
@@ -38,6 +39,7 @@ __all__ = [
     "character_sums",
     "irrep_dims",
     "rep_fusion_data",
+    "fusion_coefficients",
     "central_extension",
     "projective_irrep_data",
     "projective_irrep_dims",
@@ -48,23 +50,12 @@ PRIME_CAP = 1 << 31  # F_p products of two residues stay inside int64
 SUM_BLOCK_CELLS = 1 << 16  # rows of a x rows of b x terms per block of a character sum
 
 
-def _prime_factors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + ([n] if n > 1 else [])
-
-
 def prime_1_mod(m, lower):
     """The least prime p >= lower with p = 1 (mod m); p < 2**31 or ResourceLimit."""
     p = max(lower, 2)
     p += (1 - p) % m
     while p < PRIME_CAP:
-        if _prime_factors(p) == [p]:
+        if factorize(p) == {p: 1}:
             return p
         p += m
     raise ResourceLimit(f"no prime p = 1 mod {m} with {lower} <= p < 2**31")
@@ -72,7 +63,7 @@ def prime_1_mod(m, lower):
 
 def primitive_root(p):
     """The least generator of F_p^*: w with w^((p-1)/q) != 1 for each prime q | p - 1."""
-    factors = _prime_factors(p - 1)
+    factors = factorize(p - 1)
     for w in range(2, p):
         if all(pow(w, (p - 1) // q, p) != 1 for q in factors):
             return w
@@ -197,14 +188,14 @@ def character_table(g: FiniteGroup) -> CharacterTable:
 
     # omega_s(K_k) normalized to omega_s(K_0) = 1; chi_s = d_s omega_s(K_k) / |K_k|
     w = np.stack([s[:, 0] for s, _ in spaces])
-    w = w * np.array([modinv(int(v), p) for v in w[:, 0]], dtype=np.int64)[:, None] % p
+    w = w * np.array([pow(int(v), -1, p) for v in w[:, 0]], dtype=np.int64)[:, None] % p
     sizes = [len(c) for c in data.classes]
-    inv_sizes = np.array([modinv(k, p) for k in sizes], dtype=np.int64)
+    inv_sizes = np.array([pow(k, -1, p) for k in sizes], dtype=np.int64)
     inv_class = cls[np.asarray(g.inv)[list(reps)]]
     denom = (w * w[:, inv_class] % p * inv_sizes % p).sum(axis=1) % p
     dims = []
     for den in denom.tolist():
-        d2 = g.order * modinv(den, p) % p
+        d2 = g.order * pow(den, -1, p) % p
         dims.append(next(t for t in range(1, math.isqrt(g.order) + 1) if t * t % p == d2))
     if sum(d * d for d in dims) != g.order:
         raise InvariantError(f"{g.name}: the squared character degrees do not sum to |G|")
@@ -240,7 +231,7 @@ def _charpoly_fp(b, p):
         if i != c + 1:
             h[[i, c + 1]] = h[[c + 1, i]]
             h[:, [i, c + 1]] = h[:, [c + 1, i]]
-        u = h[c + 2:, c] * modinv(int(h[c + 1, c]), p) % p
+        u = h[c + 2:, c] * pow(int(h[c + 1, c]), -1, p) % p
         h[c + 2:] = (h[c + 2:] - u[:, None] * h[c + 1]) % p
         h[:, c + 1] = (h[:, c + 1] + dot_mod(h[:, c + 2:], p, u)) % p
     polys = [np.ones(1, dtype=np.int64)]
@@ -297,7 +288,7 @@ def _lift(g, reps, cls, chi, dims, m, p, zgen):
         zeta_o = pow(zgen, m // o, p)
         roots = np.array([pow(zeta_o, e, p) for e in range(o)], dtype=np.int64)
         t = np.arange(o)
-        dft = roots[np.outer(t, -t) % o] * modinv(o, p) % p
+        dft = roots[np.outer(t, -t) % o] * pow(o, -1, p) % p
         mult = dot_mod(chi[:, cls[powers]], p, dft)
         if (mult > dims).any():
             raise InvariantError(f"{g.name}: multiplicity lift out of range at class {k}")
@@ -320,16 +311,28 @@ def rep_fusion_data(g):
     labels = [f"pi{i}" for i in range(len(tab.dims))]
     k = np.arange(len(tab.class_reps))
     vals, rational = character_sums(tab.coef, tab.coef, tab.coef, (k, k, k, tab.class_sizes))
-    if not rational.all() or (vals % g.order).any() or (vals < 0).any():
-        raise InvariantError("Rep(G) fusion multiplicities must be non-negative integers")
-    coeffs = {key: int(nv) for key, nv in np.ndenumerate(vals // g.order) if nv}
-    duals = []
-    for ia in range(len(labels)):
-        partners = [ic for ic in range(len(labels)) if coeffs.get((ia, ic, 0), 0) == 1]
-        if len(partners) != 1:
-            raise InvariantError(f"{labels[ia]} must have exactly one dual, found {len(partners)}")
-        duals.append(partners[0])
+    coeffs, duals = fusion_coefficients(
+        vals, rational, g.order, labels, "Rep(G) fusion multiplicities must be non-negative integers")
     return labels, list(tab.dims), coeffs, duals
+
+
+def fusion_coefficients(vals, rational, scale, labels, message):
+    """The nonzero N = vals / scale from a character sum over (labels,)*3, as
+    {(i, j, k): N} in C order, and each label's dual: the one k with N[i, k, 0]
+    = 1.  InvariantError(message) unless every value is rational and a
+    non-negative multiple of scale, and when a label has no or several duals."""
+    mult, rest = np.divmod(vals, scale)
+    if not rational.all() or rest.any() or (mult < 0).any():
+        raise InvariantError(message)
+    nz = np.nonzero(mult)  # in C order
+    coeffs = dict(zip(zip(*(i.tolist() for i in nz)), mult[nz].tolist()))
+    duals = []
+    for i, label in enumerate(labels):
+        partners = [k for k in range(len(labels)) if coeffs.get((i, k, 0), 0) == 1]
+        if len(partners) != 1:
+            raise InvariantError(f"{label} must have exactly one dual, found {len(partners)}")
+        duals.append(partners[0])
+    return coeffs, duals
 
 
 def central_extension(h: FiniteGroup, values, n, name=None):

@@ -197,10 +197,14 @@ def _load_group_opt(spec):
 
 
 def _load_cocycle_opt(group, cocycle_path, trivial, n):
+    """The --cocycle file, or the zero 3-cocycle mod --N (default |G|);
+    --trivial and --N both name the zero cocycle, so neither goes with --cocycle."""
     from .cohomology import TorsionCocycle
 
-    if trivial or cocycle_path is None:
+    if cocycle_path is None:
         return TorsionCocycle.make(group, 3, group.order if n is None else n, {})
+    if trivial or n is not None:
+        raise UsageError(f"{'--trivial' if trivial else '--N'} is for the zero cocycle and cannot go with --cocycle")
     c = load_cocycle(_read_json(cocycle_path))
     if c.group.mul != group.mul:
         raise CliError("cocycle group does not match --group")
@@ -390,7 +394,7 @@ def double(group_spec, cocycle_path, trivial, n, fmt, out):
     from .pointed import twisted_double
 
     g = _load_group_opt(group_spec)
-    omega = _load_cocycle_opt(g, cocycle_path, trivial or cocycle_path is None, n)
+    omega = _load_cocycle_opt(g, cocycle_path, trivial, n)
     _emit(twisted_double(g, omega).to_json(), fmt, out)
 
 
@@ -400,7 +404,7 @@ def holo_crossed(group_spec, cocycle_path, trivial, n, fmt, out):
     from .pointed import holomorphic_crossed
 
     g = _load_group_opt(group_spec)
-    omega = _load_cocycle_opt(g, cocycle_path, trivial or cocycle_path is None, n)
+    omega = _load_cocycle_opt(g, cocycle_path, trivial, n)
     data, count = holomorphic_crossed(g, omega)
     _emit({"solutions": count, "data": dump_pointed(data)}, fmt, out)
 

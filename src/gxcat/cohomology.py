@@ -88,22 +88,23 @@ class TorsionCocycle(FrozenRecord):
 
     @staticmethod
     def make(group, degree, n, values):
-        """From a dict or (tuple, value) pairs; tuples may not hold the identity with a nonzero value."""
+        """From a dict or (tuple, value) pairs; tuples may not hold the identity
+        with a nonzero value, and no tuple may come twice."""
         TorsionCocycle._guard(group, degree, n)
         table = np.zeros((group.order,) * degree, dtype=np.int64)
+        seen = set()
         for key, v in (values.items() if isinstance(values, dict) else values):
             key = tuple(int(g) for g in key)
             if len(key) != degree:
                 raise ValueError(f"tuple {key} has wrong length for degree {degree}")
             if any(g < 0 or g >= group.order for g in key):
                 raise ValueError(f"tuple {key} out of range")
-            if 0 in key:
-                if v % n:
-                    raise ValueError(f"not normalized: nonzero value on {key}")
-                continue
-            v = int(v) % n
-            if v:
-                table[key] = v
+            if key in seen:
+                raise ValueError(f"tuple {key} is given twice")
+            seen.add(key)
+            if 0 in key and v % n:
+                raise ValueError(f"not normalized: nonzero value on {key}")
+            table[key] = int(v) % n
         table.setflags(write=False)
         return TorsionCocycle(group, degree, n, table)
 

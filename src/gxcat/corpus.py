@@ -35,7 +35,7 @@ def _digest(path):
     return h.hexdigest()
 
 
-def corpus_list(verify=True):
+def corpus_list():
     base = corpus_dir()
     index_path = base.joinpath("index.json")
     if not index_path.is_file():
@@ -44,14 +44,13 @@ def corpus_list(verify=True):
     entries = []
     for rec in index["entries"]:
         fpath = base.joinpath(rec["path"])
-        if verify:
-            if not fpath.is_file():
-                raise CorpusError(f"corpus entry {rec['name']} is missing its file {rec['path']}")
-            got = _digest(fpath)
-            if got != rec["sha256"]:
-                raise CorpusError(
-                    f"checksum mismatch for corpus entry {rec['name']}: expected {rec['sha256']}, got {got}"
-                )
+        if not fpath.is_file():
+            raise CorpusError(f"corpus entry {rec['name']} is missing its file {rec['path']}")
+        got = _digest(fpath)
+        if got != rec["sha256"]:
+            raise CorpusError(
+                f"checksum mismatch for corpus entry {rec['name']}: expected {rec['sha256']}, got {got}"
+            )
         entries.append(
             CorpusEntry(rec["name"], rec["kind"], str(fpath), rec.get("golden"), rec["sha256"])
         )
@@ -64,8 +63,7 @@ def load_entry(name):
 
     for e in corpus_list():
         if e.name == name:
-            obj = json.loads(resources.files("gxcat").joinpath("corpus").joinpath(
-                e.path.split("corpus/")[-1]).read_text())
+            obj = json.loads(corpus_dir().joinpath(e.path.split("corpus/")[-1]).read_text())
             if e.kind == "group":
                 return load_group(obj)
             if e.kind == "cocycle":

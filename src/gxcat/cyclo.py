@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvariantError
+from .exact import factorize
 
 __all__ = ["Cyc", "cyclotomic_poly", "reduction_bound", "reduction_matrix"]
 
@@ -70,16 +71,9 @@ def reduction_bound(m):
 @lru_cache(maxsize=None)
 def _root_trace(d):
     """Normalized trace mu(d)/phi(d) of a primitive d-th root of unity."""
-    mu, phi, rest, p = 1, 1, d, 2
-    while rest > 1:
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        if e:
-            mu = 0 if e > 1 else -mu
-            phi *= (p - 1) * p ** (e - 1)
-        p += 1
+    factors = factorize(d)
+    mu = 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
+    phi = math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
     return Fraction(mu, phi)
 
 

@@ -12,21 +12,33 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["QuadReal", "CertReal", "as_scalar", "scalar_eq", "scalar_json", "quad_numerators", "EQ_TOL"]
+__all__ = ["QuadReal", "CertReal", "as_scalar", "scalar_eq", "scalar_json", "quad_numerators", "factorize", "EQ_TOL"]
 
 # tolerance used for certified-float equality tests
 EQ_TOL = 1e-9
 
 
+def factorize(n):
+    """The prime factorization {p: e} of an integer n >= 1, by trial
+    division, primes ascending; ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}")
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def squarefree_split(n):
     """Return (f, m) with n = f*f*m and m squarefree, for n >= 1."""
-    f, m, d = 1, n, 2
-    while d * d <= m:
-        while m % (d * d) == 0:
-            m //= d * d
-            f *= d
-        d += 1
-    return f, m
+    factors = factorize(n)
+    return (math.prod(p ** (e // 2) for p, e in factors.items()),
+            math.prod(p ** (e % 2) for p, e in factors.items()))
 
 
 def _surd_sign(r, w, k):

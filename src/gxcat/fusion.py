@@ -62,7 +62,8 @@ class GradedFusionRing(FrozenRecord):
 
         Multiplicities and indices must be integers: bools, floats and
         numeric strings are refused with a FusionError, and so are indices
-        outside the label set and degrees outside the group.
+        outside the label set, degrees outside the group and a (i, j, k)
+        given twice, by label or by index.
         """
         simples = tuple(simples)
         index = {s: i for i, s in enumerate(simples)}
@@ -85,12 +86,13 @@ class GradedFusionRing(FrozenRecord):
         cmap = {}
         for key, v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
             key = tuple(map(label, key))
+            if key in cmap:
+                raise FusionError(f"multiplicity at {key} is given twice")
             if not is_index(v):
                 raise FusionError(f"multiplicity at {key} is not an integer: {v!r}")
             if v < 0:
                 raise FusionError(f"negative multiplicity at {key}")
-            if v:
-                cmap[key] = int(v)
+            cmap[key] = int(v)
         if group is None:
             group = cyclic(1)
         if grading is None:
@@ -102,7 +104,7 @@ class GradedFusionRing(FrozenRecord):
             if len(grading_t) != len(simples) or not all(is_index(x) and 0 <= x < group.order for x in grading_t):
                 raise FusionError(f"the grading must send each label to an element of {group.name}")
             grading_t = tuple(map(int, grading_t))
-        return GradedFusionRing(name, simples, unit_i, dual_t, tuple(sorted(cmap.items())), group, grading_t)
+        return GradedFusionRing(name, simples, unit_i, dual_t, tuple(sorted((k, v) for k, v in cmap.items() if v)), group, grading_t)
 
     @property
     def rank(self):

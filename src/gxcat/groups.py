@@ -34,7 +34,6 @@ __all__ = [
     "PRESETS",
 ]
 
-PRESET_ORDER_CAP = 24
 TABLE_ORDER_CAP = 64
 
 
@@ -269,10 +268,7 @@ def build_group(spec):
     if isinstance(spec, str):
         if spec not in PRESETS:
             raise GroupError(f"unknown group preset {spec!r}")
-        g = PRESETS[spec]()
-        if g.order > PRESET_ORDER_CAP:
-            raise GroupError(f"preset {spec} exceeds order cap {PRESET_ORDER_CAP}")
-        return g
+        return PRESETS[spec]()
     if isinstance(spec, dict):
         name = spec.get("name", "G")
         mul = spec["mul"]

@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from . import snf
-from .chartab import character_sums, prime_1_mod, primitive_root, projective_irrep_data
+from .chartab import character_sums, fusion_coefficients, prime_1_mod, primitive_root, projective_irrep_data
 from .cohomology import (
     CELL_CAP,
     ResourceLimit,
@@ -49,6 +49,7 @@ from .cyclo import Cyc
 from .errors import FrozenRecord, Record
 from .fusion import GradedFusionRing, ValidationReport
 from .groups import FiniteGroup, InvariantError, abelian_characters, conjugacy_data, orbit_labels, quotient, subgroup
+from .serialize import dump_group
 
 __all__ = [
     "PointedGXData",
@@ -114,8 +115,8 @@ class PointedGXData(FrozenRecord):
 
     def to_json(self):
         return {
-            "Gamma": {"name": self.gamma.name, "order": self.gamma.order, "mul": [list(r) for r in self.gamma.mul]},
-            "G": {"name": self.group.name, "order": self.group.order, "mul": [list(r) for r in self.group.mul]},
+            "Gamma": dump_group(self.gamma),
+            "G": dump_group(self.group),
             "deg": list(self.deg),
             "action": [list(p) for p in self.action],
             "N": self.n,
@@ -710,19 +711,9 @@ def _verlinde_fusion(name, order, simples, coef, den):
     big_l = math.lcm(*dims.tolist())
     cols = np.arange(len(simples))
     vals, rational = character_sums(coef, coef, coef, (cols, cols, cols, big_l // dims))
-    vals *= order
-    mult, rest = np.divmod(vals, den**3 * big_l)
-    if not rational.all() or rest.any() or (mult < 0).any():
-        raise InvariantError("double fusion must be a non-negative integer")
-    nz = np.nonzero(mult)  # in C order
-    coeffs = dict(zip(zip(*(i.tolist() for i in nz)), mult[nz].tolist()))
     labels = [f"({s['class_rep']};{s['irrep']})" for s in simples]
-    dual = []
-    for i in range(len(simples)):
-        partners = [k for k in range(len(simples)) if coeffs.get((i, k, 0), 0) == 1]
-        if len(partners) != 1:
-            raise InvariantError(f"{labels[i]} must have exactly one dual, found {len(partners)}")
-        dual.append(partners[0])
+    coeffs, dual = fusion_coefficients(
+        vals * order, rational, den**3 * big_l, labels, "double fusion must be a non-negative integer")
     return GradedFusionRing.make(name, labels, 0, tuple(dual), coeffs)
 
 
@@ -794,7 +785,7 @@ def _invertible_roots(expo, n):
         for k in units:
             # powers[e] = z^(k e); the trailing 0 is powers[-1]
             powers = np.array([pow(z, k * e, p) for e in range(n)] + [0], dtype=np.int64)
-            if len(snf.rref_fp(powers[expo], p)[1]) == len(expo):
+            if not len(snf.nullspace_fp(powers[expo], p)):
                 return True
         tried *= p
     return False

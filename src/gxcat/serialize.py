@@ -125,9 +125,8 @@ def load_cocycle(obj):
     g = load_group(_field(obj, "group", "cocycle file"))
     degree = _integer(_field(obj, "degree", "cocycle file"), "degree")
     n = _integer(_field(obj, "N", "cocycle file"), "N")
-    values = {}
-    for *tup, v in _entries(obj, "values"):
-        values[tuple(_element_index(g, t, "values entry") for t in tup)] = _integer(v, "values entry")
+    values = [(tuple(_element_index(g, t, "values entry") for t in tup), _integer(v, "values entry"))
+              for *tup, v in _entries(obj, "values")]
     return TorsionCocycle.make(g, degree, n, values)
 
 
@@ -176,7 +175,7 @@ def load_ring(obj):
         simples,
         _field(obj, "unit", "ring file", FusionError),
         _shaped(_field(obj, "dual", "ring file", FusionError), (dict, list), "dual", FusionError),
-        {(i, j, k): mult for i, j, k, mult in entries},
+        [((i, j, k), mult) for i, j, k, mult in entries],
         group=group,
         grading=grading,
     )
@@ -241,9 +240,8 @@ def load_pointed(obj):
     if isinstance(action_obj, dict):
         action_obj = [_field(action_obj, group.element_names[k], "the action map") for k in group.elements()]
     action = [tuple(_integer(x, "action entry") for x in _shaped(p, (list,), "action row")) for p in action_obj]
-    assoc = {}
-    for *tup, v in _entries(obj, "assoc"):
-        assoc[tuple(_integer(t, "assoc entry") for t in tup)] = _integer(v, "assoc entry")
+    assoc = [(tuple(_integer(t, "assoc entry") for t in tup), _integer(v, "assoc entry"))
+             for *tup, v in _entries(obj, "assoc")]
     braid = [[_integer(v, "braid entry") for v in _shaped(row, (list,), "braid row")]
              for row in _shaped(_field(obj, "braid", "pointed file"), (list,), "braid")]
     return PointedGXData.make(gamma, group, deg, action, n, assoc, braid)

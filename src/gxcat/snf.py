@@ -9,8 +9,8 @@ solver and the enumerator call it through solution_lattice with m = N, and
 lattice_points lists every point of the small solution cosets of all
 right-hand sides in one array (the invariant associators, the braid tables,
 the characters of a group).
-rref_fp is Gauss-Jordan over F_p on int64 arrays, and nullspace_fp reads a
-kernel basis off it.
+nullspace_fp is the one elimination over a prime field: Gauss-Jordan over
+F_p on int64 arrays, returning a kernel basis.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ __all__ = [
     "lattice_points",
     "kernel_mod",
     "invariant_factor_chain",
-    "modinv",
-    "rref_fp",
     "nullspace_fp",
 ]
 
@@ -72,15 +70,6 @@ def invariant_factor_chain(values, modulus=None):
     return [1] * ones + sorted(vals)
 
 
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def _unit_for(d, g, n):
     """A unit u mod n with u * g == d (mod n), where g = gcd(d, n)."""
     if g == 0:
@@ -91,13 +80,6 @@ def _unit_for(d, g, n):
         if math.gcd(u, n) == 1:
             return u % n
     raise ArithmeticError("unit search failed")  # unreachable
-
-
-def modinv(u, n):
-    g, x, _ = _xgcd(u % n, n)
-    if g != 1:
-        raise ArithmeticError("not a unit")
-    return x % n
 
 
 def _balanced(x, m):
@@ -204,7 +186,7 @@ def snf_mod(a, m, rhs=None):
         d = int(a[t, t])
         g = math.gcd(d, m)
         if d != g:
-            ui = modinv(_unit_for(d, g, m), m)
+            ui = pow(_unit_for(d, g, m), -1, m)
             a[t], c[t] = _balanced(a[t] * ui, m), _balanced(c[t] * ui, m)
         diag.append(g)
     return diag, q % m, np.remainder(c, m, out=c)
@@ -325,42 +307,31 @@ def kernel_mod(a, n):
     return gens, orders
 
 
-def rref_fp(a, p):
-    """Row-reduced echelon form over F_p; returns (matrix, pivot columns)."""
-    a = (np.array(a, dtype=np.int64) % p).copy()
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i, c] % p), None)
-        if piv is None:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * modinv(int(a[r, c]), p)) % p
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a[:r], pivots
-
-
 def nullspace_fp(a, p):
-    """Basis (rows) of the right nullspace of a over F_p.
+    """Basis (rows) of the right nullspace of a over F_p, by Gauss-Jordan
+    elimination; the rank of a is its column count minus the basis size.
 
     Row i is 1 at the i-th non-pivot column f, 0 at the other non-pivot
     columns and past f; so f is its last nonzero entry.
     """
-    red, pivots = rref_fp(a, p)
-    cols = np.asarray(a).shape[1]
+    a = np.array(a, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i, c]), None)
+        if piv is None:
+            continue
+        a[[r, piv]] = a[[piv, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
+        for i in range(rows):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        pivots.append(c)
     free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-red[r, f]) % p
-        basis.append(v)
-    return np.array(basis, dtype=np.int64).reshape(len(basis), cols)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -a[:len(pivots), free].T % p
+    return basis

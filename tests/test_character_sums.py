@@ -7,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import gxcat.chartab as chartab
 import gxcat.pointed as pointed
 from cyc_oracle import reduced_by_division
-from gxcat.chartab import character_sums, prime_1_mod, primitive_root
+from gxcat.chartab import character_sums, fusion_coefficients, prime_1_mod, primitive_root, rep_fusion_data
 from gxcat.cohomology import ResourceLimit, TorsionCocycle
 from gxcat.corpus import load_entry
 from gxcat.cyclo import Cyc, cyclotomic_poly, reduction_bound
@@ -184,3 +185,38 @@ def test_verlinde_integrality_is_checked_without_unitarity(monkeypatch):
     monkeypatch.setattr(pointed, "_check_unitary", lambda coef, den: None)
     with pytest.raises(InvariantError, match="double fusion must be a non-negative integer"):
         pointed.twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))
+
+
+def test_rep_fusion_integrality_is_checked(monkeypatch):
+    # one more than a multiple of |G| in one cell: not an integer multiplicity
+    real = chartab.character_sums
+
+    def off_by_one(*args):
+        vals, rational = real(*args)
+        vals = vals.copy()
+        vals[1, 1, 1] += 1
+        return vals, rational
+
+    monkeypatch.setattr(chartab, "character_sums", off_by_one)
+    with pytest.raises(InvariantError, match="Rep\\(G\\) fusion multiplicities must be non-negative integers"):
+        rep_fusion_data(symmetric(3))
+
+
+def test_fusion_coefficients_reads_c_order_and_duals():
+    # Z3 fusion scaled by 6: N_ij^k = 1 exactly when k = i + j mod 3
+    vals = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        for j in range(3):
+            vals[i, j, (i + j) % 3] = 6
+    coeffs, duals = fusion_coefficients(vals, np.ones(vals.shape, dtype=bool), 6, "abc", "bad")
+    assert list(coeffs) == sorted(coeffs) and len(coeffs) == 9
+    assert set(coeffs.values()) == {1}
+    assert duals == [0, 2, 1]
+    for bad in (vals - 12, vals + 1):
+        with pytest.raises(InvariantError, match="^bad$"):
+            fusion_coefficients(bad, np.ones(vals.shape, dtype=bool), 6, "abc", "bad")
+    with pytest.raises(InvariantError, match="^bad$"):
+        fusion_coefficients(vals, vals == 0, 6, "abc", "bad")
+    vals[1, 1, 0] = 6  # b now has two duals
+    with pytest.raises(InvariantError, match="b must have exactly one dual, found 2"):
+        fusion_coefficients(vals, np.ones(vals.shape, dtype=bool), 6, "abc", "bad")

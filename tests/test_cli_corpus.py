@@ -220,6 +220,63 @@ class TestCliContracts:
         assert (res.exit_code, res.stdout) == (1, "")
         assert res.stderr == f"error: multiplicity at (1, 1, 1) is not an integer: {mult!r}\n"
 
+    @pytest.mark.parametrize("command", ["validate", "dims"])
+    @pytest.mark.parametrize("again", [[1, 1, 1, 7], ["t", "t", "t", 1], ["t", 1, "t", 1]])
+    def test_ring_entry_given_twice_is_refused(self, tmp_path, command, again):
+        # before, the last entry won: [1, 1, 1, 7] gave t = (7 + sqrt(53)) / 2
+        obj = json.loads((CORPUS / "ring_fibonacci.json").read_text())
+        obj["N"].append(again)
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(obj))
+        res = run_cli([command, str(path), "--format", "json"])
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert res.stderr == "error: multiplicity at (1, 1, 1) is given twice\n"
+
+    @pytest.mark.parametrize("values", [
+        [[1, 1, 1, 1], [1, 1, 1, 0]],  # before, this validated as the zero cocycle
+        [[1, 1, 1, 1], [1, 1, 1, 1]],
+        [[0, 1, 1, 0], [0, 1, 1, 0]],
+    ])
+    def test_cocycle_entry_given_twice_is_refused(self, tmp_path, values):
+        path = tmp_path / "cocycle.json"
+        path.write_text(json.dumps({"group": "Z2", "degree": 3, "N": 2, "values": values}))
+        res = run_cli(["validate", str(path), "--format", "json"])
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert res.stderr == f"error: tuple {tuple(values[0][:3])} is given twice\n"
+
+    def test_cocycle_entry_given_twice_by_name_and_index_is_refused(self, tmp_path):
+        from gxcat.groups import build_group
+
+        x = build_group("Z2").element_names[1]
+        path = tmp_path / "cocycle.json"
+        path.write_text(json.dumps({"group": "Z2", "degree": 3, "N": 2, "values": [[x, x, x, 1], [1, 1, 1, 1]]}))
+        res = run_cli(["validate", str(path), "--format", "json"])
+        assert (res.exit_code, res.stderr) == (1, "error: tuple (1, 1, 1) is given twice\n")
+
+    def test_pointed_assoc_entry_given_twice_is_refused(self, tmp_path):
+        obj = json.loads((CORPUS / "pointed_toric_code.json").read_text())
+        obj["assoc"] = [[1, 2, 3, 0], [1, 2, 3, 1]]
+        path = tmp_path / "pointed.json"
+        path.write_text(json.dumps(obj))
+        res = run_cli(["validate", str(path), "--format", "json"])
+        assert (res.exit_code, res.stderr) == (1, "error: tuple (1, 2, 3) is given twice\n")
+
+    def test_validate_refuses_a_table_over_the_order_cap(self, tmp_path):
+        path = tmp_path / "z65.json"
+        path.write_text(json.dumps({"name": "Z65", "mul": [[(i + j) % 65 for j in range(65)] for i in range(65)]}))
+        res = run_cli(["validate", str(path), "--format", "json"])
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert res.stderr == "error: explicit tables capped at order 64\n"
+
+    @pytest.mark.parametrize("command", ["double", "holo-crossed"])
+    @pytest.mark.parametrize("flag", [["--trivial"], ["--N", "2"]])
+    def test_zero_cocycle_flags_do_not_go_with_a_cocycle(self, command, flag):
+        # before, --trivial printed the untwisted answer and --N was ignored
+        res = run_cli([command, "--group", "Z2", "--cocycle", str(CORPUS / "cocycle_Z2_h3_0.json"), *flag,
+                       "--format", "json"])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert f"error: {flag[0]} is for the zero cocycle and cannot go with --cocycle" in res.stderr
+
     @pytest.mark.parametrize("entry", [2.5, 2.0, "2", True])
     def test_action_entries_must_be_label_indices(self, tmp_path, entry):
         obj = json.loads((CORPUS / "ring_fib_fib_swap.json").read_text())

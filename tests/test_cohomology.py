@@ -166,6 +166,13 @@ class TestCohomologyGroups:
             with pytest.raises(ValueError, match="degree must be at least 0|modulus N must be at least 1"):
                 build()
 
+    def test_make_refuses_a_tuple_given_twice(self):
+        g = cyclic(2)
+        with pytest.raises(ValueError, match=r"tuple \(1, 1, 1\) is given twice"):
+            TorsionCocycle.make(g, 3, 2, [((1, 1, 1), 1), ((1, 1, 1), 0)])
+        with pytest.raises(ValueError, match=r"tuple \(0, 1, 1\) is given twice"):
+            TorsionCocycle.make(g, 3, 2, [((0, 1, 1), 0), ((0, 1, 1), 0)])
+
     def test_resource_guard_names_dimension(self):
         with pytest.raises(ResourceLimit, match="differential matrix"):
             cohomology_group(build_group("S4"), 4, 2)

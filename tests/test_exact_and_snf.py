@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from cyc_oracle import Cyc, rref
 from gxcat import cyclo
 from gxcat.cyclo import cyclotomic_poly
-from gxcat.exact import CertReal, QuadReal, scalar_eq
+from gxcat.exact import CertReal, QuadReal, factorize, scalar_eq, squarefree_split
 from gxcat.snf import (
     dot_mod,
     invariant_factor_chain,
     kernel_mod,
-    rref_fp,
+    nullspace_fp,
     snf_mod,
     solution_lattice,
     solve_mod,
@@ -92,6 +92,42 @@ class TestQuadReal:
     def test_json(self):
         phi = QuadReal.root_of(1, 1)
         assert phi.to_json() == {"a": 1, "b": 1, "m": 5, "den": 2}
+
+
+class TestFactorize:
+    N_MAX = 10**4
+
+    def test_matches_a_sieve(self):
+        least = list(range(self.N_MAX + 1))  # least prime factor
+        for p in range(2, math.isqrt(self.N_MAX) + 1):
+            if least[p] == p:
+                for k in range(p * p, self.N_MAX + 1, p):
+                    least[k] = min(least[k], p)
+        for n in range(1, self.N_MAX + 1):
+            want, rest = {}, n
+            while rest > 1:
+                want[least[rest]] = want.get(least[rest], 0) + 1
+                rest //= least[rest]
+            got = factorize(n)
+            assert got == want and list(got) == sorted(want), n
+
+    def test_refuses_below_one(self):
+        for n in (0, -4):
+            with pytest.raises(ValueError):
+                factorize(n)
+
+    def test_squarefree_split(self):
+        for n in range(1, self.N_MAX + 1):
+            f, m = squarefree_split(n)
+            assert f * f * m == n, n
+            assert all(m % (d * d) for d in range(2, math.isqrt(m) + 1)), n
+
+    def test_root_trace_is_mu_over_phi(self):
+        # the trace of a primitive d-th root of unity is the sum of all of them
+        for d in range(1, 301):
+            units = [k for k in range(1, d + 1) if math.gcd(k, d) == 1]
+            mu = round(sum(math.cos(2 * math.pi * k / d) for k in units))
+            assert cyclo._root_trace(d) == Fraction(mu, len(units)), d
 
 
 class TestCyc:
@@ -271,10 +307,11 @@ class TestSnf:
             assert math.prod(orders) == int((~images.any(axis=0)).sum())
             solvable = [bool((images == b[:, None]).all(axis=0).any()) for b in rhs.T]
         else:
-            # m is prime: sizes and solvability follow from ranks over F_m
-            rank = len(rref_fp(mat, m)[1])
+            # m is prime: sizes and solvability follow from ranks over F_m,
+            # each the column count minus the nullity
+            rank = c - len(nullspace_fp(mat, m))
             assert math.prod(orders) == m ** (c - rank)
-            solvable = [len(rref_fp(np.column_stack([mat, b]), m)[1]) == rank for b in rhs.T]
+            solvable = [c + 1 - len(nullspace_fp(np.column_stack([mat, b]), m)) == rank for b in rhs.T]
         assert [part is not None for part in parts] == solvable
 
     def test_dot_mod_near_2_31_matches_python_ints(self):

@@ -55,6 +55,12 @@ class TestValidateRing:
         assert rep.issues[0]["code"] == "associativity"
         assert rep.issues[0]["witness"][:3] == ("s", "s", "p")
 
+    def test_make_refuses_a_coefficient_given_twice(self, fibonacci):
+        coeffs = list(fibonacci.coeffs)
+        for again in (((1, 1, 1), 7), (("t", "t", "t"), 1), (("t", 1, "t"), 1)):
+            with pytest.raises(FusionError, match=r"multiplicity at \(1, 1, 1\) is given twice"):
+                GradedFusionRing.make("twice", fibonacci.simples, 0, fibonacci.dual, coeffs + [again])
+
     def test_grading_violation_detected(self, ising):
         bad = GradedFusionRing.make(
             "bad_grading", ising.simples, ising.unit, ising.dual, dict(ising.coeffs),

@@ -14,7 +14,7 @@ from gxcat.corpus import corpus_list, load_entry
 from gxcat.exact import QuadReal
 from gxcat.fusion import pointed_ring, sector_dims
 from gxcat.gauging import crossed_product
-from gxcat.groups import cyclic, product, symmetric
+from gxcat.groups import build_group, cyclic, product, symmetric
 from gxcat.pointed import (
     PointedGXData,
     double_semion_pointed,
@@ -422,6 +422,28 @@ class TestEnumerate:
         assert sorted(o["size"] for o in orbits) == [8, 8, 8, 8]
         for o in orbits:
             assert validate_pointed(o["representative"]).passed
+
+    @pytest.mark.parametrize("preset, n", [
+        ("S3", 2), ("S3", 3), ("S3", 4), ("S3", 6), ("Z4", 4), ("Z2xZ2", 2), ("Z3", 6),
+    ])
+    def test_states_form_a_module_and_orbits_partition_them(self, preset, n):
+        # The states are a Z/n-module, so each gauge translation keeps every
+        # state or none and the kept moves permute them: the orbits partition
+        # the states, and no state is reached by two orbits.
+        import numpy as np
+
+        orbits, states = enumerate_holomorphic(build_group(preset), n)
+        assert not states[0].any()
+        rows = {row.tobytes() for row in states}
+        # the span of the states, one generator (a state not yet spanned) at a time
+        span = {states[0].tobytes()}
+        for row in states.astype(np.int64):
+            if row.astype(np.uint8).tobytes() not in span:
+                base = np.array([np.frombuffer(r, dtype=np.uint8) for r in span], dtype=np.int64)
+                span = {r.tobytes() for k in range(n) for r in ((base + k * row) % n).astype(np.uint8)}
+                assert span <= rows
+        assert span == rows
+        assert sum(o["size"] for o in orbits) == len(states)
 
     def test_permuted_rerun_agrees(self):
         base, _ = enumerate_holomorphic(cyclic(2), 4)
