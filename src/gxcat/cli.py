@@ -197,8 +197,6 @@ def _load_group_opt(spec):
 
 
 def _load_cocycle_opt(group, cocycle_path, trivial, n):
-    """The --cocycle file, or the zero 3-cocycle mod --N (default |G|);
-    --trivial and --N both name the zero cocycle, so neither goes with --cocycle."""
     from .cohomology import TorsionCocycle
 
     if cocycle_path is None:

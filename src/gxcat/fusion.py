@@ -104,7 +104,8 @@ class GradedFusionRing(FrozenRecord):
             if len(grading_t) != len(simples) or not all(is_index(x) and 0 <= x < group.order for x in grading_t):
                 raise FusionError(f"the grading must send each label to an element of {group.name}")
             grading_t = tuple(map(int, grading_t))
-        return GradedFusionRing(name, simples, unit_i, dual_t, tuple(sorted((k, v) for k, v in cmap.items() if v)), group, grading_t)
+        coeffs = tuple(sorted((key, v) for key, v in cmap.items() if v))
+        return GradedFusionRing(name, simples, unit_i, dual_t, coeffs, group, grading_t)
 
     @property
     def rank(self):
