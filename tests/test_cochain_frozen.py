@@ -10,7 +10,9 @@ first three (Z1, Z2 at N = 8, Z3 at N = 6, Z2xZ2, the S3 cases and the
 relabeled and shuffled ones) were added later, computed by the tuple-state
 enumerator that preceded the state-array one.  Z4 at N = 4 and S3 at N = 6
 were added after that, computed by the state-array enumerator while it
-still returned its solutions as a list of tuple pairs.
+still returned its solutions as a list of tuple pairs.  Z2xZ2 at N = 4 and
+S3 at N = 8 were added last, computed by the state-array enumerator while
+it still closed orbits over a move table.
 """
 
 import hashlib
@@ -107,10 +109,11 @@ def _enumeration_cases():
     """(key, group, N, shuffle_seed).  Cyclic cases are keyed Z<order>/<N>;
     the rest at the preset labels <name>/<N>; S3 and Z2xZ2 at N = 2 also
     relabeled (seeds 0 and 2: S3 splits 2x16 at seed 0, and 4x8 at seed 2
-    and as preset) and S3 with a shuffled start order.  Z4/4 (16,384
-    states) and S3/6 (7,776) are the largest."""
+    and as preset) and S3 with a shuffled start order.  Z2xZ2/4 (131,072
+    states), Z4/4 and S3/8 (16,384 each) are the largest."""
     cases = [(f"Z{order}/{n}", cyclic(order), n, None) for order, n in [(2, 4), (3, 3), (4, 2)]]
-    for name, n in [("Z1", 2), ("Z2", 8), ("Z3", 6), ("Z2xZ2", 2), ("S3", 2), ("S3", 3), ("Z4", 4), ("S3", 6)]:
+    for name, n in [("Z1", 2), ("Z2", 8), ("Z3", 6), ("Z2xZ2", 2), ("S3", 2), ("S3", 3), ("Z4", 4), ("S3", 6),
+                    ("Z2xZ2", 4), ("S3", 8)]:
         cases.append((f"{name}/{n}", build_group(name), n, None))
     for name, seed in itertools.product(["S3", "Z2xZ2"], [0, 2]):
         cases.append((f"{name}/2/relabel{seed}", _relabeled(name, seed), 2, None))
