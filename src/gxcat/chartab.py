@@ -64,7 +64,7 @@ def prime_1_mod(m, lower):
 def primitive_root(p):
     """The least generator of F_p^*: w with w^((p-1)/q) != 1 for each prime q | p - 1."""
     factors = factorize(p - 1)
-    for w in range(2, p):
+    for w in range(1, p):
         if all(pow(w, (p - 1) // q, p) != 1 for q in factors):
             return w
     raise ArithmeticError("no primitive root")  # pragma: no cover

@@ -157,23 +157,15 @@ def _arg(*flags, **keywords):
     return flags, keywords
 
 
-def _at_least(low, what):
-    """The type of an integer option whose values start at low; what names
-    the values in the message for any other integer."""
-
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{what}, not {value}")
-        return value
-
-    return parse
-
-
-_positive = _at_least(1, "N must be a positive integer")
+def _positive(text):
+    """The type of the --N options: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"N must be a positive integer, not {value}")
+    return value
 
 
 PATH = _arg("path")
@@ -407,13 +399,13 @@ def holo_crossed(group_spec, cocycle_path, trivial, n, fmt, out):
     _emit({"solutions": count, "data": dump_pointed(data)}, fmt, out)
 
 
-@command("enumerate", GROUP, _arg("--N", dest="n", type=_positive, required=True), _arg("--seed", type=_at_least(0, "seed must be a non-negative integer"), default=None))
-def enumerate_cmd(group_spec, n, seed, fmt, out):
+@command("enumerate", GROUP, _arg("--N", dest="n", type=_positive, required=True))
+def enumerate_cmd(group_spec, n, fmt, out):
     """Exhaustive holomorphic enumeration with orbit partition."""
     from .pointed import enumerate_holomorphic
 
     g = _load_group_opt(group_spec)
-    orbits, states = enumerate_holomorphic(g, n, shuffle_seed=seed)
+    orbits, states = enumerate_holomorphic(g, n)
     payload = {
         "orbit_count": len(orbits),
         "solution_count": len(states),

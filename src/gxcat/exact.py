@@ -35,7 +35,9 @@ def factorize(n):
 
 
 def squarefree_split(n):
-    """Return (f, m) with n = f*f*m and m squarefree, for n >= 1."""
+    """Return (f, m) with n = f*f*m and m squarefree, for n >= 0 (0 = 0*0*1)."""
+    if n == 0:
+        return 0, 1
     factors = factorize(n)
     return (math.prod(p ** (e // 2) for p, e in factors.items()),
             math.prod(p ** (e % 2) for p, e in factors.items()))

@@ -349,7 +349,14 @@ def _void_rows(rows):
     return rows.view(f"V{rows.shape[1]}").ravel() if rows.shape[1] else np.zeros(len(rows), dtype="V1")
 
 
-def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
+def _find(index, rows):
+    """The position of each uint8 row in index, the sorted _void_rows of the states, or -1 if absent."""
+    found = _void_rows(rows)
+    at = np.minimum(np.searchsorted(index, found), len(index) - 1)
+    return np.where(index[at] == found, at, -1)
+
+
+def enumerate_holomorphic(group: FiniteGroup, n: int):
     """All holomorphic crossed pointed data on Gamma = G at root order n.
 
     Returns (orbits, states): orbits is a list of dicts with a
@@ -372,7 +379,7 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
     counts, tables = _braid_tables(group, _braid_system(group, deg, action), n, vectors)
     braids = tables[:, 1:, 1:].reshape(len(tables), (o - 1) ** 2).astype(np.uint8)
     states = np.hstack([np.repeat(vectors.astype(np.uint8), counts, axis=0), braids])
-    count = len(states)
+    count, width = states.shape
 
     # gauge moves: a 2-cochain lambda (tensorator scalars) shifts the associator
     # by +d(lambda) and the braid by lambda(^x y, x) - lambda(x, y), a translation
@@ -386,45 +393,42 @@ def enumerate_holomorphic(group: FiniteGroup, n: int, shuffle_seed=None):
     lam_gens = snf.kernel_mod(invariance % n, n)[0] if len(invariance) else np.eye(d2.shape[1], dtype=np.int64)
     lam = np.pad(lam_gens.T.reshape(lam_gens.shape[1], o - 1, o - 1), ((0, 0), (1, 0), (1, 0)))
     braid_shift = lam[:, np.asarray(action)[np.asarray(deg)], np.arange(o)[:, None]] - lam
-    shifts = np.hstack([(d2 @ lam_gens).T, braid_shift[:, 1:, 1:].reshape(len(lam), (o - 1) ** 2)]) % n
+    shifts = (np.hstack([(d2 @ lam_gens).T, braid_shift[:, 1:, 1:].reshape(len(lam), (o - 1) ** 2)]) % n).astype(np.uint8)
     # relabeling by psi moves the value at cell t to cell psi(t)
     inverses = np.argsort(_automorphisms(group), axis=1)
     perms = np.hstack([_cell_images(inverses, 3), width3 + _cell_images(inverses, 2)])
 
-    # adj[j, i]: the state that move j takes state i to, or count when it
-    # leaves the solution set: one translation or gather over all rows per
-    # move, then one sorted lookup
+    # The states form a Z/n-module, so a translation keeps them exactly when
+    # it is a state.  The kept translations and their relabelings span B, and
+    # the orbits are the Aut(G)-orbits of the cosets of B in the states.  The
+    # coset of x is p x, reduced mod the diagonal of p B q (mod n past it).
+    # The product is exact in float32: under the caps a sum is at most
+    # 150 * 7**2, below 2**24.
     index = _void_rows(states)
-    targets = itertools.chain(((states + s) % n for s in shifts.astype(np.uint8)), (states[:, p] for p in perms))
-    adj = np.empty((len(shifts) + len(perms), count), dtype=np.int32)
-    for j, found in enumerate(map(_void_rows, targets)):
-        at = np.minimum(np.searchsorted(index, found), count - 1)
-        adj[j] = np.where(index[at] == found, at, count)
+    kept = shifts[_find(index, shifts) >= 0]
+    diag, _, p = snf.snf_mod(kept[:, perms].reshape(len(kept) * len(perms), width).T, n, np.eye(width, dtype=np.int64))
+    mod = np.array(diag + [n] * (width - len(diag)), dtype=np.float32)
+    rows = np.flatnonzero(mod > 1)
+    keys = (states.astype(np.float32) @ p[rows].T.astype(np.float32)) % mod[rows]
+    _, least, coset = np.unique(_void_rows(keys.astype(np.uint8)), return_index=True, return_inverse=True)
+    coset = np.argsort(np.argsort(least))[coset]  # cosets numbered by their least states
+    least = np.sort(least)
+    at = _find(index, states[least][:, perms].reshape(len(least) * len(perms), width))
+    if (at < 0).any():
+        raise InvariantError("a relabeling through Aut(G) takes a state out of the solution set")
+    span = math.prod(n // d for d in diag)
+    if span * len(least) != count:
+        raise InvariantError(f"{count} states are not {len(least)} cosets of the {span} gauge translations")
+    labels, reps = orbit_labels(coset[at].reshape(len(least), len(perms)).T)
 
-    # an orbit is every state reachable from its start inside the solution
-    # set, closed one layer at a time; a state may lie in several orbits
-    order = np.arange(count) if shuffle_seed is None else np.random.default_rng(shuffle_seed).permutation(count)
-    mark = np.zeros(count + 1, dtype=np.int32)  # last orbit to reach each state, 0 if none; index count: outside
-    slot, orbits = np.zeros(count + 1, dtype=np.int64), []
-    for start in order.tolist():
-        if mark[start]:
-            continue
-        k = len(orbits) + 1
-        mark[[start, count]] = k
-        layer, least, size = np.array([start]), start, 0
-        while len(layer):
-            least, size = min(least, int(layer.min())), size + len(layer)
-            step = adj[:, layer].ravel()
-            pos = np.arange(len(step))
-            slot[step] = pos  # one position per state survives, so the next layer holds each state once
-            layer = step[(slot[step] == pos) & (mark[step] != k)]
-            mark[layer] = k
-        assoc = TorsionCocycle.from_vector(group, 3, n, states[least, :width3])
-        data = PointedGXData.make(group, group, deg, action, n, assoc, np.pad(states[least, width3:].reshape(o - 1, o - 1), (1, 0)))
+    orbits = []
+    for rep, cosets in zip(least[reps].tolist(), np.bincount(labels).tolist()):
+        assoc = TorsionCocycle.from_vector(group, 3, n, states[rep, :width3])
+        data = PointedGXData.make(group, group, deg, action, n, assoc, np.pad(states[rep, width3:].reshape(o - 1, o - 1), (1, 0)))
         check = validate_pointed(data)
         if not check.passed:
             raise InvariantError(f"enumerated representative failed validation: {check.issues[:1]}")
-        orbits.append({"representative": data, "size": size})
+        orbits.append({"representative": data, "size": span * cosets})
     orbits.sort(key=lambda o: (o["representative"].assoc.values, o["representative"].braid))
     return orbits, states
 

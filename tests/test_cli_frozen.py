@@ -49,7 +49,7 @@ COMMANDS = {
     "double": ["double", "--group", "S3", "--trivial"],
     "double-twisted": ["double", "--group", "Z4", "--cocycle", "{c}/cocycle_Z4_h3_0.json"],
     "holo-crossed": ["holo-crossed", "--group", "Z2", "--cocycle", "{c}/cocycle_Z2_h3_0.json"],
-    "enumerate": ["enumerate", "--group", "Z2", "--N", "4", "--seed", "1"],
+    "enumerate": ["enumerate", "--group", "Z2", "--N", "4"],
     "smatrix": ["smatrix", "{c}/pointed_toric_code.json"],
     "perm-picard": ["perm-picard", "--base", "{c}/ring_ising.json", "--n", "2", "--group", "Z2"],
     "corpus": ["corpus"],

@@ -7,7 +7,7 @@ the current code and requires equality, so the bar matrices, transgressions,
 validator issue lists (text, order and witnesses) and enumeration orbits do
 not move when the cochain layout does.  The enumeration cases past the
 first three (Z1, Z2 at N = 8, Z3 at N = 6, Z2xZ2, the S3 cases and the
-relabeled and shuffled ones) were added later, computed by the tuple-state
+relabeled ones) were added later, computed by the tuple-state
 enumerator that preceded the state-array one.  Z4 at N = 4 and S3 at N = 6
 were added after that, computed by the state-array enumerator while it
 still returned its solutions as a list of tuple pairs.  Z2xZ2 at N = 4 and
@@ -106,18 +106,18 @@ def _relabeled(name, seed):
 
 
 def _enumeration_cases():
-    """(key, group, N, shuffle_seed).  Cyclic cases are keyed Z<order>/<N>;
-    the rest at the preset labels <name>/<N>; S3 and Z2xZ2 at N = 2 also
-    relabeled (seeds 0 and 2: S3 splits 2x16 at seed 0, and 4x8 at seed 2
-    and as preset) and S3 with a shuffled start order.  Z2xZ2/4 (131,072
-    states), Z4/4 and S3/8 (16,384 each) are the largest."""
-    cases = [(f"Z{order}/{n}", cyclic(order), n, None) for order, n in [(2, 4), (3, 3), (4, 2)]]
+    """(key, group, N).  Cyclic cases are keyed Z<order>/<N>; the rest at
+    the preset labels <name>/<N>; S3 and Z2xZ2 at N = 2 also relabeled
+    (seeds 0 and 2: S3 splits 2x16 at seed 0, and 4x8 at seed 2 and as
+    preset).  Z2xZ2/4 (131,072 states), Z4/4 and S3/8 (16,384 each) are
+    the largest."""
+    cases = [(f"Z{order}/{n}", cyclic(order), n) for order, n in [(2, 4), (3, 3), (4, 2)]]
     for name, n in [("Z1", 2), ("Z2", 8), ("Z3", 6), ("Z2xZ2", 2), ("S3", 2), ("S3", 3), ("Z4", 4), ("S3", 6),
                     ("Z2xZ2", 4), ("S3", 8)]:
-        cases.append((f"{name}/{n}", build_group(name), n, None))
+        cases.append((f"{name}/{n}", build_group(name), n))
     for name, seed in itertools.product(["S3", "Z2xZ2"], [0, 2]):
-        cases.append((f"{name}/2/relabel{seed}", _relabeled(name, seed), 2, None))
-    return cases + [("S3/2/shuffle1", build_group("S3"), 2, 1)]
+        cases.append((f"{name}/2/relabel{seed}", _relabeled(name, seed), 2))
+    return cases
 
 
 def _solutions(group, states):
@@ -133,8 +133,8 @@ def _enumerations():
     """Orbits in full; all_solutions in full up to 128 states, else as its
     count and the sha256 of its JSON text."""
     out = {}
-    for key, group, n, seed in _enumeration_cases():
-        orbits, states = enumerate_holomorphic(group, n, shuffle_seed=seed)
+    for key, group, n in _enumeration_cases():
+        orbits, states = enumerate_holomorphic(group, n)
         states = _solutions(group, states)
         if len(states) > 128:
             states = {"count": len(states), "sha256": hashlib.sha256(json.dumps(states).encode()).hexdigest()}
@@ -186,8 +186,8 @@ def test_witnesses_and_states_are_plain_ints():
     braid[2][1] ^= 1
     bent = PointedGXData.make(data.gamma, data.group, data.deg, data.action, data.n, data.assoc, braid)
     _assert_plain(validate_pointed(bent).issues)
-    for _, group, n, seed in [("Z2/4/shuffle1", cyclic(2), 4, 1), *_enumeration_cases()]:
-        orbits, states = enumerate_holomorphic(group, n, shuffle_seed=seed)
+    for _, group, n in _enumeration_cases():
+        orbits, states = enumerate_holomorphic(group, n)
         assert states.dtype == np.uint8 and states.ndim == 2
         assert states.shape[1] == (group.order - 1) ** 3 + (group.order - 1) ** 2
         rows = list(map(tuple, states.tolist()))

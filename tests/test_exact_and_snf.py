@@ -122,6 +122,12 @@ class TestFactorize:
             assert f * f * m == n, n
             assert all(m % (d * d) for d in range(2, math.isqrt(m) + 1)), n
 
+    def test_zero_splits_as_zero_squared_times_one(self):
+        # so a double root (discriminant 0) and the square root of 0 are exact
+        assert squarefree_split(0) == (0, 1)
+        assert QuadReal.root_of(2, -1) == 1
+        assert QuadReal.sqrt_int(0) == 0
+
     def test_root_trace_is_mu_over_phi(self):
         # the trace of a primitive d-th root of unity is the sum of all of them
         for d in range(1, 301):

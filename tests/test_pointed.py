@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,7 +15,7 @@ from gxcat.corpus import corpus_list, load_entry
 from gxcat.exact import QuadReal
 from gxcat.fusion import pointed_ring, sector_dims
 from gxcat.gauging import crossed_product
-from gxcat.groups import build_group, cyclic, product, symmetric
+from gxcat.groups import InvariantError, build_group, cyclic, product, symmetric
 from gxcat.pointed import (
     PointedGXData,
     double_semion_pointed,
@@ -445,11 +446,20 @@ class TestEnumerate:
         assert span == rows
         assert sum(o["size"] for o in orbits) == len(states)
 
-    def test_permuted_rerun_agrees(self):
-        base, _ = enumerate_holomorphic(cyclic(2), 4)
-        shuf, _ = enumerate_holomorphic(cyclic(2), 4, shuffle_seed=123)
-        key = lambda os: [(o["representative"].assoc.values, o["representative"].braid, o["size"]) for o in os]
-        assert key(base) == key(shuf)
+    @pytest.mark.parametrize("n, message", [
+        (2, "a relabeling through Aut(G) takes a state out of the solution set"),
+        (3, "729 states are not 1 cosets of the 177147 gauge translations"),
+    ], ids=["least-state-leaves", "span-leaves"])
+    def test_relabeling_that_leaves_the_states_raises(self, monkeypatch, n, message):
+        # 1 -> 1, 2 -> 3, 3 -> 2 is not an automorphism of Z4.  At N = 2 it
+        # takes a coset's least state out of the states; at N = 3 it moves a
+        # kept translation out, so the span is larger than the states.
+        from gxcat import pointed
+
+        real = pointed._automorphisms
+        monkeypatch.setattr(pointed, "_automorphisms", lambda g: real(g) + [(0, 1, 3, 2)])
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            enumerate_holomorphic(cyclic(4), n)
 
     def test_guard(self):
         from gxcat.cohomology import ResourceLimit
