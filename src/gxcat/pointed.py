@@ -333,8 +333,6 @@ def holomorphic_crossed(group: FiniteGroup, omega: TorsionCocycle):
 
 
 def _automorphisms(g: FiniteGroup):
-    if g.order == 1:
-        return [tuple([0])]
     perms = []
     for p in itertools.permutations(range(1, g.order)):
         full = (0,) + p
@@ -354,6 +352,26 @@ def _find(index, rows):
     found = _void_rows(rows)
     at = np.minimum(np.searchsorted(index, found), len(index) - 1)
     return np.where(index[at] == found, at, -1)
+
+
+def _gauge_moves(group, n):
+    """(shifts, perms): the gauge translations, uint8 rows mod n, and the
+    relabelings through Aut(G), one column gather each (psi moves the value
+    at cell t to cell psi(t)).  A 2-cochain lambda shifts the associator by
+    d(lambda) and the braid by lambda(^x y, x) - lambda(x, y).  The lambdas
+    are a basis of those with a conjugation-invariant coboundary (all of
+    them for abelian G): the kernel of the rows dlambda(act_g(t)) -
+    dlambda(t), one per g and moved non-unit cell t, in that order."""
+    action, o = np.asarray(_conjugation_action(group)), group.order
+    d2, images = bar_matrix(group, 2), _cell_images(action, 3)
+    moved = images != np.arange(images.shape[1])
+    invariance = d2[images[moved]] - d2[np.nonzero(moved)[1]]
+    lam_gens = snf.kernel_mod(invariance % n, n)[0] if len(invariance) else np.eye(d2.shape[1], dtype=np.int64)
+    lam = np.pad(lam_gens.T.reshape(lam_gens.shape[1], o - 1, o - 1), ((0, 0), (1, 0), (1, 0)))
+    braid_shift = lam[:, action, np.arange(o)[:, None]] - lam
+    shifts = np.hstack([(d2 @ lam_gens).T, braid_shift[:, 1:, 1:].reshape(len(lam), (o - 1) ** 2)]) % n
+    inverses = np.argsort(_automorphisms(group), axis=1)
+    return shifts.astype(np.uint8), np.hstack([_cell_images(inverses, 3), (o - 1) ** 3 + _cell_images(inverses, 2)])
 
 
 def enumerate_holomorphic(group: FiniteGroup, n: int):
@@ -381,29 +399,13 @@ def enumerate_holomorphic(group: FiniteGroup, n: int):
     states = np.hstack([np.repeat(vectors.astype(np.uint8), counts, axis=0), braids])
     count, width = states.shape
 
-    # gauge moves: a 2-cochain lambda (tensorator scalars) shifts the associator
-    # by +d(lambda) and the braid by lambda(^x y, x) - lambda(x, y), a translation
-    # of the state.  Only lambdas with a conjugation-invariant coboundary act on
-    # the states, so the generators are a basis of that subgroup (every 2-cochain
-    # for abelian G): the kernel of the rows dlambda(act_g(t)) - dlambda(t), one
-    # per g in G and non-unit cell t that g moves, in that order.
-    d2, images = bar_matrix(group, 2), _cell_images(action, 3)
-    moved = images != np.arange(images.shape[1])
-    invariance = d2[images[moved]] - d2[np.nonzero(moved)[1]]
-    lam_gens = snf.kernel_mod(invariance % n, n)[0] if len(invariance) else np.eye(d2.shape[1], dtype=np.int64)
-    lam = np.pad(lam_gens.T.reshape(lam_gens.shape[1], o - 1, o - 1), ((0, 0), (1, 0), (1, 0)))
-    braid_shift = lam[:, np.asarray(action)[np.asarray(deg)], np.arange(o)[:, None]] - lam
-    shifts = (np.hstack([(d2 @ lam_gens).T, braid_shift[:, 1:, 1:].reshape(len(lam), (o - 1) ** 2)]) % n).astype(np.uint8)
-    # relabeling by psi moves the value at cell t to cell psi(t)
-    inverses = np.argsort(_automorphisms(group), axis=1)
-    perms = np.hstack([_cell_images(inverses, 3), width3 + _cell_images(inverses, 2)])
-
     # The states form a Z/n-module, so a translation keeps them exactly when
     # it is a state.  The kept translations and their relabelings span B, and
     # the orbits are the Aut(G)-orbits of the cosets of B in the states.  The
     # coset of x is p x, reduced mod the diagonal of p B q (mod n past it).
     # The product is exact in float32: under the caps a sum is at most
     # 150 * 7**2, below 2**24.
+    shifts, perms = _gauge_moves(group, n)
     index = _void_rows(states)
     kept = shifts[_find(index, shifts) >= 0]
     diag, _, p = snf.snf_mod(kept[:, perms].reshape(len(kept) * len(perms), width).T, n, np.eye(width, dtype=np.int64))

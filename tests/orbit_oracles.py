@@ -5,8 +5,9 @@ and ``gxcat.gauging`` replaced with ``groups.orbit_labels`` and
 Each function is the former implementation with only its inputs made
 explicit: conjugacy classes by one orbit loop per element, cosets by one
 sorted set per unassigned element, the orbits of a permutation action by
-one set per unseen point, and the characters of G into Z/n by a BFS over
-the abelianization from a minimal generating set.
+one set per unseen point, the characters of G into Z/n by a BFS over
+the abelianization from a minimal generating set, and the orbits of the
+holomorphic enumeration by a closure over every move that lands on a state.
 """
 
 import itertools
@@ -134,3 +135,29 @@ def characters_bfs(g, n):
     if len(chars) != q.order:
         raise InvariantError("character count must equal |G_ab|")
     return chars
+
+
+def closure_orbits(states, shifts, perms, n):
+    """(least member, size) of each orbit of the enumeration moves, by the
+    closure that ``pointed.enumerate_holomorphic`` ran before it read orbits
+    off gauge cosets: a move translates a state by a row of shifts (mod n)
+    or gathers its columns by a row of perms, and counts only where it
+    lands on a state; from each state not yet reached, in row order, the
+    orbit is every state reachable by moves."""
+    index = {row.tobytes(): i for i, row in enumerate(states)}
+    targets = [(states + s) % n for s in shifts] + [states[:, p] for p in perms]
+    adj = [[index.get(row.tobytes()) for row in t] for t in targets]
+    seen, out = set(), []
+    for start in range(len(states)):
+        if start in seen:
+            continue
+        orbit, todo = {start}, [start]
+        while todo:
+            i = todo.pop()
+            for j in (a[i] for a in adj):
+                if j is not None and j not in orbit:
+                    orbit.add(j)
+                    todo.append(j)
+        seen |= orbit
+        out.append((min(orbit), len(orbit)))
+    return out

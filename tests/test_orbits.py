@@ -2,7 +2,8 @@
 
 ``groups.orbit_labels`` and ``snf.lattice_points`` against the loops they
 replaced (``orbit_oracles.py``): conjugacy classes, cosets and characters
-on every preset, and orbit partitions on relabeled groups.  Then the
+on every preset, orbit partitions on relabeled groups, and the orbits of
+the holomorphic enumeration against the closure it ran before.  Then the
 paper's equivalence Rep A^G = D^w(G)-mod for a holomorphic A, read on
 simples: equivariantizing the pointed ring of G under conjugation, with
 the transgressed stabilizer cocycles, gives the simples of the twisted
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from orbit_oracles import (
     characters_bfs,
+    closure_orbits,
     commutator_subgroup,
     conjugacy_loop,
     orbits_loop,
@@ -38,7 +40,7 @@ from gxcat.groups import (
     orbit_labels,
     quotient,
 )
-from gxcat.pointed import twisted_double
+from gxcat.pointed import _gauge_moves, enumerate_holomorphic, twisted_double
 from gxcat.snf import ENUM_STATE_CAP, lattice_points
 
 CHARACTER_N = (1, 2, 3, 4, 6, 8, 12)
@@ -111,6 +113,23 @@ def test_orbit_labels_give_the_relabeled_partition(case):
     cosets = partition(orbit_labels(h.mul_array[:, normal].T)[0])
     old = partition(orbit_labels(g.mul_array[:, list(commutator_subgroup(g))].T)[0])
     assert cosets == sorted(tuple(sorted(p[x] for x in c)) for c in old)
+
+
+@pytest.mark.parametrize("name, n", [
+    ("Z4", 3), ("Z5", 2), ("D2", 2), ("S3", 2), ("S3", 3), ("S3", 4), ("D3", 2), ("D3", 3), ("D3", 4),
+])
+def test_enumeration_orbits_match_the_closure(name, n):
+    # D3 is S3 at other labels; at N = 2 and 4 its partition differs from
+    # S3's (ROADMAP item 1a), and both must still match the closure
+    g = build_group(name)
+    orbits, states = enumerate_holomorphic(g, n)
+    rows = {row.tobytes(): i for i, row in enumerate(states)}
+    got = []
+    for o in orbits:
+        rep = o["representative"]
+        braid = np.array(rep.braid, dtype=np.uint8)[1:, 1:].ravel()
+        got.append((rows[np.concatenate([rep.assoc.to_vector().astype(np.uint8), braid]).tobytes()], o["size"]))
+    assert sorted(got) == closure_orbits(states, *_gauge_moves(g, n), n)
 
 
 def brute_lattice_points(a, n, rhs):
