@@ -11,8 +11,11 @@ relabeled ones) were added later, computed by the tuple-state
 enumerator that preceded the state-array one.  Z4 at N = 4 and S3 at N = 6
 were added after that, computed by the state-array enumerator while it
 still returned its solutions as a list of tuple pairs.  Z2xZ2 at N = 4 and
-S3 at N = 8 were added last, computed by the state-array enumerator while
-it still closed orbits over a move table.
+S3 at N = 8 were added after that, computed by the state-array enumerator
+while it still closed orbits over a move table.  The corrupted gradings and
+actions of ``validate_pointed`` (keys ``<data>/deg/...`` and
+``<data>/action/...``) were added last, computed while each structure map
+of the validator was still checked by its own loop.
 """
 
 import hashlib
@@ -61,8 +64,9 @@ def _transgressions():
     return out
 
 
-def _issues(data, braid=None, assoc=None):
-    bent = PointedGXData.make(data.gamma, data.group, data.deg, data.action, data.n,
+def _issues(data, braid=None, assoc=None, deg=None, action=None):
+    bent = PointedGXData.make(data.gamma, data.group, data.deg if deg is None else deg,
+                              data.action if action is None else action, data.n,
                               data.assoc if assoc is None else assoc, data.braid if braid is None else braid)
     issues = validate_pointed(bent).issues
     return json.loads(json.dumps(issues))
@@ -70,7 +74,9 @@ def _issues(data, braid=None, assoc=None):
 
 def _mutations():
     """Every single-cell braid and associator shift; on the crossed S3 data,
-    whose G-action is nontrivial, only the shift by 1."""
+    whose G-action is nontrivial, only the shift by 1.  Then every degree
+    replaced by each other element of G, and every action-row entry swapped
+    with the entry that holds each other value (the row stays a bijection)."""
     s3 = symmetric(3)
     holo_s3, _ = holomorphic_crossed(s3, TorsionCocycle.make(s3, 3, 6, {}))
     out = {}
@@ -89,6 +95,18 @@ def _mutations():
                 vals = dict(base)
                 vals[t] = (vals.get(t, 0) + dv) % n
                 out[f"{label}/assoc/{','.join(map(str, t))}/{dv}"] = _issues(data, assoc=vals)
+        for x, g in itertools.product(range(order), range(data.group.order)):
+            if g != data.deg[x]:
+                deg = list(data.deg)
+                deg[x] = g
+                out[f"{label}/deg/{x}/{g}"] = _issues(data, deg=deg)
+        for k, x, v in itertools.product(range(data.group.order), range(order), range(order)):
+            row = list(data.action[k])
+            if v != row[x]:
+                y = row.index(v)
+                row[x], row[y] = row[y], row[x]
+                action = [row if i == k else p for i, p in enumerate(data.action)]
+                out[f"{label}/action/{k},{x}/{v}"] = _issues(data, action=action)
     return out
 
 
