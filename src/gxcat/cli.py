@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import CorpusError, FusionError, GroupError, InvariantError, ResourceLimit
@@ -62,6 +63,8 @@ def _read_json(path):
             obj = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(obj, dict):
@@ -75,8 +78,11 @@ def _emit(payload, fmt, out):
     else:
         text = _as_text(_prettify(payload))
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -503,7 +509,10 @@ def main(args=None, prog_name="gxcat"):
     parser.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None)
     try:
-        fn(**vars(parser.parse_args(args[1:])))
+        options = vars(parser.parse_args(args[1:]))
+        if options["out"] and not os.path.isdir(os.path.dirname(options["out"]) or "."):
+            raise UsageError(f"cannot write {options['out']}: no such directory")
+        fn(**options)
     except UsageError as exc:
         parser.error(str(exc))
     except CliError as exc:

@@ -7,21 +7,24 @@ matrix: exact quadratic surds whenever the whole dimension vector fits in
 one real quadratic field, certified floats otherwise.  Invertibility is
 always decided on the integer fusion data, never on the dims.
 
-Every check here reads the sparse coefficients ``ring.coeffs`` directly.
-numpy is imported only by ``GradedFusionRing.tensor()``, which hands the
-dense array to the gauging kernels.
+Every check here reads the sparse coefficients ``ring.coeffs`` or the
+label permutations directly; the homomorphism checks of an action and of a
+slot embedding go through ``groups.homomorphism_witness``.  numpy is
+imported only by ``GradedFusionRing.tensor()``, which hands the dense array
+to the gauging kernels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
 from itertools import compress
-from operator import mul, sub
+from operator import mul, or_, sub
 
 from .errors import FrozenRecord, FusionError, Record
 from .exact import CertReal, QuadReal, as_scalar, quad_numerators, scalar_eq, scalar_json
-from .groups import FiniteGroup, cyclic, is_index, validate_table
+from .groups import FiniteGroup, compose, cyclic, homomorphism_witness, is_index, validate_table
 
 __all__ = [
     "GradedFusionRing",
@@ -234,6 +237,9 @@ def _first_assoc_violation(ring):
     multiply-add per coefficient.  No entry exceeds r * max(N)^2, so no field
     carries into the next.  The byte strings are compared one (l, byte)
     plane at a time, read with strides in the (j, k, l) layout of the left.
+    On the first row that differs, the XORs of the plane pairs read as
+    integers, OR-ed over the bytes of a field, mark byte j*r + k where the
+    sides differ at (j, k, l); the lowest marked byte over all l is the witness.
     """
     r = ring.rank
     top = max((v for _, v in ring.coeffs), default=0)
@@ -259,23 +265,12 @@ def _first_assoc_violation(ring):
         rb = b"".join(x.to_bytes(size, "little") for x in right)  # fields (l, j, k)
         if any(lb[l * width + t::step] != rb[l * size + t:(l + 1) * size:width]
                for l in range(r) for t in range(width)):
-            return _assoc_violation_in_row(ring, by_first, i)
+            marks = [reduce(or_, (int.from_bytes(lb[l * width + t::step], "little")
+                                  ^ int.from_bytes(rb[l * size + t:(l + 1) * size:width], "little")
+                                  for t in range(width))) for l in range(r)]
+            at, l = min((((x & -x).bit_length() - 1) // 8, l) for l, x in enumerate(marks) if x)
+            return (i, *divmod(at, r), l)
     return None
-
-
-def _assoc_violation_in_row(ring, by_first, i):
-    """First (i, j, k, l) with differing sides for this i, from plain sparse sums."""
-    by_last = [[] for _ in range(ring.rank)]
-    for (a, b, c), v in ring.coeffs:
-        by_last[c].append((a, b, v))
-    left, right = {}, {}
-    for j, m, x in by_first[i]:  # N_ij^m N_mk^l
-        for k, l, y in by_first[m]:
-            left[j, k, l] = left.get((j, k, l), 0) + x * y
-    for m, l, y in by_first[i]:  # N_jk^m N_im^l
-        for j, k, x in by_last[m]:
-            right[j, k, l] = right.get((j, k, l), 0) + x * y
-    return (i,) + min(key for key in left.keys() | right.keys() if left.get(key, 0) != right.get(key, 0))
 
 
 def _dims_mismatch(ring, dims):
@@ -469,15 +464,10 @@ def validate_action(ring: GradedFusionRing, action: RingGAction) -> ValidationRe
             return rep
     if tuple(perms[0]) != tuple(range(r)):
         rep.add("homomorphism", "identity element must act trivially", g.element_names[0])
-    for a, b in itertools.product(g.elements(), repeat=2):
-        composed = tuple(perms[a][perms[b][i]] for i in range(r))
-        if composed != tuple(perms[g.mul[a][b]]):
-            rep.add(
-                "homomorphism",
-                f"pi_{g.element_names[a]} o pi_{g.element_names[b]} != pi_({g.element_names[a]}{g.element_names[b]})",
-                (g.element_names[a], g.element_names[b]),
-            )
-            break
+    bad = homomorphism_witness(g.mul, [tuple(p) for p in perms], compose)
+    if bad is not None:
+        a, b = (g.element_names[x] for x in bad)
+        rep.add("homomorphism", f"pi_{a} o pi_{b} != pi_({a}{b})", (a, b))
     coeff = dict(ring.coeffs)
     for el, p in enumerate(perms):
         bad = _permuted_mismatch(coeff, p)
@@ -516,8 +506,8 @@ def _permuted_mismatch(coeff, p):
     inv = [0] * len(p)
     for x, y in enumerate(p):
         inv[y] = x
-    bad = [key for key, v in coeff.items() if coeff.get(tuple(map(p.__getitem__, key)), 0) != v]
-    bad += [pre for key, v in coeff.items() if coeff.get(pre := tuple(map(inv.__getitem__, key)), 0) != v]
+    bad = [key for key, v in coeff.items() if coeff.get(compose(p, key), 0) != v]
+    bad += [pre for key, v in coeff.items() if coeff.get(pre := compose(inv, key), 0) != v]
     return min(bad, default=None)
 
 
@@ -539,48 +529,21 @@ def tensor_power(base: GradedFusionRing, n: int, group: FiniteGroup, embedding):
     for p in embedding:
         if sorted(p) != list(range(n)):
             raise FusionError(f"not a permutation of slots: {p}")
-    for a, b in itertools.product(group.elements(), repeat=2):
-        comp = tuple(embedding[a][embedding[b][x]] for x in range(n))
-        if comp != embedding[group.mul[a][b]]:
-            raise FusionError("embedding is not a homomorphism")
-    tuples = list(itertools.product(range(base.rank), repeat=n))
-    tindex = {t: i for i, t in enumerate(tuples)}
-    labels = ["(" + ",".join(base.label(x) for x in t) + ")" for t in tuples]
-    coeffs = {}
-    base_n = {k: v for k, v in base.coeffs}
-    for ti, tj in itertools.product(tuples, repeat=2):
-        # product rule: multiplicity factorizes over slots
-        parts = []
-        for s in range(n):
-            slot = [(k, base_n.get((ti[s], tj[s], k), 0)) for k in range(base.rank)]
-            parts.append([(k, v) for k, v in slot if v])
-        for combo in itertools.product(*parts):
-            tk = tuple(c[0] for c in combo)
-            mult = 1
-            for c in combo:
-                mult *= c[1]
-            coeffs[(tindex[ti], tindex[tj], tindex[tk])] = mult
-    dual = tuple(tindex[tuple(base.dual[x] for x in t)] for t in tuples)
-    ring = GradedFusionRing.make(
-        f"{base.name}^{n}",
-        labels,
-        tindex[(base.unit,) * n],
-        dual,
-        coeffs,
-        group=group,
-        grading=[0] * len(tuples),
-    )
-    perms = []
-    for el in group.elements():
-        p = embedding[el]
-        perm = []
-        for t in tuples:
-            moved = [None] * n
-            for i in range(n):
-                moved[p[i]] = t[i]
-            perm.append(tindex[tuple(moved)])
-        perms.append(tuple(perm))
-    return ring, RingGAction(group, tuple(perms))
+    if homomorphism_witness(group.mul, embedding, compose) is not None:
+        raise FusionError("embedding is not a homomorphism")
+    # Label tuples t in lexicographic order: slot s takes an index x to x r + t[s],
+    # the multiplicities multiply (product rule) and p moves t[s] to slot p[s].
+    r = base.rank
+    unit, dual, coeffs, perms = 0, [0], {(0, 0, 0): 1}, [[0] for _ in embedding]
+    for s in range(n):
+        unit = unit * r + base.unit
+        dual = [x * r + base.dual[a] for x in dual for a in range(r)]
+        coeffs = {(i * r + a, j * r + b, k * r + c): v * w
+                  for (i, j, k), v in coeffs.items() for (a, b, c), w in base.coeffs}
+        perms = [[x + a * r ** (n - 1 - p[s]) for x in perm for a in range(r)] for p, perm in zip(embedding, perms)]
+    labels = ["(" + ",".join(t) + ")" for t in itertools.product(base.simples, repeat=n)]
+    ring = GradedFusionRing.make(f"{base.name}^{n}", labels, unit, dual, coeffs, group=group, grading=[0] * r**n)
+    return ring, RingGAction(group, tuple(map(tuple, perms)))
 
 
 def invertible_sector_obstruction(ring: GradedFusionRing, action: RingGAction, g_elem: int):

@@ -156,23 +156,14 @@ def _rep_g_embedding_check(ring, dims, emb_idx, labels, rep_coeffs, rep_dims):
             raise FusionError(f"embedding image {ring.label(img)} is not degree-zero")
         if not scalar_eq(dims[img], QuadReal(rep_dims[a])):
             raise FusionError(f"embedding image {ring.label(img)} has wrong dimension for {la}")
-    image_set = set(emb_idx)
-    n = ring.tensor()
+    n, want = ring.tensor(), np.zeros(ring.rank, dtype=np.int64)
     for a, b in itertools.product(range(len(labels)), repeat=2):
-        prod = n[emb_idx[a], emb_idx[b], :]
-        for k in range(ring.rank):
-            want = 0
-            for c in range(len(labels)):
-                if emb_idx[c] == k:
-                    want = rep_coeffs.get((a, b, c), 0)
-            if k not in image_set and prod[k]:
-                raise FusionError(
-                    f"embedded subcategory not closed: ({labels[a]},{labels[b]}) hits {ring.label(k)}"
-                )
-            if k in image_set and prod[k] != want:
-                raise FusionError(
-                    f"embedding violates Rep(G) fusion at ({labels[a]},{labels[b]},{ring.label(k)})"
-                )
+        want[emb_idx] = [rep_coeffs.get((a, b, c), 0) for c in range(len(labels))]  # zero off the image
+        bad = np.flatnonzero(n[emb_idx[a], emb_idx[b]] != want).tolist()
+        if bad and bad[0] not in emb_idx:
+            raise FusionError(f"embedded subcategory not closed: ({labels[a]},{labels[b]}) hits {ring.label(bad[0])}")
+        if bad:
+            raise FusionError(f"embedding violates Rep(G) fusion at ({labels[a]},{labels[b]},{ring.label(bad[0])})")
 
 
 def _splits(h, member_dims):
@@ -283,6 +274,8 @@ def crossed_product(ring: GradedFusionRing, s_embedding, action: RingGAction = N
     if set(s_embedding) != set(labels):
         raise FusionError(f"embedding must cover the irreps {labels}")
     index = {s: i for i, s in enumerate(ring.simples)}
+    if unknown := [s_embedding[la] for la in labels if s_embedding[la] not in index]:
+        raise FusionError(f"embedding image {unknown[0]!r} is not a label of {ring.name}")
     emb_idx = [index[s_embedding[la]] for la in labels]
     if len(set(emb_idx)) != len(emb_idx):
         raise FusionError("embedding must be injective")

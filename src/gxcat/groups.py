@@ -31,6 +31,8 @@ __all__ = [
     "conjugacy_data",
     "orbit_labels",
     "abelian_characters",
+    "homomorphism_witness",
+    "compose",
     "PRESETS",
 ]
 
@@ -125,6 +127,21 @@ def is_index(v):
     return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
 
 
+def homomorphism_witness(mul, images, product):
+    """First (a, b) in row-major order over the table mul with images[ab]
+    != product(images[a], images[b]), or None on a homomorphism."""
+    for a, row in enumerate(mul):
+        for b, ab in enumerate(row):
+            if images[ab] != product(images[a], images[b]):
+                return a, b
+    return None
+
+
+def compose(p, q):
+    """The permutation p o q, x -> p[q[x]], of image tuples."""
+    return tuple(map(p.__getitem__, q))
+
+
 def validate_table(mul, name="table"):
     """Check the group axioms; raise GroupError naming the first violation.
 
@@ -212,8 +229,7 @@ def symmetric(n):
         raise GroupError("symmetric(n) supported for n <= 4")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    # composition (p*q)(x) = p(q(x))
-    mul = [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+    mul = [[index[compose(p, q)] for q in perms] for p in perms]
     names = ["e"] + ["".join(map(str, p)) for p in perms[1:]]
     return _mk(f"S{n}", mul, names)
 

@@ -48,7 +48,8 @@ from .cohomology import (
 from .cyclo import Cyc
 from .errors import FrozenRecord, Record
 from .fusion import GradedFusionRing, ValidationReport
-from .groups import FiniteGroup, InvariantError, abelian_characters, conjugacy_data, orbit_labels, quotient, subgroup
+from .groups import (FiniteGroup, InvariantError, abelian_characters, compose, conjugacy_data, homomorphism_witness,
+                     orbit_labels, quotient, subgroup)
 from .serialize import dump_group
 
 __all__ = [
@@ -143,10 +144,10 @@ def validate_pointed(d: PointedGXData) -> ValidationReport:
     # grading homomorphism
     if d.deg[0] != 0:
         rep.add("deg", "unit must have trivial degree", names[0])
-    for x, y in itertools.product(gam.elements(), repeat=2):
-        if d.deg[gam.mul[x][y]] != g.mul[d.deg[x]][d.deg[y]]:
-            rep.add("deg", f"grading not multiplicative at ({names[x]},{names[y]})", (names[x], names[y]))
-            break
+    bad = homomorphism_witness(gam.mul, d.deg, lambda u, v: g.mul[u][v])
+    if bad is not None:
+        x, y = (names[i] for i in bad)
+        rep.add("deg", f"grading not multiplicative at ({x},{y})", (x, y))
     # action: automorphisms, homomorphism, degree conjugation
     if len(d.action) != g.order:
         rep.add("action", "one automorphism per group element required")
@@ -155,17 +156,16 @@ def validate_pointed(d: PointedGXData) -> ValidationReport:
         if sorted(p) != list(range(gam.order)) or p[0] != 0:
             rep.add("action", f"action of {g.element_names[k]} is not a unit-preserving bijection", g.element_names[k])
             return rep
-        for x, y in itertools.product(gam.elements(), repeat=2):
-            if p[gam.mul[x][y]] != gam.mul[p[x]][p[y]]:
-                rep.add("action", f"action of {g.element_names[k]} is not an automorphism at ({names[x]},{names[y]})", (g.element_names[k], names[x], names[y]))
-                break
+        bad = homomorphism_witness(gam.mul, p, lambda u, v: gam.mul[u][v])
+        if bad is not None:
+            x, y = (names[i] for i in bad)
+            rep.add("action", f"action of {g.element_names[k]} is not an automorphism at ({x},{y})", (g.element_names[k], x, y))
     if tuple(d.action[0]) != tuple(range(gam.order)):
         rep.add("action", "identity must act trivially")
-    for k, l in itertools.product(g.elements(), repeat=2):
-        kl = g.mul[k][l]
-        if any(d.action[k][d.action[l][x]] != d.action[kl][x] for x in gam.elements()):
-            rep.add("action", f"action is not a homomorphism at ({g.element_names[k]},{g.element_names[l]})", (g.element_names[k], g.element_names[l]))
-            break
+    bad = homomorphism_witness(g.mul, [tuple(p) for p in d.action], compose)
+    if bad is not None:
+        k, l = (g.element_names[i] for i in bad)
+        rep.add("action", f"action is not a homomorphism at ({k},{l})", (k, l))
     for k in g.elements():
         for x in gam.elements():
             if d.deg[d.action[k][x]] != g.conj(k, d.deg[x]):
@@ -333,12 +333,9 @@ def holomorphic_crossed(group: FiniteGroup, omega: TorsionCocycle):
 
 
 def _automorphisms(g: FiniteGroup):
-    perms = []
-    for p in itertools.permutations(range(1, g.order)):
-        full = (0,) + p
-        if all(full[g.mul[x][y]] == g.mul[full[x]][full[y]] for x in g.elements() for y in g.elements()):
-            perms.append(full)
-    return perms
+    """Aut(G) as image tuples, in lexicographic order."""
+    perms = ((0, *p) for p in itertools.permutations(range(1, g.order)))
+    return [p for p in perms if homomorphism_witness(g.mul, p, lambda u, v: g.mul[u][v]) is None]
 
 
 def _void_rows(rows):
@@ -496,9 +493,8 @@ def pointed_deequivariantize(data: PointedGXData, subgroup_elems):
         if vals not in char_index:
             raise ValueError("monodromy character does not land in the dual group")
         deg2.append(char_index[vals])
-    for c1, c2 in itertools.product(range(gamma2.order), repeat=2):
-        if deg2[gamma2.mul[c1][c2]] != g2.mul[deg2[c1]][deg2[c2]]:
-            raise ValueError("degree map is not a homomorphism")  # internal consistency
+    if homomorphism_witness(gamma2.mul, deg2, lambda u, v: g2.mul[u][v]) is not None:
+        raise ValueError("degree map is not a homomorphism")  # internal consistency
 
     action2 = tuple(tuple(range(gamma2.order)) for _ in range(g2.order))
 

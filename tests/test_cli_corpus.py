@@ -419,6 +419,42 @@ class TestCliContracts:
         assert "unrecognized arguments: --seed 1" in res.stderr
         assert res.stdout == ""
 
+    def test_directory_input_is_a_usage_error(self):
+        res = run_cli(["validate", str(CORPUS), "--format", "json"])
+        assert res.exit_code == 2, res.output
+        assert f"cannot read {CORPUS}: " in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+    def test_out_in_a_missing_directory_is_refused_before_the_work(self, tmp_path, monkeypatch):
+        import gxcat.fusion
+
+        def not_run(ring):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(gxcat.fusion, "pf_dims", not_run)
+        out = tmp_path / "missing" / "x.json"
+        res = run_cli(["dims", str(CORPUS / "ring_ising.json"), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"cannot write {out}: no such directory" in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == "" and not out.parent.exists()
+
+    def test_out_that_cannot_be_opened_is_a_usage_error(self, tmp_path):
+        res = run_cli(["dims", str(CORPUS / "ring_ising.json"), "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert f"cannot write {tmp_path}: " in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == "" and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, ring, embed, group, label", [
+        ("ungauge", "toric_code", "pi0=e,pi1=nope", "Z2", "nope"),
+        ("roundtrip", "rep_z2", "pi0=e,pi1=nope", "Z2", "nope"),
+        ("ungauge", "rep_s3", "pi0=1,pi1=sgn,pi2=std", "S3", "sgn"),
+    ])
+    def test_embedding_outside_the_ring_exits_1(self, command, ring, embed, group, label):
+        res = run_cli([command, str(CORPUS / f"ring_{ring}.json"), "--embed", embed, "--group", group])
+        assert res.exit_code == 1, res.output
+        assert res.stderr == f"error: embedding image {label!r} is not a label of {ring}\n"
+        assert res.stdout == ""
+
     def test_resource_guard_exits_3(self):
         res = run_cli(["cohomology", "--group", "S4", "--k", "4"])
         assert res.exit_code == 3

@@ -457,3 +457,12 @@ class TestSparseChecks:
         coeffs[max(coeffs)] += 1
         broken = GradedFusionRing.make("broken", ring.simples, ring.unit, ring.dual, coeffs)
         assert fusion_mod._first_assoc_violation(broken) == _first_true(_assoc_diff(broken))
+
+    def test_rank_81_witness_of_one_changed_multiplicity(self, rep_s3):
+        """Too large for the dense reference: the witness is the one the
+        sparse sums of the failing row gave before it was read off the planes."""
+        ring, _ = tensor_power(rep_s3, 4, cyclic(4), [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)])
+        coeffs = dict(ring.coeffs)
+        coeffs[max(coeffs)] += 1
+        broken = GradedFusionRing.make("broken", ring.simples, ring.unit, ring.dual, coeffs)
+        assert fusion_mod._first_assoc_violation(broken) == (2, 78, 80, 80)

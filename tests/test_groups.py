@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyc_oracle import Cyc
+from gxcat import pointed
 from gxcat.chartab import (
     character_table,
     irrep_dims,
@@ -15,9 +18,11 @@ from gxcat.groups import (
     GroupError,
     abelian_characters,
     build_group,
+    compose,
     conjugacy_data,
     cyclic,
     dihedral,
+    homomorphism_witness,
     product,
     quaternion8,
     subgroup,
@@ -267,3 +272,79 @@ class TestSubgroups:
             sub, embed = subgroup(g, cent)
             assert sub.order == len(cent)
             assert embed[0] == 0
+
+
+ORDER_8 = [name for name in sorted(PRESETS) if build_group(name).order <= 8]
+
+
+def brute_witness(mul, images, product):
+    """Independent oracle: every failing pair listed, the first one kept."""
+    n = len(mul)
+    bad = [(a, b) for a in range(n) for b in range(n) if images[mul[a][b]] != product(images[a], images[b])]
+    return bad[0] if bad else None
+
+
+@st.composite
+def structure_maps(draw):
+    """(table, images, product, built): a map from a preset of order <= 8,
+    into a preset's table or into permutations under compose.  built is
+    True for a homomorphism by construction (trivial, identity, a power map
+    of an abelian group, the left regular representation, a permutation
+    presentation of the domain itself); random images and one changed image
+    are the other cases."""
+    g = build_group(draw(st.sampled_from(ORDER_8)))
+    kind = draw(st.sampled_from(["table", "permutations", "trivial", "identity", "power", "regular"]))
+    if kind == "table":
+        h = build_group(draw(st.sampled_from(ORDER_8)))
+        images = draw(st.lists(st.integers(0, h.order - 1), min_size=g.order, max_size=g.order))
+        return g.mul, images, lambda x, y: h.mul[x][y], False
+    if kind == "permutations":
+        perms = st.permutations(range(draw(st.integers(1, 4)))).map(tuple)
+        return g.mul, draw(st.lists(perms, min_size=g.order, max_size=g.order)), compose, False
+    if kind == "regular":  # x -> left multiplication by x, into Sym(G)
+        images, product = [tuple(row) for row in g.mul], compose
+    elif kind == "power" and g.is_abelian:
+        power = draw(st.integers(0, 8))
+        images = [0] * g.order
+        for x in g.elements():
+            for _ in range(power):
+                images[x] = g.mul[images[x]][x]
+        product = lambda x, y: g.mul[x][y]
+    else:  # the power map of a nonabelian group falls back to the identity
+        images = [0] * g.order if kind == "trivial" else list(g.elements())
+        product = lambda x, y: g.mul[x][y]
+    if draw(st.booleans()):
+        return g.mul, images, product, True
+    at = draw(st.integers(0, g.order - 1))
+    images = list(images)
+    if product is compose:
+        images[at] = compose(images[at], tuple(draw(st.permutations(range(g.order)))))
+    else:
+        images[at] = draw(st.integers(0, g.order - 1))
+    return g.mul, images, product, False
+
+
+class TestHomomorphismWitness:
+    @settings(max_examples=400, deadline=None)
+    @given(structure_maps())
+    def test_witness_is_the_first_failing_pair(self, case):
+        mul, images, product, built = case
+        got = homomorphism_witness(mul, images, product)
+        assert got == brute_witness(mul, images, product)
+        is_hom = all(images[mul[a][b]] == product(images[a], images[b]) for a in range(len(mul)) for b in range(len(mul)))
+        assert (got is None) == is_hom
+        if built:
+            assert got is None
+
+    def test_compose_applies_the_right_factor_first(self):
+        assert compose((1, 2, 0), (0, 2, 1)) == (1, 0, 2)  # x -> p[q[x]]
+        s3 = symmetric(3)
+        perms = sorted(itertools.permutations(range(3)))
+        assert all(perms[s3.mul[a][b]] == compose(perms[a], perms[b]) for a in range(6) for b in range(6))
+
+    @pytest.mark.parametrize("name", [name for name in ORDER_8 if build_group(name).order <= 6])
+    def test_automorphisms_are_the_brute_force_aut(self, name):
+        g = build_group(name)
+        brute = [p for p in itertools.permutations(g.elements())
+                 if all(p[g.mul[x][y]] == g.mul[p[x]][p[y]] for x in g.elements() for y in g.elements())]
+        assert pointed._automorphisms(g) == brute
