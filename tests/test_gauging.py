@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,24 @@ from gxcat.gauging import (
 from gxcat.groups import cyclic, product, symmetric
 
 PHI = QuadReal.root_of(1, 1)
+
+
+def per_entry_scan(ring, emb_idx, labels, rep_coeffs):
+    """Reference for the closure and fusion part of the Rep(G)-embedding
+    check: for each (a, b) in row-major order, each label k in turn, with
+    the wanted multiplicity found by scanning the embedding for k."""
+    n = ring.tensor()
+    for a, b in itertools.product(range(len(labels)), repeat=2):
+        for k in range(ring.rank):
+            want = 0
+            for c in range(len(labels)):
+                if emb_idx[c] == k:
+                    want = rep_coeffs.get((a, b, c), 0)
+            if k not in emb_idx and n[emb_idx[a], emb_idx[b], k]:
+                return f"embedded subcategory not closed: ({labels[a]},{labels[b]}) hits {ring.label(k)}"
+            if k in emb_idx and n[emb_idx[a], emb_idx[b], k] != want:
+                return f"embedding violates Rep(G) fusion at ({labels[a]},{labels[b]},{ring.label(k)})"
+    return None
 
 
 class TestEquivariantize:
@@ -149,6 +168,33 @@ class TestCrossedProduct:
     def test_non_closed_embedding(self, fibonacci):
         with pytest.raises(FusionError, match="wrong dimension|not closed|fusion"):
             crossed_product(fibonacci, {"pi0": "1", "pi1": "t"}, group=cyclic(2))
+
+    def test_embedding_check_matches_the_per_entry_scan(self):
+        """On up to 300 injective embeddings of Rep(G) into D(G) per group,
+        by degree-zero images of the right dims, the fusion check raises what
+        the per-entry scan it replaced reported; both failures occur."""
+        from gxcat.chartab import rep_fusion_data
+        from gxcat.groups import build_group
+        from gxcat.pointed import twisted_double
+
+        seen = set()
+        for name in ["Z3", "S3", "Z2xZ2"]:
+            g = build_group(name)
+            ring = twisted_double(g, TorsionCocycle.make(g, 3, g.order, {})).fusion
+            labels, rep_dims, rep_coeffs, _ = rep_fusion_data(g)
+            dims = pf_dims(ring)
+            fits = [[i for i in range(ring.rank) if dims[i] == QuadReal(d) and ring.grading[i] == 0] for d in rep_dims]
+            embeddings = [list(e) for e in itertools.product(*fits) if len(set(e)) == len(e)]
+            for emb_idx in random.Random(0).sample(embeddings, min(300, len(embeddings))):
+                want = per_entry_scan(ring, emb_idx, labels, rep_coeffs)
+                try:
+                    gauging._rep_g_embedding_check(ring, dims, emb_idx, labels, rep_coeffs, rep_dims)
+                    got = None
+                except FusionError as exc:
+                    got = str(exc)
+                assert got == want, (name, emb_idx)
+                seen.add(want and want.split(" (")[0])
+        assert seen == {None, "embedded subcategory not closed:", "embedding violates Rep(G) fusion at"}
 
     def test_d_s3_chain(self):
         from gxcat.pointed import twisted_double

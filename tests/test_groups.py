@@ -289,9 +289,8 @@ def structure_maps(draw):
     """(table, images, product, built): a map from a preset of order <= 8,
     into a preset's table or into permutations under compose.  built is
     True for a homomorphism by construction (trivial, identity, a power map
-    of an abelian group, the left regular representation, a permutation
-    presentation of the domain itself); random images and one changed image
-    are the other cases."""
+    of an abelian group, the left regular representation); random images
+    and one changed image are the other cases."""
     g = build_group(draw(st.sampled_from(ORDER_8)))
     kind = draw(st.sampled_from(["table", "permutations", "trivial", "identity", "power", "regular"]))
     if kind == "table":
