@@ -21,11 +21,18 @@ and ``obstruct`` check groups and rings on their tuple and sparse forms.
 numpy is loaded only by the commands that run an array kernel: cochains
 (``validate`` on a cocycle, ``cohomology``, ``transgress``), pointed data
 and doubles, and gauging.
+
+``run`` is the process entry, of the ``gxcat`` script and of ``python -m
+gxcat.cli``: ``main``, then ``gc.freeze()``, so that the full collections
+of interpreter teardown skip every object alive at exit (numpy's modules
+and types among them).  ``main`` itself freezes nothing: the tests and
+``bench/child.py`` call it in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -59,12 +66,14 @@ class UsageError(Exception):
 
 def _read_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise UsageError(f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(obj, dict):
@@ -528,5 +537,16 @@ def main(args=None, prog_name="gxcat"):
 
 main.main = main  # the in-process entry point of bench/child.py: main.main(args=..., prog_name=...)
 
+
+def run():
+    """The process entry of ``gxcat`` and ``python -m gxcat.cli``: ``main``,
+    then ``gc.freeze()``, so that the collections of interpreter teardown
+    visit none of the objects alive at exit."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -73,12 +73,15 @@ class TorsionCocycle(FrozenRecord):
 
     @staticmethod
     def _guard(group, degree, n):
-        """Refuse a degree below 0, an N below 1, and more cells than a check may visit
-        (every (k+1)-tuple, a G^k slab at a time, with dc holding them all), before allocating."""
+        """Refuse a degree below 0, an N outside 1..2**31-1 (the moduli of snf_mod), and more
+        cells than a check may visit (every (k+1)-tuple, a G^k slab at a time, with dc holding
+        them all), before allocating."""
         if degree < 0:
             raise ValueError(f"cochain degree must be at least 0, not {degree}")
         if n < 1:
             raise ValueError(f"cochain modulus N must be at least 1, not {n}")
+        if n >= 1 << 31:
+            raise ValueError(f"cochain modulus N must be below 2**31, not {n}")
         cells = group.order ** (degree + 1)
         if cells > CELL_CAP:
             raise ResourceLimit(

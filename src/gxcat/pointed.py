@@ -714,8 +714,9 @@ def _verlinde_fusion(name, order, simples, coef, den):
     cols = np.arange(len(simples))
     vals, rational = character_sums(coef, coef, coef, (cols, cols, cols, big_l // dims))
     labels = [f"({s['class_rep']};{s['irrep']})" for s in simples]
+    vals *= order  # in place: a scaled copy would be one more s^3 int64 array
     coeffs, dual = fusion_coefficients(
-        vals * order, rational, den**3 * big_l, labels, "double fusion must be a non-negative integer")
+        vals, rational, den**3 * big_l, labels, "double fusion must be a non-negative integer")
     return GradedFusionRing.make(name, labels, 0, tuple(dual), coeffs)
 
 

@@ -63,7 +63,8 @@ def load_group(obj, where="group"):
     if isinstance(obj, str):
         return build_group(obj)
     if "mul" in obj:
-        g = build_group({"name": obj.get("name", "G"), "mul": obj["mul"]})
+        name = _shaped(obj.get("name", "G"), (str,), f"{where}.name", GroupError)
+        g = build_group({"name": name, "mul": obj["mul"]})
         if "order" in obj and obj["order"] != g.order:
             raise GroupError("declared order does not match the table")
         return g

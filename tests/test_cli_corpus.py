@@ -53,6 +53,15 @@ def run_cli(args):
     return CliResult(code, out.getvalue(), err.getvalue())
 
 
+def golden_commands():
+    """(entry name, arguments, golden path) of every corpus entry with a golden."""
+    commands = {"group": "validate", "cocycle": "validate", "ring": "dims", "pointed": "smatrix"}
+    for rec in json.loads((CORPUS / "index.json").read_text())["entries"]:
+        if rec["golden"]:
+            cmd = "sectors" if rec["name"] == "ising_z2graded" else commands[rec["kind"]]
+            yield rec["name"], [cmd, str(CORPUS / rec["path"]), "--format", "json"], CORPUS / rec["golden"]
+
+
 class TestCorpus:
     def test_entry_counts(self):
         entries = corpus_list()
@@ -84,17 +93,10 @@ class TestCorpus:
             corpus_mod.corpus_list()
 
     def test_goldens_are_current_cli_output(self):
-        index = json.loads((CORPUS / "index.json").read_text())
-        commands = {"group": "validate", "cocycle": "validate", "ring": "dims", "pointed": "smatrix"}
-        for rec in index["entries"]:
-            if not rec["golden"]:
-                continue
-            cmd = commands[rec["kind"]]
-            if rec["name"] == "ising_z2graded":
-                cmd = "sectors"
-            res = run_cli([cmd, str(CORPUS / rec["path"]), "--format", "json"])
+        for name, args, golden in golden_commands():
+            res = run_cli(args)
             assert res.exit_code == 0
-            assert res.output == (CORPUS / rec["golden"]).read_text(), rec["name"]
+            assert res.output == golden.read_text(), name
 
 
 class TestSerialization:
@@ -315,12 +317,41 @@ class TestCliContracts:
         (-1, 2, "cochain degree must be at least 0, not -1"),
         (2, 0, "cochain modulus N must be at least 1, not 0"),
         (2, -3, "cochain modulus N must be at least 1, not -3"),
+        (2, 2**31, "cochain modulus N must be below 2**31, not 2147483648"),
+        (2, 2**70, "cochain modulus N must be below 2**31, not 1180591620717411303424"),
     ])
     def test_cocycle_degree_and_modulus_must_be_in_range(self, tmp_path, degree, n, message):
         bad = tmp_path / "cocycle.json"
         bad.write_text(json.dumps({"group": "Z2", "degree": degree, "N": n, "values": []}))
         res = run_cli(["validate", str(bad), "--format", "json"])
         assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("n", [2**31, 2**70])
+    @pytest.mark.parametrize("command", ["validate", "smatrix"])
+    def test_pointed_modulus_must_be_below_2_31(self, tmp_path, command, n):
+        obj = json.loads((CORPUS / "pointed_toric_code.json").read_text())
+        obj["N"] = n
+        bad = tmp_path / "pointed.json"
+        bad.write_text(json.dumps(obj))
+        res = run_cli([command, str(bad), "--format", "json"])
+        assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: cochain modulus N must be below 2**31, not {n}\n")
+
+    @pytest.mark.parametrize("n, code", [(2**31 - 1, 0), (2**31, 1), (2**32, 1), (2**70, 1)])
+    def test_double_modulus_must_be_below_2_31(self, n, code):
+        res = run_cli(["double", "--group", "Z2", "--trivial", "--N", str(n), "--format", "json"])
+        assert res.exit_code == code, res.output
+        if code:
+            assert (res.stdout, res.stderr) == ("", f"error: cochain modulus N must be below 2**31, not {n}\n")
+
+    @pytest.mark.parametrize("name, message", [(["S3"], "a list"), (3, "a number"), (None, "null")])
+    @pytest.mark.parametrize("command", [["validate"], ["cohomology", "--k", "2", "--group"]])
+    def test_group_name_must_be_a_string(self, tmp_path, command, name, message):
+        obj = json.loads((CORPUS / "group_S3.json").read_text())
+        obj["name"] = name
+        bad = tmp_path / "group.json"
+        bad.write_text(json.dumps(obj))
+        res = run_cli([*command, str(bad), "--format", "json"])
+        assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: group.name must be a string, not {message}\n")
 
     @pytest.mark.parametrize("where, message", [
         (["dual", "t"], "the dual map has no entry for 't'"),
@@ -424,6 +455,15 @@ class TestCliContracts:
         assert res.exit_code == 2, res.output
         assert f"cannot read {CORPUS}: " in res.stderr and "Traceback" not in res.stderr
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("command", ["validate", "dims"])
+    def test_input_that_is_not_utf8_is_a_usage_error(self, tmp_path, command):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        res = run_cli([command, str(bad), "--format", "json"])
+        assert res.exit_code == 2, res.output
+        assert f"cannot read {bad}: not UTF-8 (invalid start byte at byte 0)" in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
 
     def test_out_in_a_missing_directory_is_refused_before_the_work(self, tmp_path, monkeypatch):
         import gxcat.fusion

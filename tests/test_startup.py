@@ -6,19 +6,26 @@ array kernel (cochains, character tables, doubles, gauging) may load numpy,
 and no case loads click.
 """
 
+import gc
+import hashlib
+import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import gxcat
-from test_cli_corpus import CORPUS, _child_env
+import gxcat.cli
+from test_cli_corpus import CORPUS, _child_env, _subprocess_cli, golden_commands, run_cli
+from test_cli_frozen import FROZEN_CASES, cases
 
 # Runs `python -m gxcat.cli ARGS` in this interpreter (as runpy does for -m),
-# then writes the exit code and the loaded module names to the file argv[1].
+# then writes the exit code, the loaded module names and the number of
+# objects that gc.freeze() moved out of the collector's reach to the file argv[1].
 _RUN_CLI = """
-import json, runpy, sys
+import gc, json, runpy, sys
 out, sys.argv = sys.argv[1], ["gxcat"] + sys.argv[2:]
 code = 0
 try:
@@ -26,7 +33,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 with open(out, "w") as fh:
-    json.dump({"exit": code, "modules": sorted(sys.modules)}, fh)
+    json.dump({"exit": code, "modules": sorted(sys.modules), "frozen": gc.get_freeze_count()}, fh)
 """
 
 # the package, its exception types and the JSON formats: no numpy
@@ -185,3 +192,47 @@ def test_numpy_free_commands_load_no_inspect(tmp_path, args, code):
     assert exit_code == code, res.stderr
     assert "numpy" not in modules
     assert "inspect" not in modules
+
+
+# The process entry: `python -m gxcat.cli` and the `gxcat` script run
+# cli.run, which freezes the heap after main() so that teardown's collections
+# skip it.  main() itself freezes nothing: tests and bench/child.py call it in
+# process.
+@pytest.mark.parametrize("args, code", [
+    (["cohomology", "--group", "Z2", "--k", "2", "--format", "json"], 0),
+    (["validate", "broken_ring.json", "--format", "json"], 1),
+    (["dims"], 2),
+])
+def test_module_entry_freezes_the_heap_after_main(tmp_path, args, code):
+    exit_code, modules, res = _every_module_loaded(tmp_path, args)
+    assert exit_code == code, res.stderr
+    assert json.loads((tmp_path / "modules.json").read_text())["frozen"] > 0
+
+
+def test_main_in_process_freezes_nothing():
+    before = gc.get_freeze_count()
+    assert run_cli(["cohomology", "--group", "Z2", "--k", "2", "--format", "json"]).exit_code == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(pathlib.Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        module, _, name = tomllib.load(fh)["project"]["scripts"]["gxcat"].partition(":")
+    assert getattr(importlib.import_module(module), name) is gxcat.cli.run
+
+
+@pytest.mark.parametrize("args, golden", [pytest.param(a, g, id=name) for name, a, g in golden_commands()])
+def test_process_entry_prints_each_golden(args, golden):
+    res = _subprocess_cli(args, 1)
+    assert (res.returncode, res.stderr) == (0, b""), res.stderr
+    assert res.stdout == golden.read_bytes()
+
+
+@pytest.mark.parametrize("key", ["corpus/validate/broken_ring", "error/resource-guard"])
+def test_process_entry_keeps_frozen_failures(key):
+    res = _subprocess_cli([a.format(c=CORPUS) for a in cases()[key]], 1)
+    want = FROZEN_CASES[key]
+    assert res.returncode == want["exit"]
+    assert hashlib.sha256(res.stdout).hexdigest() == want["stdout"]
+    assert res.stderr.decode() == want["stderr"]
