@@ -127,7 +127,7 @@ def character_sums(a, b, c, terms):
                 vals[rows] = image
             else:
                 rational[rows] &= image == vals[rows]
-    vals = np.where(vals > p // 2, vals - p, vals)
+    np.subtract(vals, p, out=vals, where=vals > p // 2)  # balanced residues, in place
     shape = (a.shape[0], b.shape[0], c.shape[0])
     return vals.reshape(shape), rational.reshape(shape)
 
