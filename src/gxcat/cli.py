@@ -539,9 +539,7 @@ main.main = main  # the in-process entry point of bench/child.py: main.main(args
 
 
 def run():
-    """The process entry of ``gxcat`` and ``python -m gxcat.cli``: ``main``,
-    then ``gc.freeze()``, so that the collections of interpreter teardown
-    visit none of the objects alive at exit."""
+    """The process entry: ``main``, then ``gc.freeze()`` (see the module docstring)."""
     try:
         main()
     finally:

@@ -3,7 +3,8 @@
 Each case runs in a fresh interpreter from cwd="/" and reports which of
 numpy, click and the gxcat modules it loaded.  Only commands that run an
 array kernel (cochains, character tables, doubles, gauging) may load numpy,
-and no case loads click.
+and no case loads click.  The process entry, ``cli.run``, freezes the heap
+after ``main`` and prints every golden byte for byte.
 """
 
 import gc
