@@ -320,10 +320,12 @@ def fusion_coefficients(vals, rational, scale, labels, message):
     """The nonzero N = vals / scale from a character sum over (labels,)*3, as
     {(i, j, k): N} in C order, and each label's dual: the one k with N[i, k, 0]
     = 1.  InvariantError(message) unless every value is rational and a
-    non-negative multiple of scale, and when a label has no or several duals."""
-    mult, rest = np.divmod(vals, scale)
-    if not rational.all() or rest.any() or (mult < 0).any():
+    non-negative multiple of scale, and when a label has no or several duals.
+    ``vals`` is consumed: it is divided by scale in place, so that the s^3
+    sums are held once."""
+    if not rational.all() or (vals % scale).any() or (vals < 0).any():
         raise InvariantError(message)
+    mult = np.floor_divide(vals, scale, out=vals)
     nz = np.nonzero(mult)  # in C order
     coeffs = dict(zip(zip(*(i.tolist() for i in nz)), mult[nz].tolist()))
     duals = []

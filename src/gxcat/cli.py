@@ -23,21 +23,26 @@ numpy is loaded only by the commands that run an array kernel: cochains
 and doubles, and gauging.
 
 ``run`` is the process entry, of the ``gxcat`` script and of ``python -m
-gxcat.cli``: ``main``, then ``gc.freeze()``, so that the full collections
-of interpreter teardown skip every object alive at exit (numpy's modules
-and types among them).  ``main`` itself freezes nothing: the tests and
-``bench/child.py`` call it in process.
+gxcat.cli``.  A cold process frees nothing it would not free at exit, so
+``run`` turns the cyclic collector off before ``main``.  When ``main``
+exits with an int code, ``run`` does what interpreter finalization would do
+first, the atexit handlers and the flushing of stdout and stderr, and then
+ends the process with ``os._exit``, skipping the teardown of a heap that is
+about to vanish.  Any other exception, a non-int code or a failed flush
+takes the interpreter's own exit path.  ``main`` itself leaves the
+collector alone: the tests and ``bench/child.py`` call it in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import os
 import sys
 
-from .errors import CorpusError, FusionError, GroupError, InvariantError, ResourceLimit
+from .errors import CorpusError, FusionError, GroupError, InvariantError, ResourceLimit, guard_cohomology
 from .serialize import (
     canonical_json,
     detect_kind,
@@ -352,10 +357,11 @@ def roundtrip(path, embed, group_spec, fmt, out):
 @command("cohomology", GROUP, _arg("--k", type=int, required=True), N_OPT)
 def cohomology(group_spec, k, n, fmt, out):
     """H^k(G, mu_N) as invariant factors (N defaults to |G|)."""
-    from .cohomology import cohomology_group, u1_cohomology
-
     g = _load_group_opt(group_spec)
     n = g.order if n is None else n
+    guard_cohomology(g.order, k, n)  # refuses before numpy is loaded
+    from .cohomology import cohomology_group, u1_cohomology
+
     h = cohomology_group(g, k, n)
     payload = {
         "group": g.name,
@@ -539,11 +545,27 @@ main.main = main  # the in-process entry point of bench/child.py: main.main(args
 
 
 def run():
-    """The process entry: ``main``, then ``gc.freeze()`` (see the module docstring)."""
+    """The process entry: ``main`` with the collector off, then ``os._exit``
+    after the atexit handlers and a flush (see the module docstring)."""
+    gc.disable()
     try:
         main()
-    finally:
-        gc.freeze()
+    except SystemExit as exc:
+        if type(exc.code) is int and _finalized():
+            os._exit(exc.code)
+        raise
+
+
+def _finalized():
+    """Run the atexit handlers and flush stdout and stderr, as finalization
+    does before it tears the heap down; False when a flush fails."""
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe, a full disk, a closed stream
+        return False
+    return True
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import FrozenRecord, InvariantError, ResourceLimit
+from .errors import CELL_CAP, FrozenRecord, InvariantError, ResourceLimit, guard_cells, guard_cohomology
 from .groups import FiniteGroup, GroupError, subgroup
 from . import snf
 
@@ -52,9 +52,6 @@ __all__ = [
     "transgress",
     "first_witness",
 ]
-
-CELL_CAP = 1 << 25
-MAX_N = 360
 
 
 def _inner(k):
@@ -217,20 +214,10 @@ def is_cocycle(c: TorsionCocycle):
     return c.witness is None, c.witness
 
 
-def _guard_cells(g, k, what):
-    rows = (g.order - 1) ** (k + 1)
-    cols = (g.order - 1) ** k
-    if rows * cols > CELL_CAP:
-        raise ResourceLimit(
-            f"{what}: differential matrix {rows}x{cols} exceeds the cell cap"
-        )
-    return rows, cols
-
-
 @lru_cache(maxsize=None)
 def bar_matrix(g: FiniteGroup, k: int):
     """Integer matrix of the degree-k differential C^k -> C^{k+1}."""
-    rows, cols = _guard_cells(g, k, "bar_matrix")
+    rows, cols = guard_cells(g.order, k, "bar_matrix")
     m = g.order
     column = np.full((m,) * k, -1, dtype=np.int64)
     column[_inner(k)] = np.arange(cols).reshape((m - 1,) * k)
@@ -284,11 +271,7 @@ def cohomology_group(g: FiniteGroup, k: int, n: int) -> CohomologyGroup:
     cokernel generators of the (k-1)-differential, the Tor(H^{k+1}(G,Z), Z/n)
     part contributes (n/d)-multiples of preimages along the k-differential.
     """
-    if k < 1 or k > 4:
-        raise GroupError("degree k must be in 1..4")
-    if n < 1 or n > MAX_N:
-        raise GroupError(f"N must be in 1..{MAX_N}")
-    _guard_cells(g, k, "cohomology_group")
+    guard_cohomology(g.order, k, n)
     m = _modulus(g, n)
     reps = []
     orders = []
@@ -341,7 +324,7 @@ def u1_cohomology(g: FiniteGroup, k: int) -> CohomologyGroup:
     """
     if k not in (2, 3):
         raise GroupError("u1_cohomology supports k in {2, 3}")
-    _guard_cells(g, k, "u1_cohomology")
+    guard_cells(g.order, k, "u1_cohomology")
     diag, _ = _elimination(g, k, _modulus(g, g.order))
     factors = snf.invariant_factor_chain(diag)
     return CohomologyGroup(tuple(f for f in factors if f > 1), (), ())

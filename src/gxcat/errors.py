@@ -1,17 +1,22 @@
-"""The exception types and record base classes of gxcat, importable without numpy.
+"""The exception types, record base classes and size guards of gxcat, importable without numpy.
 
 Each exception is re-exported by the module that raises it first
 (``groups``, ``cohomology``, ``fusion``, ``corpus``), so both import paths
 name the same class.  The CLI maps them to its exit codes from here, before
 any layer is loaded.  Every layer loads this module, so the record bases
-live here too.
+live here too, and so do the guards that the CLI can run before it loads
+the layer they protect.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-__all__ = ["GroupError", "InvariantError", "ResourceLimit", "FusionError", "CorpusError", "Record", "FrozenRecord"]
+__all__ = ["GroupError", "InvariantError", "ResourceLimit", "FusionError", "CorpusError", "Record", "FrozenRecord",
+           "CELL_CAP", "MAX_N", "guard_cells", "guard_cohomology"]
+
+CELL_CAP = 1 << 25  # dense cells of one bar differential, cochain check or braid system
+MAX_N = 360  # the largest coefficient modulus of cohomology_group
 
 
 class GroupError(ValueError):
@@ -35,6 +40,27 @@ class FusionError(ValueError):
 
 class CorpusError(RuntimeError):
     pass
+
+
+def guard_cells(order, k, what):
+    """The shape (rows, cols) of the degree-k bar differential of a group of
+    this order; ResourceLimit when it holds more than CELL_CAP cells."""
+    rows = (order - 1) ** (k + 1)
+    cols = (order - 1) ** k
+    if rows * cols > CELL_CAP:
+        raise ResourceLimit(f"{what}: differential matrix {rows}x{cols} exceeds the cell cap")
+    return rows, cols
+
+
+def guard_cohomology(order, k, n):
+    """Refuse what ``cohomology_group`` refuses, before numpy is loaded: a
+    degree k outside 1..4, an N outside 1..MAX_N, and a differential over
+    the cell cap."""
+    if k < 1 or k > 4:
+        raise GroupError("degree k must be in 1..4")
+    if n < 1 or n > MAX_N:
+        raise GroupError(f"N must be in 1..{MAX_N}")
+    guard_cells(order, k, "cohomology_group")
 
 
 class Record:

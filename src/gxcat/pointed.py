@@ -36,7 +36,6 @@ import numpy as np
 from . import snf
 from .chartab import character_sums, fusion_coefficients, prime_1_mod, primitive_root, projective_irrep_data
 from .cohomology import (
-    CELL_CAP,
     ResourceLimit,
     TorsionCocycle,
     bar_matrix,
@@ -46,7 +45,7 @@ from .cohomology import (
     transgress,
 )
 from .cyclo import Cyc
-from .errors import FrozenRecord, Record
+from .errors import CELL_CAP, FrozenRecord, Record
 from .fusion import GradedFusionRing, ValidationReport
 from .groups import (FiniteGroup, InvariantError, abelian_characters, compose, conjugacy_data, homomorphism_witness,
                      orbit_labels, quotient, subgroup)

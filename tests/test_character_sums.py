@@ -208,7 +208,7 @@ def test_fusion_coefficients_reads_c_order_and_duals():
     for i in range(3):
         for j in range(3):
             vals[i, j, (i + j) % 3] = 6
-    coeffs, duals = fusion_coefficients(vals, np.ones(vals.shape, dtype=bool), 6, "abc", "bad")
+    coeffs, duals = fusion_coefficients(vals.copy(), np.ones(vals.shape, dtype=bool), 6, "abc", "bad")
     assert list(coeffs) == sorted(coeffs) and len(coeffs) == 9
     assert set(coeffs.values()) == {1}
     assert duals == [0, 2, 1]

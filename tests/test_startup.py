@@ -3,14 +3,16 @@
 Each case runs in a fresh interpreter from cwd="/" and reports which of
 numpy, click and the gxcat modules it loaded.  Only commands that run an
 array kernel (cochains, character tables, doubles, gauging) may load numpy,
-and no case loads click.  The process entry, ``cli.run``, freezes the heap
-after ``main`` and prints every golden byte for byte.
+and no case loads click.  The process entry, ``cli.run``, runs ``main``
+with the cyclic collector off and ends with ``os._exit`` after the atexit
+handlers and a flush; it prints every golden byte for byte.
 """
 
 import gc
 import hashlib
 import importlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -22,19 +24,19 @@ import gxcat.cli
 from test_cli_corpus import CORPUS, _child_env, _subprocess_cli, golden_commands, run_cli
 from test_cli_frozen import FROZEN_CASES, cases
 
-# Runs `python -m gxcat.cli ARGS` in this interpreter (as runpy does for -m),
-# then writes the exit code, the loaded module names and the number of
-# objects that gc.freeze() moved out of the collector's reach to the file argv[1].
+# Runs `python -m gxcat.cli ARGS` in this interpreter (as runpy does for -m).
+# An atexit handler registered before the entry runs writes the loaded module
+# names to the file argv[1]; the exit code is the child's return code.
 _RUN_CLI = """
-import gc, json, runpy, sys
+import atexit, json, runpy, sys
 out, sys.argv = sys.argv[1], ["gxcat"] + sys.argv[2:]
-code = 0
-try:
-    runpy.run_module("gxcat.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-with open(out, "w") as fh:
-    json.dump({"exit": code, "modules": sorted(sys.modules), "frozen": gc.get_freeze_count()}, fh)
+
+def report():
+    with open(out, "w") as fh:
+        json.dump({"modules": sorted(sys.modules)}, fh)
+
+atexit.register(report)
+runpy.run_module("gxcat.cli", run_name="__main__", alter_sys=True)
 """
 
 # the package, its exception types and the JSON formats: no numpy
@@ -56,7 +58,7 @@ def _run_cli(tmp_path, args):
     res = subprocess.run([sys.executable, "-c", _RUN_CLI, str(out), *args],
                          capture_output=True, env=_child_env(1), cwd="/")
     report = json.loads(out.read_text())
-    return report["exit"], _loaded(report["modules"]), res
+    return res.returncode, _loaded(report["modules"]), res
 
 
 @pytest.mark.parametrize("module", ["gxcat", "gxcat.cli"])
@@ -180,14 +182,20 @@ _ARRAY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("args, code", _NUMPY_FREE_CASES + _ARRAY_CASES)
+# cohomology refuses a differential over the cell cap before it loads numpy
+_REFUSED_CASES = [
+    (["cohomology", "--group", "S4", "--k", "4", "--format", "json"], 3),
+]
+
+
+@pytest.mark.parametrize("args, code", _NUMPY_FREE_CASES + _ARRAY_CASES + _REFUSED_CASES)
 def test_no_command_loads_dataclasses(tmp_path, args, code):
     exit_code, modules, res = _every_module_loaded(tmp_path, args)
     assert exit_code == code, res.stderr
     assert "dataclasses" not in modules
 
 
-@pytest.mark.parametrize("args, code", _NUMPY_FREE_CASES)
+@pytest.mark.parametrize("args, code", _NUMPY_FREE_CASES + _REFUSED_CASES)
 def test_numpy_free_commands_load_no_inspect(tmp_path, args, code):
     exit_code, modules, res = _every_module_loaded(tmp_path, args)
     assert exit_code == code, res.stderr
@@ -196,24 +204,91 @@ def test_numpy_free_commands_load_no_inspect(tmp_path, args, code):
 
 
 # The process entry: `python -m gxcat.cli` and the `gxcat` script run
-# cli.run, which freezes the heap after main() so that teardown's collections
-# skip it.  main() itself freezes nothing: tests and bench/child.py call it in
-# process.
+# cli.run, which runs main() with the cyclic collector off and ends the
+# process with os._exit once the atexit handlers have run and stdout and
+# stderr are flushed.  main() itself leaves the collector alone: tests and
+# bench/child.py call it in process.  The child below spies on main() and
+# writes what it saw from a handler registered before run().
+_RUN_ENTRY = """
+import atexit, gc, json, sys
+import gxcat.cli
+
+out, sys.argv = sys.argv[1], ["gxcat"] + sys.argv[2:]
+main, seen = gxcat.cli.main, []
+
+def spy(*args, **kwargs):
+    seen.append(gc.isenabled())
+    return main(*args, **kwargs)
+
+def report():
+    with open(out, "w") as fh:
+        json.dump({"gc_enabled_in_main": seen, "gc_enabled_at_exit": gc.isenabled()}, fh)
+
+gxcat.cli.main = spy
+atexit.register(report)
+gxcat.cli.run()
+"""
+
+
 @pytest.mark.parametrize("args, code", [
     (["cohomology", "--group", "Z2", "--k", "2", "--format", "json"], 0),
     (["validate", "broken_ring.json", "--format", "json"], 1),
     (["dims"], 2),
+    (["cohomology", "--group", "S4", "--k", "4"], 3),
 ])
-def test_module_entry_freezes_the_heap_after_main(tmp_path, args, code):
-    exit_code, modules, res = _every_module_loaded(tmp_path, args)
-    assert exit_code == code, res.stderr
-    assert json.loads((tmp_path / "modules.json").read_text())["frozen"] > 0
+def test_module_entry_runs_main_with_the_collector_off(tmp_path, args, code):
+    out = tmp_path / "entry.json"
+    args = [str(CORPUS / a) if a.endswith(".json") else a for a in args]
+    res = subprocess.run([sys.executable, "-c", _RUN_ENTRY, str(out), *args],
+                         capture_output=True, env=_child_env(1), cwd="/")
+    assert res.returncode == code, res.stderr
+    assert json.loads(out.read_text()) == {"gc_enabled_in_main": [False], "gc_enabled_at_exit": False}
+    assert res.stdout == run_cli(args).stdout.encode()
 
 
 def test_main_in_process_freezes_nothing():
-    before = gc.get_freeze_count()
+    before, enabled = gc.get_freeze_count(), gc.isenabled()
     assert run_cli(["cohomology", "--group", "Z2", "--k", "2", "--format", "json"]).exit_code == 0
     assert gc.get_freeze_count() == before
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("args, golden", [
+    pytest.param(a, g, id=name) for name, a, g in golden_commands() if name in ("ising", "toric_code_pointed")
+])
+def test_process_entry_writes_a_complete_out_file(tmp_path, args, golden):
+    target = tmp_path / "out.json"
+    res = _subprocess_cli([*args, "--out", str(target)], 1)
+    assert (res.returncode, res.stdout, res.stderr) == (0, b"", b""), res.stderr
+    assert target.read_bytes() == golden.read_bytes()
+
+
+# With stdout a pipe whose reader is gone, the entry exits as main() alone
+# would: a write that fails in main() ends in a traceback (exit 1), and a
+# flush that fails at exit in "Exception ignored" (exit 120).
+_MAIN_ONLY = "import sys; from gxcat.cli import main; main(sys.argv[1:])"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("args", [
+    ["cohomology", "--group", "Z2", "--k", "2", "--format", "json"],
+    ["--help"],
+], ids=["cohomology", "help"])
+def test_process_entry_on_a_closed_stdout_pipe(args, unbuffered):
+    env = dict(_child_env(1), PYTHONUNBUFFERED=unbuffered)
+    results = []
+    for cmd in (["-m", "gxcat.cli"], ["-c", _MAIN_ONLY]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run([sys.executable, *cmd, *args], stdout=write_end, stderr=subprocess.PIPE,
+                                 env=env, cwd="/")
+        finally:
+            os.close(write_end)
+        results.append((res.returncode, res.stderr.decode().splitlines()[-1]))
+    entry, main_only = results
+    assert entry == main_only
+    assert entry[0] in (1, 120) and "Broken pipe" in entry[1]
 
 
 def test_console_script_is_the_process_entry():
