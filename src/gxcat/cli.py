@@ -14,10 +14,11 @@ the invoked command only; the top-level ``--help`` is rendered from the
 table without building any parser.
 
 Each command imports the layers it uses inside its own body, so a process
-pays only for the command it runs.  ``--help``, usage errors, ``corpus``
-and the input commands load no numpy: ``validate`` on a group file or on
-a ring file (with or without an action), ``dims``, ``sectors``, ``picard``
-and ``obstruct`` check groups and rings on their tuple and sparse forms.
+pays only for the command it runs.  ``--help``, usage errors, ``corpus``,
+a ``cohomology`` that its size guard refuses and the input commands load
+no numpy: ``validate`` on a group file or on a ring file (with or without
+an action), ``dims``, ``sectors``, ``picard`` and ``obstruct`` check
+groups and rings on their tuple and sparse forms.
 numpy is loaded only by the commands that run an array kernel: cochains
 (``validate`` on a cocycle, ``cohomology``, ``transgress``), pointed data
 and doubles, and gauging.
