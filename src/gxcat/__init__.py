@@ -28,7 +28,7 @@ _EXPORTS = {
         "quaternion8",
         "symmetric",
     ),
-    "chartab": ("character_table", "irrep_dims", "projective_irrep_dims", "rep_fusion_data"),
+    "chartab": ("character_table", "projective_irrep_dims", "rep_fusion_data"),
     "cohomology": (
         "CohomologyGroup",
         "TorsionCocycle",
@@ -67,12 +67,10 @@ _EXPORTS = {
         "DoubleData",
         "KirillovMatrix",
         "PointedGXData",
-        "double_semion_pointed",
         "enumerate_holomorphic",
         "holomorphic_crossed",
         "kirillov_S",
         "pointed_deequivariantize",
-        "toric_code_pointed",
         "twisted_double",
         "validate_pointed",
     ),

@@ -37,7 +37,6 @@ __all__ = [
     "CharacterTable",
     "character_table",
     "character_sums",
-    "irrep_dims",
     "rep_fusion_data",
     "fusion_coefficients",
     "central_extension",
@@ -296,10 +295,6 @@ def _lift(g, reps, cls, chi, dims, m, p, zgen):
     return coef
 
 
-def irrep_dims(g):
-    return list(character_table(g).dims)
-
-
 def rep_fusion_data(g):
     """Fusion data of Rep(G): labels, integer dims, sparse coefficients.
 
@@ -375,18 +370,7 @@ def _reduce_cocycle(alpha):
     return alpha.table // g, alpha.n // g
 
 
-def _coerce_cocycle(h, alpha, n):
-    """Accept a degree-2 TorsionCocycle or raw values with their N."""
-    if not isinstance(alpha, TorsionCocycle):
-        return TorsionCocycle.make(h, 2, n, alpha)
-    if alpha.degree != 2:
-        raise ValueError("projective representations need a degree-2 cocycle")
-    if alpha.group.mul != h.mul:
-        raise ValueError("cocycle lives on a different group")
-    return alpha
-
-
-def projective_irrep_data(h: FiniteGroup, alpha, n=None):
+def projective_irrep_data(h: FiniteGroup, alpha: TorsionCocycle):
     """(dims, sections, N) for the alpha-projective irreps of h: their
     dimensions, their section characters and the N of alpha reduced by the
     gcd of its values.
@@ -399,7 +383,10 @@ def projective_irrep_data(h: FiniteGroup, alpha, n=None):
     any other h splits the character table of the extension
     (_extension_irreps), which EXTENSION_ORDER_CAP bounds.
     """
-    alpha = _coerce_cocycle(h, alpha, n)
+    if alpha.degree != 2:
+        raise ValueError("projective representations need a degree-2 cocycle")
+    if alpha.group.mul != h.mul:
+        raise ValueError("cocycle lives on a different group")
     ok, wit = is_cocycle(alpha)
     if not ok:
         raise ValueError("alpha is not a 2-cocycle: coboundary nonzero at triple ({}, {}, {})".format(*wit))
@@ -473,9 +460,9 @@ def _lattice_irreps(h, alpha):
     return (d,) * len(phis), sections, n
 
 
-def projective_irrep_dims(h: FiniteGroup, alpha, n=None):
+def projective_irrep_dims(h: FiniteGroup, alpha: TorsionCocycle):
     """Multiset (sorted list) of alpha-projective irreducible dimensions."""
-    dims = sorted(projective_irrep_data(h, alpha, n)[0])
+    dims = sorted(projective_irrep_data(h, alpha)[0])
     if sum(d * d for d in dims) != h.order:
         raise InvariantError(f"{h.name}: projective irreducible dimensions do not square-sum to |H|")
     return dims

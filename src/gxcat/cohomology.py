@@ -79,6 +79,9 @@ class TorsionCocycle(FrozenRecord):
             raise ValueError(f"cochain modulus N must be at least 1, not {n}")
         if n >= 1 << 31:
             raise ValueError(f"cochain modulus N must be below 2**31, not {n}")
+        if group.order > 1 and degree >= CELL_CAP.bit_length():  # no power of a degree read from a file
+            raise ResourceLimit(f"degree-{degree} cochain on a group of order {group.order}: "
+                                f"more than 2**{degree} cells to check exceed the cell cap {CELL_CAP}")
         cells = group.order ** (degree + 1)
         if cells > CELL_CAP:
             raise ResourceLimit(

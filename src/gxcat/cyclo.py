@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import CELL_CAP, InvariantError, ResourceLimit
 from .exact import factorize
 
 __all__ = ["Cyc", "cyclotomic_poly", "reduction_bound", "reduction_matrix"]
@@ -49,7 +49,13 @@ def cyclotomic_poly(n):
 
 @lru_cache(maxsize=None)
 def reduction_matrix(m):
-    """Read-only int64 array (m, phi(m)): row e holds the coefficients of x^e mod Phi_m."""
+    """Read-only int64 array (m, phi(m)): row e holds the coefficients of x^e mod Phi_m.
+
+    ResourceLimit when its cells exceed CELL_CAP, before Phi_m is built.
+    """
+    cells = m * _totient(factorize(m))
+    if cells > CELL_CAP:
+        raise ResourceLimit(f"reduction mod Phi_{m}: {cells} cells exceed the cell cap {CELL_CAP}")
     phi = cyclotomic_poly(m)
     deg = len(phi) - 1
     rows, r = [], [1] + [0] * (deg - 1)
@@ -73,8 +79,12 @@ def _root_trace(d):
     """Normalized trace mu(d)/phi(d) of a primitive d-th root of unity."""
     factors = factorize(d)
     mu = 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
-    phi = math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
-    return Fraction(mu, phi)
+    return Fraction(mu, _totient(factors))
+
+
+def _totient(factors):
+    """phi(n) from the factorization {p: e} of n."""
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
 
 
 _ZERO = Fraction(0)

@@ -207,13 +207,11 @@ def validate_ring(ring: GradedFusionRing) -> ValidationReport:
         except FusionError as exc:
             rep.add("dims", str(exc))
             return rep
-        # dims that _try_exact_dims verified have passed every product rule
-        if not isinstance(rep.dims, _VerifiedDims):
-            bad = _dims_mismatch(ring, rep.dims)
-            if bad is not None:
-                i, j = bad
-                rep.add("dims", f"d_i d_j mismatch at ({ring.label(i)},{ring.label(j)})",
-                        (ring.label(i), ring.label(j)))
+        bad = _dims_mismatch(ring, rep.dims)
+        if bad is not None:
+            i, j = bad
+            rep.add("dims", f"d_i d_j mismatch at ({ring.label(i)},{ring.label(j)})",
+                    (ring.label(i), ring.label(j)))
     return rep
 
 
@@ -384,10 +382,6 @@ def _recognize_quadratic(x, tol=1e-7):
     return None
 
 
-class _VerifiedDims(list):
-    """QuadReal dims that satisfy every product rule d_i d_j = sum_k N_ij^k d_k."""
-
-
 def _try_exact_dims(ring, v):
     recognized = {x: _recognize_quadratic(x) for x in set(v)}
     cands = [recognized[x] for x in v]
@@ -402,7 +396,7 @@ def _try_exact_dims(ring, v):
         return None
     if any(c.sign() <= 0 for c in cands):
         return None
-    return _VerifiedDims(cands)
+    return cands
 
 
 def global_dim(ring: GradedFusionRing, dims=None):

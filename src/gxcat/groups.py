@@ -43,7 +43,10 @@ class FiniteGroup(FrozenRecord):
     _fields = ("name", "mul", "element_names")
 
     def __init__(self, name, mul, element_names):
-        # mul: tuple of tuples of element indices
+        # mul: tuple of tuples of element indices; element_names: distinct strings
+        if len(set(element_names)) != len(element_names):
+            twice = next(x for i, x in enumerate(element_names) if x in element_names[:i])
+            raise GroupError(f"{name}: element name {twice!r} is given twice")
         self.__dict__.update(name=name, mul=mul, element_names=element_names)
 
     @property
@@ -190,15 +193,17 @@ def cyclic(n):
 
 
 def product(g: FiniteGroup, h: FiniteGroup, name=None):
-    """Direct product; index (a, b) -> a*|h| + b so (0, 0) is the identity."""
+    """Direct product; index (a, b) -> a*|h| + b so (0, 0) is the identity.
+    (a, b) is named a.b, with b in parentheses when it holds a dot."""
     nh = h.order
     mul = [
         [g.mul[a][c] * nh + h.mul[b][d] for c in g.elements() for d in h.elements()]
         for a in g.elements()
         for b in h.elements()
     ]
+    right = [f"({x})" if "." in x else x for x in h.element_names]
     names = [
-        "e" if (a == 0 and b == 0) else f"{g.element_names[a]}.{h.element_names[b]}"
+        "e" if (a == 0 and b == 0) else f"{g.element_names[a]}.{right[b]}"
         for a in g.elements()
         for b in h.elements()
     ]

@@ -44,7 +44,7 @@ from .cohomology import (
     is_cocycle,
     transgress,
 )
-from .cyclo import Cyc
+from .cyclo import Cyc, reduction_matrix
 from .errors import CELL_CAP, FrozenRecord, Record
 from .fusion import GradedFusionRing, ValidationReport
 from .groups import (FiniteGroup, InvariantError, abelian_characters, compose, conjugacy_data, homomorphism_witness,
@@ -61,8 +61,6 @@ __all__ = [
     "holomorphic_crossed",
     "enumerate_holomorphic",
     "kirillov_S",
-    "toric_code_pointed",
-    "double_semion_pointed",
 ]
 
 N_CAP = 16
@@ -752,6 +750,7 @@ def kirillov_S(d: PointedGXData) -> KirillovMatrix:
     braided pointed category.  The verdict is exact (_invertible_roots).
     """
     gam, g = d.gamma, d.group
+    reduction_matrix(d.n)  # the entries are read mod Phi_N: refuse an N past the cell cap first
     basis = [(x, k) for x in gam.elements() for k in g.elements() if d.act(k, x) == x]
     expo = np.full((len(basis),) * 2, -1, dtype=np.int64)  # -1: the entry is 0
     for i, (x, k) in enumerate(basis):
@@ -791,43 +790,3 @@ def _invertible_roots(expo, n):
                 return True
         tried *= p
     return False
-
-
-# ---------------------------------------------------------------------------
-# stock pointed data
-
-
-def toric_code_pointed():
-    """Z2xZ2 braided pointed data of the untwisted Z2 double."""
-    from .groups import cyclic, product
-
-    gam = product(cyclic(2), cyclic(2), name="Z2xZ2")
-    # labels e, e.g (charge), g.e (flux), g.g (dyon); braid(flux, charge) = 1
-    braid = [[0] * 4 for _ in range(4)]
-    for x in range(4):
-        for y in range(4):
-            x1, x2 = divmod(x, 2)
-            y1, y2 = divmod(y, 2)
-            braid[x][y] = (x2 * y1) % 2
-    return PointedGXData.make(gam, cyclic(1), [0] * 4, [tuple(range(4))], 2, {}, braid)
-
-
-def double_semion_pointed():
-    """Product of a semion and its mirror on Z2xZ2 at N = 4."""
-    from .groups import cyclic, product
-
-    gam = product(cyclic(2), cyclic(2), name="Z2xZ2")
-    assoc = {}
-    for t in itertools.product(range(1, 4), repeat=3):
-        x1 = [v // 2 for v in t]
-        x2 = [v % 2 for v in t]
-        val = (2 if all(x1) else 0) + (2 if all(x2) else 0)
-        if val % 4:
-            assoc[t] = val % 4
-    braid = [[0] * 4 for _ in range(4)]
-    for x in range(4):
-        for y in range(4):
-            x1, x2 = divmod(x, 2)
-            y1, y2 = divmod(y, 2)
-            braid[x][y] = (x1 * y1 + 3 * x2 * y2) % 4
-    return PointedGXData.make(gam, cyclic(1), [0] * 4, [tuple(range(4))], 4, assoc, braid)

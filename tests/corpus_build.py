@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -22,12 +23,7 @@ import gxcat
 from gxcat.cohomology import TorsionCocycle, cohomology_group
 from gxcat.fusion import GradedFusionRing, pointed_ring, tensor_power
 from gxcat.groups import build_group, cyclic, product
-from gxcat.pointed import (
-    PointedGXData,
-    double_semion_pointed,
-    holomorphic_crossed,
-    toric_code_pointed,
-)
+from gxcat.pointed import PointedGXData, holomorphic_crossed
 from gxcat.serialize import canonical_json, dump_cocycle, dump_group, dump_pointed, dump_ring
 
 ISING_COEFFS = {
@@ -67,6 +63,38 @@ def rep_s3_ring():
             ("v", "v", "1"): 1, ("v", "v", "u"): 1, ("v", "v", "v"): 1,
         },
     )
+
+
+def toric_code_pointed():
+    """Z2xZ2 braided pointed data of the untwisted Z2 double."""
+    gam = product(cyclic(2), cyclic(2), name="Z2xZ2")
+    # labels e, e.g (charge), g.e (flux), g.g (dyon); braid(flux, charge) = 1
+    braid = [[0] * 4 for _ in range(4)]
+    for x in range(4):
+        for y in range(4):
+            x1, x2 = divmod(x, 2)
+            y1, y2 = divmod(y, 2)
+            braid[x][y] = (x2 * y1) % 2
+    return PointedGXData.make(gam, cyclic(1), [0] * 4, [tuple(range(4))], 2, {}, braid)
+
+
+def double_semion_pointed():
+    """Product of a semion and its mirror on Z2xZ2 at N = 4."""
+    gam = product(cyclic(2), cyclic(2), name="Z2xZ2")
+    assoc = {}
+    for t in itertools.product(range(1, 4), repeat=3):
+        x1 = [v // 2 for v in t]
+        x2 = [v % 2 for v in t]
+        val = (2 if all(x1) else 0) + (2 if all(x2) else 0)
+        if val % 4:
+            assoc[t] = val % 4
+    braid = [[0] * 4 for _ in range(4)]
+    for x in range(4):
+        for y in range(4):
+            x1, x2 = divmod(x, 2)
+            y1, y2 = divmod(y, 2)
+            braid[x][y] = (x1 * y1 + 3 * x2 * y2) % 4
+    return PointedGXData.make(gam, cyclic(1), [0] * 4, [tuple(range(4))], 4, assoc, braid)
 
 
 def symmetric_pointed(n_elems=2):

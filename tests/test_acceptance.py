@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 
 import gxcat
-from corpus_build import fibonacci_ring, ising_ring, rep_s3_ring, symmetric_pointed
+from corpus_build import (
+    double_semion_pointed,
+    fibonacci_ring,
+    ising_ring,
+    rep_s3_ring,
+    symmetric_pointed,
+    toric_code_pointed,
+)
 from gxcat.cohomology import TorsionCocycle, bar_matrix, cohomology_group, u1_cohomology
 from gxcat.corpus import corpus_dir
 from gxcat.cyclo import Cyc
@@ -38,11 +45,9 @@ from gxcat.gauging import crossed_product, equivariantize, perm_orbifold_picard
 from gxcat.groups import build_group, cyclic, product, symmetric
 from gxcat.pointed import (
     PointedGXData,
-    double_semion_pointed,
     enumerate_holomorphic,
     holomorphic_crossed,
     kirillov_S,
-    toric_code_pointed,
     twisted_double,
     validate_pointed,
 )

@@ -11,6 +11,7 @@ from typing import NamedTuple
 import pytest
 
 import gxcat
+from corpus_build import double_semion_pointed, toric_code_pointed
 from gxcat.cli import main
 from gxcat.corpus import CorpusError, corpus_dir, corpus_list
 from gxcat.errors import FusionError
@@ -114,8 +115,6 @@ class TestSerialization:
         assert act2.perms == action.perms
 
     def test_pointed_roundtrip(self):
-        from gxcat.pointed import double_semion_pointed
-
         data = double_semion_pointed()
         back = load_pointed(json.loads(canonical_json(dump_pointed(data))))
         assert back.braid == data.braid
@@ -160,8 +159,6 @@ class TestCliContracts:
         assert all(type(v) is int for v in first["witness"])
 
     def test_validate_invalid_pointed_exits_1(self, tmp_path):
-        from gxcat.pointed import toric_code_pointed
-
         data = toric_code_pointed()
         obj = dump_pointed(data)
         obj["braid"] = [list(r) for r in obj["braid"]]
@@ -326,6 +323,21 @@ class TestCliContracts:
         res = run_cli(["validate", str(bad), "--format", "json"])
         assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("group, degree, cells", [
+        ("Z2", 25, "67108864"),
+        ("Z3", 25, "2541865828329"),
+        ("Z2", 26, "more than 2**26"),
+        ("Z2", 2**70, "more than 2**1180591620717411303424"),
+    ])
+    def test_cocycle_degree_is_priced_without_its_power(self, tmp_path, group, degree, cells):
+        # a degree of 2**70 read from a file built 2**(2**70 + 1) before it was refused
+        bad = tmp_path / "cocycle.json"
+        bad.write_text(json.dumps({"group": group, "degree": degree, "N": 2, "values": []}))
+        res = run_cli(["validate", str(bad), "--format", "json"])
+        assert (res.exit_code, res.stdout, res.stderr) == (3, "", (
+            f"resource guard: degree-{degree} cochain on a group of order {group[1:]}: "
+            f"{cells} cells to check exceed the cell cap 33554432\n"))
+
     @pytest.mark.parametrize("n", [2**31, 2**70])
     @pytest.mark.parametrize("command", ["validate", "smatrix"])
     def test_pointed_modulus_must_be_below_2_31(self, tmp_path, command, n):
@@ -335,6 +347,18 @@ class TestCliContracts:
         bad.write_text(json.dumps(obj))
         res = run_cli([command, str(bad), "--format", "json"])
         assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: cochain modulus N must be below 2**31, not {n}\n")
+
+    @pytest.mark.parametrize("n, cells", [(10**6, 400000000000), (2**31 - 1, 4611686011984936962)])
+    def test_smatrix_refuses_an_n_whose_reduction_is_over_the_cell_cap(self, tmp_path, n, cells):
+        # without the guard, building Phi_N for the output ran past 20 s at N = 10**6
+        obj = json.loads((CORPUS / "pointed_holo_z3.json").read_text())
+        obj["N"] = n
+        bad = tmp_path / "pointed.json"
+        bad.write_text(json.dumps(obj))
+        assert run_cli(["validate", str(bad), "--format", "json"]).exit_code == 0
+        res = run_cli(["smatrix", str(bad), "--format", "json"])
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            3, "", f"resource guard: reduction mod Phi_{n}: {cells} cells exceed the cell cap 33554432\n")
 
     @pytest.mark.parametrize("n, code", [(2**31 - 1, 0), (2**31, 1), (2**32, 1), (2**70, 1)])
     def test_double_modulus_must_be_below_2_31(self, n, code):

@@ -26,14 +26,13 @@ import random
 
 import numpy as np
 
+from corpus_build import double_semion_pointed, toric_code_pointed
 from gxcat.cohomology import TorsionCocycle, bar_matrix, transgress
 from gxcat.groups import build_group, cyclic, symmetric
 from gxcat.pointed import (
     PointedGXData,
-    double_semion_pointed,
     enumerate_holomorphic,
     holomorphic_crossed,
-    toric_code_pointed,
     validate_pointed,
 )
 from gxcat.serialize import load_cocycle

@@ -2,6 +2,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -81,3 +82,37 @@ def test_every_private_definition_is_used():
         and node.name.startswith("_") and not node.name.endswith("__") and node.name not in used
     ]
     assert not found, f"private definitions never used: {found}"
+
+
+def _library_tour():
+    """The names that README's "Library tour" section puts in backticks: every
+    part of the dotted name that opens a backticked span."""
+    readme = (pathlib.Path(gxcat.__file__).parents[2] / "README.md").read_text()
+    start = readme.index("\n## Library tour\n")
+    section = readme[start:readme.index("\n## ", start + 1)]
+    spans = (re.match(r"[A-Za-z_][\w.]*", span) for span in re.findall(r"`([^`\n]+)`", section))
+    return {part for m in spans if m for part in m.group().split(".")}
+
+
+def test_every_exported_name_is_reached():
+    """Each name in an __all__ of src, the package's included, is read in src
+    (an ast.Name or ast.Attribute) or named in backticks in README's library tour."""
+    src = pathlib.Path(gxcat.__file__).parent
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    tour = _library_tour()
+    found = [
+        f"{name}.{n}"
+        for name in MODULES
+        for n in getattr(importlib.import_module(name), "__all__", [])
+        if n not in read and n not in tour
+    ]
+    assert not found, (
+        f"exported names read by no ast.Name or ast.Attribute in {src}/*.py and named in no backticks "
+        f"of README.md's '## Library tour' section: {found}"
+    )

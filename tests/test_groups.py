@@ -8,10 +8,11 @@ from cyc_oracle import Cyc
 from gxcat import pointed
 from gxcat.chartab import (
     character_table,
-    irrep_dims,
     projective_irrep_dims,
     rep_fusion_data,
 )
+from gxcat.cohomology import TorsionCocycle
+from gxcat.fusion import pointed_ring
 from gxcat.groups import (
     PRESETS,
     FiniteGroup,
@@ -81,6 +82,19 @@ class TestBuildGroup:
     def test_unknown_preset(self):
         with pytest.raises(GroupError, match="unknown group preset"):
             build_group("M24")
+
+    def test_duplicate_element_names_are_refused(self):
+        with pytest.raises(GroupError, match="Z2: element name 'e' is given twice"):
+            FiniteGroup("Z2", ((0, 1), (1, 0)), ("e", "e"))
+
+    def test_product_with_a_dotted_right_factor_has_distinct_names(self):
+        v4 = build_group("Z2xZ2")
+        g = product(v4, v4)
+        assert g.element_names[2] == "e.(g.e)" and g.element_names[4] == "e.g.e"
+        assert len(set(g.element_names)) == g.order == 16
+        assert pointed_ring(g).rank == 16
+        # a left-nested product keeps its dotted names
+        assert product(v4, cyclic(2)).element_names == ("e", "e.g", "e.g.e", "e.g.g", "g.e.e", "g.e.g", "g.g.e", "g.g.g")
 
 
 class TestGroupTables:
@@ -182,11 +196,11 @@ class TestCharacterTables:
         ],
     )
     def test_known_dims(self, g, dims):
-        assert sorted(irrep_dims(g)) == sorted(dims)
+        assert sorted(character_table(g).dims) == sorted(dims)
 
     def test_sum_of_squares(self):
         for g in [cyclic(6), symmetric(4), quaternion8()]:
-            assert sum(d * d for d in irrep_dims(g)) == g.order
+            assert sum(d * d for d in character_table(g).dims) == g.order
 
     def test_s3_table_values(self):
         tab = character_table(symmetric(3))
@@ -211,17 +225,18 @@ class TestCharacterTables:
 
 class TestProjectiveIrreps:
     def test_trivial_cocycle_is_ordinary(self):
-        assert projective_irrep_dims(cyclic(2), {}, 2) == [1, 1]
-        assert projective_irrep_dims(symmetric(3), {}, 6) == [1, 1, 2]
+        assert projective_irrep_dims(cyclic(2), TorsionCocycle.make(cyclic(2), 2, 2, {})) == [1, 1]
+        assert projective_irrep_dims(symmetric(3), TorsionCocycle.make(symmetric(3), 2, 6, {})) == [1, 1, 2]
 
     def test_v4_nontrivial_class(self):
         # bilinear 2-cocycle alpha(x, y) = x_2 * y_1 on Z2xZ2 (extension D4)
         alpha = {(x, y): (x % 2) * (y // 2) for x in range(4) for y in range(4) if (x % 2) * (y // 2)}
-        assert projective_irrep_dims(product(cyclic(2), cyclic(2)), alpha, 2) == [2]
+        v4 = product(cyclic(2), cyclic(2))
+        assert projective_irrep_dims(v4, TorsionCocycle.make(v4, 2, 2, alpha)) == [2]
 
     def test_semion_flavour(self):
         # tau(g,g) = 1 mod 2 on Z2: extension Z4, two faithful characters
-        assert projective_irrep_dims(cyclic(2), {(1, 1): 1}, 2) == [1, 1]
+        assert projective_irrep_dims(cyclic(2), TorsionCocycle.make(cyclic(2), 2, 2, {(1, 1): 1})) == [1, 1]
 
     def test_sum_rule_random_coboundaries(self):
         import random
@@ -238,7 +253,7 @@ class TestProjectiveIrreps:
                     v = (lam[y] - lam[g.mul[x][y]] + lam[x]) % n
                     if v:
                         alpha[(x, y)] = v
-            dims = projective_irrep_dims(g, alpha, n)
+            dims = projective_irrep_dims(g, TorsionCocycle.make(g, 2, n, alpha))
             assert sum(d * d for d in dims) == g.order
             # coboundary twist must not change the dimension multiset
             assert dims == [1, 1, 2]
@@ -246,7 +261,7 @@ class TestProjectiveIrreps:
     def test_non_cocycle_rejected(self):
         bad = {(1, 1): 1, (1, 2): 1}
         with pytest.raises(ValueError, match="2-cocycle"):
-            projective_irrep_dims(cyclic(4), bad, 4)
+            projective_irrep_dims(cyclic(4), TorsionCocycle.make(cyclic(4), 2, 4, bad))
 
     def test_central_order_cap(self):
         from gxcat.groups import GroupError, build_group
@@ -261,7 +276,7 @@ class TestProjectiveIrreps:
             for y in range(1, g.order)
         }
         with pytest.raises(GroupError, match="central extension order"):
-            projective_irrep_dims(g, alpha, 24)
+            projective_irrep_dims(g, TorsionCocycle.make(g, 2, 24, alpha))
 
 
 class TestSubgroups:

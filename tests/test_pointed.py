@@ -8,22 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_build import symmetric_pointed
+from corpus_build import double_semion_pointed, symmetric_pointed, toric_code_pointed
 from cyc_oracle import Cyc, rref
 from gxcat.cohomology import TorsionCocycle, cohomology_group
 from gxcat.corpus import corpus_list, load_entry
 from gxcat.exact import QuadReal
 from gxcat.fusion import pointed_ring, sector_dims
 from gxcat.gauging import crossed_product
-from gxcat.groups import InvariantError, build_group, cyclic, product, symmetric
+from gxcat.chartab import rep_fusion_data
+from gxcat.groups import InvariantError, build_group, cyclic, product, subgroup, symmetric
 from gxcat.pointed import (
     PointedGXData,
-    double_semion_pointed,
     enumerate_holomorphic,
     holomorphic_crossed,
     kirillov_S,
     pointed_deequivariantize,
-    toric_code_pointed,
     _invertible_roots,
     twisted_double,
     validate_pointed,
@@ -142,6 +141,61 @@ class TestDeequivariantize:
         assert out.twist(1) == 1  # theta = i: the semion
         assert out.assoc(1, 1, 1) == 2  # forced nontrivial associator
         assert validate_pointed(out).passed
+
+    @pytest.mark.parametrize(
+        "make, h_elems",
+        [
+            (toric_code_pointed, [0, 1]),
+            (toric_code_pointed, [0, 2]),
+            (double_semion_pointed, [0, 3]),
+            (lambda: _bilinear_pointed(cyclic(4), 4, lambda x, y: x * y), [0, 2]),
+            (lambda: _bilinear_pointed(_z2_power(4), 2, _toric_squared_braid), [0, 1, 4, 5]),
+        ],
+        ids=["toric-charge", "toric-flux", "semion-dyon", "z4-xy", "toric-squared"],
+    )
+    def test_condensation_is_ungauging_by_the_same_rep_h(self, make, h_elems):
+        """The fusion ring of the condensed data is the crossed product of the
+        pointed ring of Gamma by Rep(H) embedded as H; both number the cosets
+        by their least member, and only the unit is named differently."""
+        data = make()
+        condensed = pointed_ring(pointed_deequivariantize(data, h_elems).gamma)
+        h, _ = subgroup(data.gamma, h_elems)
+        ungauged = crossed_product(pointed_ring(data.gamma), _rep_h_as_h(data.gamma, h_elems), group=h).output_ring
+        assert condensed.simples[0] == "e" and ungauged.simples == ("[e]",) + condensed.simples[1:]
+        assert (ungauged.unit, ungauged.dual, ungauged.coeffs) == (condensed.unit, condensed.dual, condensed.coeffs)
+
+
+def _z2_power(k):
+    """Z2^k as the left-nested product, so bit i of an index, high bit first, is its i-th Z2 coordinate."""
+    g = cyclic(2)
+    for _ in range(k - 1):
+        g = product(g, cyclic(2))
+    return g
+
+
+def _toric_squared_braid(x, y):
+    """b(x, y) = x0 y1 + x2 y3 on the bits x0..x3 of an index of Z2^4, high bit first."""
+    xb, yb = [(x >> (3 - i)) & 1 for i in range(4)], [(y >> (3 - i)) & 1 for i in range(4)]
+    return xb[0] * yb[1] + xb[2] * yb[3]
+
+
+def _bilinear_pointed(gam, n, b):
+    """Braided pointed data on abelian gam at N = n with the bilinear braiding b and no associator."""
+    braid = [[b(x, y) % n for y in gam.elements()] for x in gam.elements()]
+    return PointedGXData.make(gam, cyclic(1), [0] * gam.order, [tuple(gam.elements())], n, {}, braid)
+
+
+def _rep_h_as_h(gam, h_elems):
+    """{Rep(H) label: element name in gam}: the first bijection, identity to
+    identity, that carries the Rep(H) fusion rules of abelian H to its product."""
+    h, embed = subgroup(gam, h_elems)
+    labels, _, coeffs, _ = rep_fusion_data(h)
+    rules = [key for key, v in coeffs.items() if v]
+    for perm in itertools.permutations(range(1, h.order)):
+        image = (0, *perm)
+        if all(h.mul[image[i]][image[j]] == image[k] for i, j, k in rules):
+            return {label: gam.element_names[embed[image[i]]] for i, label in enumerate(labels)}
+    raise AssertionError("Rep(H) is not isomorphic to H")
 
 
 class TestTwistedDouble:

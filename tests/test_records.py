@@ -11,6 +11,7 @@ import inspect
 
 import pytest
 
+from corpus_build import double_semion_pointed, toric_code_pointed
 from gxcat.chartab import CharacterTable, character_table
 from gxcat.cohomology import CohomologyGroup, TorsionCocycle, cohomology_group
 from gxcat.corpus import CorpusEntry, corpus_list
@@ -32,7 +33,7 @@ from gxcat.groups import (
     conjugacy_data,
     cyclic,
 )
-from gxcat.pointed import DoubleData, KirillovMatrix, PointedGXData, double_semion_pointed, toric_code_pointed
+from gxcat.pointed import DoubleData, KirillovMatrix, PointedGXData
 
 # each value record twice: two different values of it
 VALUES = {
