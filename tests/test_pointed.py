@@ -91,6 +91,37 @@ class TestValidatePointed:
             assert not validate_pointed(bent).passed, f"mutation at assoc{t} survived"
 
 
+def _toric_code_squared():
+    """Z2^4 as the left-nested product, whose index has the bits x0..x3, high
+    bit first, braided by b(x, y) = x0 y1 + x2 y3 at N = 2."""
+    z2 = cyclic(2)
+
+    def bit(x, i):
+        return (x >> (3 - i)) & 1
+
+    return _bilinear_pointed(product(product(product(z2, z2), z2), z2), 2,
+                             lambda x, y: bit(x, 0) * bit(y, 1) + bit(x, 2) * bit(y, 3))
+
+
+def _bilinear_pointed(gam, n, b):
+    """Braided pointed data on abelian gam at N = n with the bilinear braiding b and no associator."""
+    braid = [[b(x, y) % n for y in gam.elements()] for x in gam.elements()]
+    return PointedGXData.make(gam, cyclic(1), [0] * gam.order, [tuple(gam.elements())], n, {}, braid)
+
+
+def _rep_h_as_h(gam, h_elems):
+    """{Rep(H) label: element name in gam}: the first bijection, identity to
+    identity, that carries the Rep(H) fusion rules of abelian H to its product."""
+    h, embed = subgroup(gam, h_elems)
+    labels, _, coeffs, _ = rep_fusion_data(h)
+    rules = [key for key, v in coeffs.items() if v]
+    for perm in itertools.permutations(range(1, h.order)):
+        image = (0, *perm)
+        if all(h.mul[image[i]][image[j]] == image[k] for i, j, k in rules):
+            return {label: gam.element_names[embed[image[i]]] for i, label in enumerate(labels)}
+    raise AssertionError("Rep(H) is not isomorphic to H")
+
+
 class TestDeequivariantize:
     def test_toric_condensation(self):
         data = toric_code_pointed()
@@ -149,7 +180,7 @@ class TestDeequivariantize:
             (toric_code_pointed, [0, 2]),
             (double_semion_pointed, [0, 3]),
             (lambda: _bilinear_pointed(cyclic(4), 4, lambda x, y: x * y), [0, 2]),
-            (lambda: _bilinear_pointed(_z2_power(4), 2, _toric_squared_braid), [0, 1, 4, 5]),
+            (_toric_code_squared, [0, 1, 4, 5]),
         ],
         ids=["toric-charge", "toric-flux", "semion-dyon", "z4-xy", "toric-squared"],
     )
@@ -163,39 +194,6 @@ class TestDeequivariantize:
         ungauged = crossed_product(pointed_ring(data.gamma), _rep_h_as_h(data.gamma, h_elems), group=h).output_ring
         assert condensed.simples[0] == "e" and ungauged.simples == ("[e]",) + condensed.simples[1:]
         assert (ungauged.unit, ungauged.dual, ungauged.coeffs) == (condensed.unit, condensed.dual, condensed.coeffs)
-
-
-def _z2_power(k):
-    """Z2^k as the left-nested product, so bit i of an index, high bit first, is its i-th Z2 coordinate."""
-    g = cyclic(2)
-    for _ in range(k - 1):
-        g = product(g, cyclic(2))
-    return g
-
-
-def _toric_squared_braid(x, y):
-    """b(x, y) = x0 y1 + x2 y3 on the bits x0..x3 of an index of Z2^4, high bit first."""
-    xb, yb = [(x >> (3 - i)) & 1 for i in range(4)], [(y >> (3 - i)) & 1 for i in range(4)]
-    return xb[0] * yb[1] + xb[2] * yb[3]
-
-
-def _bilinear_pointed(gam, n, b):
-    """Braided pointed data on abelian gam at N = n with the bilinear braiding b and no associator."""
-    braid = [[b(x, y) % n for y in gam.elements()] for x in gam.elements()]
-    return PointedGXData.make(gam, cyclic(1), [0] * gam.order, [tuple(gam.elements())], n, {}, braid)
-
-
-def _rep_h_as_h(gam, h_elems):
-    """{Rep(H) label: element name in gam}: the first bijection, identity to
-    identity, that carries the Rep(H) fusion rules of abelian H to its product."""
-    h, embed = subgroup(gam, h_elems)
-    labels, _, coeffs, _ = rep_fusion_data(h)
-    rules = [key for key, v in coeffs.items() if v]
-    for perm in itertools.permutations(range(1, h.order)):
-        image = (0, *perm)
-        if all(h.mul[image[i]][image[j]] == image[k] for i, j, k in rules):
-            return {label: gam.element_names[embed[image[i]]] for i, label in enumerate(labels)}
-    raise AssertionError("Rep(H) is not isomorphic to H")
 
 
 class TestTwistedDouble:
