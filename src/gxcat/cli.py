@@ -7,11 +7,9 @@ self-check of gxcat failed: a defect of the program, not of the input).
 JSON reports have sorted keys and exact number encodings and are
 byte-identical across runs on identical inputs.
 
-The front end is the standard library alone.  ``COMMANDS`` maps each
-command name to its function and its arguments, and the function's
-docstring is its one-line help.  ``main`` builds the ``argparse`` parser of
-the invoked command only; the top-level ``--help`` is rendered from the
-table without building any parser.
+``COMMANDS`` maps each command name to its function, whose docstring is
+its one-line help, and to its arguments.  ``main`` reads the arguments of
+the invoked command from that table alone, as argparse would read them.
 
 Each command imports the layers it uses inside its own body, so a process
 pays only for the command it runs.  ``--help``, usage errors, ``corpus``,
@@ -24,23 +22,21 @@ numpy is loaded only by the commands that run an array kernel: cochains
 and doubles, and gauging.
 
 ``run`` is the process entry, of the ``gxcat`` script and of ``python -m
-gxcat.cli``.  A cold process frees nothing it would not free at exit, so
-``run`` turns the cyclic collector off before ``main``.  When ``main``
-exits with an int code, ``run`` does what interpreter finalization would do
-first, the atexit handlers and the flushing of stdout and stderr, and then
-ends the process with ``os._exit``, skipping the teardown of a heap that is
-about to vanish.  Any other exception, a non-int code or a failed flush
-takes the interpreter's own exit path.  ``main`` itself leaves the
-collector alone: the tests and ``bench/child.py`` call it in process.
+gxcat.cli``.  It runs ``main`` with the cyclic collector off and, when
+``main`` exits with an int code, runs the atexit handlers, flushes stdout
+and stderr and ends with ``os._exit``, skipping the teardown of a heap that
+is about to vanish; any other end takes the interpreter's own exit path.
+``main`` leaves the collector alone: the tests and ``bench/child.py`` call
+it in process.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import json
 import os
+import re
 import sys
 
 from .errors import CorpusError, FusionError, GroupError, InvariantError, ResourceLimit, guard_cohomology
@@ -67,7 +63,7 @@ class CliError(Exception):
 
 
 class UsageError(Exception):
-    """A usage error found after parsing: the command's usage and MESSAGE, exit 2."""
+    """A usage or parse error: the command's usage and MESSAGE, exit 2."""
 
 
 def _read_json(path):
@@ -92,14 +88,19 @@ def _emit(payload, fmt, out):
         text = canonical_json(payload)
     else:
         text = _as_text(_prettify(payload))
-    if out:
-        try:
+    try:
+        if out:
             with open(out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:  # the unwritten text goes to devnull, so no later flush fails on it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):  # the reader is gone: a traceback, as before
+                raise
+        raise UsageError(f"cannot write {out or 'stdout'}: {exc.strerror}")
 
 
 def _prettify(payload):
@@ -160,7 +161,7 @@ def _as_text(payload, indent=0):
 
 
 HELP = "Exact computations with graded fusion rings and crossed braided data."
-COMMANDS = {}  # name -> (function, its arguments as (flags, keywords) for add_argument)
+COMMANDS = {}  # name -> (function, its arguments as (flags, keywords))
 
 
 def command(name, *arguments):
@@ -180,15 +181,13 @@ def _arg(*flags, **keywords):
 
 def _positive(text):
     """The type of the --N options: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"N must be a positive integer, not {value}")
+        raise UsageError(f"argument --N: N must be a positive integer, not {value}")
     return value
 
 
+COMMON = (_arg("--format", dest="fmt", metavar="{text,json}", choices=("text", "json"), default="text"), _arg("--out"))
 PATH = _arg("path")
 GROUP = _arg("--group", dest="group_spec", metavar="GROUP", required=True)
 ELEMENT = _arg("--g", dest="g_name", required=True, help="group element name")
@@ -492,11 +491,61 @@ def corpus_cmd(fmt, out):
     _emit(payload, fmt, out)
 
 
-class _Formatter(argparse.HelpFormatter):
-    """argparse help whose usage line starts ``Usage:``, as the top-level help does."""
+def _parse(usage, fn, entries, args):
+    """The keyword arguments of ``fn`` that ``args`` give, read as argparse reads them
+    without abbreviations: a flag takes the next argument or the text after ``=``, the
+    last of a repeated flag counts, every argument after the first ``--`` is a value,
+    and the first value that no flag takes fills the positional."""
+    specs = {f[0]: (k.get("dest", f[0][2:]), k) for f, k in entries if f[0][0] == "-"}
+    options = {dest: k.get("default", False if "action" in k else None) for dest, k in specs.values()}
+    specs.update({"-h": (None, {"action": "help"}), "--help": (None, {"action": "help"})})
+    positional = [f[0] for f, _ in entries if f[0][0] != "-"]
 
-    def add_usage(self, usage, actions, groups, prefix="Usage: "):
-        super().add_usage(usage, actions, groups, prefix)
+    def as_flag(arg):  # (flag, text after "=" or None) if arg is a flag, known or not; None for a value like -1
+        name, eq, value = arg.partition("=")
+        if eq and name in specs:
+            return name, value
+        if arg in specs or arg[:1] == "-" != arg and " " not in arg and not re.match(r"-\d+$|-\d*\.\d+$", arg):
+            return arg, None
+
+    split = args.index("--") if "--" in args else len(args)
+    extras, kept = [], [split] if "--" in args else []
+    tokens = ((j, arg) for j, arg in enumerate(args) if j != split)
+    for j, arg in tokens:
+        hit = as_flag(arg) if j < split else None
+        if hit is None or hit[0] not in specs:  # a value or an unknown flag
+            if hit is None and positional:  # a -- next to the positional's value is dropped
+                options[positional.pop()], kept = arg, [] if split in (j - 1, j + 1) else kept
+            else:
+                extras.append(j)
+            continue
+        (name, value), (dest, keywords) = hit, specs[hit[0]]
+        if "action" in keywords and value is not None:
+            raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+        if keywords.get("action") == "help":
+            rows = [(f[0] if f[0][0] != "-" or "action" in k else f"{f[0]} {k.get('metavar', f[0][2:].upper())}",
+                     ("(required) " if k.get("required") else "") + k.get("help", "")) for f, k in entries]
+            sys.stdout.write(f"{usage}\n\n  {fn.__doc__}\n\nOptions:\n")
+            sys.stdout.write("".join(f"  {w:<24}{h}".rstrip() + "\n" for w, h in [*rows, ("-h, --help", "")]))
+            sys.exit(EXIT_OK)
+        if "action" not in keywords and value is None:
+            if j + 1 == len(args) or as_flag(args[j + 1]):  # the next is a flag or the first --
+                raise UsageError(f"argument {name}: expected one argument")
+            value = next(tokens)[1]
+        try:  # the typed options are int-valued
+            value = True if "action" in keywords else keywords.get("type", str)(value)
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid int value: {value!r}")
+        if value not in keywords.get("choices", [value]):
+            choices = ", ".join(map(repr, keywords["choices"]))
+            raise UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        options[dest] = value
+    missing = [f[0] for f, k in entries if f[0] in positional or k.get("required") and options[specs[f[0]][0]] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras or kept:
+        raise UsageError(f"unrecognized arguments: {' '.join(args[j] for j in sorted(extras + kept))}")
+    return options
 
 
 def _fail(message, code):
@@ -518,19 +567,15 @@ def main(args=None, prog_name="gxcat"):
         problem = f"no such command {args[0]!r}" if args else "missing command"
         _fail(f"{usage}{prog_name}: error: {problem} (see '{prog_name} --help')", EXIT_USAGE)
     fn, arguments = COMMANDS[args[0]]
-    parser = argparse.ArgumentParser(prog=f"{prog_name} {args[0]}", description=fn.__doc__,
-                                     formatter_class=_Formatter, allow_abbrev=False)
-    for flags, keywords in arguments:
-        parser.add_argument(*flags, **keywords)
-    parser.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-    parser.add_argument("--out", default=None)
+    prog, entries = f"{prog_name} {args[0]}", (*arguments, *COMMON)
+    usage = " ".join([f"Usage: {prog} [OPTIONS]", *(f[0] for f, _ in entries if f[0][0] != "-")])
     try:
-        options = vars(parser.parse_args(args[1:]))
+        options = _parse(usage, fn, entries, args[1:])
         if options["out"] and not os.path.isdir(os.path.dirname(options["out"]) or "."):
             raise UsageError(f"cannot write {options['out']}: no such directory")
         fn(**options)
     except UsageError as exc:
-        parser.error(str(exc))
+        _fail(f"{usage}\n{prog}: error: {exc}", EXIT_USAGE)
     except CliError as exc:
         _fail(f"Error: {exc}", EXIT_VALIDATION)
     except ResourceLimit as exc:

@@ -1,11 +1,13 @@
 """Cold start: a gxcat process imports only the layers its command uses.
 
 Each case runs in a fresh interpreter from cwd="/" and reports which of
-numpy, click and the gxcat modules it loaded.  Only commands that run an
-array kernel (cochains, character tables, doubles, gauging) may load numpy,
-and no case loads click.  The process entry, ``cli.run``, runs ``main``
-with the cyclic collector off and ends with ``os._exit`` after the atexit
-handlers and a flush; it prints every golden byte for byte.
+numpy, click, argparse, gettext, locale and the gxcat modules it loaded.
+Only commands that run an array kernel (cochains, character tables,
+doubles, gauging) may load numpy, and no case loads click or the argparse
+stack: gxcat parses each command from its own table.  The process entry,
+``cli.run``, runs ``main`` with the cyclic collector off and ends with
+``os._exit`` after the atexit handlers and a flush; it prints every
+golden byte for byte.
 """
 
 import gc
@@ -22,7 +24,8 @@ import pytest
 import gxcat
 import gxcat.cli
 from test_cli_corpus import CORPUS, _child_env, _subprocess_cli, golden_commands, run_cli
-from test_cli_frozen import FROZEN_CASES, cases
+from test_cli_frozen import COMMANDS as FROZEN_COMMANDS
+from test_cli_frozen import FROZEN_CASES, USAGE_ERRORS, _write_inputs, cases
 
 # Runs `python -m gxcat.cli ARGS` in this interpreter (as runpy does for -m).
 # An atexit handler registered before the entry runs writes the loaded module
@@ -49,8 +52,11 @@ json.dump(sorted(sys.modules), sys.stdout)
 """
 
 
+_ARGPARSE = {"argparse", "gettext", "locale"}  # argparse loads gettext, and its first message locale
+
+
 def _loaded(modules):
-    return {m for m in modules if m in ("numpy", "click") or m.startswith(("gxcat", "click."))}
+    return {m for m in modules if m in {"numpy", "click", *_ARGPARSE} or m.startswith(("gxcat", "click."))}
 
 
 def _run_cli(tmp_path, args):
@@ -93,6 +99,28 @@ def test_help_and_usage_errors_load_no_numpy(tmp_path, args, code):
     exit_code, loaded, res = _run_cli(tmp_path, args)
     assert exit_code == code, res.stderr
     assert loaded <= _BASE, loaded
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_help_lists_its_table(tmp_path, name):
+    exit_code, loaded, res = _run_cli(tmp_path, [name, "--help"])
+    assert (exit_code, res.stderr) == (0, b""), res.stderr
+    stdout = res.stdout.decode()
+    assert stdout.startswith(f"Usage: gxcat {name}")
+    _, arguments = gxcat.cli.COMMANDS[name]
+    for flags, _ in (*arguments, *gxcat.cli.COMMON):
+        assert flags[0] in stdout
+    assert loaded <= _BASE, loaded
+
+
+@pytest.mark.parametrize("key, args", [pytest.param(f"{k}/json", [*a, "--format", "json"], id=k)
+                                       for k, a in FROZEN_COMMANDS.items()]
+                         + [pytest.param(f"usage/{k}", a, id=f"usage/{k}") for k, a in USAGE_ERRORS.items()])
+def test_no_command_loads_the_argparse_stack(tmp_path, key, args):
+    _write_inputs(tmp_path)
+    exit_code, loaded, res = _run_cli(tmp_path, [a.format(c=CORPUS, t=tmp_path) for a in args])
+    assert exit_code == FROZEN_CASES[key]["exit"], res.stderr
+    assert not loaded & _ARGPARSE, sorted(loaded & _ARGPARSE)
 
 
 # the input layers check groups and rings on their tuple and sparse forms
@@ -289,6 +317,29 @@ def test_process_entry_on_a_closed_stdout_pipe(args, unbuffered):
     entry, main_only = results
     assert entry == main_only
     assert entry[0] in (1, 120) and "Broken pipe" in entry[1]
+
+
+# A stdout that cannot be written is a usage error, as an --out that cannot
+# be: one message, exit 2, and no traceback or "Exception ignored" from a
+# later flush of the text that was not written.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("args", [
+    ["cohomology", "--group", "S3", "--k", "3"],
+    ["dims", "ring_ising.json"],
+    ["corpus", "--format", "json"],
+    ["double", "--group", "S3", "--trivial", "--format", "json"],
+], ids=["cohomology", "dims", "corpus", "double"])
+def test_a_full_stdout_is_a_usage_error(args, unbuffered):
+    env = dict(_child_env(1), PYTHONUNBUFFERED=unbuffered)
+    args = [str(CORPUS / a) if a.endswith(".json") else a for a in args]
+    with open("/dev/full", "wb") as full:
+        res = subprocess.run([sys.executable, "-m", "gxcat.cli", *args], stdout=full, stderr=subprocess.PIPE,
+                             env=env, cwd="/")
+    stderr = res.stderr.decode()
+    assert res.returncode == 2, stderr
+    assert stderr.count("cannot write") == 1 and f"gxcat {args[0]}: error: cannot write stdout: " in stderr, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
 
 
 def test_console_script_is_the_process_entry():
