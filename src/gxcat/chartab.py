@@ -19,17 +19,15 @@ are evaluated the same way, in F_p with p = 1 mod M under every embedding
 zeta_M -> z^k, and made exact by a certificate (see character_sums).
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 
 import numpy as np
 
-from .cohomology import ResourceLimit, TorsionCocycle, bar_matrix, is_cocycle
+from .cohomology import TorsionCocycle, bar_matrix, is_cocycle
 from .cyclo import reduction_bound, reduction_matrix
-from .errors import FrozenRecord
-from .groups import FiniteGroup, GroupError, InvariantError, conjugacy_data, subgroup, validate_table
+from .errors import FrozenRecord, GroupError, InvariantError, ResourceLimit
+from .groups import FiniteGroup, conjugacy_data, subgroup, validate_table
 from .exact import factorize
 from .snf import dot_mod, lattice_points, nullspace_fp
 

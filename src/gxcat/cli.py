@@ -30,8 +30,6 @@ is about to vanish; any other end takes the interpreter's own exit path.
 it in process.
 """
 
-from __future__ import annotations
-
 import atexit
 import gc
 import json
@@ -84,10 +82,11 @@ def _read_json(path):
 
 
 def _emit(payload, fmt, out):
-    if fmt == "json":
-        text = canonical_json(payload)
-    else:
-        text = _as_text(_prettify(payload))
+    _write(canonical_json(payload) if fmt == "json" else _as_text(_prettify(payload)), out)
+
+
+def _write(text, out=None):
+    """Write text to the file out, or to stdout; a write that fails is a usage error."""
     try:
         if out:
             with open(out, "w") as fh:
@@ -269,7 +268,7 @@ def dims(path, fmt, out):
     d = pf_dims(ring)
     payload = {
         "dims": {ring.label(i): scalar_json(v) for i, v in enumerate(d)},
-        "global_dim": scalar_json(global_dim(ring, d)),
+        "global_dim": scalar_json(global_dim(ring)),
     }
     _emit(payload, fmt, out)
 
@@ -321,8 +320,16 @@ def gauge(path, fmt, out):
 
 
 def _parse_embedding(embed):
+    """The pairs of ``pi0=label,pi1=label,...``, split at the commas outside
+    brackets, so that a label such as ``(1,1)`` keeps its comma."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(embed):
+        depth += (ch in "([{") - (ch in ")]}")
+        if ch == "," and depth == 0:
+            parts.append(embed[start:i])
+            start = i + 1
     out = {}
-    for part in embed.split(","):
+    for part in [*parts, embed[start:]]:
         if "=" not in part:
             raise UsageError("embedding must look like pi0=label,pi1=label,...")
         k, v = part.split("=", 1)
@@ -525,8 +532,8 @@ def _parse(usage, fn, entries, args):
         if keywords.get("action") == "help":
             rows = [(f[0] if f[0][0] != "-" or "action" in k else f"{f[0]} {k.get('metavar', f[0][2:].upper())}",
                      ("(required) " if k.get("required") else "") + k.get("help", "")) for f, k in entries]
-            sys.stdout.write(f"{usage}\n\n  {fn.__doc__}\n\nOptions:\n")
-            sys.stdout.write("".join(f"  {w:<24}{h}".rstrip() + "\n" for w, h in [*rows, ("-h, --help", "")]))
+            _write(f"{usage}\n\n  {fn.__doc__}\n\nOptions:\n"
+                   + "".join(f"  {w:<24}{h}".rstrip() + "\n" for w, h in [*rows, ("-h, --help", "")]))
             sys.exit(EXIT_OK)
         if "action" not in keywords and value is None:
             if j + 1 == len(args) or as_flag(args[j + 1]):  # the next is a flag or the first --
@@ -561,7 +568,10 @@ def main(args=None, prog_name="gxcat"):
     if args[:1] in (["--help"], ["-h"]):
         width = max(map(len, COMMANDS))
         lines = "".join(f"  {name:<{width}}  {fn.__doc__}\n" for name, (fn, _) in sorted(COMMANDS.items()))
-        sys.stdout.write(f"{usage}\n  {HELP}\n\nCommands:\n{lines}")
+        try:
+            _write(f"{usage}\n  {HELP}\n\nCommands:\n{lines}")
+        except UsageError as exc:
+            _fail(f"{usage}{prog_name}: error: {exc}", EXIT_USAGE)
         sys.exit(EXIT_OK)
     if not args or args[0] not in COMMANDS:
         problem = f"no such command {args[0]!r}" if args else "missing command"

@@ -29,21 +29,18 @@ elimination gives p D q = diag(d) with only q formed.  Tor classes are
 division mod m/d_i, which N divides.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CELL_CAP, FrozenRecord, InvariantError, ResourceLimit, guard_cells, guard_cohomology
-from .groups import FiniteGroup, GroupError, subgroup
+from .errors import CELL_CAP, FrozenRecord, GroupError, InvariantError, ResourceLimit, guard_cells, guard_cohomology
+from .groups import FiniteGroup, subgroup
 from . import snf
 
 __all__ = [
     "TorsionCocycle",
     "CohomologyGroup",
-    "ResourceLimit",
     "coboundary",
     "is_cocycle",
     "is_coboundary",
@@ -175,9 +172,6 @@ class TorsionCocycle(FrozenRecord):
             raise ValueError("cochains to add must share group, degree and N")
         return TorsionCocycle.from_table(self.group, self.degree, self.n, self.table + other.table)
 
-    def scaled(self, factor):
-        return TorsionCocycle.from_table(self.group, self.degree, self.n, self.table * (factor % self.n))
-
     def inflated(self, new_n):
         """Push values along Z/n -> Z/new_n (n | new_n)."""
         if new_n % self.n:
@@ -248,10 +242,6 @@ class CohomologyGroup(FrozenRecord):
     @property
     def order(self):
         return math.prod(self.invariant_factors) if self.invariant_factors else 1
-
-    @property
-    def is_trivial(self):
-        return not self.invariant_factors
 
 
 def _modulus(g: FiniteGroup, n: int):

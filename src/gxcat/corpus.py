@@ -6,15 +6,13 @@ on any mismatch.  (broken_ring.json ships alongside the corpus as a
 deliberately invalid CLI fixture and is not an indexed entry.)
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 from importlib import resources
 
 from .errors import CorpusError, FrozenRecord
 
-__all__ = ["CorpusEntry", "CorpusError", "corpus_list", "corpus_dir", "load_entry"]
+__all__ = ["CorpusEntry", "corpus_list", "corpus_dir", "load_entry"]
 
 
 class CorpusEntry(FrozenRecord):

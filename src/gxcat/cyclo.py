@@ -8,8 +8,6 @@ zeta^(n-1); equality and hashing reduce modulo the n-th cyclotomic
 polynomial, so they are exact across conductors.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from fractions import Fraction

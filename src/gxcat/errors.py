@@ -1,14 +1,10 @@
 """The exception types, record base classes and size guards of gxcat, importable without numpy.
 
-Each exception is re-exported by the module that raises it first
-(``groups``, ``cohomology``, ``fusion``, ``corpus``), so both import paths
-name the same class.  The CLI maps them to its exit codes from here, before
-any layer is loaded.  Every layer loads this module, so the record bases
-live here too, and so do the guards that the CLI can run before it loads
-the layer they protect.
+Every layer imports its exceptions from here, and the CLI maps them to its
+exit codes from here, before any layer is loaded.  Every layer loads this
+module, so the record bases live here too, and so do the guards that the
+CLI can run before it loads the layer they protect.
 """
-
-from __future__ import annotations
 
 from operator import itemgetter
 
@@ -65,15 +61,15 @@ def guard_cohomology(order, k, n):
 
 class Record:
     """A record whose fields are the names in ``_fields``, which its
-    ``__init__`` assigns.  Records of one class compare equal when the
-    tuples of their fields do.  A mutable (result) record has no hash.
+    ``__init__`` assigns.  Records of one class compare equal when their
+    fields do.  A mutable (result) record has no hash.
     """
 
     _fields = ()
 
     def __init_subclass__(cls):
-        if cls._fields:  # two or more names, so that the getter returns a tuple
-            cls._field_values = itemgetter(*cls._fields)  # instance __dict__ -> tuple of the fields
+        if cls._fields:  # instance __dict__ -> the tuple of the fields, or the one field
+            cls._field_values = itemgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -7,8 +7,6 @@ bound.  Sums and products stay exact inside one quadratic field; mixing
 incompatible surds demotes to a certified float.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 
@@ -98,11 +96,6 @@ class QuadReal:
             raise ValueError("no real root")
         f, m = squarefree_split(disc)
         return QuadReal(Fraction(p, 2), Fraction(f, 2), m)
-
-    @staticmethod
-    def sqrt_int(n):
-        f, m = squarefree_split(n)
-        return QuadReal(0, f, m)
 
     def _compat(self, other):
         if not isinstance(other, QuadReal):

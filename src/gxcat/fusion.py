@@ -14,11 +14,9 @@ imported only by ``GradedFusionRing.tensor()``, which hands the dense array
 to the gauging kernels.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress
 from operator import mul, or_, sub
 
@@ -29,7 +27,6 @@ from .groups import FiniteGroup, compose, cyclic, homomorphism_witness, is_index
 __all__ = [
     "GradedFusionRing",
     "RingGAction",
-    "FusionError",
     "ValidationReport",
     "SectorReport",
     "validate_ring",
@@ -126,6 +123,10 @@ class GradedFusionRing(FrozenRecord):
     def label(self, i):
         return self.simples[i]
 
+    @cached_property
+    def _pf_dims(self):
+        return tuple(_perron_frobenius(self))
+
     def __repr__(self):
         return f"GradedFusionRing({self.name}, rank={self.rank})"
 
@@ -145,11 +146,10 @@ def trivial_action(ring: GradedFusionRing, group=None):
 
 
 class ValidationReport(Record):
-    _fields = ("issues", "dims")
+    _fields = ("issues",)
 
-    def __init__(self, issues, dims=None):
-        # dims: the Perron-Frobenius dims, when validate_ring checked them
-        self.__dict__.update(issues=issues, dims=dims)
+    def __init__(self, issues):
+        self.__dict__.update(issues=issues)
 
     @property
     def passed(self):
@@ -203,11 +203,11 @@ def validate_ring(ring: GradedFusionRing) -> ValidationReport:
             break
     if rep.passed:
         try:
-            rep.dims = pf_dims(ring)
+            dims = pf_dims(ring)
         except FusionError as exc:
             rep.add("dims", str(exc))
             return rep
-        bad = _dims_mismatch(ring, rep.dims)
+        bad = _dims_mismatch(ring, dims)
         if bad is not None:
             i, j = bad
             rep.add("dims", f"d_i d_j mismatch at ({ring.label(i)},{ring.label(j)})",
@@ -347,11 +347,17 @@ def _perron_vector(total):
 
 
 def pf_dims(ring: GradedFusionRing):
-    """Perron-Frobenius dimension vector, unit entry 1.
+    """Perron-Frobenius dimension vector, unit entry 1, as a new list.
 
-    Returns QuadReal entries when the whole vector lies in one quadratic
-    field (verified exactly), else CertReal entries with an error bound.
+    Its entries are QuadReal when the whole vector lies in one quadratic
+    field (verified exactly), else CertReal with an error bound.  Each ring
+    computes it once.
     """
+    return list(ring._pf_dims)
+
+
+def _perron_frobenius(ring):
+    """The entries of ``pf_dims(ring)``."""
     r = ring.rank
     total = [[0.0] * r for _ in range(r)]  # total[j][k] = sum_i N_ij^k
     for (_, j, k), v in ring.coeffs:
@@ -399,12 +405,9 @@ def _try_exact_dims(ring, v):
     return cands
 
 
-def global_dim(ring: GradedFusionRing, dims=None):
-    """Sum of d_i^2 over the Perron-Frobenius dims of ring; pass dims when
-    they are already at hand, so that pf_dims runs once."""
-    if dims is None:
-        dims = pf_dims(ring)
-    return sum((d * d for d in dims), start=as_scalar(0))
+def global_dim(ring: GradedFusionRing):
+    """Sum of d_i^2 over the Perron-Frobenius dims of ring."""
+    return sum((d * d for d in pf_dims(ring)), start=as_scalar(0))
 
 
 class SectorReport(Record):

@@ -16,8 +16,6 @@ block is split only when the hom data and the dims >= 1 bound leave exactly
 one.  Any other block is reported unresolved with its dimension budget.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction
@@ -26,20 +24,10 @@ import numpy as np
 
 from . import chartab
 from .cohomology import TorsionCocycle, is_cocycle
-from .errors import InvariantError, Record
+from .errors import FusionError, InvariantError, Record
 from .exact import QuadReal, as_scalar, scalar_eq, scalar_json
-from .fusion import (
-    FusionError,
-    GradedFusionRing,
-    RingGAction,
-    global_dim,
-    pf_dims,
-    picard,
-    tensor_power,
-    trivial_action,
-    validate_action,
-    validate_ring,
-)
+from .fusion import (GradedFusionRing, RingGAction, global_dim, pf_dims, picard, tensor_power, trivial_action,
+                     validate_action, validate_ring)
 from .groups import FiniteGroup, abelian_characters, orbit_labels, subgroup
 
 __all__ = [
@@ -92,14 +80,13 @@ class EquivariantizationResult(Record):
         }
 
 
-def equivariantize(ring: GradedFusionRing, action: RingGAction, stabilizer_cocycles=None, dims=None):
+def equivariantize(ring: GradedFusionRing, action: RingGAction, stabilizer_cocycles=None):
     """Orbit/stabilizer model of the gauged ring C^G.
 
     stabilizer_cocycles maps the least label of an orbit to a degree-2
     TorsionCocycle on that orbit's stabilizer group (as produced by
     orbit_stabilizer); orbits without an entry use the trivial cocycle and
-    are flagged "assumed-trivial".  Pass the ring's pf_dims as dims when
-    they are already at hand, so that pf_dims runs once.
+    are flagged "assumed-trivial".
     """
     if any(el != 0 for el in ring.grading):
         raise FusionError("equivariantize expects a trivially graded ring")
@@ -107,8 +94,7 @@ def equivariantize(ring: GradedFusionRing, action: RingGAction, stabilizer_cocyc
     if not rep_action.passed:
         raise FusionError(f"invalid action: {rep_action.issues[0]['message']}")
     stabilizer_cocycles = stabilizer_cocycles or {}
-    if dims is None:
-        dims = pf_dims(ring)
+    dims = pf_dims(ring)
     simples = []
     total = as_scalar(0)
     labels, reps = orbit_labels(action.perms)
@@ -143,7 +129,7 @@ def equivariantize(ring: GradedFusionRing, action: RingGAction, stabilizer_cocyc
                 }
             )
             total = total + dim * dim
-    result = EquivariantizationResult(simples, total, global_dim(ring, dims), action.group.order)
+    result = EquivariantizationResult(simples, total, global_dim(ring), action.group.order)
     if not result.dim_identity_holds():
         raise InvariantError("equivariantization dimension identity failed")
     return result
@@ -218,24 +204,12 @@ def _partitions_sq(total):
 
 
 class CrossedProductResult(Record):
-    _fields = ("blocks", "global_dim", "input_global_dim", "group_order", "output_ring", "output_dims")
+    _fields = ("blocks", "global_dim", "input_global_dim", "group_order", "output_ring")
 
-    def __init__(self, blocks, global_dim, input_global_dim, group_order, output_ring, output_dims=None):
+    def __init__(self, blocks, global_dim, input_global_dim, group_order, output_ring):
         # output_ring: GradedFusionRing when every image stays simple, else None
-        # output_dims: pf_dims of output_ring, from its validation
         self.__dict__.update(blocks=blocks, global_dim=global_dim, input_global_dim=input_global_dim,
-                             group_order=group_order, output_ring=output_ring, output_dims=output_dims)
-
-    @property
-    def fully_resolved(self):
-        return all(b["resolved"] for b in self.blocks)
-
-    def simple_dims(self):
-        out = []
-        for b in self.blocks:
-            if b["resolved"]:
-                out.extend(s["dim"] for s in b["simples"])
-        return out
+                             group_order=group_order, output_ring=output_ring)
 
     def to_json(self):
         return {
@@ -332,19 +306,18 @@ def crossed_product(ring: GradedFusionRing, s_embedding, action: RingGAction = N
                 "budget": budget,
             }
         )
-    input_dim = global_dim(ring, dims)
+    input_dim = global_dim(ring)
     if not scalar_eq(total * order, input_dim):
         raise InvariantError("crossed product dimension identity failed")
 
-    output_ring = output_dims = None
+    output_ring = None
     if all_simple and all(b["resolved"] for b in out_blocks):
-        output_ring, output_dims = _multiplicity_free_output_ring(ring, hom, out_blocks, group)
-    return CrossedProductResult(out_blocks, total, input_dim, order, output_ring, output_dims)
+        output_ring = _multiplicity_free_output_ring(ring, hom, out_blocks, group)
+    return CrossedProductResult(out_blocks, total, input_dim, order, output_ring)
 
 
 def _multiplicity_free_output_ring(ring, hom, blocks, group):
-    """Output fusion ring when every image is simple (end dims all 1), with
-    the dims its validation computed.
+    """Output fusion ring when every image is simple (end dims all 1).
 
     Output labels are the blocks; N_out([a][b])^[c] = sum_mu N_{a b}^mu
     hom(mu, c_rep), independent of chosen representatives.
@@ -366,7 +339,7 @@ def _multiplicity_free_output_ring(ring, hom, blocks, group):
     rep_check = validate_ring(out)
     if not rep_check.passed:
         raise FusionError(f"derived output ring failed validation: {rep_check.issues[0]}")
-    return out, rep_check.dims
+    return out
 
 
 class RoundTripReport(Record):
@@ -393,7 +366,7 @@ def roundtrip_check(ring, s_embedding, action=None, group=None):
     crossed = crossed_product(ring, s_embedding, action=action, group=group)
     grp = action.group if action is not None else group
     if crossed.output_ring is not None:
-        eq = equivariantize(crossed.output_ring, trivial_action(crossed.output_ring, grp), dims=crossed.output_dims)
+        eq = equivariantize(crossed.output_ring, trivial_action(crossed.output_ring, grp))
         regauged = eq.global_dim
         counts = (ring.rank, len(eq.simples))
     else:

@@ -6,8 +6,6 @@ explicit tables are validated against the group axioms with a witness for
 the first failure.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from functools import cached_property, lru_cache
@@ -18,8 +16,6 @@ from .errors import FrozenRecord, GroupError, InvariantError
 
 __all__ = [
     "FiniteGroup",
-    "GroupError",
-    "InvariantError",
     "ConjugacyData",
     "LinearCharacter",
     "build_group",
@@ -52,10 +48,6 @@ class FiniteGroup(FrozenRecord):
     @property
     def order(self):
         return len(self.mul)
-
-    @property
-    def id(self):
-        return 0
 
     @cached_property
     def inv(self):
@@ -108,9 +100,6 @@ class FiniteGroup(FrozenRecord):
 
     def elements(self):
         return range(self.order)
-
-    def element_order(self, x):
-        return self.element_orders.item(x)
 
     @property
     def exponent(self):

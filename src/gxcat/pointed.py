@@ -26,8 +26,6 @@ cocycle identities; the braided pointed categories on Z2 at N = 4 come out
 as the four quadratic forms, which is the expected classification.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 
@@ -35,19 +33,11 @@ import numpy as np
 
 from . import snf
 from .chartab import character_sums, fusion_coefficients, prime_1_mod, primitive_root, projective_irrep_data
-from .cohomology import (
-    ResourceLimit,
-    TorsionCocycle,
-    bar_matrix,
-    first_witness,
-    is_coboundary,
-    is_cocycle,
-    transgress,
-)
+from .cohomology import TorsionCocycle, bar_matrix, first_witness, is_coboundary, is_cocycle, transgress
 from .cyclo import Cyc, reduction_matrix
-from .errors import CELL_CAP, FrozenRecord, Record
+from .errors import CELL_CAP, FrozenRecord, InvariantError, Record, ResourceLimit
 from .fusion import GradedFusionRing, ValidationReport
-from .groups import (FiniteGroup, InvariantError, abelian_characters, compose, conjugacy_data, homomorphism_witness,
+from .groups import (FiniteGroup, abelian_characters, compose, conjugacy_data, homomorphism_witness,
                      orbit_labels, quotient, subgroup)
 from .serialize import dump_group
 
@@ -532,9 +522,6 @@ class DoubleData(Record):
     @property
     def dims(self):
         return [s["dim"] for s in self.simples]
-
-    def t_spectrum(self):
-        return [s["t"] for s in self.simples]
 
     def to_json(self):
         out = {

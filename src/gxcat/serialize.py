@@ -11,18 +11,9 @@ the field, and so is a missing key or a nested field of the wrong JSON type
 (a list where an object belongs, a number where a list belongs).
 """
 
-from __future__ import annotations
-
 import json
-from typing import TYPE_CHECKING
 
 from .errors import FusionError, GroupError
-
-if TYPE_CHECKING:
-    from .cohomology import TorsionCocycle
-    from .fusion import GradedFusionRing, RingGAction
-    from .groups import FiniteGroup
-    from .pointed import PointedGXData
 
 __all__ = [
     "load_group",
@@ -71,7 +62,7 @@ def load_group(obj, where="group"):
     raise GroupError("group object needs a preset name or a mul table")
 
 
-def dump_group(g: FiniteGroup):
+def dump_group(g):
     return {"name": g.name, "order": g.order, "mul": [list(r) for r in g.mul]}
 
 
@@ -131,7 +122,7 @@ def load_cocycle(obj):
     return TorsionCocycle.make(g, degree, n, values)
 
 
-def _group_ref(g: FiniteGroup, inline=False):
+def _group_ref(g, inline=False):
     """Preset name when the preset reproduces this exact table, else inline."""
     from .groups import PRESETS, build_group
 
@@ -141,7 +132,7 @@ def _group_ref(g: FiniteGroup, inline=False):
     return dump_group(g)
 
 
-def dump_cocycle(c: TorsionCocycle, inline_group=False):
+def dump_cocycle(c, inline_group=False):
     return {
         "group": _group_ref(c.group, inline_group),
         "degree": c.degree,
@@ -197,7 +188,7 @@ def load_ring(obj):
     return ring, action
 
 
-def dump_ring(ring: GradedFusionRing, action: RingGAction = None):
+def dump_ring(ring, action=None):
     obj = {
         "name": ring.name,
         "simples": list(ring.simples),
@@ -248,6 +239,6 @@ def load_pointed(obj):
     return PointedGXData.make(gamma, group, deg, action, n, assoc, braid)
 
 
-def dump_pointed(d: PointedGXData):
+def dump_pointed(d):
     return d.to_json()
 

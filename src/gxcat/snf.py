@@ -13,8 +13,6 @@ nullspace_fp is the one elimination over a prime field: Gauss-Jordan over
 F_p on int64 arrays, returning a kernel basis.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

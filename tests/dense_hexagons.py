@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from gxcat import snf
-from gxcat.cohomology import ResourceLimit, TorsionCocycle, bar_matrix
+from gxcat.cohomology import TorsionCocycle, bar_matrix
+from gxcat.errors import ResourceLimit
 from gxcat.snf import ENUM_STATE_CAP
 
 

@@ -12,7 +12,8 @@ holomorphic enumeration by a closure over every move that lands on a state.
 
 import itertools
 
-from gxcat.groups import FiniteGroup, GroupError, InvariantError, LinearCharacter, build_group
+from gxcat.errors import GroupError, InvariantError
+from gxcat.groups import FiniteGroup, LinearCharacter, build_group
 
 
 def relabel(g, p):
@@ -95,7 +96,7 @@ def quotient_loop(g, normal_elems):
 def minimal_generators(g):
     gens, span = [], {0}
     while len(span) < g.order:
-        best = max((x for x in g.elements() if x not in span), key=lambda x: (g.element_order(x), -x))
+        best = max((x for x in g.elements() if x not in span), key=lambda x: (g.element_orders[x], -x))
         gens.append(best)
         span = set(subgroup_closure(g, gens))
     return gens
@@ -109,7 +110,7 @@ def characters_bfs(g, n):
     if n % exp != 0:
         raise GroupError(f"N={n} must be a multiple of the abelianization exponent {exp}")
     gens = minimal_generators(q) if q.order > 1 else []
-    orders = [q.element_order(x) for x in gens]
+    orders = [q.element_orders.item(x) for x in gens]
     chars = []
     for combo in itertools.product(*(range(o) for o in orders)):
         val, frontier, ok = {0: 0}, [0], True

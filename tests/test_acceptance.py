@@ -151,7 +151,7 @@ def test_criterion_05_holomorphic_chain():
     for om in [TorsionCocycle.make(z2, 3, 2, {}), cohomology_group(z2, 3, 2).representatives[0]]:
         dd = twisted_double(z2, om)
         cp = crossed_product(dd.fusion, {"pi0": "(e;0)", "pi1": "(e;1)"}, group=z2)
-        dims = cp.simple_dims()
+        dims = [s["dim"] for b in cp.blocks for s in b["simples"]]
         ok = ok and len(dims) == 2 and all(d == ONE for d in dims)
     report(5, "double x Rep(Z2): exactly 2 simples of dim 1 for both twists", ok)
 

@@ -11,10 +11,11 @@ import gxcat.chartab as chartab
 import gxcat.pointed as pointed
 from cyc_oracle import reduced_by_division
 from gxcat.chartab import character_sums, fusion_coefficients, prime_1_mod, primitive_root, rep_fusion_data
-from gxcat.cohomology import ResourceLimit, TorsionCocycle
+from gxcat.cohomology import TorsionCocycle
 from gxcat.corpus import load_entry
 from gxcat.cyclo import Cyc, cyclotomic_poly, reduction_bound
-from gxcat.groups import InvariantError, symmetric
+from gxcat.errors import InvariantError, ResourceLimit
+from gxcat.groups import symmetric
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 24]
 

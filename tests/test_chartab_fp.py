@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import gxcat.chartab as chartab
 from gxcat.chartab import _charpoly_fp, _eigenspaces_fp, character_table
-from gxcat.groups import InvariantError, symmetric
+from gxcat.errors import InvariantError
+from gxcat.groups import symmetric
 from gxcat.snf import nullspace_fp
 
 PRIMES = [5, 7, 13, 17, 97]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,9 +13,9 @@ import pytest
 
 import gxcat
 from corpus_build import double_semion_pointed, toric_code_pointed
-from gxcat.cli import main
-from gxcat.corpus import CorpusError, corpus_dir, corpus_list
-from gxcat.errors import FusionError
+from gxcat.cli import UsageError, _parse_embedding, main
+from gxcat.corpus import corpus_dir, corpus_list
+from gxcat.errors import CorpusError, FusionError
 from gxcat.serialize import (
     canonical_json,
     detect_kind,
@@ -612,6 +613,34 @@ class TestCliContracts:
         ])
         assert res.exit_code == 0
         assert json.loads(res.output)["dims_match"] is True
+
+    # Labels of a tensor product, such as (1,1), hold a comma; --embed splits
+    # only at the commas outside brackets, and with no --group, G is the group
+    # of the ring file's action.  The sha256 of each canonical JSON output was
+    # frozen from crossed_product and roundtrip_check in process while the CLI
+    # still split at every comma and refused these calls with exit 2.
+    @pytest.mark.parametrize("command, sha256", [
+        ("ungauge", "dfcfcb8615305af352c021556eb310f73f6a7f13c7da6103b5f6ca0cca8ed05b"),
+        ("roundtrip", "275f926bfe1f68759e1d9186a8c93a29127a8c7dbf1b9f0efbdcc9349b6da72e"),
+    ])
+    def test_embedding_labels_with_commas(self, command, sha256):
+        res = run_cli([command, str(CORPUS / "ring_ising_ising_swap.json"), "--embed", "pi0=(1,1),pi1=(p,p)",
+                       "--format", "json"])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == sha256
+        payload = json.loads(res.stdout)
+        assert not payload.get("has_output_ring") and payload.get("simple_counts") is None
+
+    @pytest.mark.parametrize("embed, pairs", [
+        ("pi0=((1,1),s),pi1=[a,b]", {"pi0": "((1,1),s)", "pi1": "[a,b]"}),
+        ("pi0=(1,1),(p,p)", None),
+    ])
+    def test_embedding_splits_at_commas_outside_brackets(self, embed, pairs):
+        if pairs is None:
+            with pytest.raises(UsageError, match="embedding must look like"):
+                _parse_embedding(embed)
+        else:
+            assert _parse_embedding(embed) == pairs
 
     def test_enumerate_command(self):
         res = run_cli(["enumerate", "--group", "Z2", "--N", "4", "--format", "json"])

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_coboundary as ref
-from gxcat.cohomology import ResourceLimit, TorsionCocycle, bar_matrix, coboundary, cohomology_group, is_cocycle
+from gxcat.cohomology import TorsionCocycle, bar_matrix, coboundary, cohomology_group, is_cocycle
+from gxcat.errors import ResourceLimit
 from gxcat.groups import PRESETS, build_group
 
 SMALL = sorted(name for name in PRESETS if build_group(name).order <= 8)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gxcat.cohomology import (
-    ResourceLimit,
     TorsionCocycle,
     bar_matrix,
     coboundary,
@@ -18,7 +17,8 @@ from gxcat.cohomology import (
     transgress,
     u1_cohomology,
 )
-from gxcat.groups import GroupError, build_group, cyclic, product, symmetric
+from gxcat.errors import GroupError, ResourceLimit
+from gxcat.groups import build_group, cyclic, product, symmetric
 from gxcat.serialize import dump_cocycle
 
 FROZEN = json.loads((pathlib.Path(__file__).parent / "data" / "cohomology_frozen.json").read_text())["cases"]
@@ -43,6 +43,11 @@ def brute_force_order(g, k, n, limit=1 << 20):
         for a in itertools.product(range(n), repeat=(g.order - 1) ** (k - 1))
     }
     return closed // len(images)
+
+
+def _times(c, k):
+    """The cochain k c."""
+    return TorsionCocycle.from_table(c.group, c.degree, c.n, k * c.table)
 
 
 def random_cochain(g, k, n, rng):
@@ -105,7 +110,7 @@ class TestCoboundary:
 class TestCohomologyGroups:
     def test_trivial_group(self):
         for k in (1, 2, 3):
-            assert cohomology_group(cyclic(1), k, 4).is_trivial
+            assert cohomology_group(cyclic(1), k, 4).invariant_factors == ()
 
     def test_h3_z2(self):
         h = cohomology_group(cyclic(2), 3, 2)
@@ -144,7 +149,7 @@ class TestCohomologyGroups:
                 assert not is_coboundary(rep)
                 assert order > 1
                 # scaling by the order lands in the coboundaries
-                assert is_coboundary(rep.scaled(order))
+                assert is_coboundary(_times(rep, order))
 
     def test_degree_four(self):
         # mod-2 cohomology of Z2 is one copy of Z/2 in every degree
@@ -234,7 +239,7 @@ class TestTransgression:
     def test_s3_transposition_output_closed(self):
         g = symmetric(3)
         om = cohomology_group(g, 3, 6).representatives[0]
-        transposition = next(x for x in g.elements() if g.element_order(x) == 2)
+        transposition = next(x for x in g.elements() if g.element_orders[x] == 2)
         tau, cent, _ = transgress(om, transposition)
         assert cent.order == 2
         assert is_cocycle(tau)[0]
@@ -261,14 +266,14 @@ class TestTransgression:
         g = build_group(name)
         omega = TorsionCocycle.make(g, 3, g.order, {})
         for rep in cohomology_group(g, 3, g.order).representatives:
-            omega = omega + rep.scaled(data.draw(st.integers(0, g.order - 1)))
+            omega = omega + _times(rep, data.draw(st.integers(0, g.order - 1)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         shifted = omega + coboundary(random_cochain(g, 2, g.order, rng))
         for a in g.elements():
             tau, cent, _ = transgress(omega, a)
             moved, moved_cent, _ = transgress(shifted, a)
             assert moved_cent == cent
-            assert is_coboundary(moved + tau.scaled(-1))
+            assert is_coboundary(moved + _times(tau, -1))
 
 
 class TestCocycleType:

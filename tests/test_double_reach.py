@@ -51,7 +51,7 @@ def test_a5_double_ungauged_by_rep_a5():
     start = time.perf_counter()
     cp = crossed_product(fusion, {la: f"(e;{k})" for k, la in enumerate(labels)}, group=g)
     assert time.perf_counter() - start < 2
-    assert cp.fully_resolved and len(cp.blocks) == 5
-    dims = cp.simple_dims()
+    assert all(b["resolved"] for b in cp.blocks) and len(cp.blocks) == 5
+    dims = [s["dim"] for b in cp.blocks for s in b["simples"]]
     assert len(dims) == 60 and all(d == QuadReal(1) for d in dims)
     assert cp.output_ring is None  # the end dims of the nontrivial classes exceed 1

@@ -33,9 +33,9 @@ class TestQuadReal:
         assert abs(float(phi) - (1 + math.sqrt(5)) / 2) < 1e-14
 
     def test_sqrt2(self):
-        r = QuadReal.sqrt_int(2)
+        r = QuadReal.root_of(0, 2)
         assert r * r == QuadReal(2)
-        assert QuadReal.sqrt_int(8) == QuadReal(0, 2, 2)
+        assert QuadReal.root_of(0, 8) == QuadReal(0, 2, 2)
 
     def test_field_ops(self):
         a = QuadReal(Fraction(1, 2), Fraction(3, 2), 5)
@@ -126,7 +126,7 @@ class TestFactorize:
         # so a double root (discriminant 0) and the square root of 0 are exact
         assert squarefree_split(0) == (0, 1)
         assert QuadReal.root_of(2, -1) == 1
-        assert QuadReal.sqrt_int(0) == 0
+        assert QuadReal.root_of(0, 0) == 0
 
     def test_root_trace_is_mu_over_phi(self):
         # the trace of a primitive d-th root of unity is the sum of all of them

@@ -20,6 +20,49 @@ def test_all_lists_only_defined_names(name):
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_each_exported_class_or_function_is_defined_by_its_module(name):
+    """One import path per public name: the module that defines it."""
+    mod = importlib.import_module(name)
+    found = [n for n in getattr(mod, "__all__", []) if callable(getattr(mod, n)) and getattr(mod, n).__module__ != name]
+    assert not found, f"{name}.__all__ re-exports {found}, defined elsewhere"
+
+
+def test_package_binds_only_its_version():
+    """``gxcat/__init__.py`` is its docstring and ``__version__``: no alias of a submodule's name."""
+    docstring, *rest = ast.parse(pathlib.Path(gxcat.__file__).read_text()).body
+    assert isinstance(docstring, ast.Expr)
+    assert [ast.unparse(t) for stmt in rest for t in getattr(stmt, "targets", [stmt])] == ["__version__"]
+
+
+def _top_level_names(tree):
+    """The names a module's top level defines: its functions, classes and assignment targets."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names |= {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_each_relative_import_names_the_defining_module():
+    """``from .x import y`` in src names the module whose top level defines y,
+    not one that imports it."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(pathlib.Path(gxcat.__file__).parent.glob("*.py"))}
+    defined = {stem: _top_level_names(tree) for stem, tree in trees.items()}
+    found = [
+        f"{stem}.py:{node.lineno} {node.module}.{a.name}"
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for a in node.names
+        if a.name not in defined[node.module]
+    ]
+    assert not found, f"names imported from a module that does not define them: {found}"
+
+
 def test_no_module_imports_a_private_name_of_another():
     """Each module's underscore names are its own layout decisions."""
     found = []
@@ -94,13 +137,17 @@ def _library_tour():
     return {part for m in spans if m for part in m.group().split(".")}
 
 
+def _src_trees():
+    return [ast.parse(path.read_text()) for path in sorted(pathlib.Path(gxcat.__file__).parent.glob("*.py"))]
+
+
 def test_every_exported_name_is_reached():
-    """Each name in an __all__ of src, the package's included, is read in src
-    (an ast.Name or ast.Attribute) or named in backticks in README's library tour."""
+    """Each name in an __all__ of src is read in src (an ast.Name or
+    ast.Attribute) or named in backticks in README's library tour."""
     src = pathlib.Path(gxcat.__file__).parent
     read = set()
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _src_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -116,3 +163,20 @@ def test_every_exported_name_is_reached():
         f"exported names read by no ast.Name or ast.Attribute in {src}/*.py and named in no backticks "
         f"of README.md's '## Library tour' section: {found}"
     )
+
+
+def test_every_public_method_is_reached():
+    """Each public method or property of a class in src is read as an
+    attribute in src or named in backticks in README's library tour."""
+    trees = _src_trees()
+    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    tour = _library_tour()
+    found = [
+        f"{cls.name}.{fn.name}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and fn.name not in read | tour
+    ]
+    assert not found, f"methods read as no attribute in src and named in no backticks of the library tour: {found}"

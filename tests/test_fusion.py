@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import gxcat.fusion as fusion_mod
 import gxcat.gauging as gauging_mod
 from gxcat.corpus import corpus_dir, corpus_list
+from gxcat.errors import FusionError
 from gxcat.exact import QuadReal, scalar_eq
 from gxcat.fusion import (
-    FusionError,
     GradedFusionRing,
     RingGAction,
     global_dim,
@@ -30,7 +30,7 @@ from gxcat.groups import cyclic, product, symmetric
 from test_cli_corpus import run_cli
 
 PHI = QuadReal.root_of(1, 1)
-SQRT2 = QuadReal.sqrt_int(2)
+SQRT2 = QuadReal.root_of(0, 2)
 
 
 def graded_ising(ising_coeffs=None):
@@ -187,19 +187,31 @@ class TestIntegerProductRule:
         ["roundtrip", "ring_rep_z2.json", "--embed", "pi0=e,pi1=g", "--group", "Z2"],
     ])
     def test_pf_dims_runs_once_per_ring(self, monkeypatch, args):
-        calls = []
-        real = fusion_mod.pf_dims
+        """pf_dims may be read many times, but each ring runs the power iteration once."""
+        rings, vectors = [], []
+        real_dims, real_vector = fusion_mod.pf_dims, fusion_mod._perron_vector
 
-        def counted(ring):
-            calls.append(ring)
-            return real(ring)
+        def counted_dims(ring):
+            rings.append(ring)
+            return real_dims(ring)
 
-        monkeypatch.setattr(fusion_mod, "pf_dims", counted)
-        monkeypatch.setattr(gauging_mod, "pf_dims", counted)
+        def counted_vector(total):
+            vectors.append(total)
+            return real_vector(total)
+
+        monkeypatch.setattr(fusion_mod, "pf_dims", counted_dims)
+        monkeypatch.setattr(gauging_mod, "pf_dims", counted_dims)
+        monkeypatch.setattr(fusion_mod, "_perron_vector", counted_vector)
         args = [str(corpus_dir().joinpath(a)) if a.endswith(".json") else a for a in args]
         res = run_cli([*args, "--format", "json"])
         assert res.exit_code == 0, res.output
-        assert calls and len(calls) == len({id(r) for r in calls})
+        assert vectors and len(vectors) == len({id(r) for r in rings})
+        assert len(vectors) == {"ungauge": 2, "roundtrip": 2}.get(args[0], 1)  # and the output ring
+
+    def test_pf_dims_returns_a_new_list(self, fibonacci):
+        first = pf_dims(fibonacci)
+        first.append("changed")
+        assert pf_dims(fibonacci) == first[:-1]
 
 
 RING_FILES = [e.path.rpartition("/")[2] for e in corpus_list() if e.kind == "ring"]

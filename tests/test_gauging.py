@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from gxcat import gauging
 from gxcat.cohomology import TorsionCocycle, cohomology_group
+from gxcat.errors import FusionError
 from gxcat.exact import QuadReal, scalar_eq
 from gxcat.fusion import (
-    FusionError,
     GradedFusionRing,
     RingGAction,
     global_dim,
@@ -147,7 +147,7 @@ class TestCrossedProduct:
     def test_toric_boson(self, toric_ring):
         cp = crossed_product(toric_ring, {"pi0": "e", "pi1": "e.g"}, group=cyclic(2))
         assert cp.global_dim == QuadReal(2)
-        assert len(cp.simple_dims()) == 2
+        assert len([s for b in cp.blocks for s in b["simples"]]) == 2
         assert cp.output_ring is not None and cp.output_ring.rank == 2
 
     def test_trivial_s_keeps_ring(self, ising):
@@ -205,7 +205,7 @@ class TestCrossedProduct:
             td.fusion, {"pi0": "(e;0)", "pi1": "(e;1)", "pi2": "(e;2)"}, group=s3
         )
         assert cp.global_dim == QuadReal(6)
-        dims = cp.simple_dims()
+        dims = [s["dim"] for b in cp.blocks for s in b["simples"]]
         assert len(dims) == 6 and all(d == QuadReal(1) for d in dims)
 
     def test_rep_s4_by_sign_restricts_to_rep_a4(self):
@@ -220,8 +220,8 @@ class TestCrossedProduct:
             "rep_s4", labels, "pi0", tuple(duals), coeffs
         )
         cp = crossed_product(ring, {"pi0": "pi0", "pi1": "pi1"}, group=cyclic(2))
-        assert cp.fully_resolved
-        out_dims = sorted(float(d) for d in cp.simple_dims())
+        assert all(b["resolved"] for b in cp.blocks)
+        out_dims = sorted(float(s["dim"]) for b in cp.blocks for s in b["simples"])
         assert out_dims == [1.0, 1.0, 1.0, 3.0]
         assert cp.global_dim == QuadReal(12)
         # the self-paired 2-dim irrep splits into two invertibles
@@ -248,7 +248,7 @@ class TestCrossedProduct:
         d_r = pf_dims(ring)[2]
         assert d_r == QuadReal(1, 1, 3)  # 1 + sqrt(3)
         cp = crossed_product(ring, {"pi0": "1", "pi1": "x"}, group=cyclic(2))
-        assert not cp.fully_resolved
+        assert not all(b["resolved"] for b in cp.blocks)
         block = next(b for b in cp.blocks if b["members"] == ("r",))
         assert not block["resolved"]
         assert block["end_dims"] == [2]

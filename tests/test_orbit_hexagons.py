@@ -19,7 +19,8 @@ from dense_hexagons import (
     invariance_rows,
 )
 from gxcat import pointed
-from gxcat.cohomology import ResourceLimit, TorsionCocycle, bar_matrix
+from gxcat.cohomology import TorsionCocycle, bar_matrix
+from gxcat.errors import ResourceLimit
 from gxcat.groups import PRESETS, build_group, orbit_labels
 from gxcat.pointed import (
     _braid_system,

@@ -26,14 +26,14 @@ from orbit_oracles import (
     quotient_loop,
     relabel,
 )
-from gxcat.cohomology import ResourceLimit, TorsionCocycle, cohomology_group, transgress
+from gxcat.cohomology import TorsionCocycle, cohomology_group, transgress
 from gxcat.corpus import load_entry
+from gxcat.errors import GroupError, ResourceLimit
 from gxcat.exact import QuadReal
 from gxcat.fusion import RingGAction, pointed_ring
 from gxcat.gauging import equivariantize
 from gxcat.groups import (
     PRESETS,
-    GroupError,
     abelian_characters,
     build_group,
     conjugacy_data,

@@ -12,11 +12,12 @@ from corpus_build import double_semion_pointed, symmetric_pointed, toric_code_po
 from cyc_oracle import Cyc, rref
 from gxcat.cohomology import TorsionCocycle, cohomology_group
 from gxcat.corpus import corpus_list, load_entry
+from gxcat.errors import InvariantError
 from gxcat.exact import QuadReal
 from gxcat.fusion import pointed_ring, sector_dims
 from gxcat.gauging import crossed_product
 from gxcat.chartab import rep_fusion_data
-from gxcat.groups import InvariantError, build_group, cyclic, product, subgroup, symmetric
+from gxcat.groups import build_group, cyclic, product, subgroup, symmetric
 from gxcat.pointed import (
     PointedGXData,
     enumerate_holomorphic,
@@ -200,13 +201,13 @@ class TestTwistedDouble:
     def test_toric_code(self):
         dd = twisted_double(cyclic(2), TorsionCocycle.make(cyclic(2), 3, 2, {}))
         assert dd.dims == [1, 1, 1, 1]
-        ts = sorted((round(complex(t).real, 6), round(complex(t).imag, 6)) for t in map(Cyc.of, dd.t_spectrum()))
+        ts = sorted((round(complex(t).real, 6), round(complex(t).imag, 6)) for t in map(Cyc.of, (s["t"] for s in dd.simples)))
         assert ts == [(-1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0)]
         assert dd.s_matrix is not None and dd.fusion is not None
 
     def test_double_semion_t_spectrum_differs(self):
         dd = twisted_double(cyclic(2), z2_omega())
-        ts = sorted((round(complex(t).real, 6), round(complex(t).imag, 6)) for t in map(Cyc.of, dd.t_spectrum()))
+        ts = sorted((round(complex(t).real, 6), round(complex(t).imag, 6)) for t in map(Cyc.of, (s["t"] for s in dd.simples)))
         assert ts == [(0.0, -1.0), (0.0, 1.0), (1.0, 0.0), (1.0, 0.0)]
 
     def test_d_s3(self):
@@ -373,7 +374,7 @@ class TestTwistedDouble:
         assert list(pf_dims(dd.fusion)) == dd.dims
         h = build_group(twin)
         ref = twisted_double(h, TorsionCocycle.make(h, 3, h.order, {}))
-        assert Counter(zip(dd.dims, dd.t_spectrum())) == Counter(zip(ref.dims, ref.t_spectrum()))
+        assert Counter(zip(dd.dims, (s["t"] for s in dd.simples))) == Counter(zip(ref.dims, (s["t"] for s in ref.simples)))
 
 
 class TestHolomorphicCrossed:
@@ -514,7 +515,7 @@ class TestEnumerate:
             enumerate_holomorphic(cyclic(4), n)
 
     def test_guard(self):
-        from gxcat.cohomology import ResourceLimit
+        from gxcat.errors import ResourceLimit
 
         with pytest.raises(ResourceLimit):
             enumerate_holomorphic(symmetric(4), 2)
@@ -622,6 +623,6 @@ class TestHolomorphicChain:
         om = z2_omega() if twisted else TorsionCocycle.make(z2, 3, 2, {})
         dd = twisted_double(z2, om)
         cp = crossed_product(dd.fusion, {"pi0": "(e;0)", "pi1": "(e;1)"}, group=z2)
-        dims = cp.simple_dims()
+        dims = [s["dim"] for b in cp.blocks for s in b["simples"]]
         assert len(dims) == 2 and all(d == QuadReal(1) for d in dims)
         assert cp.global_dim == QuadReal(2)

@@ -27,7 +27,8 @@ from cyc_oracle import Cyc
 from gxcat.chartab import EXTENSION_ORDER_CAP, _extension_irreps, projective_irrep_data, projective_irrep_dims
 from gxcat.cohomology import TorsionCocycle, coboundary, cohomology_group
 from gxcat.cyclo import reduction_matrix
-from gxcat.groups import PRESETS, GroupError, build_group, cyclic, product
+from gxcat.errors import GroupError
+from gxcat.groups import PRESETS, build_group, cyclic, product
 from gxcat.pointed import twisted_double
 
 ABELIAN = sorted(name for name in PRESETS if build_group(name).order <= 12 and build_group(name).is_abelian)

@@ -30,8 +30,9 @@ import pytest
 from corpus_build import fibonacci_ring, ising_ring
 from gxcat import fusion
 from gxcat.corpus import corpus_dir
+from gxcat.errors import FusionError
 from gxcat.exact import CertReal, QuadReal
-from gxcat.fusion import FusionError, GradedFusionRing, RingGAction, pf_dims, pointed_ring, validate_action
+from gxcat.fusion import GradedFusionRing, RingGAction, pf_dims, pointed_ring, validate_action
 from gxcat.groups import PRESETS, build_group, cyclic, product
 from gxcat.serialize import canonical_json, dump_group, dump_ring
 from test_cli_corpus import run_cli
@@ -189,7 +190,7 @@ def direct_cases():
         "direct/action-dual": lambda: validate_action(
             _zero_ring(4, (0, 2, 1, 3)), RingGAction(z2, ((0, 1, 2, 3), (0, 1, 3, 2)))).to_json(),
         "direct/dims-quadratic": lambda: _report_with_dims(
-            ising, [QuadReal(1), QuadReal.sqrt_int(3), QuadReal(1)]),
+            ising, [QuadReal(1), QuadReal.root_of(0, 3), QuadReal(1)]),
         "direct/dims-certified": lambda: _report_with_dims(
             ising_fib_ring(), [CertReal(1.0, 1e-13)] * 6),
         "direct/dims-reducible": _reducible_dims_error,
