@@ -169,14 +169,14 @@ def test_every_public_method_is_reached():
     """Each public method or property of a class in src is read as an
     attribute in src or named in backticks in README's library tour."""
     trees = _src_trees()
-    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    tour = _library_tour()
+    reached = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    reached |= _library_tour()
     found = [
         f"{cls.name}.{fn.name}"
         for tree in trees
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef)
         for fn in cls.body
-        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and fn.name not in read | tour
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and fn.name not in reached
     ]
     assert not found, f"methods read as no attribute in src and named in no backticks of the library tour: {found}"
