@@ -325,12 +325,14 @@ def _parse_embedding(embed):
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(embed):
         depth += (ch in "([{") - (ch in ")]}")
+        if depth < 0:
+            break
         if ch == "," and depth == 0:
             parts.append(embed[start:i])
             start = i + 1
     out = {}
     for part in [*parts, embed[start:]]:
-        if "=" not in part:
+        if depth or "=" not in part:
             raise UsageError("embedding must look like pi0=label,pi1=label,...")
         k, v = part.split("=", 1)
         out[k.strip()] = v.strip()

@@ -634,6 +634,8 @@ class TestCliContracts:
     @pytest.mark.parametrize("embed, pairs", [
         ("pi0=((1,1),s),pi1=[a,b]", {"pi0": "((1,1),s)", "pi1": "[a,b]"}),
         ("pi0=(1,1),(p,p)", None),
+        ("pi0=(1,1)),pi1=x", None),
+        ("pi0=(1,1,pi1=x", None),
     ])
     def test_embedding_splits_at_commas_outside_brackets(self, embed, pairs):
         if pairs is None:
