@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from corpus_build import double_semion_pointed, symmetric_pointed, toric_code_pointed
 from cyc_oracle import Cyc, rref
+from relabel import match, modular_data
 from gxcat.cohomology import TorsionCocycle, cohomology_group
 from gxcat.corpus import corpus_list, load_entry
 from gxcat.errors import InvariantError
@@ -350,11 +351,9 @@ class TestTwistedDouble:
     def test_type_iii_doubles_of_z2_cubed_have_modular_data(self, index, twin):
         """The type-III classes of H^3(Z2xZ2xZ2, mu_2), with 22 simples: S is
         symmetric with (ST)^3 = S^2, the fusion ring is valid with PF dims equal
-        to the dims, and (dim, T) is distributed as in D(D4) or D(Q8), to which
-        Goff, Mason and Ng (J. Algebra 312, 2007) show these doubles gauge
-        equivalent."""
-        from collections import Counter
-
+        to the dims, and dims, T and S match those of D(D4) or D(Q8) up to
+        relabeling, as Goff, Mason and Ng (J. Algebra 312, 2007) show these
+        doubles gauge equivalent."""
         from gxcat.fusion import pf_dims, validate_ring
         from gxcat.groups import build_group
 
@@ -374,7 +373,21 @@ class TestTwistedDouble:
         assert list(pf_dims(dd.fusion)) == dd.dims
         h = build_group(twin)
         ref = twisted_double(h, TorsionCocycle.make(h, 3, h.order, {}))
-        assert Counter(zip(dd.dims, (s["t"] for s in dd.simples))) == Counter(zip(ref.dims, (s["t"] for s in ref.simples)))
+        assert match(modular_data(ref), modular_data(dd)) is not None
+
+    def test_relabeling_matcher_reads_every_s_entry(self):
+        """A shuffled D(S3) matches D(S3), by a permutation that carries dims, T
+        and S over; with one symmetric pair of S entries changed it does not."""
+        s3 = symmetric(3)
+        dims, ts, s = modular_data(twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {})))
+        shuffle = [5, 2, 7, 0, 3, 6, 1, 4]
+        moved = ([dims[i] for i in shuffle], [ts[i] for i in shuffle], [[s[i][j] for j in shuffle] for i in shuffle])
+        p = match((dims, ts, s), moved)
+        assert sorted(p) == list(range(8)) and [moved[0][j] for j in p] == dims and [moved[1][j] for j in p] == ts
+        assert all(moved[2][p[i]][p[j]] == s[i][j] for i in range(8) for j in range(8))
+        bent = [row[:] for row in moved[2]]
+        bent[1][2] = bent[2][1] = Cyc.of(bent[1][2]) + 1
+        assert match((dims, ts, s), (moved[0], moved[1], bent)) is None
 
 
 class TestHolomorphicCrossed:
