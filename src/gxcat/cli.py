@@ -410,7 +410,7 @@ def transgress_cmd(path, g_name, fmt, out):
 
 @command("double", *CROSSED)
 def double(group_spec, cocycle_path, trivial, n, fmt, out):
-    """Twisted quantum double data: simples, dims, T, and S when exact."""
+    """Twisted quantum double data: simples, dims, T and S."""
     from .pointed import twisted_double
 
     g = _load_group_opt(group_spec)

@@ -47,6 +47,7 @@ __all__ = [
     "cohomology_group",
     "u1_cohomology",
     "transgress",
+    "slant",
     "first_witness",
 ]
 
@@ -323,27 +324,33 @@ def u1_cohomology(g: FiniteGroup, k: int) -> CohomologyGroup:
     return CohomologyGroup(tuple(f for f in factors if f > 1), (), ())
 
 
+def slant(omega: TorsionCocycle, x, u, v):
+    """The transgression of omega at grade x, at the pairs (u, v):
+
+        tau_x(u, v) = w(x,u,v) - w(u, u^-1 x u, v) + w(u, v, (uv)^-1 x (uv))
+
+    elementwise over broadcast index arrays, unreduced, with the convention
+    fixed here once for all callers (several sign/ordering choices circulate).
+    """
+    g, w = omega.group, omega.table
+    conj, inv = g.conj_array, np.asarray(g.inv)  # conj[u, x] = u x u^-1
+    return w[x, u, v] - w[u, conj[inv[u], x], v] + w[u, v, conj[inv[g.mul_array[u, v]], x]]
+
+
 def transgress(omega: TorsionCocycle, g_elem: int):
     """Slant a closed 3-cocycle against a group element.
 
     Returns (tau, centralizer_group, embedding) where tau is the degree-2
-    cocycle  tau(h,k) = w(g,h,k) - w(h, h^-1 g h, k) + w(h,k,(hk)^-1 g (hk))
-    on the centralizer of g, with the convention fixed here once for all
-    callers (several sign/ordering choices circulate).
+    cocycle slant(omega, g, h, k) on the centralizer of g.
     """
     if omega.degree != 3:
         raise ValueError("transgression needs a 3-cocycle")
     ok, wit = is_cocycle(omega)
     if not ok:
         raise ValueError(f"omega is not closed (witness {wit})")
-    g, a, w = omega.group, g_elem, omega.table
-    conj_a = g.conj_array[:, a]  # x -> x a x^-1
-    cent, embed = subgroup(g, np.flatnonzero(conj_a == a).tolist(), name=f"Z({g.element_names[a]})")
-    mul, inv = g.mul_array, np.asarray(g.inv)
-    h, k = np.ix_(embed, embed)
-    hk = mul[h, k]
-    table = w[a, h, k] - w[h, conj_a[inv[h]], k] + w[h, k, conj_a[inv[hk]]]
-    tau = TorsionCocycle.from_table(cent, 2, omega.n, table)
+    g, a = omega.group, g_elem
+    cent, embed = subgroup(g, np.flatnonzero(g.conj_array[:, a] == a).tolist(), name=f"Z({g.element_names[a]})")
+    tau = TorsionCocycle.from_table(cent, 2, omega.n, slant(omega, a, *np.ix_(embed, embed)))
     ok, wit = is_cocycle(tau)
     if not ok:
         raise InvariantError(f"transgression output not closed at {wit}")

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import snf
 from .chartab import character_sums, fusion_coefficients, prime_1_mod, primitive_root, projective_irrep_data
-from .cohomology import TorsionCocycle, bar_matrix, first_witness, is_coboundary, is_cocycle, transgress
+from .cohomology import TorsionCocycle, bar_matrix, first_witness, is_coboundary, is_cocycle, slant, transgress
 from .cyclo import Cyc, reduction_matrix
 from .errors import CELL_CAP, FrozenRecord, InvariantError, Record, ResourceLimit
 from .fusion import GradedFusionRing, ValidationReport
@@ -516,7 +516,7 @@ class DoubleData(Record):
 
     def __init__(self, group, n, simples, s_matrix, fusion):
         # simples: dicts with class_rep, class_size, irrep, irrep_dim, dim, t (Cyc)
-        # s_matrix: list of lists of Cyc, or None in dims-only mode; fusion: GradedFusionRing or None
+        # s_matrix: list of lists of Cyc; fusion: GradedFusionRing
         self.__dict__.update(group=group, n=n, simples=simples, s_matrix=s_matrix, fusion=fusion)
 
     @property
@@ -538,8 +538,8 @@ class DoubleData(Record):
                 }
                 for s in self.simples
             ],
-            "s_matrix": [[v.to_json() for v in row] for row in self.s_matrix] if self.s_matrix else None,
-            "has_fusion_ring": self.fusion is not None,
+            "s_matrix": [[v.to_json() for v in row] for row in self.s_matrix],
+            "has_fusion_ring": True,
         }
         return out
 
@@ -548,9 +548,8 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
     """Module data of the omega-twisted double: one simple per (conjugacy
     class, projective centralizer irrep with transgressed multiplier).
 
-    S is computed exactly when the group is abelian (any omega) or omega is
-    zero, and the fusion ring follows from it by Verlinde; otherwise the
-    double stays in dims+T mode.  T entries are the normalized character
+    S is computed exactly for every group and omega, and the fusion ring
+    follows from it by Verlinde.  T entries are the normalized character
     values at the class representative.  Every self-check raises
     InvariantError.
     """
@@ -586,21 +585,12 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
     if total != g.order**2:
         raise InvariantError(f"double dimension identity failed: sum of dim^2 is {total}, not |G|^2 = {g.order**2}")
 
-    fusion = s_matrix = None
-    if omega.is_zero() or g.is_abelian:
-        # zeta_n^phase[a, b] weighs the class pair (a, b) in S: the phase of
-        # Coste-Gannon-Ruelle for abelian G, and 0 when omega is zero
-        w, ab = omega.table, g.mul_array
-        a, b = np.indices(ab.shape)
-        phase = (w[a, b, ab] - w[a, ab, b] + w[ab, a, b] - w[a, b, a] - w[b, a, b]) % n
-        cond, coef, den = _s_matrix(g, data, simples, phase, n)
-        _check_unitary(coef, den)
-        name = f"D({g.name})" if omega.is_zero() else f"D^w({g.name})"
-        fusion = _verlinde_fusion(name, g.order, simples, coef, den)
-        rows = coef.tolist()
-        m = coef.shape[-1]
-        s_matrix = [[Cyc.from_ints(c, row[j][::m // c], den) for j, c in enumerate(crow)]
-                    for row, crow in zip(rows, cond.tolist())]
+    cond, coef, den = _s_matrix(omega, data, simples)
+    _check_unitary(coef, den)
+    fusion = _verlinde_fusion(f"D({g.name})" if omega.is_zero() else f"D^w({g.name})", g.order, simples, coef, den)
+    m = coef.shape[-1]
+    s_matrix = [[Cyc.from_ints(c, row[j][::m // c], den) for j, c in enumerate(crow)]
+                for row, crow in zip(coef.tolist(), cond.tolist())]
     public = [
         {k: s[k] for k in ("class_rep", "class_size", "irrep", "irrep_dim", "dim", "t")}
         for s in simples
@@ -623,57 +613,63 @@ def _check_unitary(coef, den):
         raise InvariantError(f"S not unitary at ({i},{j})")
 
 
-def _s_matrix(g, data, simples, phase, n):
+def _s_matrix(omega, data, simples):
     """S of the twisted double from the sections (Coste-Gannon-Ruelle):
 
         S_AB = sum over t in G with x = t b t^-1 in C(a) of
-               zeta_n^phase[a, b] conj(theta_A(x)) conj(theta_B(t^-1 a t))
-               / (|C(a)| |C(b)|)
+               zeta_n^e conj(theta_A(x)) conj(theta_B(t^-1 a t)) / (|C(a)| |C(b)|),
+        e = p(a, x) - tau_x(a, t) + tau_x(t, t^-1 a t)
 
-    for the class representatives a of A and b of B, phase the table of
-    twisted_double (zero when omega is zero).  The section values of all simples
-    are int coefficient vectors over zeta_m, m the lcm of their conductors
-    and of the order of the phases; for each pair of classes the sum is one
-    integer matrix product of the conjugated vectors, a cyclic convolution
-    over zeta_m, turned by the phase.  An entry is emitted in Q(zeta_c), c
-    the lcm of the conductors of its two simples' sections and of the order
-    of its phase, when some x commutes with a, and c = 1 when none does.
+    for the class representatives a of A and b of B, with p(a, x) the phase
+    w(a,x,ax) - w(a,ax,x) + w(ax,a,x) - w(a,x,a) - w(x,a,x) of the commuting
+    pair and tau = cohomology.slant carrying theta_B from b to x; e is 0 when
+    omega is.  The section values of all simples are int coefficient vectors
+    over zeta_m, m the lcm of their conductors and of the order of omega; for
+    each pair of classes the sum is one integer matrix product of the
+    conjugated vectors, a cyclic convolution over zeta_m with each term turned
+    by its e.  An entry is emitted in Q(zeta_c), c the lcm of the conductors
+    of its two simples' sections and of the order of its phases, when some x
+    commutes with a, and c = 1 when none does.
 
     Returns (cond, coef, den): the conductor c of every entry, and den * S as
     int coefficients on the powers of zeta_M, M = lcm of the conductors, with
     den the least common denominator of all coefficients.
     """
+    g, n, w = omega.group, omega.n, omega.table
     cond = np.array([s["section"].shape[-1] for s in simples], dtype=np.int64)
-    m = math.lcm(n // math.gcd(n, int(np.gcd.reduce(phase, axis=None))), *cond.tolist())
+    m = math.lcm(n // math.gcd(n, int(np.gcd.reduce(w, axis=None))), *cond.tolist())
     # each section lifted to zeta_m by stride, zeta_c^e = zeta_m^(e m / c), then one zero row
     lifted = [np.kron(s["section"], np.eye(1, m // c, dtype=np.int64)) for s, c in zip(simples, cond.tolist())]
     bar = np.vstack(lifted + [np.zeros((1, m), dtype=np.int64)])[:, -np.arange(m) % m]
-    zero = len(bar) - 1  # the zero row of bar
-    pos = np.full((len(simples), g.order), zero, dtype=np.int64)  # pos[s, x]: row of section_s(x)
+    pos = np.full((len(simples), g.order), len(bar) - 1, dtype=np.int64)  # pos[s, x]: row of section_s(x)
     offset = 0
     for si, s in enumerate(simples):
         pos[si, list(s["embed"])] = offset + np.arange(len(s["embed"]))
         offset += len(s["embed"])
-    conj, inv = g.conj_array, np.asarray(g.inv)
+    conj, inv, mul = g.conj_array, np.asarray(g.inv), g.mul_array
     klass = np.array([s["class_index"] for s in simples])
     size = np.array([len(s["embed"]) for s in simples], dtype=np.int64)
-    shift = (np.arange(m) - np.arange(m)[:, None]) % m  # shift[i, e] = e - i
     raw = np.zeros((len(simples), len(simples), m), dtype=np.int64)
     entry_cond = np.ones((len(simples), len(simples)), dtype=np.int64)
     for ca, a in enumerate(data.reps):
         rows = np.flatnonzero(klass == ca)
         for cb, b in enumerate(data.reps):
             cols = np.flatnonzero(klass == cb)
-            x = conj[:, b]
-            ts = np.flatnonzero(pos[rows[0], x] < zero)  # t b t^-1 in C(a)
-            u = bar[pos[np.ix_(rows, x[ts])]]  # (rows, terms, m)
-            v = bar[pos[np.ix_(cols, conj[inv[ts], a])]][:, :, shift]  # (cols, terms, m, m)
+            ts = np.flatnonzero(mul[a, conj[:, b]] == mul[conj[:, b], a])  # t b t^-1 in C(a)
+            x, y = conj[ts, b], conj[inv[ts], a]
+            ax = mul[a, x]
+            e = (w[a, x, ax] - w[a, ax, x] + w[ax, a, x] - w[a, x, a] - w[x, a, x]
+                 - slant(omega, x, a, ts) + slant(omega, x, ts, y)) % n
+            u = bar[pos[np.ix_(rows, x)]]  # (rows, terms, m)
+            # v[c, t, i, j] = section_c(y_t) at zeta_m^(j - i - e_t): the convolution, turned by e_t
+            shift = (np.arange(m) - np.arange(m)[:, None] - (e * m // n)[:, None, None]) % m
+            v = bar[pos[np.ix_(cols, y)][:, :, None, None], shift]  # (cols, terms, m, m)
             terms = len(ts) * m
             num = u.reshape(len(rows), terms) @ v.transpose(1, 2, 0, 3).reshape(terms, len(cols) * m)
-            raw[np.ix_(rows, cols)] = np.roll(num.reshape(len(rows), len(cols), m), phase[a, b] * m // n, axis=-1)
+            raw[np.ix_(rows, cols)] = num.reshape(len(rows), len(cols), m)
             if len(ts):
                 entry_cond[np.ix_(rows, cols)] = np.lcm(np.lcm.outer(cond[rows], cond[cols]),
-                                                        n // math.gcd(n, int(phase[a, b])))
+                                                        n // math.gcd(n, int(np.gcd.reduce(e))))
     raw[np.arange(m) % (m // entry_cond)[..., None] != 0] = 0  # not emitted in Q(zeta_c)
     den = np.multiply.outer(size, size)
     common = np.gcd(np.gcd.reduce(raw, axis=2), den)

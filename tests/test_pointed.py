@@ -312,9 +312,9 @@ class TestTwistedDouble:
         seen = {}
         real = pointed._s_matrix
 
-        def spy(g, data, simples, phase, n):
+        def spy(omega, data, simples):
             seen["simples"] = simples
-            return real(g, data, simples, phase, n)
+            return real(omega, data, simples)
 
         monkeypatch.setattr(pointed, "_s_matrix", spy)
         got = twisted_double(g, TorsionCocycle.make(g, 3, g.order, {})).s_matrix

@@ -10,7 +10,8 @@ central-extension character tables that nonabelian groups still use.
 * Reach: nondegenerate bicharacters whose extensions are over
   EXTENSION_ORDER_CAP.
 * Routing: abelian centralizers build no extension, nonabelian ones do.
-* Cohomologous cocycles give twisted doubles with the same (class, dim, T).
+* Cohomologous cocycles give isomorphic twisted doubles: the same
+  (class, dim, T), and the same dims, T and S up to relabeling.
 """
 
 import random
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 import gxcat.chartab as chartab
 from cyc_oracle import Cyc
+from relabel import match, modular_data
 from gxcat.chartab import EXTENSION_ORDER_CAP, _extension_irreps, projective_irrep_data, projective_irrep_dims
 from gxcat.cohomology import TorsionCocycle, coboundary, cohomology_group
 from gxcat.cyclo import reduction_matrix
@@ -121,7 +123,7 @@ def test_only_nonabelian_centralizers_build_extensions(monkeypatch):
     assert [(h.order, h.is_abelian) for h in built] == [(8, False)]
 
 
-GROUPS = ["Z2", "Z3", "Z4", "Z2xZ2", "S3"]
+GROUPS = ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8"]
 
 
 @lru_cache(maxsize=None)
@@ -130,21 +132,21 @@ def h3(name):
     return g, cohomology_group(g, 3, g.order).representatives
 
 
-def spectrum(omega):
+def spectrum(double):
     """Multiset of (class representative, irrep dim, T) with T an exact Cyc."""
-    return Counter((s["class_rep"], s["irrep_dim"], s["t"]) for s in twisted_double(omega.group, omega).simples)
+    return Counter((s["class_rep"], s["irrep_dim"], s["t"]) for s in double.simples)
 
 
 @lru_cache(maxsize=None)
 def combination(name, coefficients):
-    """The sum of coefficient times representative over H^3(G, mu_|G|), and its spectrum."""
+    """The sum of coefficient times representative over H^3(G, mu_|G|), and its double."""
     g, reps = h3(name)
     table = sum((k * rep.table for k, rep in zip(coefficients, reps)), np.zeros((g.order,) * 3, dtype=np.int64))
     omega = TorsionCocycle.from_table(g, 3, g.order, table)
-    return omega, spectrum(omega)
+    return omega, twisted_double(g, omega)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.sampled_from(GROUPS), st.data())
 def test_cohomologous_cocycles_give_the_same_double(name, data):
     g, reps = h3(name)
@@ -153,4 +155,6 @@ def test_cohomologous_cocycles_give_the_same_double(name, data):
     cells = data.draw(st.lists(st.integers(0, n - 1), min_size=(n - 1) ** 2, max_size=(n - 1) ** 2))
     beta = np.zeros((n, n), dtype=np.int64)
     beta[1:, 1:] = np.reshape(cells, (n - 1, n - 1))
-    assert spectrum(omega + coboundary(TorsionCocycle.from_table(g, 2, n, beta))) == want
+    got = twisted_double(g, omega + coboundary(TorsionCocycle.from_table(g, 2, n, beta)))
+    assert spectrum(got) == spectrum(want)
+    assert match(modular_data(want), modular_data(got)) is not None
