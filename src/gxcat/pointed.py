@@ -649,6 +649,7 @@ def _s_matrix(omega, data, simples):
     conj, inv, mul = g.conj_array, np.asarray(g.inv), g.mul_array
     klass = np.array([s["class_index"] for s in simples])
     size = np.array([len(s["embed"]) for s in simples], dtype=np.int64)
+    shift = (np.arange(m) - np.arange(m)[:, None]) % m  # shift[i, e] = e - i
     raw = np.zeros((len(simples), len(simples), m), dtype=np.int64)
     entry_cond = np.ones((len(simples), len(simples)), dtype=np.int64)
     for ca, a in enumerate(data.reps):
@@ -660,10 +661,9 @@ def _s_matrix(omega, data, simples):
             ax = mul[a, x]
             e = (w[a, x, ax] - w[a, ax, x] + w[ax, a, x] - w[a, x, a] - w[x, a, x]
                  - slant(omega, x, a, ts) + slant(omega, x, ts, y)) % n
-            u = bar[pos[np.ix_(rows, x)]]  # (rows, terms, m)
-            # v[c, t, i, j] = section_c(y_t) at zeta_m^(j - i - e_t): the convolution, turned by e_t
-            shift = (np.arange(m) - np.arange(m)[:, None] - (e * m // n)[:, None, None]) % m
-            v = bar[pos[np.ix_(cols, y)][:, :, None, None], shift]  # (cols, terms, m, m)
+            # (rows, terms, m): each term turned by its e, zeta_n^e = zeta_m^(e m / n)
+            u = bar[pos[np.ix_(rows, x)][..., None], (np.arange(m) - (e * m // n)[:, None]) % m]
+            v = bar[pos[np.ix_(cols, y)]][:, :, shift]  # (cols, terms, m, m)
             terms = len(ts) * m
             num = u.reshape(len(rows), terms) @ v.transpose(1, 2, 0, 3).reshape(terms, len(cols) * m)
             raw[np.ix_(rows, cols)] = num.reshape(len(rows), len(cols), m)
