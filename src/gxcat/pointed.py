@@ -624,10 +624,10 @@ def _s_matrix(omega, data, simples):
     w(a,x,ax) - w(a,ax,x) + w(ax,a,x) - w(a,x,a) - w(x,a,x) of the commuting
     pair and tau = cohomology.slant carrying theta_B from b to x; e is 0 when
     omega is.  The section values of all simples are int coefficient vectors
-    over zeta_m, m the lcm of their conductors and of the order of omega; for
-    each pair of classes the sum is one integer matrix product of the
-    conjugated vectors, a cyclic convolution over zeta_m with each term turned
-    by its e.  An entry is emitted in Q(zeta_c), c the lcm of the conductors
+    over zeta_m, m the lcm of their conductors and of the order of omega's
+    values; for each pair of classes the sum is one integer matrix product of
+    the conjugated vectors, a cyclic convolution over zeta_m with each term
+    turned by its e.  An entry is emitted in Q(zeta_c), c the lcm of the conductors
     of its two simples' sections and of the order of its phases, when some x
     commutes with a, and c = 1 when none does.
 

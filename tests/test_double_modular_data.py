@@ -24,17 +24,13 @@ from gxcat.groups import build_group, quotient
 from gxcat.pointed import twisted_double
 
 
-def _complex(values):
-    return np.array([[complex(Cyc.of(v)) for v in row] for row in values])
-
-
 def _judge(g, omega):
     """The DPR fusion, the balancing identity, symmetry, (ST)^3 = S^2 and the
     Gauss sum against twisted_double(g, omega), to 1e-9."""
     d = twisted_double(g, omega)
     n = d.fusion.tensor()
     assert np.abs(dpr_fusion(g, omega) - n).max() < 1e-9
-    s = _complex(d.s_matrix)
+    s = np.array([[complex(Cyc.of(v)) for v in row] for row in d.s_matrix])
     t = np.array([complex(Cyc.of(x["t"])) for x in d.simples])
     dims = np.array(d.dims)
     dual = n[:, :, 0].argmax(axis=1)  # N_{i j}^0 = 1 exactly at j = i*

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import gxcat.chartab as chartab
 from cyc_oracle import Cyc
+from dpr_oracle import h3_class
 from relabel import match, modular_data
 from gxcat.chartab import EXTENSION_ORDER_CAP, _extension_irreps, projective_irrep_data, projective_irrep_dims
 from gxcat.cohomology import TorsionCocycle, coboundary, cohomology_group
@@ -140,9 +141,8 @@ def spectrum(double):
 @lru_cache(maxsize=None)
 def combination(name, coefficients):
     """The sum of coefficient times representative over H^3(G, mu_|G|), and its double."""
-    g, reps = h3(name)
-    table = sum((k * rep.table for k, rep in zip(coefficients, reps)), np.zeros((g.order,) * 3, dtype=np.int64))
-    omega = TorsionCocycle.from_table(g, 3, g.order, table)
+    g = build_group(name)
+    omega = h3_class(g, g.order, coefficients)
     return omega, twisted_double(g, omega)
 
 
