@@ -1,11 +1,10 @@
 """Cyclotomic numbers at the output boundary.
 
 gxcat computes with roots of unity as int64 coefficient arrays over one
-zeta_m (see chartab); Cyc wraps such a vector where a value leaves the
-library: the T and S entries of a double and the Kirillov matrix.  A Cyc
-is a rational coefficient vector on the spanning set 1, zeta, ...,
-zeta^(n-1); equality and hashing reduce modulo the n-th cyclotomic
-polynomial, so they are exact across conductors.
+zeta_m (see chartab).  Cyc wraps such a row where a value leaves the library
+(T, S, the Kirillov matrix): int coefficients on 1, zeta_n, ..., zeta_n^(n-1)
+over one int denominator.  emit prints many at once, reduced mod Phi_n; equality
+compares those forms and the hash is the normalized trace, exact across conductors.
 """
 
 import math
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import CELL_CAP, InvariantError, ResourceLimit
 from .exact import factorize
 
-__all__ = ["Cyc", "cyclotomic_poly", "reduction_bound", "reduction_matrix"]
+__all__ = ["Cyc", "cyclotomic_poly", "emit", "reduction_bound", "reduction_matrix"]
 
 
 def _divide_monic(num, den):
@@ -72,6 +71,35 @@ def reduction_bound(m):
     return int(np.abs(reduction_matrix(m)).max())
 
 
+def emit(values):
+    """The JSON form {"n": n, "coeffs": [[k, num, den], ...]} of each Cyc in
+    values: its nonzero coefficients mod Phi_n in lowest terms.  The rows of
+    one conductor n take one product with reduction_matrix(n), in int64 when
+    reduction_bound(n) * sum |c_k| < 2^63 for each, else in Python ints."""
+    groups = {}
+    for i, v in enumerate(values):
+        groups.setdefault(v.n, []).append(i)
+    out = [None] * len(values)
+    for n, idx in groups.items():
+        rows, dens = [values[i].c for i in idx], [values[i].d for i in idx]
+        mat = reduction_matrix(n)
+        if max(sum(map(abs, r)) for r in rows) * reduction_bound(n) < 1 << 63 and max(dens) < 1 << 63:
+            red = np.array(rows, dtype=np.int64) @ mat
+            hit = red != 0
+            red, den = red[hit], np.broadcast_to(np.array(dens, dtype=np.int64)[:, None], hit.shape)[hit]
+            common = np.gcd(red, den)
+            flat = np.stack([np.nonzero(hit)[1], red // common, den // common], axis=1).tolist()
+            ends = np.cumsum(np.count_nonzero(hit, axis=1)).tolist()
+            coeffs = [flat[a:b] for a, b in zip([0] + ends, ends)]
+        else:
+            cols = mat.T.tolist()
+            red = [[sum(map(operator.mul, r, col)) for col in cols] for r in rows]
+            coeffs = [[[k, v // math.gcd(v, d), d // math.gcd(v, d)] for k, v in enumerate(r) if v] for r, d in zip(red, dens)]
+        for i, c in zip(idx, coeffs):
+            out[i] = {"n": n, "coeffs": c}
+    return out
+
+
 @lru_cache(maxsize=None)
 def _root_trace(d):
     """Normalized trace mu(d)/phi(d) of a primitive d-th root of unity."""
@@ -85,30 +113,24 @@ def _totient(factors):
     return math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
 
 
-_ZERO = Fraction(0)
-
-
 class Cyc:
-    """Element of Q(zeta_n): sum of c_k * zeta_n^k."""
+    """Element of Q(zeta_n): sum of c_k * zeta_n^k / d, for n ints c_k and an int d > 0."""
 
-    __slots__ = ("n", "c", "_red")
+    __slots__ = ("n", "c", "d")
 
     def __init__(self, n, coeffs=()):
-        self.n, self.c, self._red = n, [_ZERO] * n, None
+        acc = [Fraction(0)] * n
         for k, v in (coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)):
-            self.c[k % n] += Fraction(v)
-
-    @classmethod
-    def _of(cls, n, c):
-        """The element with coefficient list c, n Fractions, taken as it is."""
-        out = cls.__new__(cls)
-        out.n, out.c, out._red = n, c, None
-        return out
+            acc[k % n] += Fraction(v)
+        d = math.lcm(*(v.denominator for v in acc))
+        self.n, self.c, self.d = n, [v.numerator * (d // v.denominator) for v in acc], d
 
     @classmethod
     def from_ints(cls, n, coeffs, den=1):
-        """Cyc(n, coeffs) / den for a sequence of n ints, without Fraction additions."""
-        return cls._of(n, [Fraction(v, den) if v else _ZERO for v in coeffs])
+        """Cyc(n, coeffs) / den for a sequence of n ints, taken as it is."""
+        out = cls.__new__(cls)
+        out.n, out.c, out.d = n, coeffs, den
+        return out
 
     @classmethod
     def root(cls, n, k=1):
@@ -116,7 +138,7 @@ class Cyc:
 
     @classmethod
     def rational(cls, x, n=1):
-        return cls(n, {0: Fraction(x)})
+        return cls(n, {0: x})
 
     def lift(self, m):
         """Reinterpret in Q(zeta_m) for n | m."""
@@ -124,25 +146,14 @@ class Cyc:
             return self
         if m % self.n != 0:
             raise ValueError("conductor lift must be a multiple")
-        c = [_ZERO] * m
+        c = [0] * m
         c[::m // self.n] = self.c
-        return self._of(m, c)
+        return self.from_ints(m, c, self.d)
 
     def reduced(self):
-        """Canonical coefficients modulo Phi_n (degree < phi(n)), as a tuple:
-        the numerators over their common denominator times reduction_matrix(n),
-        one int64 product (in Python ints if int64 could overflow)."""
-        if self._red is None:
-            nonzero = [(k, v) for k, v in enumerate(self.c) if v]
-            den = math.lcm(*(v.denominator for _, v in nonzero))
-            nums = [v.numerator * (den // v.denominator) for _, v in nonzero]
-            rows = reduction_matrix(self.n)[[k for k, _ in nonzero]]
-            if sum(map(abs, nums)) * reduction_bound(self.n) < 1 << 63:
-                red = (np.array(nums, dtype=np.int64) @ rows).tolist()
-            else:
-                red = [sum(map(operator.mul, nums, col)) for col in rows.T.tolist()]
-            self._red = tuple(Fraction(v, den) if v else _ZERO for v in red)
-        return self._red
+        """Canonical coefficients mod Phi_n: [k, numerator, denominator] of
+        each nonzero one, in lowest terms (the "coeffs" of to_json)."""
+        return emit([self])[0]["coeffs"]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -153,20 +164,15 @@ class Cyc:
         return self.lift(n).reduced() == other.lift(n).reduced()
 
     def __hash__(self):
-        # The normalized trace sum_k c_k mu(d_k)/phi(d_k), d_k = n/gcd(n, k),
+        # The normalized trace sum_k c_k mu(d_k)/phi(d_k) / d, d_k = n/gcd(n, k),
         # is the same in every field holding the value, so equal values of
         # different conductors hash alike; on rationals it is the value.
         n = self.n
-        return hash(sum((v * _root_trace(n // math.gcd(n, k)) for k, v in enumerate(self.c) if v), Fraction(0)))
+        return hash(sum((v * _root_trace(n // math.gcd(n, k)) for k, v in enumerate(self.c) if v), Fraction(0)) / self.d)
 
     def to_json(self):
-        red = self.reduced()
-        return {
-            "n": self.n,
-            "coeffs": [[k, v.numerator, v.denominator] for k, v in enumerate(red) if v],
-        }
+        return emit([self])[0]
 
     def __repr__(self):
-        red = self.reduced()
-        terms = [f"{v}*z{self.n}^{k}" for k, v in enumerate(red) if v]
+        terms = [(f"{a}" if b == 1 else f"{a}/{b}") + f"*z{self.n}^{k}" for k, a, b in self.reduced()]
         return "Cyc(" + (" + ".join(terms) if terms else "0") + ")"

@@ -34,7 +34,7 @@ import numpy as np
 from . import snf
 from .chartab import character_sums, fusion_coefficients, prime_1_mod, primitive_root, projective_irrep_data
 from .cohomology import TorsionCocycle, bar_matrix, first_witness, is_coboundary, is_cocycle, slant, transgress
-from .cyclo import Cyc, reduction_matrix
+from .cyclo import Cyc, emit, reduction_matrix
 from .errors import CELL_CAP, FrozenRecord, InvariantError, Record, ResourceLimit
 from .fusion import GradedFusionRing, ValidationReport
 from .groups import (FiniteGroup, abelian_characters, compose, conjugacy_data, homomorphism_witness,
@@ -524,24 +524,15 @@ class DoubleData(Record):
         return [s["dim"] for s in self.simples]
 
     def to_json(self):
-        out = {
+        r = len(self.simples)
+        cells = emit([s["t"] for s in self.simples] + [v for row in self.s_matrix for v in row])
+        return {
             "group": self.group.name,
             "N": self.n,
-            "simples": [
-                {
-                    "class_rep": s["class_rep"],
-                    "class_size": s["class_size"],
-                    "irrep": s["irrep"],
-                    "irrep_dim": s["irrep_dim"],
-                    "dim": s["dim"],
-                    "t": s["t"].to_json(),
-                }
-                for s in self.simples
-            ],
-            "s_matrix": [[v.to_json() for v in row] for row in self.s_matrix],
+            "simples": [dict(s, t=t) for s, t in zip(self.simples, cells)],
+            "s_matrix": [cells[i:i + r] for i in range(r, len(cells), r)],
             "has_fusion_ring": True,
         }
-        return out
 
 
 def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
@@ -714,7 +705,7 @@ class KirillovMatrix(Record):
     def to_json(self):
         return {
             "basis": [list(b) for b in self.basis],
-            "entries": [[v.to_json() for v in row] for row in self.entries],
+            "entries": [emit(row) for row in self.entries],
             "invertible": self.invertible,
         }
 

@@ -1,13 +1,15 @@
 """Exact arithmetic on cyclotomic numbers, kept as a test oracle.
 
 gxcat computes with roots of unity as int coefficient arrays and builds
-``gxcat.cyclo.Cyc`` only to print and compare its outputs.  The field
-operations that the doubles, the character tables and the Kirillov rank
-test were computed with before that live here, on a subclass of that
-``Cyc``: the Verlinde, untwisted-S, unitarity and Kirillov oracles run on
-them, and ``reduced_by_division`` is the Fraction long division that
-``Cyc.reduced`` replaced.  ``rref`` is Gauss-Jordan elimination over Q or
-over these Cycs, for the oracles' exact solves.
+``gxcat.cyclo.Cyc`` (int rows over one denominator) only to print and
+compare its outputs.  The field operations that the doubles, the character
+tables and the Kirillov rank test were computed with before that live here,
+on a Cyc of one ``Fraction`` per coefficient, with its own reduction, JSON
+form, equality and hash: the Verlinde, untwisted-S, unitarity and Kirillov
+oracles run on it, ``reduced_by_division`` is the Fraction long division
+that ``gxcat.cyclo`` replaced, and ``Cyc.to_json`` is the JSON that
+``gxcat.cyclo.emit`` must print.  ``rref`` is Gauss-Jordan elimination over
+Q or over these Cycs, for the oracles' exact solves.
 """
 
 from __future__ import annotations
@@ -19,19 +21,77 @@ from fractions import Fraction
 from gxcat import cyclo
 
 
-class Cyc(cyclo.Cyc):
-    """gxcat's Cyc with +, -, *, conj, inverse and the rational tests."""
+class Cyc:
+    """Element of Q(zeta_n): sum of c_k * zeta_n^k, c a list of n Fractions,
+    with +, -, *, conj, inverse and the rational tests."""
 
-    __slots__ = ()
+    __slots__ = ("n", "c")
+
+    def __init__(self, n, coeffs=()):
+        self.n, self.c = n, [Fraction(0)] * n
+        for k, v in (coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)):
+            self.c[k % n] += Fraction(v)
+
+    @classmethod
+    def _of(cls, n, c):
+        """The element with coefficient list c, n Fractions, taken as it is."""
+        out = cls.__new__(cls)
+        out.n, out.c = n, c
+        return out
+
+    @classmethod
+    def from_ints(cls, n, coeffs, den=1):
+        return cls._of(n, [Fraction(v, den) for v in coeffs])
+
+    @classmethod
+    def root(cls, n, k=1):
+        return cls(n, {k % n: 1})
+
+    @classmethod
+    def rational(cls, x, n=1):
+        return cls(n, {0: Fraction(x)})
 
     @classmethod
     def of(cls, v):
-        """v (a gxcat Cyc, int or Fraction) as an oracle Cyc."""
-        return cls._of(v.n, v.c) if isinstance(v, cyclo.Cyc) else cls.rational(v)
+        """v (a gxcat Cyc, an oracle Cyc, int or Fraction) as an oracle Cyc."""
+        if isinstance(v, Cyc):
+            return v
+        if isinstance(v, cyclo.Cyc):
+            return cls.from_ints(v.n, v.c, v.d)
+        return cls.rational(v)
+
+    def lift(self, m):
+        """Reinterpret in Q(zeta_m) for n | m."""
+        if m == self.n:
+            return self
+        if m % self.n != 0:
+            raise ValueError("conductor lift must be a multiple")
+        c = [Fraction(0)] * m
+        c[::m // self.n] = self.c
+        return self._of(m, c)
+
+    def reduced(self):
+        return reduced_by_division(self)
+
+    def to_json(self):
+        return {"n": self.n, "coeffs": [[k, v.numerator, v.denominator] for k, v in enumerate(self.reduced()) if v]}
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, cyclo.Cyc)):
+            other = self.of(other)
+        if not isinstance(other, Cyc):
+            return NotImplemented
+        a, b = self._pair(other)
+        return a.reduced() == b.reduced()
+
+    def __hash__(self):
+        # the normalized trace: the mean of the conjugates, a rational that
+        # every field holding the value gives alike
+        return hash(sum((v * _primitive_mean(self.n // math.gcd(self.n, k)) for k, v in enumerate(self.c) if v),
+                        Fraction(0)))
 
     def _pair(self, other):
-        if not isinstance(other, cyclo.Cyc):
-            other = self.rational(other)
+        other = self.of(other)
         n = math.lcm(self.n, other.n)
         return self.lift(n), other.lift(n)
 
@@ -100,8 +160,15 @@ class Cyc(cyclo.Cyc):
         return self.inv() * other
 
 
+def _primitive_mean(d):
+    """mu(d) / phi(d), the mean of the primitive d-th roots of unity, summed in floats."""
+    prim = [k for k in range(d) if math.gcd(k, d) == 1]
+    return Fraction(round(sum(cmath.exp(2j * cmath.pi * k / d) for k in prim).real), len(prim))
+
+
 def reduced_by_division(v):
-    """The coefficients of v modulo Phi_n by long division in Fractions."""
+    """The coefficients of v (a gxcat or oracle Cyc) modulo Phi_n by long division in Fractions."""
+    v = Cyc.of(v)
     phi = cyclo.cyclotomic_poly(v.n)
     deg = len(phi) - 1
     c = list(v.c)

@@ -1,5 +1,6 @@
 import decimal
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,35 @@ class TestCyc:
         ops = ("__add__", "__sub__", "__mul__", "__neg__", "conj", "inv", "__rtruediv__")
         assert [op for op in ops if hasattr(cyclo.Cyc, op)] == []
         assert Cyc.root(4, 1) == cyclo.Cyc.root(8, 2) and hash(Cyc.root(4, 1)) == hash(cyclo.Cyc.root(8, 2))
+
+    def test_emit_matches_the_fraction_reference(self):
+        """cyclo.emit against the oracle's long division in Fractions, field
+        for field, batched and value by value: random int rows at every
+        conductor 1-60 over denominators up to 10^6, with rows on both sides
+        of the int64 guard sum |c_k| * reduction_bound(n) < 2^63."""
+        rng = random.Random(60)
+        small, large = [], []
+        for n in range(1, 61):
+            bound = cyclo.reduction_bound(n)
+            edge = ((1 << 63) - 1) // bound  # one coefficient: -edge is within the guard, edge + 1 past it
+            rows = [[rng.randint(-scale, scale) if rng.random() < 0.6 else 0 for _ in range(n)]
+                    for scale in (1, 9, 1 << 40, 1 << 64)] + [[0] * n, [0] * n]
+            rows[-2][rng.randrange(n)], rows[-1][rng.randrange(n)] = -edge, edge + 1
+            for row in rows:
+                v = cyclo.Cyc.from_ints(n, row, rng.randint(1, 10**6))
+                (small if sum(map(abs, row)) * bound < 1 << 63 else large).append(v)
+        assert len(small) >= 4 * 60 and len(large) >= 2 * 60
+        values = small + large
+        rng.shuffle(values)
+        want = {id(v): Cyc.of(v).to_json() for v in values}
+        assert [v.to_json() for v in values] == [want[id(v)] for v in values]
+        assert cyclo.emit(values) == [want[id(v)] for v in values]  # a group with a large row goes in Python ints
+        assert cyclo.emit(small) == [want[id(v)] for v in small]  # every group in int64
+        assert all(v.reduced() == want[id(v)]["coeffs"] for v in values)
+        assert hash(cyclo.Cyc.rational(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert cyclo.Cyc.root(4, 2) == -1 and hash(cyclo.Cyc.root(4, 2)) == hash(-1)
+        for x in values:
+            assert x.lift(2 * x.n) == x and hash(x.lift(2 * x.n)) == hash(x) == hash(Cyc.of(x))
 
     def test_inverse(self):
         z = Cyc.root(5) + Cyc.rational(2)

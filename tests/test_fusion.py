@@ -69,6 +69,19 @@ class TestValidateRing:
         rep = validate_ring(bad)
         assert any(i["code"] == "grading" for i in rep.issues)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", -1, 2], ids=["bool", "float", "numeric-string", "negative", "rank"])
+    @pytest.mark.parametrize("slot", ["unit", "dual", "coefficient"])
+    def test_make_refuses_a_non_index(self, slot, bad):
+        def z2(x):
+            """Z2 on the labels a, b, given by index, with x in one slot."""
+            unit, dual = (x if slot == "unit" else 0), [0, x if slot == "dual" else 1]
+            last = ((1, x if slot == "coefficient" else 1, 0), 1)
+            return GradedFusionRing.make("z2", ["a", "b"], unit, dual, [((0, 0, 0), 1), ((0, 1, 1), 1), ((1, 0, 1), 1), last])
+
+        assert validate_ring(z2(0 if slot == "unit" else 1)).passed
+        with pytest.raises(FusionError, match="is not a label of z2"):  # "1" is not a label; 2 is the rank
+            z2(bad)
+
 
 class TestPfDims:
     def test_vect(self, vect):

@@ -319,6 +319,7 @@ class TestTwistedDouble:
         monkeypatch.setattr(pointed, "_s_matrix", spy)
         got = twisted_double(g, TorsionCocycle.make(g, 3, g.order, {})).s_matrix
         want = self._untwisted_s_reference(g, seen["simples"])
+        got = [[Cyc.of(v) for v in row] for row in got]
         assert [[(v.n, v.c) for v in row] for row in got] == [[(v.n, v.c) for v in row] for row in want]
 
 

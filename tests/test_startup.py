@@ -122,6 +122,18 @@ def test_no_command_loads_the_argparse_stack(tmp_path, key, args):
     assert not loaded & _ARGPARSE, sorted(loaded & _ARGPARSE)
 
 
+# np.unique on an int array imports numpy.ma, about 8 ms and 1.2 MB in a cold
+# process; no command needs it.  The frozen jobs cover every command.
+@pytest.mark.parametrize("key, args", [pytest.param(k, [*a, "--format", "json"], id=k)
+                                       for k, a in FROZEN_COMMANDS.items()])
+def test_no_command_loads_numpy_ma(tmp_path, key, args):
+    assert {a[0] for a in FROZEN_COMMANDS.values()} == set(COMMANDS)
+    exit_code, _, res = _run_cli(tmp_path, [a.format(c=CORPUS) for a in args])
+    assert exit_code == FROZEN_CASES[f"{key}/json"]["exit"], res.stderr
+    modules = json.loads((tmp_path / "modules.json").read_text())["modules"]
+    assert [m for m in modules if m.split(".")[:2] == ["numpy", "ma"]] == []
+
+
 # the input layers check groups and rings on their tuple and sparse forms
 _GROUP = _BASE | {"gxcat.groups"}
 _RING = _GROUP | {"gxcat.exact", "gxcat.fusion"}
