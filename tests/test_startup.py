@@ -122,8 +122,9 @@ def test_no_command_loads_the_argparse_stack(tmp_path, key, args):
     assert not loaded & _ARGPARSE, sorted(loaded & _ARGPARSE)
 
 
-# np.unique on an int array imports numpy.ma, about 8 ms and 1.2 MB in a cold
-# process; no command needs it.  The frozen jobs cover every command.
+# np.unique on an int array imports numpy.ma, which costs a cold process
+# milliseconds and over a megabyte; no command needs it.  The frozen jobs
+# cover every command.
 @pytest.mark.parametrize("key, args", [pytest.param(k, [*a, "--format", "json"], id=k)
                                        for k, a in FROZEN_COMMANDS.items()])
 def test_no_command_loads_numpy_ma(tmp_path, key, args):
