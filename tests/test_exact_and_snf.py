@@ -207,7 +207,8 @@ class TestCyc:
         """cyclo.emit against the oracle's long division in Fractions, field
         for field, batched and value by value: random int rows at every
         conductor 1-60 over denominators up to 10^6, with rows on both sides
-        of the int64 guard sum |c_k| * reduction_bound(n) < 2^63."""
+        of the int64 guard sum |c_k| * reduction_bound(n) < 2^63, and one
+        denominator past int64 per conductor."""
         rng = random.Random(60)
         small, large = [], []
         for n in range(1, 61):
@@ -219,7 +220,8 @@ class TestCyc:
             for row in rows:
                 v = cyclo.Cyc.from_ints(n, row, rng.randint(1, 10**6))
                 (small if sum(map(abs, row)) * bound < 1 << 63 else large).append(v)
-        assert len(small) >= 4 * 60 and len(large) >= 2 * 60
+            large.append(cyclo.Cyc.from_ints(n, rows[0], (1 << 64) + n))  # a denominator past int64
+        assert len(small) >= 4 * 60 and len(large) >= 3 * 60
         values = small + large
         rng.shuffle(values)
         want = {id(v): Cyc.of(v).to_json() for v in values}
