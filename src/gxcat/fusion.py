@@ -71,8 +71,6 @@ class GradedFusionRing(FrozenRecord):
             raise FusionError("duplicate labels")
 
         def label(x):
-            if type(x) is int and 0 <= x < len(simples):
-                return x
             if isinstance(x, str) and x in index:
                 return index[x]
             if not is_index(x) or not 0 <= x < len(simples):
