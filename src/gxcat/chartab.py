@@ -200,7 +200,7 @@ def character_table(g: FiniteGroup) -> CharacterTable:
     coef = _lift(g, reps, cls, chi, dims, m, p, zgen)
 
     # canonical order: trivial character first, then by dimension and the
-    # values' coefficients mod Phi_m (each class's phi(m) in turn, as Cyc.reduced)
+    # values' coefficients mod Phi_m, each class's phi(m) in turn
     red = coef @ reduction_matrix(m)
     trivial = (red[:, :, 0] == 1).all(axis=1) & ~red[:, :, 1:].any(axis=(1, 2))
     order = sorted(range(r), key=lambda i: (not trivial[i], dims[i], red[i].ravel().tolist()))
