@@ -9,7 +9,10 @@ import sys
 import traceback
 from typing import NamedTuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gxcat
 from corpus_build import double_semion_pointed, toric_code_pointed
@@ -120,6 +123,25 @@ class TestSerialization:
         back = load_pointed(json.loads(canonical_json(dump_pointed(data))))
         assert back.braid == data.braid
         assert back.assoc.values == data.assoc.values
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: (st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner)
+                       | st.dictionaries(st.integers() | st.floats(allow_nan=False), inner)
+                       | st.dictionaries(st.booleans(), inner)),
+        max_leaves=40))
+    def test_canonical_json_is_json_dumps(self, obj):
+        assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+    @pytest.mark.parametrize("obj", [{(1, 2): 1}, [{1, 2}], {"a": np.int64(1)}, {"a": 1, 2: "b"}, {None: 0, True: 1}],
+                             ids=["tuple-key", "set", "numpy-int", "mixed-keys", "none-and-bool-keys"])
+    def test_canonical_json_refuses_as_json_dumps(self, obj):
+        with pytest.raises(TypeError) as ours:
+            canonical_json(obj)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(obj, sort_keys=True, indent=1)
+        assert str(ours.value) == str(theirs.value)
 
     def test_detect_kind(self):
         assert detect_kind({"mul": []}) == "group"
