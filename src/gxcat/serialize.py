@@ -63,7 +63,6 @@ def _indented(o, nl):
     return "{" + inner + ("," + inner).join(parts) + nl + "}" if o else "{}"
 
 
-
 def detect_kind(obj):
     if "braid" in obj:
         return "pointed"
