@@ -411,7 +411,7 @@ def transgress_cmd(path, g_name, fmt, out):
 @command("double", *CROSSED)
 def double(group_spec, cocycle_path, trivial, n, fmt, out):
     """Twisted quantum double data: simples, dims, T and S."""
-    from .pointed import twisted_double
+    from .modular import twisted_double
 
     g = _load_group_opt(group_spec)
     omega = _load_cocycle_opt(g, cocycle_path, trivial, n)
@@ -449,7 +449,8 @@ def enumerate_cmd(group_spec, n, fmt, out):
 @command("smatrix", PATH)
 def smatrix(path, fmt, out):
     """Kirillov pairing matrix of pointed crossed data, with verdict."""
-    from .pointed import kirillov_S, validate_pointed
+    from .modular import kirillov_S
+    from .pointed import validate_pointed
 
     data = load_pointed(_read_json(path))
     rep = validate_pointed(data)

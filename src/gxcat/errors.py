@@ -3,13 +3,15 @@
 Every layer imports its exceptions from here, and the CLI maps them to its
 exit codes from here, before any layer is loaded.  Every layer loads this
 module, so the record bases live here too, and so do the guards that the
-CLI can run before it loads the layer they protect.
+CLI can run before it loads the layer they protect.  ``ValidationReport``,
+the report of the ring and pointed-data validators, lives here so that
+neither validator loads the other's layer.
 """
 
 from operator import itemgetter
 
 __all__ = ["GroupError", "InvariantError", "ResourceLimit", "FusionError", "CorpusError", "Record", "FrozenRecord",
-           "CELL_CAP", "MAX_N", "guard_cells", "guard_cohomology"]
+           "ValidationReport", "CELL_CAP", "MAX_N", "guard_cells", "guard_cohomology"]
 
 CELL_CAP = 1 << 25  # dense cells of one bar differential, cochain check or braid system
 MAX_N = 360  # the largest coefficient modulus of cohomology_group
@@ -95,3 +97,20 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+
+class ValidationReport(Record):
+    _fields = ("issues",)
+
+    def __init__(self, issues):
+        self.__dict__.update(issues=issues)
+
+    @property
+    def passed(self):
+        return not self.issues
+
+    def add(self, code, message, witness=None):
+        self.issues.append({"code": code, "message": message, "witness": witness})
+
+    def to_json(self):
+        return {"passed": self.passed, "issues": self.issues}

@@ -20,14 +20,13 @@ from functools import cached_property, reduce
 from itertools import compress
 from operator import mul, or_, sub
 
-from .errors import FrozenRecord, FusionError, Record
+from .errors import FrozenRecord, FusionError, Record, ValidationReport
 from .exact import CertReal, QuadReal, as_scalar, quad_numerators, scalar_eq, scalar_json
 from .groups import FiniteGroup, compose, cyclic, homomorphism_witness, is_index, validate_table
 
 __all__ = [
     "GradedFusionRing",
     "RingGAction",
-    "ValidationReport",
     "SectorReport",
     "validate_ring",
     "validate_action",
@@ -143,23 +142,6 @@ def trivial_action(ring: GradedFusionRing, group=None):
     group = group or ring.group
     ident = tuple(range(ring.rank))
     return RingGAction(group, tuple(ident for _ in group.elements()))
-
-
-class ValidationReport(Record):
-    _fields = ("issues",)
-
-    def __init__(self, issues):
-        self.__dict__.update(issues=issues)
-
-    @property
-    def passed(self):
-        return not self.issues
-
-    def add(self, code, message, witness=None):
-        self.issues.append({"code": code, "message": message, "witness": witness})
-
-    def to_json(self):
-        return {"passed": self.passed, "issues": self.issues}
 
 
 def validate_ring(ring: GradedFusionRing) -> ValidationReport:

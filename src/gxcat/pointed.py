@@ -32,25 +32,18 @@ import math
 import numpy as np
 
 from . import snf
-from .chartab import character_sums, fusion_coefficients, prime_1_mod, primitive_root, projective_irrep_data
-from .cohomology import TorsionCocycle, bar_matrix, first_witness, is_coboundary, is_cocycle, slant, transgress
-from .cyclo import Cyc, emit, reduction_matrix
-from .errors import CELL_CAP, FrozenRecord, InvariantError, Record, ResourceLimit
-from .fusion import GradedFusionRing, ValidationReport
-from .groups import (FiniteGroup, abelian_characters, compose, conjugacy_data, homomorphism_witness,
-                     orbit_labels, quotient, subgroup)
+from .cohomology import TorsionCocycle, bar_matrix, first_witness, is_coboundary, is_cocycle
+from .errors import CELL_CAP, FrozenRecord, InvariantError, ResourceLimit, ValidationReport
+from .groups import (FiniteGroup, abelian_characters, compose, homomorphism_witness, orbit_labels, quotient,
+                     subgroup)
 from .serialize import dump_group
 
 __all__ = [
     "PointedGXData",
-    "DoubleData",
-    "KirillovMatrix",
     "validate_pointed",
     "pointed_deequivariantize",
-    "twisted_double",
     "holomorphic_crossed",
     "enumerate_holomorphic",
-    "kirillov_S",
 ]
 
 N_CAP = 16
@@ -505,262 +498,3 @@ def pointed_deequivariantize(data: PointedGXData, subgroup_elems):
     if not rep.passed:
         raise InvariantError(f"descended data failed validation: {rep.issues[:1]}")
     return cand
-
-
-# ---------------------------------------------------------------------------
-# twisted quantum doubles
-
-
-class DoubleData(Record):
-    _fields = ("group", "n", "simples", "s_matrix", "fusion")
-
-    def __init__(self, group, n, simples, s_matrix, fusion):
-        # simples: dicts with class_rep, class_size, irrep, irrep_dim, dim, t (Cyc)
-        # s_matrix: list of lists of Cyc; fusion: GradedFusionRing
-        self.__dict__.update(group=group, n=n, simples=simples, s_matrix=s_matrix, fusion=fusion)
-
-    @property
-    def dims(self):
-        return [s["dim"] for s in self.simples]
-
-    def to_json(self):
-        r = len(self.simples)
-        cells = emit([s["t"] for s in self.simples] + [v for row in self.s_matrix for v in row])
-        return {
-            "group": self.group.name,
-            "N": self.n,
-            "simples": [dict(s, t=t) for s, t in zip(self.simples, cells)],
-            "s_matrix": [cells[i:i + r] for i in range(r, len(cells), r)],
-            "has_fusion_ring": True,
-        }
-
-
-def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
-    """Module data of the omega-twisted double: one simple per (conjugacy
-    class, projective centralizer irrep with transgressed multiplier).
-
-    S is computed exactly for every group and omega, and the fusion ring
-    follows from it by Verlinde.  T entries are the normalized character
-    values at the class representative.  Every self-check raises
-    InvariantError.
-    """
-    ok, wit = is_cocycle(omega)
-    if not ok:
-        raise ValueError(f"omega is not closed (witness {wit})")
-    g = group
-    data = conjugacy_data(g)
-    n = omega.n
-    simples = []
-    for ci, rep in enumerate(data.reps):
-        tau, cent, embed = transgress(omega, rep)
-        dims, sections, _ = projective_irrep_data(cent, tau)
-        # rep is central in its centralizer, so each section value at rep is
-        # dim zeta_m^t: dim at one exponent t and 0 at every other
-        at_rep = sections[:, embed.index(rep)]
-        for ii, (dim, section) in enumerate(zip(dims, sections)):
-            t = int(at_rep[ii].argmax())
-            if at_rep[ii, t] != dim or np.count_nonzero(at_rep[ii]) != 1:
-                raise InvariantError(f"T entry of ({g.element_names[rep]};{ii}) is not a root of unity")
-            simples.append({
-                "class_rep": g.element_names[rep],
-                "class_index": ci,
-                "class_size": len(data.classes[ci]),
-                "irrep": ii,
-                "irrep_dim": dim,
-                "dim": len(data.classes[ci]) * dim,
-                "t": Cyc.root(section.shape[-1], t),
-                "section": section,
-                "embed": embed,
-            })
-    total = sum(s["dim"] ** 2 for s in simples)
-    if total != g.order**2:
-        raise InvariantError(f"double dimension identity failed: sum of dim^2 is {total}, not |G|^2 = {g.order**2}")
-
-    cond, coef, den = _s_matrix(omega, data, simples)
-    _check_unitary(coef, den)
-    fusion = _verlinde_fusion(f"D({g.name})" if omega.is_zero() else f"D^w({g.name})", g.order, simples, coef, den)
-    m = coef.shape[-1]
-    s_matrix = [[Cyc.from_ints(c, row[j][::m // c], den) for j, c in enumerate(crow)]
-                for row, crow in zip(coef.tolist(), cond.tolist())]
-    public = [
-        {k: s[k] for k in ("class_rep", "class_size", "irrep", "irrep_dim", "dim", "t")}
-        for s in simples
-    ]
-    return DoubleData(g, n, public, s_matrix, fusion)
-
-
-def _check_unitary(coef, den):
-    """S S^dagger = I for S = coef / den, with coef (size, size, m) the int
-    coefficients of den * S on 1, zeta_m, ..., zeta_m^(m-1): checked as
-    (den S)(den S)^dagger = den^2 I, one certified character sum."""
-    size, _, m = coef.shape
-    one = np.zeros((1, 1, m), dtype=np.int64)
-    one[0, 0, 0] = 1
-    cols = np.arange(size)
-    vals, rational = character_sums(coef, one, coef, (cols, np.zeros(size), cols, np.ones(size)))
-    bad = ~rational[:, 0] | (vals[:, 0] != den * den * np.eye(size, dtype=np.int64))
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise InvariantError(f"S not unitary at ({i},{j})")
-
-
-def _s_matrix(omega, data, simples):
-    """S of the twisted double from the sections (Coste-Gannon-Ruelle):
-
-        S_AB = sum over t in G with x = t b t^-1 in C(a) of
-               zeta_n^e conj(theta_A(x)) conj(theta_B(t^-1 a t)) / (|C(a)| |C(b)|),
-        e = p(a, x) - tau_x(a, t) + tau_x(t, t^-1 a t)
-
-    for the class representatives a of A and b of B, with p(a, x) the phase
-    w(a,x,ax) - w(a,ax,x) + w(ax,a,x) - w(a,x,a) - w(x,a,x) of the commuting
-    pair and tau = cohomology.slant carrying theta_B from b to x; e is 0 when
-    omega is.  The section values of all simples are int coefficient vectors
-    over zeta_m, m the lcm of their conductors and of the order of omega's
-    values; for each pair of classes the sum is one integer matrix product of
-    the conjugated vectors, a cyclic convolution over zeta_m with each term
-    turned by its e.  An entry is emitted in Q(zeta_c), c the lcm of the conductors
-    of its two simples' sections and of the order of its phases, when some x
-    commutes with a, and c = 1 when none does.
-
-    Returns (cond, coef, den): the conductor c of every entry, and den * S as
-    int coefficients on the powers of zeta_M, M = lcm of the conductors, with
-    den the least common denominator of all coefficients.
-    """
-    g, n, w = omega.group, omega.n, omega.table
-    cond = np.array([s["section"].shape[-1] for s in simples], dtype=np.int64)
-    m = math.lcm(n // math.gcd(n, int(np.gcd.reduce(w, axis=None))), *cond.tolist())
-    # each section lifted to zeta_m by stride, zeta_c^e = zeta_m^(e m / c), then one zero row
-    lifted = [np.kron(s["section"], np.eye(1, m // c, dtype=np.int64)) for s, c in zip(simples, cond.tolist())]
-    bar = np.vstack(lifted + [np.zeros((1, m), dtype=np.int64)])[:, -np.arange(m) % m]
-    pos = np.full((len(simples), g.order), len(bar) - 1, dtype=np.int64)  # pos[s, x]: row of section_s(x)
-    offset = 0
-    for si, s in enumerate(simples):
-        pos[si, list(s["embed"])] = offset + np.arange(len(s["embed"]))
-        offset += len(s["embed"])
-    conj, inv, mul = g.conj_array, np.asarray(g.inv), g.mul_array
-    klass = np.array([s["class_index"] for s in simples])
-    size = np.array([len(s["embed"]) for s in simples], dtype=np.int64)
-    shift = (np.arange(m) - np.arange(m)[:, None]) % m  # shift[i, e] = e - i
-    raw = np.zeros((len(simples), len(simples), m), dtype=np.int64)
-    entry_cond = np.ones((len(simples), len(simples)), dtype=np.int64)
-    for ca, a in enumerate(data.reps):
-        rows = np.flatnonzero(klass == ca)
-        for cb, b in enumerate(data.reps):
-            cols = np.flatnonzero(klass == cb)
-            ts = np.flatnonzero(mul[a, conj[:, b]] == mul[conj[:, b], a])  # t b t^-1 in C(a)
-            x, y = conj[ts, b], conj[inv[ts], a]
-            ax = mul[a, x]
-            e = (w[a, x, ax] - w[a, ax, x] + w[ax, a, x] - w[a, x, a] - w[x, a, x]
-                 - slant(omega, x, a, ts) + slant(omega, x, ts, y)) % n
-            # (rows, terms, m): each term turned by its e, zeta_n^e = zeta_m^(e m / n)
-            u = bar[pos[np.ix_(rows, x)][..., None], (np.arange(m) - (e * m // n)[:, None]) % m]
-            v = bar[pos[np.ix_(cols, y)]][:, :, shift]  # (cols, terms, m, m)
-            terms = len(ts) * m
-            num = u.reshape(len(rows), terms) @ v.transpose(1, 2, 0, 3).reshape(terms, len(cols) * m)
-            raw[np.ix_(rows, cols)] = num.reshape(len(rows), len(cols), m)
-            if len(ts):
-                entry_cond[np.ix_(rows, cols)] = np.lcm(np.lcm.outer(cond[rows], cond[cols]),
-                                                        n // math.gcd(n, int(np.gcd.reduce(e))))
-    raw[np.arange(m) % (m // entry_cond)[..., None] != 0] = 0  # not emitted in Q(zeta_c)
-    den = np.multiply.outer(size, size)
-    common = np.gcd(np.gcd.reduce(raw, axis=2), den)
-    reduced = den // common
-    lcd = math.lcm(*reduced.ravel().tolist())
-    big_m = math.lcm(*entry_cond.ravel().tolist())
-    scaled = raw // common[..., None] * (lcd // reduced)[..., None]
-    return entry_cond, scaled[:, :, ::m // big_m], lcd
-
-
-def _verlinde_fusion(name, order, simples, coef, den):
-    """The fusion ring of a double from its S = coef / den by Verlinde:
-
-        N_ij^k = sum over l of S_il S_jl conj(S_kl) / S_0l,  S_0l = d_l / |G|,
-
-    that is N = |G| V / (den^3 L) with V = sum over l of (L / d_l) coef_il
-    coef_jl conj(coef_kl) and L the lcm of the dims d_l.  One certified
-    character sum; each simple must have exactly one dual.
-    """
-    dims = np.array([s["dim"] for s in simples], dtype=np.int64)
-    big_l = math.lcm(*dims.tolist())
-    cols = np.arange(len(simples))
-    vals, rational = character_sums(coef, coef, coef, (cols, cols, cols, big_l // dims))
-    labels = [f"({s['class_rep']};{s['irrep']})" for s in simples]
-    vals *= order  # in place: a scaled copy would be one more s^3 int64 array
-    coeffs, dual = fusion_coefficients(
-        vals, rational, den**3 * big_l, labels, "double fusion must be a non-negative integer")
-    return GradedFusionRing.make(name, labels, 0, tuple(dual), coeffs)
-
-
-# ---------------------------------------------------------------------------
-# Kirillov pairing matrix
-
-
-class KirillovMatrix(Record):
-    _fields = ("basis", "entries", "invertible")
-
-    def __init__(self, basis, entries, invertible):
-        # basis: (object name, group element name) pairs; entries: a Cyc matrix
-        self.__dict__.update(basis=basis, entries=entries, invertible=invertible)
-
-    def to_json(self):
-        return {
-            "basis": [list(b) for b in self.basis],
-            "entries": [emit(row) for row in self.entries],
-            "invertible": self.invertible,
-        }
-
-
-def kirillov_S(d: PointedGXData) -> KirillovMatrix:
-    """Pairing matrix on  (+)_{x, k : action_k(x) = x} Hom(beta_k(x), x).
-
-    The entry between basis slots (x, k) and (y, l) vanishes unless
-    k = deg(y) and l = deg(x); when it survives, both crossings evaluate to
-    braid scalars (over-crossing = braid, under-crossing as the action
-    twist makes the loops close):
-
-        S[(x,k),(y,l)] = zeta ^ ( braid(x, y) + braid(action_{deg x}(y), x) ).
-
-    With trivial G this is the double-braiding matrix of the underlying
-    braided pointed category.  The verdict is exact (_invertible_roots).
-    """
-    gam, g = d.gamma, d.group
-    reduction_matrix(d.n)  # the entries are read mod Phi_N: refuse an N past the cell cap first
-    basis = [(x, k) for x in gam.elements() for k in g.elements() if d.act(k, x) == x]
-    expo = np.full((len(basis),) * 2, -1, dtype=np.int64)  # -1: the entry is 0
-    for i, (x, k) in enumerate(basis):
-        for j, (y, l) in enumerate(basis):
-            if k == d.deg[y] and l == d.deg[x]:
-                expo[i, j] = d.monodromy(x, y) % d.n
-    entries = [[Cyc.root(d.n, e) if e >= 0 else Cyc.rational(0, d.n) for e in row] for row in expo.tolist()]
-    return KirillovMatrix(
-        [(gam.element_names[x], g.element_names[k]) for x, k in basis],
-        entries,
-        _invertible_roots(expo, d.n),
-    )
-
-
-def _invertible_roots(expo, n):
-    """Whether the square matrix with entries zeta_n^expo (0 where expo < 0)
-    is invertible over Q(zeta_n).
-
-    Over F_p, p = 1 mod n, each embedding zeta_n -> z^k (gcd(k, n) = 1)
-    reduces the matrix modulo one prime above p.  Full rank under one of
-    them proves det != 0.  Rank below full under all phi(n) of them puts
-    det in p Z[zeta_n], so p^phi(n) divides its norm.  By Hadamard every
-    conjugate of det has |.| <= prod_i sqrt(r_i), r_i the nonzero entries
-    of row i, so a nonzero det has |norm| <= (prod_i r_i)^(phi(n) / 2):
-    once the primes tried satisfy (prod p)^2 > prod_i r_i, det = 0.
-    """
-    bound = math.prod((expo >= 0).sum(axis=1).tolist())
-    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-    p, tried = min(math.isqrt(bound), 1 << 30), 1
-    while tried * tried <= bound:
-        p = prime_1_mod(n, p + 1)
-        z = pow(primitive_root(p), (p - 1) // n, p)
-        for k in units:
-            # powers[e] = z^(k e); the trailing 0 is powers[-1]
-            powers = np.array([pow(z, k * e, p) for e in range(n)] + [0], dtype=np.int64)
-            if not len(snf.nullspace_fp(powers[expo], p)):
-                return True
-        tried *= p
-    return False

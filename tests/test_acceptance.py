@@ -43,12 +43,11 @@ from gxcat.fusion import (
 )
 from gxcat.gauging import crossed_product, equivariantize, perm_orbifold_picard
 from gxcat.groups import build_group, cyclic, product, symmetric
+from gxcat.modular import kirillov_S, twisted_double
 from gxcat.pointed import (
     PointedGXData,
     enumerate_holomorphic,
     holomorphic_crossed,
-    kirillov_S,
-    twisted_double,
     validate_pointed,
 )
 from test_cohomology import brute_force_order

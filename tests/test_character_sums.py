@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gxcat.chartab as chartab
-import gxcat.pointed as pointed
+import gxcat.modular as modular
 from cyc_oracle import Cyc as OracleCyc
 from cyc_oracle import reduced_by_division
 from gxcat.chartab import character_sums, fusion_coefficients, prime_1_mod, primitive_root, rep_fusion_data
@@ -121,7 +121,7 @@ def _corrupt_section(monkeypatch, call, change, at_rep=False):
     last irrep with the section value at the identity changed, or at the class
     representative with at_rep.  A value is its int coefficient row over
     zeta_m; off the representative, T stays a root of unity."""
-    real, real_transgress = pointed.projective_irrep_data, pointed.transgress
+    real, real_transgress = modular.projective_irrep_data, modular.transgress
     calls, rep_rows = [], []
 
     def spy(omega, a):
@@ -138,8 +138,8 @@ def _corrupt_section(monkeypatch, call, change, at_rep=False):
             sections[-1, row] = change(sections[-1, row])
         return dims, sections, n
 
-    monkeypatch.setattr(pointed, "transgress", spy)
-    monkeypatch.setattr(pointed, "projective_irrep_data", corrupted)
+    monkeypatch.setattr(modular, "transgress", spy)
+    monkeypatch.setattr(modular, "projective_irrep_data", corrupted)
 
 
 def _plus_one(v):
@@ -162,14 +162,14 @@ def test_corrupt_section_raises_on_untwisted_double(monkeypatch, change):
     s3 = symmetric(3)
     _corrupt_section(monkeypatch, 3, change)  # the class of 3-cycles
     with pytest.raises(InvariantError, match="S not unitary"):
-        pointed.twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))
+        modular.twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))
 
 
 def test_corrupt_section_raises_on_pointed_double(monkeypatch):
     omega = load_entry("cocycle_Z4_h3_0")
     _corrupt_section(monkeypatch, 4, _times_root(4))
     with pytest.raises(InvariantError, match="S not unitary"):
-        pointed.twisted_double(omega.group, omega)
+        modular.twisted_double(omega.group, omega)
 
 
 def test_section_at_the_class_representative_must_be_a_root_of_unity(monkeypatch):
@@ -177,16 +177,16 @@ def test_section_at_the_class_representative_must_be_a_root_of_unity(monkeypatch
     s3 = symmetric(3)
     _corrupt_section(monkeypatch, 3, _plus_one, at_rep=True)
     with pytest.raises(InvariantError, match=r"T entry of \(.*;2\) is not a root of unity"):
-        pointed.twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))
+        modular.twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))
 
 
 def test_verlinde_integrality_is_checked_without_unitarity(monkeypatch):
     # with the unitarity check gone, the corrupt S reaches the Verlinde sum
     s3 = symmetric(3)
     _corrupt_section(monkeypatch, 3, _plus_one)
-    monkeypatch.setattr(pointed, "_check_unitary", lambda coef, den: None)
+    monkeypatch.setattr(modular, "_check_unitary", lambda coef, den: None)
     with pytest.raises(InvariantError, match="double fusion must be a non-negative integer"):
-        pointed.twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))
+        modular.twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))
 
 
 def test_rep_fusion_integrality_is_checked(monkeypatch):

@@ -743,15 +743,15 @@ class TestDeterminism:
 # coefficient of zeta_m^0, then runs the CLI.
 _CORRUPT_SECTION_CLI = """
 import sys
-import gxcat.pointed as pointed
-real = pointed.projective_irrep_data
+import gxcat.modular as modular
+real = modular.projective_irrep_data
 def corrupted(cent, tau):
     dims, sections, n = real(cent, tau)
     if cent.order == 3:
         sections = sections.copy()
         sections[-1, 0, 0] += 1
     return dims, sections, n
-pointed.projective_irrep_data = corrupted
+modular.projective_irrep_data = corrupted
 from gxcat.cli import main
 main(sys.argv[1:])
 """

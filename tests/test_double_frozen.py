@@ -27,8 +27,9 @@ import pytest
 from gxcat.cohomology import TorsionCocycle, cohomology_group
 from gxcat.corpus import corpus_list, load_entry
 from gxcat.groups import PRESETS, build_group
-from gxcat.pointed import twisted_double
+from gxcat.modular import twisted_double
 from gxcat.serialize import canonical_json
+from verlinde_oracle import verlinde_fusion
 
 FROZEN = pathlib.Path(__file__).parent / "data" / "double_frozen.json"
 TYPE_III = (3, 5, 6)  # the representatives of H^3(Z2xZ2xZ2, mu_2) with 22 simples
@@ -78,6 +79,15 @@ def test_case_list_matches_fixture():
 def test_matches_frozen_double(key):
     ((_, g, omega),) = [c for c in cases() if c[0] == key]
     assert record(g, omega) == FROZEN_CASES[key]
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_CASES))
+def test_fusion_is_the_verlinde_ring(key):
+    """The fusion ring from induced characters is the integer Verlinde ring
+    of the printed S, coefficient for coefficient and dual for dual."""
+    ((_, g, omega),) = [c for c in cases() if c[0] == key]
+    d = twisted_double(g, omega)
+    assert verlinde_fusion(d) == (d.fusion.coeffs, d.fusion.dual)
 
 
 if __name__ == "__main__":

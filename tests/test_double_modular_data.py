@@ -11,17 +11,25 @@
   Z2xZ2xZ2 at N = 2, up to relabeling, in dims, T and S.  A search over
   all 512 classes of H^3(Z2xZ2xZ2, mu_2) with 22 simples found exactly
   these; one partner of each is pinned here.
+* A relabeled preset gives an isomorphic double: for every preset of order
+  at most 8, at w = 0 and at the first representative of H^3(G, mu_|G|),
+  dims, T and S match up to a bijection of the simples, and that bijection
+  carries the fusion ring and the duals of one double onto the other's.
 """
+
+import random
 
 import numpy as np
 import pytest
 
 from cyc_oracle import Cyc
 from dpr_oracle import dpr_fusion, h3_class, h3_classes
+from orbit_oracles import relabel
 from relabel import match, modular_data
+from verlinde_oracle import verlinde_fusion
 from gxcat.cohomology import TorsionCocycle, cohomology_group
-from gxcat.groups import build_group, quotient
-from gxcat.pointed import twisted_double
+from gxcat.groups import PRESETS, build_group, quotient
+from gxcat.modular import twisted_double
 
 
 def _judge(g, omega):
@@ -30,6 +38,7 @@ def _judge(g, omega):
     d = twisted_double(g, omega)
     n = d.fusion.tensor()
     assert np.abs(dpr_fusion(g, omega) - n).max() < 1e-9
+    assert verlinde_fusion(d) == (d.fusion.coeffs, d.fusion.dual)
     s = np.array([[complex(Cyc.of(v)) for v in row] for row in d.s_matrix])
     t = np.array([complex(Cyc.of(x["t"])) for x in d.simples])
     dims = np.array(d.dims)
@@ -87,3 +96,26 @@ def test_twisted_double_matches_a_double_of_z2_cubed(name, coefficients, partner
     assert not omega.is_zero()
     d = twisted_double(g, omega)
     assert match(modular_data(d), modular_data(twisted_double(z, h3_class(z, 2, partner)))) is not None
+
+
+# every preset of order at most 8, untwisted, and twisted unless it is Z1, whose H^3 is trivial
+RELABELED = [(name, twisted) for name in sorted(PRESETS) if build_group(name).order <= 8
+             for twisted in (False, True) if build_group(name).order > 1 or not twisted]
+
+
+@pytest.mark.parametrize("name, twisted", RELABELED)
+def test_relabeled_preset_gives_an_isomorphic_double(name, twisted):
+    g = build_group(name)
+    omega = cohomology_group(g, 3, g.order).representatives[0] if twisted else TorsionCocycle.make(g, 3, g.order, {})
+    rest = list(range(1, g.order))
+    random.Random(name).shuffle(rest)
+    p = [0, *rest]
+    h = relabel(g, p)
+    table = np.zeros_like(omega.table)
+    table[np.ix_(p, p, p)] = omega.table
+    a, b = twisted_double(g, omega), twisted_double(h, TorsionCocycle.from_table(h, 3, omega.n, table))
+    perm = match(modular_data(a), modular_data(b))
+    assert perm is not None
+    carried = {(perm[i], perm[j], perm[k]): v for (i, j, k), v in a.fusion.coeffs}
+    assert carried == dict(b.fusion.coeffs)
+    assert [perm[i] for i in a.fusion.dual] == [b.fusion.dual[j] for j in perm]

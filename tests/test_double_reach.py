@@ -17,7 +17,7 @@ from gxcat.cohomology import TorsionCocycle
 from gxcat.exact import QuadReal
 from gxcat.gauging import crossed_product
 from gxcat.groups import build_group
-from gxcat.pointed import twisted_double
+from gxcat.modular import twisted_double
 
 
 def alternating5():

@@ -63,6 +63,37 @@ def test_each_relative_import_names_the_defining_module():
     assert not found, f"names imported from a module that does not define them: {found}"
 
 
+def _imported_modules(tree):
+    """The gxcat modules a module imports anywhere in it, top level or in a
+    function: ``from .x import y`` and ``from . import x`` name x."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gxcat."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("gxcat.")}
+    return found
+
+
+# Crossed data lies below modular data: pointed solves over Z/N and prints no
+# cyclotomic value, so the enumerate and holo-crossed processes load neither
+# the modular-data layers nor the exact scalars.
+_MODULAR_LAYERS = {"chartab", "cyclo", "fusion", "exact", "modular"}
+
+
+def test_pointed_imports_no_modular_data_layer():
+    tree = ast.parse((pathlib.Path(gxcat.__file__).parent / "pointed.py").read_text())
+    found = _imported_modules(tree) & _MODULAR_LAYERS
+    assert not found, f"pointed.py imports {sorted(found)}"
+
+
+def test_modular_does_not_import_pointed():
+    tree = ast.parse((pathlib.Path(gxcat.__file__).parent / "modular.py").read_text())
+    assert "pointed" not in _imported_modules(tree)
+
+
 def test_no_module_imports_a_private_name_of_another():
     """Each module's underscore names are its own layout decisions."""
     found = []

@@ -175,7 +175,7 @@ class TestCrossedProduct:
         the per-entry scan it replaced reported; both failures occur."""
         from gxcat.chartab import rep_fusion_data
         from gxcat.groups import build_group
-        from gxcat.pointed import twisted_double
+        from gxcat.modular import twisted_double
 
         seen = set()
         for name in ["Z3", "S3", "Z2xZ2"]:
@@ -197,7 +197,7 @@ class TestCrossedProduct:
         assert seen == {None, "embedded subcategory not closed:", "embedding violates Rep(G) fusion at"}
 
     def test_d_s3_chain(self):
-        from gxcat.pointed import twisted_double
+        from gxcat.modular import twisted_double
 
         s3 = symmetric(3)
         td = twisted_double(s3, TorsionCocycle.make(s3, 3, 6, {}))

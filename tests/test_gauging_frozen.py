@@ -34,7 +34,7 @@ from gxcat.cohomology import TorsionCocycle, cohomology_group
 from gxcat.exact import CertReal, QuadReal
 from gxcat.fusion import GradedFusionRing
 from gxcat.groups import build_group, cyclic
-from gxcat.pointed import twisted_double
+from gxcat.modular import twisted_double
 from gxcat.serialize import canonical_json
 
 FROZEN = pathlib.Path(__file__).parent / "data" / "gauging_frozen.json"

@@ -40,7 +40,8 @@ from gxcat.groups import (
     orbit_labels,
     quotient,
 )
-from gxcat.pointed import _gauge_moves, enumerate_holomorphic, twisted_double
+from gxcat.modular import twisted_double
+from gxcat.pointed import _gauge_moves, enumerate_holomorphic
 from gxcat.snf import ENUM_STATE_CAP, lattice_points
 
 CHARACTER_N = (1, 2, 3, 4, 6, 8, 12)

@@ -19,14 +19,12 @@ from gxcat.fusion import pointed_ring, sector_dims
 from gxcat.gauging import crossed_product
 from gxcat.chartab import rep_fusion_data
 from gxcat.groups import build_group, cyclic, product, subgroup, symmetric
+from gxcat.modular import _invertible_roots, kirillov_S, twisted_double
 from gxcat.pointed import (
     PointedGXData,
     enumerate_holomorphic,
     holomorphic_crossed,
-    kirillov_S,
     pointed_deequivariantize,
-    _invertible_roots,
-    twisted_double,
     validate_pointed,
 )
 from gxcat.serialize import canonical_json
@@ -305,18 +303,18 @@ class TestTwistedDouble:
 
     @pytest.mark.parametrize("preset", ["S3", "Q8", "D5", "D6", "Z6"])
     def test_untwisted_s_matches_cyc_loop(self, preset, monkeypatch):
-        import gxcat.pointed as pointed
+        import gxcat.modular as modular
         from gxcat.groups import build_group
 
         g = build_group(preset)
         seen = {}
-        real = pointed._s_matrix
+        real = modular._s_matrix
 
         def spy(omega, data, simples):
             seen["simples"] = simples
             return real(omega, data, simples)
 
-        monkeypatch.setattr(pointed, "_s_matrix", spy)
+        monkeypatch.setattr(modular, "_s_matrix", spy)
         got = twisted_double(g, TorsionCocycle.make(g, 3, g.order, {})).s_matrix
         want = self._untwisted_s_reference(g, seen["simples"])
         got = [[Cyc.of(v) for v in row] for row in got]
@@ -325,7 +323,7 @@ class TestTwistedDouble:
 
     @pytest.mark.parametrize("preset, twisted", [("S3", False), ("Z6", False), ("Z2", True), ("Z4", True)])
     def test_unitarity_is_checked_on_the_emitted_integers(self, preset, twisted, monkeypatch):
-        import gxcat.pointed as pointed
+        import gxcat.modular as modular
         from gxcat.errors import InvariantError
         from gxcat.groups import build_group
 
@@ -333,7 +331,7 @@ class TestTwistedDouble:
         omega = cohomology_group(g, 3, g.order).representatives[0] if twisted else \
             TorsionCocycle.make(g, 3, g.order, {})
         assert not omega.is_zero() or not twisted
-        real = pointed._s_matrix
+        real = modular._s_matrix
         calls = []
 
         def corrupted(*args):
@@ -343,7 +341,7 @@ class TestTwistedDouble:
             coef[1, 1, 0] += 1  # one more den-th in an emitted coefficient
             return cond, coef, den
 
-        monkeypatch.setattr(pointed, "_s_matrix", corrupted)
+        monkeypatch.setattr(modular, "_s_matrix", corrupted)
         with pytest.raises(InvariantError, match="S not unitary"):
             twisted_double(g, omega)
         assert calls == [preset]

@@ -32,7 +32,7 @@ from gxcat.cohomology import TorsionCocycle, coboundary, cohomology_group
 from gxcat.cyclo import reduction_matrix
 from gxcat.errors import GroupError
 from gxcat.groups import PRESETS, build_group, cyclic, product
-from gxcat.pointed import twisted_double
+from gxcat.modular import twisted_double
 
 ABELIAN = sorted(name for name in PRESETS if build_group(name).order <= 12 and build_group(name).is_abelian)
 

@@ -15,11 +15,11 @@ from corpus_build import double_semion_pointed, toric_code_pointed
 from gxcat.chartab import CharacterTable, character_table
 from gxcat.cohomology import CohomologyGroup, TorsionCocycle, cohomology_group
 from gxcat.corpus import CorpusEntry, corpus_list
+from gxcat.errors import ValidationReport
 from gxcat.fusion import (
     GradedFusionRing,
     RingGAction,
     SectorReport,
-    ValidationReport,
     pointed_ring,
     trivial_action,
 )
@@ -33,7 +33,8 @@ from gxcat.groups import (
     conjugacy_data,
     cyclic,
 )
-from gxcat.pointed import DoubleData, KirillovMatrix, PointedGXData
+from gxcat.modular import DoubleData, KirillovMatrix
+from gxcat.pointed import PointedGXData
 
 # each value record twice: two different values of it
 VALUES = {

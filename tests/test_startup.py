@@ -134,7 +134,7 @@ def test_frozen_jobs_cover_every_command():
 _GROUP = _BASE | {"gxcat.groups"}
 _RING = _GROUP | {"gxcat.exact", "gxcat.fusion"}
 _COHOMOLOGY = _GROUP | {"numpy", "gxcat.snf", "gxcat.cohomology"}
-_ALL = _RING | _COHOMOLOGY | {"gxcat.cyclo", "gxcat.chartab", "gxcat.gauging", "gxcat.pointed"}
+_ALL = _RING | _COHOMOLOGY | {"gxcat.cyclo", "gxcat.chartab", "gxcat.gauging", "gxcat.modular", "gxcat.pointed"}
 
 
 @pytest.mark.parametrize("args, allowed", [
@@ -147,9 +147,9 @@ _ALL = _RING | _COHOMOLOGY | {"gxcat.cyclo", "gxcat.chartab", "gxcat.gauging", "
     (["cohomology", "--group", "Z2xZ2", "--k", "3"], _COHOMOLOGY),
     (["corpus"], _BASE | {"gxcat.corpus"}),
     (["smatrix", "pointed_toric_code.json"], _ALL - {"gxcat.gauging"}),
-    (["double", "--group", "S3", "--trivial"], _ALL - {"gxcat.gauging"}),
-    (["double", "--group", "Z4", "--cocycle", "cocycle_Z4_h3_0.json"], _ALL - {"gxcat.gauging"}),
-    (["gauge", "ring_ising_ising_swap.json"], _ALL - {"gxcat.pointed"}),
+    (["double", "--group", "S3", "--trivial"], _ALL - {"gxcat.gauging", "gxcat.pointed"}),
+    (["double", "--group", "Z4", "--cocycle", "cocycle_Z4_h3_0.json"], _ALL - {"gxcat.gauging", "gxcat.pointed"}),
+    (["gauge", "ring_ising_ising_swap.json"], _ALL - {"gxcat.modular", "gxcat.pointed"}),
 ])
 def test_command_loads_only_its_layers(tmp_path, args, allowed):
     args = [str(CORPUS / a) if a.endswith(".json") else a for a in args]
@@ -178,6 +178,25 @@ def _every_module_loaded(tmp_path, args):
     args = [str(CORPUS / a) if a.endswith(".json") else a for a in args]
     exit_code, _, res = _run_cli(tmp_path, args)
     return exit_code, set(json.loads((tmp_path / "modules.json").read_text())["modules"]), res
+
+
+# The crossed-data commands solve over Z/N and never print a cyclotomic
+# value: they load neither the modular-data stack nor the exact scalars.
+_MODULAR_STACK = {"gxcat.chartab", "gxcat.cyclo", "gxcat.fusion", "gxcat.exact", "gxcat.modular",
+                  "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("args", [
+    ["enumerate", "--group", "Z2", "--N", "4"],
+    ["enumerate", "--group", "S3", "--N", "2"],
+    ["holo-crossed", "--group", "D4", "--trivial"],
+    ["validate", "pointed_toric_code.json"],
+])
+def test_crossed_data_commands_load_no_modular_stack(tmp_path, args):
+    exit_code, modules, res = _every_module_loaded(tmp_path, [*args, "--format", "json"])
+    assert exit_code == 0, res.stderr
+    assert "gxcat.pointed" in modules
+    assert not modules & _MODULAR_STACK, sorted(modules & _MODULAR_STACK)
 
 
 _NUMPY_FREE_CASES = [
