@@ -44,7 +44,7 @@ __all__ = [
 
 EXTENSION_ORDER_CAP = 192  # central extensions of nonabelian groups; abelian ones need none
 PRIME_CAP = 1 << 31  # F_p products of two residues stay inside int64
-SUM_BLOCK_CELLS = 1 << 16  # embeddings x rows of a x rows of b x terms per block of a character sum
+SUM_BLOCK_CELLS = 1 << 16  # rows of a x rows of b x terms per block of a character sum
 
 
 def prime_1_mod(m, lower):
@@ -87,8 +87,8 @@ def character_sums(a, b, c, terms):
     2**31.  If the embeddings disagree, the sum is not a rational integer.
 
     The rows of a are taken in blocks, as many rows (at least one) as keep
-    embeddings x block rows x rows of b x terms within SUM_BLOCK_CELLS, so
-    only values and rational grow with the number of rows.
+    block rows x rows of b x terms within SUM_BLOCK_CELLS, so only values
+    and rational grow with the number of rows.
     """
     m = a.shape[-1]
     u, v, x, w = (np.asarray(t, dtype=np.int64) for t in terms)
@@ -103,14 +103,8 @@ def character_sums(a, b, c, terms):
     # powers[e, i] = z^(e * units[i]): row e maps zeta^e under every embedding
     powers = np.array(zeta, dtype=np.int64)[np.multiply.outer(np.arange(m), units) % m]
 
-    def images(t, powers):  # an all-zero value maps to 0: only the others are multiplied
-        flat = t.reshape(-1, m)
-        live = flat.any(axis=1)
-        if live.all():
-            return dot_mod(flat % p, p, powers).reshape(t.shape[:2] + (len(units),))
-        out = np.zeros((len(flat), len(units)), dtype=np.int64)
-        out[live] = dot_mod(flat[live] % p, p, powers)
-        return out.reshape(t.shape[:2] + (len(units),))
+    def images(t, powers):
+        return dot_mod(t.reshape(-1, m) % p, p, powers).reshape(t.shape[:2] + (len(units),))
 
     # sum the terms sharing an x first: sort by x and reduce the runs
     order = np.argsort(x, kind="stable")
@@ -118,20 +112,21 @@ def character_sums(a, b, c, terms):
     starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
     if len(starts) >= 1 << 16:
         raise ResourceLimit(f"{len(starts)} distinct character columns in one sum")
-    # every embedding at once: (embeddings, rows, terms or columns)
-    ia = images(a, powers)[:, u] * w[:, None] % p
-    ib = images(b, powers)[:, v].transpose(2, 0, 1)
-    ic = images(c, powers[-np.arange(m) % m])[:, x[starts]].transpose(2, 1, 0)
+    ia, ib = images(a, powers)[:, u] * w[:, None] % p, images(b, powers)[:, v]
+    ic = images(c, powers[-np.arange(m) % m])[:, x[starts]]
     vals = np.empty((a.shape[0], b.shape[0] * c.shape[0]), dtype=np.int64)
-    rational = np.empty(vals.shape, dtype=bool)
-    step = max(1, SUM_BLOCK_CELLS // max(1, len(units) * b.shape[0] * len(u)))
+    rational = np.ones(vals.shape, dtype=bool)
+    step = max(1, SUM_BLOCK_CELLS // max(1, b.shape[0] * len(u)))
     for lo in range(0, a.shape[0], step):  # a block of rows of a at a time
         rows = slice(lo, lo + step)
-        ab = ia[rows].transpose(2, 0, 1)[:, :, None] * ib[:, None] % p
-        part = np.add.reduceat(ab, starts, axis=3) % p
-        image = dot_mod(part.reshape(len(units), -1, len(starts)), p, ic).reshape(len(units), -1, vals.shape[1])
-        # keep the first embedding's values, rational where the others agree
-        vals[rows], rational[rows] = image[0], (image[1:] == image[0]).all(axis=0)
+        for i in range(len(units)):  # keep the first embedding's values and where the others agree
+            ab = ia[rows, :, i][:, None, :] * ib[:, :, i][None] % p
+            part = np.add.reduceat(ab, starts, axis=2) % p
+            image = dot_mod(part.reshape(-1, len(starts)), p, ic[:, :, i].T).reshape(-1, vals.shape[1])
+            if i == 0:
+                vals[rows] = image
+            else:
+                rational[rows] &= image == vals[rows]
     np.subtract(vals, p, out=vals, where=vals > p // 2)  # balanced residues, in place
     shape = (a.shape[0], b.shape[0], c.shape[0])
     return vals.reshape(shape), rational.reshape(shape)
