@@ -243,8 +243,10 @@ def _induced_fusion(name, omega, data, simples):
     first = np.cumsum(count) - count
     embeds = [simples[f]["embed"] for f in first.tolist()]  # C(c) of each representative c
     cent = np.array([len(e) for e in embeds], dtype=np.int64)
-    # the columns (C, h) of gamma, h in C(c); at[C, h] is (C, h)
+    # every simple on the columns (A, k), k in C(a): a block diagonal, alpha's table and, sliced, gamma's;
+    # at[A, k] is the column (A, k)
     col_class, col_h = np.repeat(np.arange(classes), cent), np.concatenate(embeds)
+    diagonal = values[np.where(klass[:, None] == col_class, pos[:size, col_h], len(values) - 1)]
     at = np.zeros((classes, g.order), dtype=np.int64)
     at[col_class, col_h] = np.arange(len(col_h))
     transport = np.argmax(conj[:, reps[class_of]] == np.arange(g.order), axis=0)  # t_x
@@ -283,16 +285,12 @@ def _induced_fusion(name, omega, data, simples):
             hi += 1
         top, bottom, cols, t = tops[lo], tops[hi], slice(edges[lo], edges[hi]), slice(ends[lo], ends[hi])
         terms = np.arange(t.stop - t.start)
-        # (simples, terms, m) and (bands x irreps, terms, m) over this sum's terms: the simple over x
-        # and the band slot over y, the zero row where it is off the term; gamma: the simples of these
-        # C on their columns, a block diagonal
-        sa = np.where(klass[:, None] == ka[t], np.arange(size)[:, None], size)
+        # beta's (bands x irreps, terms, m) over this sum's terms: the band slot over y, the zero row
+        # where it is off the term; alpha reads its column (A, hx) of the block diagonal, gamma (C, h)
         sb = np.where((slot // width == band[kc[t], ka[t], kb[t]]) & (slot % width < count[kb[t]]),
                       first[kb[t]] + slot % width, size)
-        sc = np.where(klass[top:bottom, None] == col_class[cols], np.arange(top, bottom)[:, None], size)
-        part, exact = character_sums(values[pos[sa, hx[t]]], values[pos[sb, hy[t]][..., None], roll[t]],
-                                     values[pos[sc, col_h[cols]]],
-                                     (terms, terms, at[kc[t], h[t]] - edges[lo], weight[t]))
+        part, exact = character_sums(diagonal, values[pos[sb, hy[t]][..., None], roll[t]], diagonal[top:bottom, cols],
+                                     (at[ka[t], hx[t]], terms, at[kc[t], h[t]] - edges[lo], weight[t]))
         # N[alpha, beta, gamma] is part[alpha, band[C, A, B] width + beta's place, gamma] where (C, A, B) has terms
         live = band[klass[top:bottom], klass[:, None, None], klass[None, :, None]]
         pick = alpha, np.maximum(live, 0) * width + irrep[:, None], np.arange(bottom - top)
