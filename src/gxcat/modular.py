@@ -26,7 +26,7 @@ from .groups import FiniteGroup, conjugacy_data, cyclic
 
 __all__ = ["DoubleData", "KirillovMatrix", "twisted_double", "kirillov_S"]
 
-CHUNK_CELLS = 1 << 17  # simples x terms x zeta_m powers of alpha's array in one character sum of the fusion
+CHUNK_CELLS = 1 << 17  # simples x terms x zeta_m powers that one character sum of the fusion reads for alpha
 
 
 class DoubleData(Record):
@@ -222,16 +222,17 @@ def _induced_fusion(name, omega, data, simples):
 
     Each term (c, x, h) is weighted by L / |C(c)|, L the lcm of the
     centralizer orders, and its phase is folded into beta's row by a roll.
-    The rows of the character sum are every simple (alpha, 0 unless it lies
-    over x's class), the irreps beta of B and the simples gamma of C.  For
-    one C and one A, y may lie in several classes B; the k-th of them in
-    class order takes the k-th band of beta's rows, so N is read back from
-    the band of its (C, A, B).  The columns of gamma are (C, h), so the
-    target classes are kept apart by a block diagonal: they are taken in
-    turn, as many per sum (at least one) as keep alpha's array of
-    simples x terms x zeta_m powers within CHUNK_CELLS.  fusion_coefficients
-    certifies that every N is a non-negative integer and that every simple
-    has one dual.
+    The rows of the character sum are every simple alpha, read on the
+    block diagonal of each simple on its own columns (A, k), k in C(a), at
+    (A, t_x^-1 h t_x), so 0 unless it lies over x's class; the irreps beta
+    of B; and the simples gamma of C on their columns (C, h).  For one C
+    and one A, y may lie in several classes B; the k-th of them in class
+    order takes the k-th band of beta's rows, so N is read back from the
+    band of its (C, A, B).  Gamma's block diagonal keeps the target classes
+    apart: they are taken in turn, as many per sum (at least one) as keep
+    simples x terms x zeta_m powers within CHUNK_CELLS.
+    fusion_coefficients certifies that every N is a non-negative integer
+    and that every simple has one dual.
     """
     g, n, w = omega.group, omega.n, omega.table
     m, values, pos = _lift_sections(omega, simples)
