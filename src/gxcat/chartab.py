@@ -97,32 +97,29 @@ def character_sums(a, b, c, terms):
     p = prime_1_mod(m, 2 * bound + 1)
     units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
     z = pow(primitive_root(p), (p - 1) // m, p)
-    zeta = [1]
-    for _ in range(m - 1):
-        zeta.append(zeta[-1] * z % p)
     # powers[e, i] = z^(e * units[i]): row e maps zeta^e under every embedding
-    powers = np.array(zeta, dtype=np.int64)[np.multiply.outer(np.arange(m), units) % m]
+    powers = np.array([[pow(z, e * k, p) for k in units] for e in range(m)], dtype=np.int64)
 
-    def images(t, powers):
+    def images(t):
         return dot_mod(t.reshape(-1, m) % p, p, powers).reshape(t.shape[:2] + (len(units),))
 
     # sum the terms sharing an x first: sort by x and reduce the runs
     order = np.argsort(x, kind="stable")
     u, v, x, w = u[order], v[order], x[order], w[order] % p
-    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
     if len(starts) >= 1 << 16:
         raise ResourceLimit(f"{len(starts)} distinct character columns in one sum")
-    ia, ib = images(a, powers)[:, u] * w[:, None] % p, images(b, powers)[:, v]
-    ic = images(c, powers[-np.arange(m) % m])[:, x[starts]]
+    ia, ib, ic = images(a), images(b), images(c[..., -np.arange(m) % m])
     vals = np.empty((a.shape[0], b.shape[0] * c.shape[0]), dtype=np.int64)
     rational = np.ones(vals.shape, dtype=bool)
     step = max(1, SUM_BLOCK_CELLS // max(1, b.shape[0] * len(u)))
     for lo in range(0, a.shape[0], step):  # a block of rows of a at a time
         rows = slice(lo, lo + step)
         for i in range(len(units)):  # keep the first embedding's values and where the others agree
-            ab = ia[rows, :, i][:, None, :] * ib[:, :, i][None] % p
+            ab = ia[rows, u, i] * w % p
+            ab = ab[:, None, :] * ib[:, v, i][None] % p
             part = np.add.reduceat(ab, starts, axis=2) % p
-            image = dot_mod(part.reshape(-1, len(starts)), p, ic[:, :, i].T).reshape(-1, vals.shape[1])
+            image = dot_mod(part.reshape(-1, len(starts)), p, ic[:, x[starts], i].T).reshape(-1, vals.shape[1])
             if i == 0:
                 vals[rows] = image
             else:
@@ -324,12 +321,13 @@ def fusion_coefficients(vals, rational, scale, labels, message):
     mult = np.floor_divide(vals, scale, out=vals)
     nz = np.nonzero(mult)  # in C order
     coeffs = dict(zip(zip(*(i.tolist() for i in nz)), mult[nz].tolist()))
-    partners = mult[:, :, 0] == 1
-    found = np.count_nonzero(partners, axis=1)
-    if (found != 1).any():
-        i = int(np.argmax(found != 1))
-        raise InvariantError(f"{labels[i]} must have exactly one dual, found {found[i]}")
-    return coeffs, partners.argmax(axis=1).tolist()
+    duals = []
+    for i, label in enumerate(labels):
+        partners = [k for k in range(len(labels)) if coeffs.get((i, k, 0), 0) == 1]
+        if len(partners) != 1:
+            raise InvariantError(f"{label} must have exactly one dual, found {len(partners)}")
+        duals.append(partners[0])
+    return coeffs, duals
 
 
 def central_extension(h: FiniteGroup, values, n, name=None):

@@ -22,7 +22,7 @@ from .cohomology import TorsionCocycle, is_cocycle, slant, transgress
 from .cyclo import Cyc, emit, reduction_matrix
 from .errors import InvariantError, Record
 from .fusion import GradedFusionRing
-from .groups import FiniteGroup, conjugacy_data, cyclic
+from .groups import FiniteGroup, conjugacy_data
 
 __all__ = ["DoubleData", "KirillovMatrix", "twisted_double", "kirillov_S"]
 
@@ -301,8 +301,7 @@ def _induced_fusion(name, omega, data, simples):
         lo = hi
     labels = [f"({s['class_rep']};{s['irrep']})" for s in simples]
     coeffs, dual = fusion_coefficients(vals, rational, big_l, labels, "double fusion must be a non-negative integer")
-    # certified above: index keys in C order and positive ints, so make's checks of raw input are not needed
-    return GradedFusionRing(name, tuple(labels), 0, tuple(dual), tuple(coeffs.items()), cyclic(1), (0,) * size)
+    return GradedFusionRing.make(name, labels, 0, tuple(dual), coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -241,10 +241,7 @@ def _clear(a, c, t, m):
 def dot_mod(a, m, b):
     """a @ b mod m for residues in [0, m), m < 2**31 and fewer than 2**16
     inner terms: b is split into 16-bit halves so no sum leaves int64.
-    The modulus comes second, as in snf_mod(a, m, rhs).  When every sum of
-    products stays inside int64 there is one product and no split."""
-    if (m - 1) ** 2 * a.shape[-1] < 1 << 63:
-        return a @ b % m
+    The modulus comes second, as in snf_mod(a, m, rhs)."""
     lo = a @ (b & 0xFFFF) % m
     hi = a @ (b >> 16) % m
     return (hi * 0x10000 + lo) % m
