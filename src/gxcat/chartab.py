@@ -44,7 +44,7 @@ __all__ = [
 
 EXTENSION_ORDER_CAP = 192  # central extensions of nonabelian groups; abelian ones need none
 PRIME_CAP = 1 << 31  # F_p products of two residues stay inside int64
-SUM_BLOCK_CELLS = 1 << 16  # rows of a x rows of b x terms per block of a character sum
+SUM_BLOCK_CELLS = 1 << 16  # rows of a x rows of b x terms x embeddings per block of a character sum
 
 
 def prime_1_mod(m, lower):
@@ -67,14 +67,18 @@ def primitive_root(p):
     raise ArithmeticError("no primitive root")  # pragma: no cover
 
 
-def character_sums(a, b, c, terms):
+def character_sums(a, b, c, terms, blocks=None):
     """Exact V[i, j, k] = sum_t w_t a[i, u_t] b[j, v_t] conj(c[k, x_t]).
 
     a, b and c are int64 coefficient arrays (rows, columns, M) of cyclotomic
     integers over one zeta_M, and terms = (u, v, x, w) are int arrays of
-    column indices and weights.  Returns (values, rational): where rational
-    is True the sum is the integer in values; where it is False the sum is
-    not rational.
+    column indices and weights; terms = (u, v, x, w, s) weights term t by
+    w_t zeta_M^s_t instead.  Returns (values, rational): where rational is
+    True the sum is the integer in values; where it is False the sum is not
+    rational.  blocks, an int array, puts each term in one of the blocks
+    0, ..., G - 1, and each block is summed apart: V[g, i, j, k] runs over
+    the terms of block g, and values and rational lead with an axis of
+    length G.
 
     Each sum is evaluated in F_p, p = 1 mod M, under all phi(M) embeddings
     zeta_M -> z^k, gcd(k, M) = 1.  If they all agree on the balanced residue
@@ -86,12 +90,19 @@ def character_sums(a, b, c, terms):
     and of c.  p is the least such prime; ResourceLimit if none lies below
     2**31.  If the embeddings disagree, the sum is not a rational integer.
 
-    The rows of a are taken in blocks, as many rows (at least one) as keep
-    block rows x rows of b x terms within SUM_BLOCK_CELLS, so only values
-    and rational grow with the number of rows.
+    The terms that share a block and an x are summed first.  Each block's
+    runs of x are cut into pieces of the mean number of runs of a block,
+    and each piece is padded to that width, so fewer than twice the runs
+    plus one per block are multiplied with c, in one batched matrix product.  The rows of a are
+    taken in blocks, as many rows (at least one) as keep block rows x rows
+    of b x (terms, or padded runs if more) x phi(M) within SUM_BLOCK_CELLS.
+    Beside the images of a, b and c (their rows x columns x phi(M)), only
+    values and rational grow with the number of rows.
     """
     m = a.shape[-1]
-    u, v, x, w = (np.asarray(t, dtype=np.int64) for t in terms)
+    u, v, x, w, s = (np.asarray(t, dtype=np.int64) for t in (*terms, np.zeros(len(terms[0])))[:5])  # s = 0 if not given
+    block = np.zeros(len(u), dtype=np.int64) if blocks is None else np.asarray(blocks, dtype=np.int64)
+    count = int(block.max(initial=0)) + 1
     norm = [int(np.abs(t).sum(axis=-1).max(initial=0)) for t in (a, b, c)]
     bound = int(np.abs(w).sum()) * math.prod(norm) * reduction_bound(m)
     p = prime_1_mod(m, 2 * bound + 1)
@@ -100,33 +111,48 @@ def character_sums(a, b, c, terms):
     # powers[e, i] = z^(e * units[i]): row e maps zeta^e under every embedding
     powers = np.array([[pow(z, e * k, p) for k in units] for e in range(m)], dtype=np.int64)
 
-    def images(t):
-        return dot_mod(t.reshape(-1, m) % p, p, powers).reshape(t.shape[:2] + (len(units),))
+    # the terms sharing a block and an x are summed first: sort by both and reduce the runs
+    order = np.lexsort((x, block))
+    u, v, x, w, s, block = u[order], v[order], x[order], w[order] % p, s[order] % m, block[order]
+    starts = np.flatnonzero(np.concatenate(([True], (x[1:] != x[:-1]) | (block[1:] != block[:-1]))))
+    # each block's runs are cut into pieces of width runs, width the mean number of runs of a block,
+    # and every block has at least one piece; place is a run's column among the pieces' padded runs
+    run_block = block[starts]
+    width = -(-len(starts) // count) or 1
+    if width >= 1 << 16:
+        raise ResourceLimit(f"{width} distinct character columns in one sum")
+    run = np.arange(len(starts)) - np.searchsorted(run_block, run_block)  # a run's place in its block
+    per = np.maximum(-(-np.bincount(run_block, minlength=count) // width), 1)  # pieces per block
+    first, total = np.cumsum(per) - per, int(per.sum())
+    place = (first[run_block] + run // width) * width + run % width
 
-    # sum the terms sharing an x first: sort by x and reduce the runs
-    order = np.argsort(x, kind="stable")
-    u, v, x, w = u[order], v[order], x[order], w[order] % p
-    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    if len(starts) >= 1 << 16:
-        raise ResourceLimit(f"{len(starts)} distinct character columns in one sum")
-    ia, ib, ic = images(a), images(b), images(c[..., -np.arange(m) % m])
-    vals = np.empty((a.shape[0], b.shape[0] * c.shape[0]), dtype=np.int64)
-    rational = np.ones(vals.shape, dtype=bool)
-    step = max(1, SUM_BLOCK_CELLS // max(1, b.shape[0] * len(u)))
-    for lo in range(0, a.shape[0], step):  # a block of rows of a at a time
+    def images(t):  # every entry of t under every embedding, embedding first
+        return dot_mod(t.reshape(-1, m) % p, p, powers).T.reshape(len(units), *t.shape[:2])
+
+    # conj(c) under k is c under -k, and the units run symmetrically: ic is c's images reversed
+    ia, ib, ic = images(a), images(b), images(c)[::-1]
+    w = powers[s].T * w % p  # each weight under every embedding
+    right = np.zeros((len(units), total * width, c.shape[0]), dtype=np.int64)
+    right[:, place] = ic[:, :, x[starts]].transpose(0, 2, 1)
+    right = right.reshape(len(units), total, width, c.shape[0])
+    vals = np.empty((count, a.shape[0], b.shape[0] * c.shape[0]), dtype=np.int64)
+    rational = np.empty(vals.shape, dtype=bool)
+    step = max(1, SUM_BLOCK_CELLS // max(1, b.shape[0] * max(len(u), total * width) * len(units)))
+    for lo in range(0, a.shape[0], step):  # a block of rows of a at a time, under every embedding
         rows = slice(lo, lo + step)
-        for i in range(len(units)):  # keep the first embedding's values and where the others agree
-            ab = ia[rows, u, i] * w % p
-            ab = ab[:, None, :] * ib[:, v, i][None] % p
-            part = np.add.reduceat(ab, starts, axis=2) % p
-            image = dot_mod(part.reshape(-1, len(starts)), p, ic[:, x[starts], i].T).reshape(-1, vals.shape[1])
-            if i == 0:
-                vals[rows] = image
-            else:
-                rational[rows] &= image == vals[rows]
+        ab = ia[:, rows, u] * w[:, None] % p
+        ab = ab[:, :, None, :] * ib[:, :, v][:, None] % p
+        part = np.zeros(ab.shape[:3] + (total * width,), dtype=np.int64)
+        part[..., place] = np.add.reduceat(ab, starts, axis=3) % p
+        left = part.reshape(len(units), -1, total, width).transpose(0, 2, 1, 3)
+        image = np.add.reduceat(dot_mod(left, p, right), first, axis=1) % p
+        image = image.reshape(len(units), count, -1, vals.shape[2])
+        vals[:, rows] = image[0]  # the first embedding's values, rational where the others agree
+        rational[:, rows] = (image[1:] == image[0]).all(axis=0)
     np.subtract(vals, p, out=vals, where=vals > p // 2)  # balanced residues, in place
-    shape = (a.shape[0], b.shape[0], c.shape[0])
-    return vals.reshape(shape), rational.reshape(shape)
+    shape = (count, a.shape[0], b.shape[0], c.shape[0])
+    vals, rational = vals.reshape(shape), rational.reshape(shape)
+    return (vals[0], rational[0]) if blocks is None else (vals, rational)
 
 
 class CharacterTable(FrozenRecord):

@@ -26,8 +26,6 @@ from .groups import FiniteGroup, conjugacy_data
 
 __all__ = ["DoubleData", "KirillovMatrix", "twisted_double", "kirillov_S"]
 
-CHUNK_CELLS = 1 << 17  # simples x terms x zeta_m powers that one character sum of the fusion reads for alpha
-
 
 class DoubleData(Record):
     _fields = ("group", "n", "simples", "s_matrix", "fusion")
@@ -220,17 +218,14 @@ def _induced_fusion(name, omega, data, simples):
     G x G.  h commutes with x and with c, so with y, and Gamma_h(x, y) =
     w(x,y,h) + w(h,x,y) - w(x,h,y).
 
-    Each term (c, x, h) is weighted by L / |C(c)|, L the lcm of the
-    centralizer orders, and its phase is folded into beta's row by a roll.
-    The rows of the character sum are every simple alpha, read on the
-    block diagonal of each simple on its own columns (A, k), k in C(a), at
-    (A, t_x^-1 h t_x), so 0 unless it lies over x's class; the irreps beta
-    of B; and the simples gamma of C on their columns (C, h).  For one C
-    and one A, y may lie in several classes B; the k-th of them in class
-    order takes the k-th band of beta's rows, so N is read back from the
-    band of its (C, A, B).  Gamma's block diagonal keeps the target classes
-    apart: they are taken in turn, as many per sum (at least one) as keep
-    simples x terms x zeta_m powers within CHUNK_CELLS.
+    Each term (c, x, h) fixes the classes (C, A, B), and the terms of each
+    triple make one block of one blocked character_sums, each weighted by
+    L / |C(c)|, L the lcm of the centralizer orders, times its phase
+    zeta_n^e = zeta_m^(e m / n).  The rows of the sum are slots: the i-th
+    row of alpha, beta and gamma is the i-th irrep of the term's class,
+    read on the columns (A, k), k in C(a), of one table (0 past the class's
+    last irrep), so a block holds N for every alpha, beta and gamma of its
+    triple and nothing else.
     fusion_coefficients certifies that every N is a non-negative integer
     and that every simple has one dual.
     """
@@ -244,10 +239,12 @@ def _induced_fusion(name, omega, data, simples):
     first = np.cumsum(count) - count
     embeds = [simples[f]["embed"] for f in first.tolist()]  # C(c) of each representative c
     cent = np.array([len(e) for e in embeds], dtype=np.int64)
-    # every simple on the columns (A, k), k in C(a): a block diagonal, alpha's table and, sliced, gamma's;
-    # at[A, k] is the column (A, k)
+    # simple[A, i]: the i-th irrep of class A, and the extra index size past the last; slots[i, (A, k)]
+    # is its row at k in C(a) (the zero row past the last), and at[A, k] is the column (A, k)
+    slot = np.arange(int(count.max()))
+    simple = np.where(slot < count[:, None], first[:, None] + slot, size)
     col_class, col_h = np.repeat(np.arange(classes), cent), np.concatenate(embeds)
-    diagonal = values[np.where(klass[:, None] == col_class, pos[:size, col_h], len(values) - 1)]
+    slots = values[pos[simple[col_class].T, col_h]]
     at = np.zeros((classes, g.order), dtype=np.int64)
     at[col_class, col_h] = np.arange(len(col_h))
     transport = np.argmax(conj[:, reps[class_of]] == np.arange(g.order), axis=0)  # t_x
@@ -260,47 +257,28 @@ def _induced_fusion(name, omega, data, simples):
     tz = transport[z]
     hzt = conj[inv[tz], hz]
     phi = slant(omega, z, hz, tz) - slant(omega, z, tz, hzt)
+    hx, hy = hzt[:len(x)], hzt[len(x):]
     e = (w[x, y, h] + w[h, x, y] - w[x, h, y] + phi[:len(x)] + phi[len(x):]) % n
     ka, kb = class_of[x], class_of[y]
-    # band[C, A, B]: the place of B among the classes of y with terms for (C, A), -1 where none
-    seen = np.zeros((classes,) * 3, dtype=bool)
-    seen[kc, ka, kb] = True
-    band = np.where(seen, np.cumsum(seen, axis=2) - 1, -1)
-    width = int(count.max())
-    slot = np.arange((int(band.max()) + 1) * width)[:, None]
-    hx, hy = hzt[:len(x)], hzt[len(x):]
-    roll = (np.arange(m) - (e * m // n)[:, None]) % m  # each term's phase turns beta's row
+    triple = (kc * classes + ka) * classes + kb
+    used = np.zeros(classes**3, dtype=bool)
+    used[triple] = True
+    block = (np.cumsum(used) - 1)[triple]  # the triples with terms, numbered in order
     big_l = math.lcm(*cent.tolist())
-    weight = big_l // cent[kc]
-
-    alpha = np.arange(size)[:, None, None]
-    irrep = np.arange(size) - first[klass]  # each simple's place in its class
-    vals = np.empty((size,) * 3, dtype=np.int64)
-    rational = np.empty(vals.shape, dtype=bool)
-    tops, edges = [0, *np.cumsum(count).tolist()], [0, *np.cumsum(cent).tolist()]  # rows and columns of each C
-    ends = np.searchsorted(kc, np.arange(classes + 1)).tolist()  # the terms of each C
-    lo = 0
-    while lo < classes:  # the target classes [lo, hi), one sum
-        hi = lo + 1
-        while hi < classes and size * (ends[hi + 1] - ends[lo]) * m <= CHUNK_CELLS:
-            hi += 1
-        top, bottom, cols, t = tops[lo], tops[hi], slice(edges[lo], edges[hi]), slice(ends[lo], ends[hi])
-        terms = np.arange(t.stop - t.start)
-        # beta's (bands x irreps, terms, m) over this sum's terms: the band slot over y, the zero row
-        # where it is off the term; alpha reads its column (A, hx) of the block diagonal, gamma (C, h)
-        sb = np.where((slot // width == band[kc[t], ka[t], kb[t]]) & (slot % width < count[kb[t]]),
-                      first[kb[t]] + slot % width, size)
-        part, exact = character_sums(diagonal, values[pos[sb, hy[t]][..., None], roll[t]], diagonal[top:bottom, cols],
-                                     (at[ka[t], hx[t]], terms, at[kc[t], h[t]] - edges[lo], weight[t]))
-        # N[alpha, beta, gamma] is part[alpha, band[C, A, B] width + beta's place, gamma] where (C, A, B) has terms
-        live = band[klass[top:bottom], klass[:, None, None], klass[None, :, None]]
-        pick = alpha, np.maximum(live, 0) * width + irrep[:, None], np.arange(bottom - top)
-        vals[:, :, top:bottom] = np.where(live >= 0, part[pick], 0)
-        rational[:, :, top:bottom] = (live < 0) | exact[pick]
-        del live, pick  # (simples, simples, C) indices: gone before the s^3 checks below
-        lo = hi
+    terms = at[ka, hx], at[kb, hy], at[kc, h], big_l // cent[kc], e * m // n
+    part, exact = character_sums(slots, slots, slots, terms, block)
+    # block (C, A, B) slot (i, j, k) is N at the i-th irrep of A, j-th of B and k-th of C; slots past
+    # a class's last irrep are 0 and rational, and land in the extra last row, column and plane
+    triples = np.flatnonzero(used)
+    ta, tb, tc = simple[triples // classes % classes], simple[triples % classes], simple[triples // classes**2]
+    index = ta[:, :, None, None], tb[:, None, :, None], tc[:, None, None, :]
+    vals = np.zeros((size + 1,) * 3, dtype=np.int64)
+    rational = np.ones(vals.shape, dtype=bool)
+    vals[index], rational[index] = part, exact
+    del part, exact
     labels = [f"({s['class_rep']};{s['irrep']})" for s in simples]
-    coeffs, dual = fusion_coefficients(vals, rational, big_l, labels, "double fusion must be a non-negative integer")
+    coeffs, dual = fusion_coefficients(vals[:size, :size, :size], rational[:size, :size, :size], big_l, labels,
+                                       "double fusion must be a non-negative integer")
     return GradedFusionRing.make(name, labels, 0, tuple(dual), coeffs)
 
 

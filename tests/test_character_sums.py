@@ -60,6 +60,35 @@ def test_rational_combinations_come_back_exact(m):
     assert rational.all() and int(got[0, 0, 0]) == want
 
 
+@pytest.mark.parametrize("m", [4, 6, 12])
+def test_blocks_and_phases_match_one_sum_per_block(m):
+    # block g of a blocked sum is the plain sum over its terms, and the phase
+    # zeta_m^s of a term is b's column rolled by s places
+    rng = random.Random(m)
+    values = [rng.randint(-3, 3) for _ in range(5)]
+    flat = np.stack([_rational_combination(rng, m, v, 1, 1) for v in values]).reshape(1, 5, m)
+    a, b, c = flat[:, :3], flat[:, 1:], np.concatenate([flat, np.roll(flat, 1, axis=-1)])
+    count = 24
+    u, v, x = ([rng.randrange(k) for _ in range(count)] for k in (3, 4, 5))
+    w = [rng.randint(1, 3) for _ in range(count)]
+    blocks = [t % 4 for t in range(count)]
+    rng.shuffle(blocks)
+    # blocks 0 and 1 take phases +-1 only, blocks 2 and 3 any root
+    s = [rng.choice([0, m // 2]) if g < 2 else rng.randrange(m) for g in blocks]
+    blocks = np.array(blocks)
+    got, rational = character_sums(a, b, c, (u, v, x, w, s), blocks)
+    assert got.shape == rational.shape == (4, 1, 1, 2)
+    for g in range(4):
+        t = np.flatnonzero(blocks == g)
+        rolled = np.stack([np.roll(b[:, v[i]], s[i], axis=-1) for i in t], axis=1)
+        want, exact = character_sums(a, rolled, c, ([u[i] for i in t], range(len(t)), [x[i] for i in t],
+                                                    [w[i] for i in t]))
+        assert (rational[g] == exact).all() and (got[g][exact] == want[exact]).all()
+        if g < 2:  # with phases +-1 and c's first row, every term is rational
+            want = sum(w[i] * (-1) ** (s[i] // (m // 2)) * values[u[i]] * values[v[i] + 1] * values[x[i]] for i in t)
+            assert rational[g, 0, 0, 0] and got[g, 0, 0, 0] == want
+
+
 def test_a_root_of_unity_alone_is_not_rational():
     zeta3 = np.zeros((1, 1, 3), dtype=np.int64)
     zeta3[0, 0, 1] = 1

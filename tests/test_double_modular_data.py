@@ -1,7 +1,8 @@
 """Modular data of nonabelian twisted doubles, judged without the S sum.
 
-* The Dijkgraaf-Pasquier-Roche fusion from induced characters
-  (``dpr_oracle``) equals the Verlinde fusion ring of ``twisted_double`` on
+* The Dijkgraaf-Pasquier-Roche fusion from induced characters, summed in
+  floats (``dpr_oracle``), and the integer Verlinde sum over the printed S
+  (``verlinde_oracle``) equal the fusion ring of ``twisted_double`` on
   every class of H^3(G, mu_|G|) for S3, Q8, D4 and D5, and on two classes
   of D6 pulled back from S3, and S is the
   balancing identity S_ij = |G|^-1 T_i^-1 T_j^-1 sum_k N_{i* j}^k T_k d_k of

@@ -6,8 +6,12 @@ before ``gxcat.modular`` read it from induced characters, kept as an oracle.
 that is N = |G| V / (den^3 L) with V = sum over l of (L / d_l) coef_il
 coef_jl conj(coef_kl), where den S = coef holds the int coefficients of S
 over one zeta_M and L is the lcm of the dims d_l.  One certified
-``chartab.character_sums``, over the S that ``twisted_double`` prints, so
-the fusion ring is judged by a route that does not use it.
+``chartab.character_sums``, over the S that ``twisted_double`` prints.  It
+shares ``character_sums`` (one unphased block here, many phased blocks in
+the induced fusion) and ``fusion_coefficients`` with the ring it checks, so
+a fault in either can reach both; the float sum of ``dpr_oracle`` and the
+frozen hashes of ``tests/data/double_frozen.json`` judge the ring without
+them.
 """
 
 import math
