@@ -93,14 +93,16 @@ def character_sums(a, b, c, terms, blocks=None):
     The terms that share a block and an x are summed first.  Each block's
     runs of x are cut into pieces of the mean number of runs of a block,
     and each piece is padded to that width, so fewer than twice the runs
-    plus one per block are multiplied with c, in one batched matrix product.  The rows of a are
-    taken in blocks, as many rows (at least one) as keep block rows x rows
-    of b x (terms, or padded runs if more) x phi(M) within SUM_BLOCK_CELLS.
-    Beside the images of a, b and c (their rows x columns x phi(M)), only
-    values and rational grow with the number of rows.
+    plus one per block meet c, in one batched matrix product.  All
+    embeddings are taken at once, and the rows of a in blocks, as many rows
+    (at least one) as keep block rows x rows of b x (terms, or padded runs
+    if more) x phi(M) within SUM_BLOCK_CELLS.  Beside the images of a, b
+    and c (their rows x columns x phi(M)), only values and rational grow
+    with the number of rows.
     """
     m = a.shape[-1]
-    u, v, x, w, s = (np.asarray(t, dtype=np.int64) for t in (*terms, np.zeros(len(terms[0])))[:5])  # s = 0 if not given
+    u, v, x, w, *s = (np.asarray(t, dtype=np.int64) for t in terms)
+    s = s[0] if s else np.zeros_like(u)
     block = np.zeros(len(u), dtype=np.int64) if blocks is None else np.asarray(blocks, dtype=np.int64)
     count = int(block.max(initial=0)) + 1
     norm = [int(np.abs(t).sum(axis=-1).max(initial=0)) for t in (a, b, c)]
@@ -111,8 +113,7 @@ def character_sums(a, b, c, terms, blocks=None):
     # powers[e, i] = z^(e * units[i]): row e maps zeta^e under every embedding
     powers = np.array([[pow(z, e * k, p) for k in units] for e in range(m)], dtype=np.int64)
 
-    # the terms sharing a block and an x are summed first: sort by both and reduce the runs
-    order = np.lexsort((x, block))
+    order = np.lexsort((x, block))  # the runs of terms that share a block and an x
     u, v, x, w, s, block = u[order], v[order], x[order], w[order] % p, s[order] % m, block[order]
     starts = np.flatnonzero(np.concatenate(([True], (x[1:] != x[:-1]) | (block[1:] != block[:-1]))))
     # each block's runs are cut into pieces of width runs, width the mean number of runs of a block,

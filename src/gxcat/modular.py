@@ -105,6 +105,13 @@ def twisted_double(group: FiniteGroup, omega: TorsionCocycle) -> DoubleData:
     return DoubleData(g, n, public, s_matrix, fusion)
 
 
+def _conductor(omega, simples):
+    """The lcm of the section conductors and of the order of omega's values."""
+    n = omega.n
+    return math.lcm(n // math.gcd(n, int(np.gcd.reduce(omega.table, axis=None))),
+                    *(s["section"].shape[-1] for s in simples))
+
+
 def _lift_sections(omega, simples):
     """(m, values, pos): every section value of every simple as an int
     coefficient row over zeta_m, m the lcm of the section conductors and of
@@ -112,9 +119,7 @@ def _lift_sections(omega, simples):
     zeta_m^(e m / c)), then one zero row; pos[s, x] is the row of
     section_s(x), and the zero row where x is off the centralizer and in
     the extra last row s = len(simples)."""
-    g, n = omega.group, omega.n
-    m = math.lcm(n // math.gcd(n, int(np.gcd.reduce(omega.table, axis=None))),
-                 *(s["section"].shape[-1] for s in simples))
+    g, m = omega.group, _conductor(omega, simples)
     sizes = [len(s["embed"]) for s in simples]
     values = np.zeros((sum(sizes) + 1, m), dtype=np.int64)
     offset = 0
@@ -229,22 +234,24 @@ def _induced_fusion(name, omega, data, simples):
     fusion_coefficients certifies that every N is a non-negative integer
     and that every simple has one dual.
     """
-    g, n, w = omega.group, omega.n, omega.table
-    m, values, pos = _lift_sections(omega, simples)
+    g, n, w, m = omega.group, omega.n, omega.table, _conductor(omega, simples)
     conj, inv, mul = g.conj_array, np.asarray(g.inv), g.mul_array
     reps, class_of = np.asarray(data.reps), np.asarray(data.class_of)
     classes, size = len(reps), len(simples)
-    klass = np.array([s["class_index"] for s in simples])
-    count = np.bincount(klass, minlength=classes)  # irreps per class
+    count = np.bincount([s["class_index"] for s in simples], minlength=classes)  # irreps per class
     first = np.cumsum(count) - count
     embeds = [simples[f]["embed"] for f in first.tolist()]  # C(c) of each representative c
     cent = np.array([len(e) for e in embeds], dtype=np.int64)
-    # simple[A, i]: the i-th irrep of class A, and the extra index size past the last; slots[i, (A, k)]
-    # is its row at k in C(a) (the zero row past the last), and at[A, k] is the column (A, k)
-    slot = np.arange(int(count.max()))
-    simple = np.where(slot < count[:, None], first[:, None] + slot, size)
+    # slots[i, (A, k)]: the i-th irrep of class A at k in C(a), over zeta_m, and 0 past the last irrep;
+    # at[A, k] is the column (A, k), and simple[A, i] the i-th irrep of A, or size past the last
     col_class, col_h = np.repeat(np.arange(classes), cent), np.concatenate(embeds)
-    slots = values[pos[simple[col_class].T, col_h]]
+    edges = (np.cumsum(cent) - cent).tolist()
+    slots = np.zeros((int(count.max()), len(col_h), m), dtype=np.int64)
+    for s in simples:
+        lo = edges[s["class_index"]]
+        slots[s["irrep"], lo:lo + len(s["embed"]), ::m // s["section"].shape[-1]] = s["section"]
+    slot = np.arange(len(slots))
+    simple = np.where(slot < count[:, None], first[:, None] + slot, size)
     at = np.zeros((classes, g.order), dtype=np.int64)
     at[col_class, col_h] = np.arange(len(col_h))
     transport = np.argmax(conj[:, reps[class_of]] == np.arange(g.order), axis=0)  # t_x
@@ -256,7 +263,8 @@ def _induced_fusion(name, omega, data, simples):
     z, hz = np.concatenate([x, y]), np.concatenate([h, h])
     tz = transport[z]
     hzt = conj[inv[tz], hz]
-    phi = slant(omega, z, hz, tz) - slant(omega, z, tz, hzt)
+    tau = slant(omega, z, np.stack([hz, tz]), np.stack([tz, hzt]))
+    phi = tau[0] - tau[1]
     hx, hy = hzt[:len(x)], hzt[len(x):]
     e = (w[x, y, h] + w[h, x, y] - w[x, h, y] + phi[:len(x)] + phi[len(x):]) % n
     ka, kb = class_of[x], class_of[y]
@@ -267,18 +275,18 @@ def _induced_fusion(name, omega, data, simples):
     big_l = math.lcm(*cent.tolist())
     terms = at[ka, hx], at[kb, hy], at[kc, h], big_l // cent[kc], e * m // n
     part, exact = character_sums(slots, slots, slots, terms, block)
-    # block (C, A, B) slot (i, j, k) is N at the i-th irrep of A, j-th of B and k-th of C; slots past
-    # a class's last irrep are 0 and rational, and land in the extra last row, column and plane
+    # block (C, A, B) slot (i, j, k) is N at the i-th irrep of A, j-th of B and k-th of C, when each is one
     triples = np.flatnonzero(used)
     ta, tb, tc = simple[triples // classes % classes], simple[triples % classes], simple[triples // classes**2]
-    index = ta[:, :, None, None], tb[:, None, :, None], tc[:, None, None, :]
-    vals = np.zeros((size + 1,) * 3, dtype=np.int64)
+    index = np.broadcast_arrays(ta[:, :, None, None], tb[:, None, :, None], tc[:, None, None, :])
+    keep = (index[0] < size) & (index[1] < size) & (index[2] < size)
+    index = tuple(i[keep] for i in index)
+    vals = np.zeros((size,) * 3, dtype=np.int64)
     rational = np.ones(vals.shape, dtype=bool)
-    vals[index], rational[index] = part, exact
-    del part, exact
+    vals[index], rational[index] = part[keep], exact[keep]
+    del part, exact, index, keep
     labels = [f"({s['class_rep']};{s['irrep']})" for s in simples]
-    coeffs, dual = fusion_coefficients(vals[:size, :size, :size], rational[:size, :size, :size], big_l, labels,
-                                       "double fusion must be a non-negative integer")
+    coeffs, dual = fusion_coefficients(vals, rational, big_l, labels, "double fusion must be a non-negative integer")
     return GradedFusionRing.make(name, labels, 0, tuple(dual), coeffs)
 
 
