@@ -122,8 +122,9 @@ def character_sums(a, b, c, terms, blocks=None):
     width = -(-len(starts) // count) or 1
     if width >= 1 << 16:
         raise ResourceLimit(f"{width} distinct character columns in one sum")
-    run = np.arange(len(starts)) - np.searchsorted(run_block, run_block)  # a run's place in its block
-    per = np.maximum(-(-np.bincount(run_block, minlength=count) // width), 1)  # pieces per block
+    length = np.bincount(run_block, minlength=count)  # runs per block
+    run = np.arange(len(starts)) - (np.cumsum(length) - length)[run_block]  # a run's place in its block
+    per = np.maximum(-(-length // width), 1)  # pieces per block
     first, total = np.cumsum(per) - per, int(per.sum())
     place = (first[run_block] + run // width) * width + run % width
 
